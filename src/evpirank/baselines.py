@@ -2,13 +2,13 @@
 
 The neural baselines rank candidates with a single deep feedforward network
 over LSTM encodings, trained with binary cross-entropy on the same
-one-positive/nine-negative labeling the utility model uses.
+one-positive/nine-negative labeling the utility model uses; they run on the
+utility model's scorer code in evpi.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -17,23 +17,19 @@ import numpy as np
 
 from .embeddings import EmbeddingTable, avg_vector, cos_sim
 from .evpi import (
+    PreparedCandidates,
     RankedList,
+    SetEncoding,
     TrainingExample,
+    batch_loss_and_grads,
+    bce_losses,
+    bce_scores,
     candidate_training_examples,
     rank_from_scores,
     token_matrix,
 )
 from .evaluation import LabelSet, MetricReport
-from .neural import (
-    FeedForwardParams,
-    LstmParams,
-    feedforward_backward,
-    feedforward_forward,
-    lstm_backward,
-    lstm_forward,
-    sigmoid,
-    zeros_like_tensors,
-)
+from .neural import FeedForwardParams, LstmParams, sigmoid
 from .retrieval import CandidateSet, tokenize
 from .rng import substream
 
@@ -273,10 +269,6 @@ def cqa_train(
     return CqaModel(weights=weights, bias=bias)
 
 
-def cqa_score(model: CqaModel, post: str, question: str, table: EmbeddingTable) -> float:
-    return model.score(post, question, table)
-
-
 # ---------------------------------------------------------------------------
 # Neural baselines
 
@@ -334,12 +326,9 @@ def init_neural_baseline(
     )
 
 
-@dataclass
-class _PreparedBaseline:
-    cs: CandidateSet
-    post_tokens: np.ndarray
-    question_tokens: list[np.ndarray]
-    answer_tokens: list[np.ndarray]
+def _scorer_losses(params: NeuralBaselineParams, enc: SetEncoding, prep, grads) -> list[float]:
+    """The baselines' only head: bce_losses of ff over the variant's encodings."""
+    return bce_losses(params.ff, "ff/", enc, prep.cs.original_index, grads)
 
 
 class NeuralBaselineModel:
@@ -358,95 +347,23 @@ class NeuralBaselineModel:
             self.params.variant, {k: v.copy() for k, v in tensors.items()}
         )
 
-    def prepare(self, cs: CandidateSet) -> _PreparedBaseline:
-        uses_q, uses_a = _variant_uses(self.params.variant)
-        return _PreparedBaseline(
+    def prepare(self, cs: CandidateSet) -> PreparedCandidates:
+        # Texts of an unused encoder are tokenized but never encoded.
+        return PreparedCandidates(
             cs=cs,
             post_tokens=token_matrix(self.table, cs.post_body),
-            question_tokens=[token_matrix(self.table, q) for q in cs.questions]
-            if uses_q
-            else [np.zeros((0, self.table.dim)) for _ in cs.questions],
-            answer_tokens=[token_matrix(self.table, a) for a in cs.answers]
-            if uses_a
-            else [np.zeros((0, self.table.dim)) for _ in cs.answers],
+            question_tokens=[token_matrix(self.table, q) for q in cs.questions],
+            answer_tokens=[token_matrix(self.table, a) for a in cs.answers],
         )
 
-    def _ff_input(self, p_bar, q_bar, a_bar) -> np.ndarray:
-        uses_q, uses_a = _variant_uses(self.params.variant)
-        parts = [p_bar]
-        if uses_q:
-            parts.append(q_bar)
-        if uses_a:
-            parts.append(a_bar)
-        return np.concatenate(parts)
-
     def loss_and_grads(
-        self, batch: Sequence[_PreparedBaseline]
+        self, batch: Sequence[PreparedCandidates]
     ) -> tuple[float, dict[str, np.ndarray]]:
-        params = self.params
-        uses_q, uses_a = _variant_uses(params.variant)
-        hidden = params.lstm_post.hidden_dim
-        tensors = self.tensors()
-        grads = zeros_like_tensors(tensors)
-        total = 0.0
-        for prep in batch:
-            cs = prep.cs
-            n = len(cs)
-            p_bar, p_cache = lstm_forward(params.lstm_post, prep.post_tokens)
-            d_p_bar = np.zeros(hidden)
-            for j in range(n):
-                y = 1 if j == cs.original_index else 0
-                q_bar = q_cache = a_bar = a_cache = None
-                if uses_q:
-                    q_bar, q_cache = lstm_forward(params.lstm_question, prep.question_tokens[j])
-                if uses_a:
-                    a_bar, a_cache = lstm_forward(params.lstm_answer, prep.answer_tokens[j])
-                x = self._ff_input(p_bar, q_bar, a_bar)
-                s_out, acts = feedforward_forward(params.ff, x)
-                s = float(s_out[0])
-                u = sigmoid(s)
-                u_c = min(max(u, 1e-12), 1.0 - 1e-12)
-                total += -(y * math.log(u_c) + (1 - y) * math.log(1.0 - u_c))
-                d_s = (u - y) if 1e-12 < u < 1.0 - 1e-12 else 0.0
-                ff_grads, d_x = feedforward_backward(params.ff, acts, np.array([d_s]))
-                for name, grad in ff_grads.items():
-                    grads[f"ff/{name}"] += grad
-                d_p_bar += d_x[:hidden]
-                offset = hidden
-                if uses_q:
-                    for name, grad in lstm_backward(
-                        params.lstm_question, q_cache, d_x[offset : offset + hidden]
-                    ).items():
-                        grads[f"lstm_question/{name}"] += grad
-                    offset += hidden
-                if uses_a:
-                    for name, grad in lstm_backward(
-                        params.lstm_answer, a_cache, d_x[offset : offset + hidden]
-                    ).items():
-                        grads[f"lstm_answer/{name}"] += grad
-            for name, grad in lstm_backward(params.lstm_post, p_cache, d_p_bar).items():
-                grads[f"lstm_post/{name}"] += grad
-        n_posts = max(1, len(batch))
-        for name in grads:
-            grads[name] /= n_posts
-        return total / n_posts, grads
+        return batch_loss_and_grads(self.params, batch, (_scorer_losses,))
 
-    def rank_prepared(self, prep: _PreparedBaseline) -> RankedList:
-        params = self.params
-        uses_q, uses_a = _variant_uses(params.variant)
-        cs = prep.cs
-        p_bar, _ = lstm_forward(params.lstm_post, prep.post_tokens)
-        scores = []
-        for j in range(len(cs)):
-            q_bar = a_bar = None
-            if uses_q:
-                q_bar, _ = lstm_forward(params.lstm_question, prep.question_tokens[j])
-            if uses_a:
-                a_bar, _ = lstm_forward(params.lstm_answer, prep.answer_tokens[j])
-            x = self._ff_input(p_bar, q_bar, a_bar)
-            s_out, _ = feedforward_forward(params.ff, x)
-            scores.append(sigmoid(float(s_out[0])))
-        return rank_from_scores(cs.post_id, scores)
+    def rank_prepared(self, prep: PreparedCandidates) -> RankedList:
+        scores = bce_scores(self.params.ff, SetEncoding(self.params, prep))
+        return rank_from_scores(prep.cs.post_id, scores)
 
     def rank(self, cs: CandidateSet) -> RankedList:
         return self.rank_prepared(self.prepare(cs))

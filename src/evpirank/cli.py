@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import baselines, evaluation, evpi, ingest, retrieval
@@ -52,18 +50,6 @@ def _load_config(args) -> Config:
     return config
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("EVPIRANK_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"EVPIRANK_THREADS must be an integer, got {env!r}")
-    return 1
-
-
 def _load_table(path: str | None) -> EmbeddingTable:
     if path is None:
         return EmbeddingTable.empty()
@@ -74,7 +60,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
     parser.add_argument("--seed", type=int, default=None, help="root random seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker cap (fallback: EVPIRANK_THREADS)")
 
 
 def cmd_ingest(args) -> int:
@@ -113,17 +98,10 @@ def cmd_candidates(args) -> int:
     index = retrieval.build_index(docs)
     if args.index_out:
         retrieval.save_index(index, args.index_out)
-    post_ids = sorted(by_post)
-    n_threads = _threads(args)
-
-    def one(post_id: str) -> retrieval.CandidateSet:
-        return retrieval.generate_candidates(index, by_post, post_id, k=args.k)
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            sets = list(pool.map(one, post_ids))
-    else:
-        sets = [one(post_id) for post_id in post_ids]
+    sets = [
+        retrieval.generate_candidates(index, by_post, post_id, k=args.k)
+        for post_id in sorted(by_post)
+    ]
     retrieval.write_candidates(args.out, sets)
     if len(by_post) < args.k:
         _log(
@@ -146,8 +124,7 @@ def _check_model_name(name: str) -> None:
 def _split_sets(candidate_sets, split: str):
     if split == "all":
         return list(candidate_sets)
-    buckets = {"train": range(0, 8), "tune": range(8, 9), "test": range(9, 10)}[split]
-    return [cs for cs in candidate_sets if ingest.split_bucket(cs.post_id) in buckets]
+    return [cs for cs in candidate_sets if ingest.split_name(cs.post_id) == split]
 
 
 def cmd_train(args) -> int:

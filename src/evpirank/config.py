@@ -7,8 +7,9 @@ resolved configuration before running.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .training import TrainConfig
 
@@ -17,25 +18,11 @@ class ConfigError(ValueError):
     pass
 
 
-VALID_KEYS: dict[str, type] = {
-    "hidden_dim": int,
-    "lr": float,
-    "batch_size": int,
-    "epochs": int,
-    "patience": int,
-    "seed": int,
-    "clamp_negative_sim": bool,
-}
+# The keys, types and defaults are TrainConfig's fields.
+_TYPES = get_type_hints(TrainConfig)
+VALID_KEYS: dict[str, type] = {f.name: _TYPES[f.name] for f in fields(TrainConfig)}
 
-DEFAULTS: dict[str, object] = {
-    "hidden_dim": 100,
-    "lr": 1e-3,
-    "batch_size": 32,
-    "epochs": 50,
-    "patience": 5,
-    "seed": 0,
-    "clamp_negative_sim": True,
-}
+DEFAULTS: dict[str, object] = {f.name: f.default for f in fields(TrainConfig)}
 
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
@@ -102,12 +89,4 @@ class Config:
         return json.dumps({"config": self.resolved()}, ensure_ascii=False)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            hidden_dim=self.get("hidden_dim"),
-            lr=self.get("lr"),
-            batch_size=self.get("batch_size"),
-            epochs=self.get("epochs"),
-            patience=self.get("patience"),
-            seed=self.get("seed"),
-            clamp_negative_sim=self.get("clamp_negative_sim"),
-        )
+        return TrainConfig(**self.resolved())

@@ -4,15 +4,18 @@ An answer model scores how likely each candidate answer is for a given
 question, a utility model scores how much an answer would improve the post,
 and a question's value is the utility expectation over the candidate answer
 pool. Both models share three LSTM text encoders and are trained jointly.
+The utility model's scorer, sigma(FF([p; q; a])) with a clamped BCE loss,
+is also the neural baselines' scorer: both run on SetEncoding, bce_scores
+and bce_losses.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -148,11 +151,6 @@ def token_matrix(table: EmbeddingTable, text: str) -> np.ndarray:
     return np.asarray(vectors, dtype=np.float64)
 
 
-def encode_text(lstm: LstmParams, table: EmbeddingTable, text: str) -> np.ndarray:
-    mean, _ = lstm_forward(lstm, token_matrix(table, text))
-    return mean
-
-
 # ---------------------------------------------------------------------------
 # Scoring primitives
 
@@ -185,95 +183,6 @@ def similarity_weight(q_hat_i: np.ndarray, q_hat_j: np.ndarray, clamp: bool = Tr
     return sim
 
 
-def f_ans(params: EvpiParams, post_text: str, question_text: str, table: EmbeddingTable) -> np.ndarray:
-    """Predicted answer representation in the embedding space."""
-    p_bar = encode_text(params.lstm_post, table, post_text)
-    q_bar = encode_text(params.lstm_question, table, question_text)
-    out, _ = feedforward_forward(params.ff_ans, np.concatenate([p_bar, q_bar]))
-    return out
-
-
-def answer_prob(
-    params: EvpiParams,
-    post: str,
-    q_i: str,
-    a_j: str,
-    q_j: str,
-    table: EmbeddingTable,
-    clamp_negative_sim: bool = True,
-) -> float:
-    """Likelihood that a_j answers question q_i on the post.
-
-    exp(-dist(f_ans(post, q_i), a_hat_j)) weighted by the similarity of q_i
-    to the question q_j originally paired with a_j. Always in [0, 1] under
-    the default clamp.
-    """
-    rep = f_ans(params, post, q_i, table)
-    a_hat = avg_vector(table, tokenize(a_j))
-    q_hat_i = avg_vector(table, tokenize(q_i)).values
-    q_hat_j = avg_vector(table, tokenize(q_j)).values
-    weight = similarity_weight(q_hat_i, q_hat_j, clamp_negative_sim)
-    return math.exp(-dist(rep, a_hat)) * weight
-
-
-def loss_ans(
-    params: EvpiParams,
-    cs: CandidateSet,
-    table: EmbeddingTable,
-    clamp_negative_sim: bool = True,
-) -> float:
-    """Answer-model loss for one post and its candidate set.
-
-    Distance of the predicted representation to the original answer, plus the
-    distances to the other candidates' answers weighted by how similar their
-    questions are to the original question.
-    """
-    o = cs.original_index
-    rep = f_ans(params, cs.post_body, cs.questions[o], table)
-    a_hats = [avg_vector(table, tokenize(a)) for a in cs.answers]
-    q_hats = [avg_vector(table, tokenize(q)).values for q in cs.questions]
-    total = dist(rep, a_hats[o])
-    for j in range(len(cs)):
-        if j == o:
-            continue
-        weight = similarity_weight(q_hats[o], q_hats[j], clamp_negative_sim)
-        total += dist(rep, a_hats[j]) * weight
-    return total
-
-
-def utility(
-    params: EvpiParams, post: str, q_j: str, a_j: str, table: EmbeddingTable
-) -> float:
-    """sigma(F_util(post, question, answer)); how complete the updated post is."""
-    p_bar = encode_text(params.lstm_post, table, post)
-    q_bar = encode_text(params.lstm_question, table, q_j)
-    a_bar = encode_text(params.lstm_answer, table, a_j)
-    out, _ = feedforward_forward(params.ff_util, np.concatenate([p_bar, q_bar, a_bar]))
-    return sigmoid(float(out[0]))
-
-
-def loss_util(y: int, utility_value: float) -> float:
-    """Binary cross-entropy with the probability clamped away from 0 and 1."""
-    u = min(max(utility_value, BCE_CLAMP), 1.0 - BCE_CLAMP)
-    return -(y * math.log(u) + (1 - y) * math.log(1.0 - u))
-
-
-def joint_loss(
-    params: EvpiParams,
-    candidate_sets: Iterable[CandidateSet],
-    table: EmbeddingTable,
-    clamp_negative_sim: bool = True,
-) -> float:
-    """Sum over posts of the answer loss plus all per-candidate utility losses."""
-    total = 0.0
-    for cs in candidate_sets:
-        total += loss_ans(params, cs, table, clamp_negative_sim)
-        for j in range(len(cs)):
-            y = 1 if j == cs.original_index else 0
-            total += loss_util(y, utility(params, cs.post_body, cs.questions[j], cs.answers[j], table))
-    return total
-
-
 def expected_value(answer_probs: Sequence[float], utilities: Sequence[float]) -> float:
     """Sum over candidate answers of probability times utility."""
     if len(answer_probs) != len(utilities):
@@ -281,74 +190,172 @@ def expected_value(answer_probs: Sequence[float], utilities: Sequence[float]) ->
     return float(np.dot(np.asarray(answer_probs, dtype=np.float64), np.asarray(utilities, dtype=np.float64)))
 
 
-def evpi_score(
-    params: EvpiParams,
-    post: str,
-    q_i: str,
-    cs: CandidateSet,
-    table: EmbeddingTable,
-    clamp_negative_sim: bool = True,
-) -> float:
-    """Expected utility of asking q_i, summed over the candidate answer pool."""
-    probs = [
-        answer_prob(params, post, q_i, cs.answers[j], cs.questions[j], table, clamp_negative_sim)
-        for j in range(len(cs))
-    ]
-    utils = [utility(params, post, cs.questions[j], cs.answers[j], table) for j in range(len(cs))]
-    return expected_value(probs, utils)
-
-
-def rank_questions(
-    params: EvpiParams,
-    cs: CandidateSet,
-    table: EmbeddingTable,
-    clamp_negative_sim: bool = True,
-) -> RankedList:
-    """Candidates ordered by descending EVPI score; ties by ascending index.
-
-    Equivalent to scoring each question with evpi_score, but encodes every
-    text only once.
-    """
-    prepared = prepare_candidates(cs, table, clamp_negative_sim)
-    model = EvpiModel(params, table, clamp_negative_sim)
-    return model.rank_prepared(prepared)
-
-
 # ---------------------------------------------------------------------------
-# Prepared inputs and the trainable model
+# Prepared inputs, the shared encoding pass and the scoring heads
 
 
 @dataclass
 class PreparedCandidates:
-    """Token matrices and average vectors of one candidate set, cached once."""
+    """Token matrices of one candidate set, cached once.
+
+    Only the answer model reads the average vectors and sim_weights (the
+    weight of candidate j in the answer loss); a neural baseline leaves them
+    empty.
+    """
 
     cs: CandidateSet
     post_tokens: np.ndarray
     question_tokens: list[np.ndarray]
     answer_tokens: list[np.ndarray]
-    q_hats: list[np.ndarray]
-    a_hats: list[np.ndarray]
-    sim_weights: np.ndarray  # weight of candidate j in the answer loss
+    q_hats: list[np.ndarray] = field(default_factory=list)
+    a_hats: list[np.ndarray] = field(default_factory=list)
+    sim_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def prepare_candidates(
-    cs: CandidateSet, table: EmbeddingTable, clamp_negative_sim: bool = True
-) -> PreparedCandidates:
-    q_hats = [avg_vector(table, tokenize(q)).values for q in cs.questions]
-    a_hats = [avg_vector(table, tokenize(a)).values for a in cs.answers]
-    o = cs.original_index
-    weights = np.array(
-        [similarity_weight(q_hats[o], q_hats[j], clamp_negative_sim) for j in range(len(cs))]
-    )
-    return PreparedCandidates(
-        cs=cs,
-        post_tokens=token_matrix(table, cs.post_body),
-        question_tokens=[token_matrix(table, q) for q in cs.questions],
-        answer_tokens=[token_matrix(table, a) for a in cs.answers],
-        q_hats=q_hats,
-        a_hats=a_hats,
-        sim_weights=weights,
-    )
+class SetEncoding:
+    """Every text of a prepared set run through its LSTM encoder once.
+
+    params is any model with lstm_post, lstm_question and lstm_answer; the
+    last two may be None. The sequences are the post, then each question,
+    then each answer. With for_backward, each sequence keeps its LSTM cache
+    and an accumulator of d(loss)/d(encoding): every head adds into the
+    accumulators, and backward() then runs one lstm_backward per sequence.
+    Without it the pass is forward-only and keeps neither.
+    """
+
+    def __init__(self, params, prep: PreparedCandidates, for_backward: bool = False):
+        self.n = len(prep.cs)
+        self.lstms = [("lstm_post/", params.lstm_post)]
+        texts = [prep.post_tokens]
+        for prefix, lstm, tokens in (
+            ("lstm_question/", params.lstm_question, prep.question_tokens),
+            ("lstm_answer/", params.lstm_answer, prep.answer_tokens),
+        ):
+            if lstm is not None:
+                self.lstms += [(prefix, lstm)] * len(tokens)
+                texts += tokens
+        self.n_q = self.n if params.lstm_question is not None else 0
+        self.has_answers = params.lstm_answer is not None
+        if for_backward:
+            outs = [lstm_forward(lstm, xs) for (_, lstm), xs in zip(self.lstms, texts)]
+            self.bars = [mean for mean, _ in outs]
+            self.caches = [cache for _, cache in outs]
+            self.d_bars = [np.zeros_like(mean) for mean in self.bars]
+        else:
+            self.bars = [lstm_forward(lstm, xs)[0] for (_, lstm), xs in zip(self.lstms, texts)]
+
+    def _slots(self, j: int, with_answer: bool) -> list[int]:
+        slots = [0]
+        if self.n_q:
+            slots.append(1 + j)
+        if with_answer and self.has_answers:
+            slots.append(1 + self.n_q + j)
+        return slots
+
+    def head_input(self, j: int, with_answer: bool = True) -> np.ndarray:
+        """[p; q_j; a_j] over the encoders present; with_answer=False drops a_j."""
+        return np.concatenate([self.bars[k] for k in self._slots(j, with_answer)])
+
+    def add_grad(self, j: int, d_input: np.ndarray, with_answer: bool = True) -> None:
+        """Split d(loss)/d(head_input(j)) into the per-sequence accumulators."""
+        hidden = len(self.bars[0])
+        for pos, k in enumerate(self._slots(j, with_answer)):
+            self.d_bars[k] += d_input[pos * hidden : (pos + 1) * hidden]
+
+    def backward(self, grads: dict[str, np.ndarray]) -> None:
+        for (prefix, lstm), cache, d_bar in zip(self.lstms, self.caches, self.d_bars):
+            for name, grad in lstm_backward(lstm, cache, d_bar).items():
+                grads[prefix + name] += grad
+
+
+def bce_scores(ff: FeedForwardParams, enc: SetEncoding) -> list[float]:
+    """sigma(ff([p; q_j; a_j])) for every candidate j: utility or baseline score."""
+    return [sigmoid(float(feedforward_forward(ff, enc.head_input(j))[0][0])) for j in range(enc.n)]
+
+
+def bce_losses(
+    ff: FeedForwardParams,
+    prefix: str,
+    enc: SetEncoding,
+    original_index: int,
+    grads: dict[str, np.ndarray],
+) -> list[float]:
+    """Per-candidate BCE of bce_scores against the one-positive labels.
+
+    The probability is clamped away from 0 and 1. Adds ff's gradients to
+    grads under prefix and the input gradients to enc's accumulators.
+    """
+    losses = []
+    for j in range(enc.n):
+        y = 1 if j == original_index else 0
+        s_out, acts = feedforward_forward(ff, enc.head_input(j))
+        u = sigmoid(float(s_out[0]))
+        u_c = min(max(u, BCE_CLAMP), 1.0 - BCE_CLAMP)
+        losses.append(-(y * math.log(u_c) + (1 - y) * math.log(1.0 - u_c)))
+        # Where the clamp is active the loss is locally flat in s.
+        d_s = u - y if BCE_CLAMP < u < 1.0 - BCE_CLAMP else 0.0
+        ff_grads, d_in = feedforward_backward(ff, acts, np.array([d_s]))
+        for name, grad in ff_grads.items():
+            grads[prefix + name] += grad
+        enc.add_grad(j, d_in)
+    return losses
+
+
+# A head is head(params, enc, prep, grads) -> losses: it scores one encoded
+# set, adds its gradients as bce_losses does, and returns its loss terms.
+
+
+def utility_losses(
+    params: EvpiParams, enc: SetEncoding, prep: PreparedCandidates, grads: dict[str, np.ndarray]
+) -> list[float]:
+    """The utility head: bce_losses of ff_util over [p; q_j; a_j]."""
+    return bce_losses(params.ff_util, "ff_util/", enc, prep.cs.original_index, grads)
+
+
+def answer_losses(
+    params: EvpiParams, enc: SetEncoding, prep: PreparedCandidates, grads: dict[str, np.ndarray]
+) -> list[float]:
+    """The answer head: one loss term per post.
+
+    Distance of F_ans(p, q_o) to the original answer, plus the distances to
+    the other candidates' answers weighted by how similar their questions
+    are to the original question.
+    """
+    o = prep.cs.original_index
+    rep, acts = feedforward_forward(params.ff_ans, enc.head_input(o, with_answer=False))
+    loss = dist(rep, prep.a_hats[o])
+    d_rep = _dist_grad_wrt_rep(rep, prep.a_hats[o])
+    for j, weight in enumerate(prep.sim_weights):
+        if j == o or weight == 0.0:
+            continue
+        loss += dist(rep, prep.a_hats[j]) * weight
+        d_rep = d_rep + weight * _dist_grad_wrt_rep(rep, prep.a_hats[j])
+    ff_grads, d_in = feedforward_backward(params.ff_ans, acts, d_rep)
+    for name, grad in ff_grads.items():
+        grads[f"ff_ans/{name}"] += grad
+    enc.add_grad(o, d_in, with_answer=False)
+    return [loss]
+
+
+def batch_loss_and_grads(
+    params, batch: Sequence[PreparedCandidates], heads: Sequence[Callable]
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean over the batch of the heads' summed losses, with its gradient.
+
+    Each set is encoded once and backpropagated once, whatever the heads.
+    """
+    grads = zeros_like_tensors(params.tensors())
+    total = 0.0
+    for prep in batch:
+        enc = SetEncoding(params, prep, for_backward=True)
+        for head in heads:
+            for loss in head(params, enc, prep, grads):
+                total += loss
+        enc.backward(grads)
+    n = max(1, len(batch))
+    for name in grads:
+        grads[name] /= n
+    return total / n, grads
 
 
 class EvpiModel:
@@ -370,125 +377,38 @@ class EvpiModel:
         self.params = EvpiParams.from_tensors({k: v.copy() for k, v in tensors.items()})
 
     def prepare(self, cs: CandidateSet) -> PreparedCandidates:
-        return prepare_candidates(cs, self.table, self.clamp_negative_sim)
+        table = self.table
+        q_hats = [avg_vector(table, tokenize(q)).values for q in cs.questions]
+        a_hats = [avg_vector(table, tokenize(a)).values for a in cs.answers]
+        o = cs.original_index
+        weights = np.array(
+            [similarity_weight(q_hats[o], q_hats[j], self.clamp_negative_sim) for j in range(len(cs))]
+        )
+        return PreparedCandidates(
+            cs=cs,
+            post_tokens=token_matrix(table, cs.post_body),
+            question_tokens=[token_matrix(table, q) for q in cs.questions],
+            answer_tokens=[token_matrix(table, a) for a in cs.answers],
+            q_hats=q_hats,
+            a_hats=a_hats,
+            sim_weights=weights,
+        )
 
     def loss_and_grads(
         self, batch: Sequence[PreparedCandidates]
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean per-post joint loss over the batch plus its gradient."""
-        grads = zeros_like_tensors(self.tensors())
-        total = 0.0
-        for prep in batch:
-            ans_loss, ans_grads = self.answer_loss_and_grads(prep)
-            util_loss, util_grads = self.utility_loss_and_grads(prep)
-            total += ans_loss + util_loss
-            for name, grad in ans_grads.items():
-                grads[name] += grad
-            for name, grad in util_grads.items():
-                grads[name] += grad
-        n = max(1, len(batch))
-        for name in grads:
-            grads[name] /= n
-        return total / n, grads
-
-    def answer_loss_and_grads(
-        self, prep: PreparedCandidates
-    ) -> tuple[float, dict[str, np.ndarray]]:
-        """Answer-model loss for one post with gradients wrt all parameters."""
-        params = self.params
-        cs = prep.cs
-        o = cs.original_index
-        hidden = params.hidden_dim
-        grads = zeros_like_tensors(self.tensors())
-
-        p_bar, p_cache = lstm_forward(params.lstm_post, prep.post_tokens)
-        q_bar, q_cache = lstm_forward(params.lstm_question, prep.question_tokens[o])
-        rep, rep_acts = feedforward_forward(params.ff_ans, np.concatenate([p_bar, q_bar]))
-
-        loss = dist(rep, prep.a_hats[o])
-        d_rep = _dist_grad_wrt_rep(rep, prep.a_hats[o])
-        for j in range(len(cs)):
-            if j == o:
-                continue
-            weight = prep.sim_weights[j]
-            if weight == 0.0:
-                continue
-            loss += dist(rep, prep.a_hats[j]) * weight
-            d_rep = d_rep + weight * _dist_grad_wrt_rep(rep, prep.a_hats[j])
-        ans_grads, d_in = feedforward_backward(params.ff_ans, rep_acts, d_rep)
-        for name, grad in ans_grads.items():
-            grads[f"ff_ans/{name}"] += grad
-        for name, grad in lstm_backward(params.lstm_post, p_cache, d_in[:hidden]).items():
-            grads[f"lstm_post/{name}"] += grad
-        for name, grad in lstm_backward(params.lstm_question, q_cache, d_in[hidden:]).items():
-            grads[f"lstm_question/{name}"] += grad
-        return loss, grads
-
-    def utility_loss_and_grads(
-        self, prep: PreparedCandidates
-    ) -> tuple[float, dict[str, np.ndarray]]:
-        """Summed per-candidate BCE utility loss for one post, with gradients."""
-        params = self.params
-        cs = prep.cs
-        hidden = params.hidden_dim
-        grads = zeros_like_tensors(self.tensors())
-
-        p_bar, p_cache = lstm_forward(params.lstm_post, prep.post_tokens)
-        d_p_bar = np.zeros(hidden)
-        loss = 0.0
-        for j in range(len(cs)):
-            y = 1 if j == cs.original_index else 0
-            q_bar, q_cache = lstm_forward(params.lstm_question, prep.question_tokens[j])
-            a_bar, a_cache = lstm_forward(params.lstm_answer, prep.answer_tokens[j])
-            s_out, util_acts = feedforward_forward(
-                params.ff_util, np.concatenate([p_bar, q_bar, a_bar])
-            )
-            u = sigmoid(float(s_out[0]))
-            u_c = min(max(u, BCE_CLAMP), 1.0 - BCE_CLAMP)
-            loss += -(y * math.log(u_c) + (1 - y) * math.log(1.0 - u_c))
-            if BCE_CLAMP < u < 1.0 - BCE_CLAMP:
-                d_s = u - y
-            else:
-                d_s = 0.0  # clamp active: the loss is locally flat in s
-            util_grads, d_in = feedforward_backward(params.ff_util, util_acts, np.array([d_s]))
-            for name, grad in util_grads.items():
-                grads[f"ff_util/{name}"] += grad
-            d_p_bar += d_in[:hidden]
-            for name, grad in lstm_backward(
-                params.lstm_question, q_cache, d_in[hidden : 2 * hidden]
-            ).items():
-                grads[f"lstm_question/{name}"] += grad
-            for name, grad in lstm_backward(
-                params.lstm_answer, a_cache, d_in[2 * hidden :]
-            ).items():
-                grads[f"lstm_answer/{name}"] += grad
-        for name, grad in lstm_backward(params.lstm_post, p_cache, d_p_bar).items():
-            grads[f"lstm_post/{name}"] += grad
-        return loss, grads
+        """Mean per-post joint loss (answer plus utility) and its gradient."""
+        return batch_loss_and_grads(self.params, batch, (answer_losses, utility_losses))
 
     def rank_prepared(self, prep: PreparedCandidates) -> RankedList:
         params = self.params
-        cs = prep.cs
-        n = len(cs)
-        p_bar, _ = lstm_forward(params.lstm_post, prep.post_tokens)
-        q_bars = [lstm_forward(params.lstm_question, prep.question_tokens[j])[0] for j in range(n)]
-        a_bars = [lstm_forward(params.lstm_answer, prep.answer_tokens[j])[0] for j in range(n)]
+        n = len(prep.cs)
+        enc = SetEncoding(params, prep)
         reps = [
-            feedforward_forward(params.ff_ans, np.concatenate([p_bar, q_bars[i]]))[0]
+            feedforward_forward(params.ff_ans, enc.head_input(i, with_answer=False))[0]
             for i in range(n)
         ]
-        utils = np.array(
-            [
-                sigmoid(
-                    float(
-                        feedforward_forward(
-                            params.ff_util, np.concatenate([p_bar, q_bars[j], a_bars[j]])
-                        )[0][0]
-                    )
-                )
-                for j in range(n)
-            ]
-        )
+        utils = bce_scores(params.ff_util, enc)
         scores = []
         for i in range(n):
             probs = np.array(
@@ -499,7 +419,7 @@ class EvpiModel:
                 ]
             )
             scores.append(expected_value(probs, utils))
-        return rank_from_scores(cs.post_id, scores)
+        return rank_from_scores(prep.cs.post_id, scores)
 
     def rank(self, cs: CandidateSet) -> RankedList:
         return self.rank_prepared(self.prepare(cs))

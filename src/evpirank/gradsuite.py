@@ -13,7 +13,14 @@ import numpy as np
 
 from .baselines import NeuralBaselineModel, NeuralBaselineParams, init_neural_baseline
 from .embeddings import EmbeddingTable
-from .evpi import EvpiModel, EvpiParams, init_evpi_params, prepare_candidates
+from .evpi import (
+    EvpiModel,
+    EvpiParams,
+    answer_losses,
+    batch_loss_and_grads,
+    init_evpi_params,
+    utility_losses,
+)
 from .neural import (
     FeedForwardParams,
     LstmParams,
@@ -108,26 +115,14 @@ def _check_feedforward(rng: np.random.Generator, n_probes: int, n_hidden: int) -
     return grad_check(loss_fn, params.tensors(), n_probes=n_probes, rng=rng)
 
 
-def _check_answer_loss(rng: np.random.Generator, n_probes: int) -> float:
+def _check_evpi_head(rng: np.random.Generator, n_probes: int, post_id: str, head) -> float:
+    """Check one EVPI head alone through the training path: encode, head, backward."""
     table = _toy_table(rng)
     model = _evpi_model(rng, table)
-    prep = prepare_candidates(_toy_candidate_set(rng, "gc-ans"), table)
+    prep = model.prepare(_toy_candidate_set(rng, post_id))
 
     def loss_fn(tensors):
-        probe = EvpiModel(EvpiParams.from_tensors(tensors), table)
-        return probe.answer_loss_and_grads(prep)
-
-    return grad_check(loss_fn, model.tensors(), n_probes=n_probes, rng=rng)
-
-
-def _check_utility_loss(rng: np.random.Generator, n_probes: int) -> float:
-    table = _toy_table(rng)
-    model = _evpi_model(rng, table)
-    prep = prepare_candidates(_toy_candidate_set(rng, "gc-util"), table)
-
-    def loss_fn(tensors):
-        probe = EvpiModel(EvpiParams.from_tensors(tensors), table)
-        return probe.utility_loss_and_grads(prep)
+        return batch_loss_and_grads(EvpiParams.from_tensors(tensors), [prep], [head])
 
     return grad_check(loss_fn, model.tensors(), n_probes=n_probes, rng=rng)
 
@@ -135,7 +130,7 @@ def _check_utility_loss(rng: np.random.Generator, n_probes: int) -> float:
 def _check_joint_loss(rng: np.random.Generator, n_probes: int) -> float:
     table = _toy_table(rng)
     model = _evpi_model(rng, table)
-    preps = [prepare_candidates(_toy_candidate_set(rng, f"gc-joint-{k}"), table) for k in range(2)]
+    preps = [model.prepare(_toy_candidate_set(rng, f"gc-joint-{k}")) for k in range(2)]
 
     def loss_fn(tensors):
         probe = EvpiModel(EvpiParams.from_tensors(tensors), table)
@@ -164,8 +159,8 @@ def run_gradient_suite(seed: int = 0, draws: int = 10, n_probes: int = 8) -> lis
         ("lstm_encoder", _check_lstm),
         ("feedforward_5_hidden", lambda rng, probes: _check_feedforward(rng, probes, 5)),
         ("feedforward_10_hidden", lambda rng, probes: _check_feedforward(rng, probes, 10)),
-        ("answer_loss", _check_answer_loss),
-        ("utility_bce_loss", _check_utility_loss),
+        ("answer_loss", lambda rng, probes: _check_evpi_head(rng, probes, "gc-ans", answer_losses)),
+        ("utility_bce_loss", lambda rng, probes: _check_evpi_head(rng, probes, "gc-util", utility_losses)),
         ("joint_loss", _check_joint_loss),
         ("neural_baseline_pq", lambda rng, probes: _check_neural_baseline(rng, probes, "pq")),
         ("neural_baseline_pa", lambda rng, probes: _check_neural_baseline(rng, probes, "pa")),

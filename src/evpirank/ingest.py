@@ -72,13 +72,6 @@ class Triple:
 
 
 @dataclass
-class DatasetSplit:
-    train: list[Triple]
-    tune: list[Triple]
-    test: list[Triple]
-
-
-@dataclass
 class IngestDiagnostics:
     """Counts of posts skipped per pipeline stage plus malformed input lines."""
 
@@ -331,36 +324,14 @@ def fnv1a_64(data: bytes) -> int:
     return value
 
 
-def split_bucket(post_id: str) -> int:
-    return fnv1a_64(post_id.encode("utf-8")) % 10
+def split_name(post_id: str) -> str:
+    """The split a post belongs to: train, tune or test, 80/10/10.
 
-
-def split_dataset(
-    triples: Sequence[Triple], ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
-) -> DatasetSplit:
-    """Partition triples into train/tune/test by hashing post ids.
-
-    The assignment is a pure function of post_id (FNV-1a 64-bit mod 10), so
-    re-running on the same input always yields the same split.
+    Buckets the FNV-1a 64-bit hash of the post id mod 10, so the assignment
+    is a pure function of the id and every run splits the same way.
     """
-    if not triples:
-        raise ValueError("cannot split an empty triple list")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("split ratios must sum to 1")
-    train_hi = round(ratios[0] * 10)
-    tune_hi = train_hi + round(ratios[1] * 10)
-    if not 0 < train_hi < tune_hi <= 10:
-        raise ValueError("split ratios must be multiples of 0.1 covering all buckets")
-    split = DatasetSplit(train=[], tune=[], test=[])
-    for triple in triples:
-        bucket = split_bucket(triple.post.post_id)
-        if bucket < train_hi:
-            split.train.append(triple)
-        elif bucket < tune_hi:
-            split.tune.append(triple)
-        else:
-            split.test.append(triple)
-    return split
+    bucket = fnv1a_64(post_id.encode("utf-8")) % 10
+    return "train" if bucket < 8 else "tune" if bucket == 8 else "test"
 
 
 def write_triples(path, triples: Iterable[Triple]) -> None:

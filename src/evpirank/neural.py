@@ -132,10 +132,6 @@ class FeedForwardParams:
     def input_dim(self) -> int:
         return self.weights[0].shape[1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.weights[-1].shape[0]
-
     @classmethod
     def init(
         cls,
@@ -247,19 +243,6 @@ def lstm_forward(params: LstmParams, xs: np.ndarray) -> tuple[np.ndarray, LstmCa
     return h_s.mean(axis=0), cache
 
 
-def encode_sequence(params: LstmParams, token_vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Mean of the LSTM hidden states over the sequence.
-
-    Components lie strictly inside (-1, 1) for non-empty sequences because
-    each hidden state is o * tanh(c).
-    """
-    if len(token_vectors) == 0:
-        return np.zeros(params.hidden_dim)
-    xs = np.asarray(token_vectors, dtype=np.float64)
-    mean, _ = lstm_forward(params, xs)
-    return mean
-
-
 def lstm_backward(
     params: LstmParams, cache: LstmCache | None, d_mean: np.ndarray
 ) -> dict[str, np.ndarray]:
@@ -309,15 +292,10 @@ def lstm_backward(
 # Feedforward stack
 
 
-def feedforward(params: FeedForwardParams, x: np.ndarray) -> np.ndarray:
-    """Alternating affine + tanh for hidden layers; linear final layer."""
-    y, _ = feedforward_forward(params, x)
-    return y
-
-
 def feedforward_forward(
     params: FeedForwardParams, x: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Affine + tanh on hidden layers, linear final layer; (output, activations)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.input_dim,):
         raise ValueError(f"expected input of shape ({params.input_dim},), got {x.shape}")

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from the definitions, without reusing
 the library's index structures or metric code, so the two paths can be
-compared against each other.
+compared against each other. The EVPI reference path reuses only the layer
+primitives (LSTM, feedforward, distances), not the model's shared encoding
+pass or its heads.
 """
 
 from __future__ import annotations
@@ -10,6 +12,21 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from typing import Iterable
+
+import numpy as np
+
+from evpirank.embeddings import EmbeddingTable, avg_vector
+from evpirank.evpi import (
+    BCE_CLAMP,
+    EvpiParams,
+    dist,
+    expected_value,
+    similarity_weight,
+    token_matrix,
+)
+from evpirank.neural import LstmParams, feedforward_forward, lstm_forward, sigmoid
+from evpirank.retrieval import CandidateSet, tokenize
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -79,3 +96,119 @@ def brute_average_precision(order: list[int], relevant: set[int]) -> float:
             seen += 1
             running.append(seen / (position + 1))
     return sum(running) / len(relevant)
+
+
+# ---------------------------------------------------------------------------
+# Scalar EVPI reference path: every text encoded on its own, straight from
+# the paper's formulas. The model path (EvpiModel) is tested against it.
+
+
+def encode_text(lstm: LstmParams, table: EmbeddingTable, text: str) -> np.ndarray:
+    mean, _ = lstm_forward(lstm, token_matrix(table, text))
+    return mean
+
+
+def f_ans(params: EvpiParams, post_text: str, question_text: str, table: EmbeddingTable) -> np.ndarray:
+    """Predicted answer representation in the embedding space."""
+    p_bar = encode_text(params.lstm_post, table, post_text)
+    q_bar = encode_text(params.lstm_question, table, question_text)
+    out, _ = feedforward_forward(params.ff_ans, np.concatenate([p_bar, q_bar]))
+    return out
+
+
+def answer_prob(
+    params: EvpiParams,
+    post: str,
+    q_i: str,
+    a_j: str,
+    q_j: str,
+    table: EmbeddingTable,
+    clamp_negative_sim: bool = True,
+) -> float:
+    """Likelihood that a_j answers question q_i on the post.
+
+    exp(-dist(f_ans(post, q_i), a_hat_j)) weighted by the similarity of q_i
+    to the question q_j originally paired with a_j. Always in [0, 1] under
+    the default clamp.
+    """
+    rep = f_ans(params, post, q_i, table)
+    a_hat = avg_vector(table, tokenize(a_j))
+    q_hat_i = avg_vector(table, tokenize(q_i)).values
+    q_hat_j = avg_vector(table, tokenize(q_j)).values
+    weight = similarity_weight(q_hat_i, q_hat_j, clamp_negative_sim)
+    return math.exp(-dist(rep, a_hat)) * weight
+
+
+def loss_ans(
+    params: EvpiParams,
+    cs: CandidateSet,
+    table: EmbeddingTable,
+    clamp_negative_sim: bool = True,
+) -> float:
+    """Answer-model loss for one post and its candidate set.
+
+    Distance of the predicted representation to the original answer, plus the
+    distances to the other candidates' answers weighted by how similar their
+    questions are to the original question.
+    """
+    o = cs.original_index
+    rep = f_ans(params, cs.post_body, cs.questions[o], table)
+    a_hats = [avg_vector(table, tokenize(a)) for a in cs.answers]
+    q_hats = [avg_vector(table, tokenize(q)).values for q in cs.questions]
+    total = dist(rep, a_hats[o])
+    for j in range(len(cs)):
+        if j == o:
+            continue
+        weight = similarity_weight(q_hats[o], q_hats[j], clamp_negative_sim)
+        total += dist(rep, a_hats[j]) * weight
+    return total
+
+
+def utility(
+    params: EvpiParams, post: str, q_j: str, a_j: str, table: EmbeddingTable
+) -> float:
+    """sigma(F_util(post, question, answer)); how complete the updated post is."""
+    p_bar = encode_text(params.lstm_post, table, post)
+    q_bar = encode_text(params.lstm_question, table, q_j)
+    a_bar = encode_text(params.lstm_answer, table, a_j)
+    out, _ = feedforward_forward(params.ff_util, np.concatenate([p_bar, q_bar, a_bar]))
+    return sigmoid(float(out[0]))
+
+
+def loss_util(y: int, utility_value: float) -> float:
+    """Binary cross-entropy with the probability clamped away from 0 and 1."""
+    u = min(max(utility_value, BCE_CLAMP), 1.0 - BCE_CLAMP)
+    return -(y * math.log(u) + (1 - y) * math.log(1.0 - u))
+
+
+def joint_loss(
+    params: EvpiParams,
+    candidate_sets: Iterable[CandidateSet],
+    table: EmbeddingTable,
+    clamp_negative_sim: bool = True,
+) -> float:
+    """Sum over posts of the answer loss plus all per-candidate utility losses."""
+    total = 0.0
+    for cs in candidate_sets:
+        total += loss_ans(params, cs, table, clamp_negative_sim)
+        for j in range(len(cs)):
+            y = 1 if j == cs.original_index else 0
+            total += loss_util(y, utility(params, cs.post_body, cs.questions[j], cs.answers[j], table))
+    return total
+
+
+def evpi_score(
+    params: EvpiParams,
+    post: str,
+    q_i: str,
+    cs: CandidateSet,
+    table: EmbeddingTable,
+    clamp_negative_sim: bool = True,
+) -> float:
+    """Expected utility of asking q_i, summed over the candidate answer pool."""
+    probs = [
+        answer_prob(params, post, q_i, cs.answers[j], cs.questions[j], table, clamp_negative_sim)
+        for j in range(len(cs))
+    ]
+    utils = [utility(params, post, cs.questions[j], cs.answers[j], table) for j in range(len(cs))]
+    return expected_value(probs, utils)

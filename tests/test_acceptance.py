@@ -23,12 +23,12 @@ from evpirank.evaluation import (
     mean_average_precision,
     precision_at_k,
 )
-from evpirank.evpi import answer_prob, expected_value, init_evpi_params, train
+from evpirank.evpi import expected_value, init_evpi_params, train
 from evpirank.gradsuite import run_gradient_suite
 from evpirank.retrieval import build_index, tokenize, top_k
 from evpirank.training import TrainConfig
 
-from tests.oracles import BruteCorpus, brute_average_precision, brute_precision_at_k
+from tests.oracles import BruteCorpus, answer_prob, brute_average_precision, brute_precision_at_k
 from tests.synthetic import (
     make_clustered_corpus,
     make_random_rankings_fixture,

@@ -98,14 +98,13 @@ class TestCandidatesCommand:
         index = load_index(index_path)
         assert index.doc_count == 7
 
-    def test_threads_do_not_change_bytes(self, tmp_path, capsys):
-        single = tmp_path / "single.jsonl"
-        multi = tmp_path / "multi.jsonl"
-        run(capsys, "candidates", "--triples", str(FIXTURES / "golden" / "triples.jsonl"),
-            "--out", str(single))
-        run(capsys, "candidates", "--triples", str(FIXTURES / "golden" / "triples.jsonl"),
-            "--out", str(multi), "--threads", "4")
-        assert single.read_bytes() == multi.read_bytes()
+    def test_threads_flag_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "candidates.jsonl"
+        code, _, err = run(capsys, "candidates", "--triples", str(FIXTURES / "golden" / "triples.jsonl"),
+                           "--out", str(out), "--threads", "2")
+        assert code == 2
+        assert "--threads" in err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -9,25 +9,27 @@ from evpirank.embeddings import EmbeddingTable
 from evpirank.evpi import (
     EvpiModel,
     EvpiParams,
-    answer_prob,
     candidate_training_examples,
     dist,
-    evpi_score,
     expected_value,
-    f_ans,
     init_evpi_params,
-    joint_loss,
-    loss_ans,
-    loss_util,
     rank_from_scores,
-    rank_questions,
     read_rankings,
-    utility,
     write_rankings,
 )
 from evpirank.neural import AdamState, FeedForwardParams, adam_step, grad_check
 from evpirank.retrieval import CandidateSet
 from evpirank.rng import substream
+
+from tests.oracles import (
+    answer_prob,
+    evpi_score,
+    f_ans,
+    joint_loss,
+    loss_ans,
+    loss_util,
+    utility,
+)
 
 
 def make_table(vectors: dict[str, list[float]]) -> EmbeddingTable:
@@ -335,7 +337,7 @@ class TestRanking:
             questions=["w3 w4?"] * 10, answers=["w5 w6"] * 10,
             source_post_ids=[f"s{j}" for j in range(10)], original_index=0,
         )
-        assert rank_questions(params, cs, table).order == list(range(10))
+        assert EvpiModel(params, table).rank(cs).order == list(range(10))
 
     def test_distinct_scores_match_argsort_oracle(self):
         rng = np.random.default_rng(46)
@@ -353,7 +355,7 @@ class TestRanking:
         for tensor in params.tensors().values():
             tensor += rng.normal(scale=0.2, size=tensor.shape)
         cs = toy_candidate_set(n=4, original=2)
-        ranked = rank_questions(params, cs, table)
+        ranked = EvpiModel(params, table).rank(cs)
         direct = [evpi_score(params, cs.post_body, cs.questions[i], cs, table) for i in range(4)]
         for rank_pos, candidate in enumerate(ranked.order):
             assert ranked.scores[rank_pos] == pytest.approx(direct[candidate], abs=1e-12)
@@ -364,8 +366,8 @@ class TestRanking:
         table = toy_table(rng)
         params = init_evpi_params(5, 3, rng)
         cs = toy_candidate_set(n=4, original=1)
-        a = rank_questions(params, cs, table)
-        b = rank_questions(params, cs, table)
+        a = EvpiModel(params, table).rank(cs)
+        b = EvpiModel(params, table).rank(cs)
         assert a.order == b.order and a.scores == b.scores
 
 
@@ -395,6 +397,30 @@ class TestGradientsAndDescent:
             return probe.loss_and_grads(preps)
 
         assert grad_check(loss_fn, model.tensors(), n_probes=20, rng=rng) < 1e-4
+
+    def test_training_step_encodes_each_text_once(self, monkeypatch):
+        # The answer and utility heads share one encoding of the post and of
+        # every question and answer, and one backward pass through each.
+        import evpirank.evpi as evpi_module
+
+        calls = {"forward": 0, "backward": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(evpi_module, "lstm_forward", counted("forward", evpi_module.lstm_forward))
+        monkeypatch.setattr(evpi_module, "lstm_backward", counted("backward", evpi_module.lstm_backward))
+        rng = substream(0, "test/encode-once")
+        table = toy_table(rng)
+        model = EvpiModel(init_evpi_params(5, 3, rng), table)
+        n = 4
+        prep = model.prepare(toy_candidate_set(n=n, original=2))
+        model.loss_and_grads([prep])
+        assert calls == {"forward": 1 + 2 * n, "backward": 1 + 2 * n}
 
     def test_fifty_adam_steps_reduce_loss(self):
         rng = substream(0, "test/descent")

@@ -21,8 +21,7 @@ from evpirank.ingest import (
     read_posts,
     read_triples,
     select_answer,
-    split_bucket,
-    split_dataset,
+    split_name,
     write_triples,
 )
 
@@ -265,56 +264,29 @@ class TestBuildTriplesProperties:
 
 class TestSplitDataset:
     def test_partition_exact(self):
-        triples = [make_t(f"p{i}") for i in range(200)]
-        split = split_dataset(triples)
-        ids = lambda part: {t.post.post_id for t in part}
-        all_ids = ids(split.train) | ids(split.tune) | ids(split.test)
-        assert all_ids == {t.post.post_id for t in triples}
-        assert not (ids(split.train) & ids(split.tune))
-        assert not (ids(split.train) & ids(split.test))
-        assert not (ids(split.tune) & ids(split.test))
+        ids = [f"p{i}" for i in range(200)]
+        names = [split_name(post_id) for post_id in ids]
+        assert set(names) == {"train", "tune", "test"}
 
     def test_single_triple_lands_in_exactly_one_split(self):
-        split = split_dataset([make_t("only")])
-        sizes = [len(split.train), len(split.tune), len(split.test)]
-        assert sorted(sizes) == [0, 0, 1]
+        assert split_name("only") in {"train", "tune", "test"}
 
     def test_determinism(self):
-        triples = [make_t(f"p{i}") for i in range(100)]
-        a = split_dataset(triples)
-        b = split_dataset(list(triples))
-        assert [t.post.post_id for t in a.train] == [t.post.post_id for t in b.train]
-        assert [t.post.post_id for t in a.tune] == [t.post.post_id for t in b.tune]
+        ids = [f"p{i}" for i in range(100)]
+        assert [split_name(post_id) for post_id in ids] == [split_name(post_id) for post_id in list(ids)]
 
     def test_askubuntu_scale_sizes(self):
         # 24,930 ids at 80/10/10 should land within 2% of 19,944/2,493/2,493.
-        buckets = [split_bucket(f"post_{i:06d}") for i in range(24930)]
-        train = sum(1 for b in buckets if b < 8)
-        tune = sum(1 for b in buckets if b == 8)
-        test = sum(1 for b in buckets if b == 9)
-        assert abs(train - 19944) <= 0.02 * 19944
-        assert abs(tune - 2493) <= 0.02 * 2493
-        assert abs(test - 2493) <= 0.02 * 2493
-
-    def test_empty_input_is_error(self):
-        with pytest.raises(ValueError):
-            split_dataset([])
+        names = [split_name(f"post_{i:06d}") for i in range(24930)]
+        assert abs(names.count("train") - 19944) <= 0.02 * 19944
+        assert abs(names.count("tune") - 2493) <= 0.02 * 2493
+        assert abs(names.count("test") - 2493) <= 0.02 * 2493
 
     def test_fnv1a_known_vectors(self):
         assert fnv1a_64(b"") == 0xCBF29CE484222325
         assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
-
-
-def make_t(post_id: str):
-    from evpirank.ingest import Triple
-
-    return Triple(
-        post=post(post_id),
-        question="why?",
-        question_time=1001,
-        answer="because of reasons",
-        answer_source="comment",
-    )
+        # Hash mod 10 is 2, 8 and 9 for these ids: buckets 0-7 train, 8 tune, 9 test.
+        assert [split_name(p) for p in ("p1", "p5", "p4")] == ["train", "tune", "test"]
 
 
 class TestReaders:

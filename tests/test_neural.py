@@ -10,8 +10,6 @@ from evpirank.neural import (
     FeedForwardParams,
     LstmParams,
     adam_step,
-    encode_sequence,
-    feedforward,
     feedforward_backward,
     feedforward_forward,
     grad_check,
@@ -50,7 +48,7 @@ def hand_lstm_step(params, x, h_prev, c_prev):
 class TestEncodeSequence:
     def test_zero_params_give_zero_output(self):
         params = zero_lstm(input_dim=3, hidden_dim=4)
-        out = encode_sequence(params, np.ones((5, 3)))
+        out = lstm_forward(params, np.ones((5, 3)))[0]
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_single_step_hand_recurrence(self):
@@ -60,7 +58,7 @@ class TestEncodeSequence:
         params.b_i[0] = 50.0
         params.b_o[0] = 50.0
         params.W_g[0, 0] = 1.0
-        got = encode_sequence(params, np.array([[0.5]]))[0]
+        got = lstm_forward(params, np.array([[0.5]]))[0][0]
         s50 = 1.0 / (1.0 + math.exp(-50.0))
         expected = s50 * math.tanh(s50 * math.tanh(0.5))
         assert got == pytest.approx(expected, abs=1e-12)
@@ -73,8 +71,8 @@ class TestEncodeSequence:
         params.b_i[0] = 50.0
         params.b_o[0] = 50.0
         params.W_g[0, 0] = 1.0
-        once = encode_sequence(params, np.array([[0.5]]))[0]
-        twice = encode_sequence(params, np.array([[0.5], [0.5]]))[0]
+        once = lstm_forward(params, np.array([[0.5]]))[0][0]
+        twice = lstm_forward(params, np.array([[0.5], [0.5]]))[0][0]
         h1, c1 = hand_lstm_step(params, 0.5, 0.0, 0.0)
         h2, c2 = hand_lstm_step(params, 0.5, h1, c1)
         assert once == pytest.approx(h1, abs=1e-12)
@@ -94,7 +92,7 @@ class TestEncodeSequence:
         for x in xs:
             h, c = hand_lstm_step(params, float(x), h, c)
             hs.append(h)
-        got = encode_sequence(params, xs.reshape(-1, 1))[0]
+        got = lstm_forward(params, xs.reshape(-1, 1))[0][0]
         assert got == pytest.approx(sum(hs) / len(hs), abs=1e-12)
 
     def test_outputs_strictly_inside_unit_interval(self):
@@ -102,12 +100,12 @@ class TestEncodeSequence:
         for _ in range(10):
             params = LstmParams.init(4, 6, rng, scale=2.0)
             xs = rng.normal(scale=3.0, size=(int(rng.integers(1, 8)), 4))
-            out = encode_sequence(params, xs)
+            out = lstm_forward(params, xs)[0]
             assert np.all(np.abs(out) < 1.0)
 
     def test_empty_sequence_encodes_to_zero(self):
         params = zero_lstm(input_dim=2, hidden_dim=3)
-        np.testing.assert_array_equal(encode_sequence(params, []), np.zeros(3))
+        np.testing.assert_array_equal(lstm_forward(params, [])[0], np.zeros(3))
 
     def test_dimension_mismatch_is_error(self):
         params = zero_lstm(input_dim=3, hidden_dim=2)
@@ -121,12 +119,12 @@ class TestFeedForward:
             weights=[np.zeros((3, 2)), np.zeros((2, 3))],
             biases=[np.zeros(3), np.array([0.7, -0.2])],
         )
-        np.testing.assert_array_equal(feedforward(params, np.array([5.0, -1.0])), [0.7, -0.2])
+        np.testing.assert_array_equal(feedforward_forward(params, np.array([5.0, -1.0]))[0], [0.7, -0.2])
 
     def test_identity_single_linear_layer(self):
         params = FeedForwardParams(weights=[np.eye(3)], biases=[np.zeros(3)])
         x = np.array([0.1, -2.0, 3.5])
-        np.testing.assert_array_equal(feedforward(params, x), x)
+        np.testing.assert_array_equal(feedforward_forward(params, x)[0], x)
 
     def test_two_layer_hand_example(self):
         # 2*tanh(0.5) + 1
@@ -134,14 +132,14 @@ class TestFeedForward:
             weights=[np.array([[1.0]]), np.array([[2.0]])],
             biases=[np.array([0.0]), np.array([1.0])],
         )
-        got = feedforward(params, np.array([0.5]))[0]
+        got = feedforward_forward(params, np.array([0.5]))[0][0]
         assert got == pytest.approx(2.0 * math.tanh(0.5) + 1.0, abs=1e-12)
         assert got == pytest.approx(1.92423431, abs=1e-5)
 
     def test_shape_mismatch_is_error(self):
         params = FeedForwardParams(weights=[np.eye(2)], biases=[np.zeros(2)])
         with pytest.raises(ValueError):
-            feedforward(params, np.ones(3))
+            feedforward_forward(params, np.ones(3))
 
 
 class TestSigmoid:
