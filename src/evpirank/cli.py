@@ -194,18 +194,31 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, conf
     if checkpoint is None:
         raise UsageError(f"model {model_name!r} requires --checkpoint")
     tensors = load_checkpoint(_require_file(checkpoint, "checkpoint"))
+    try:
+        if model_name == "ngrams":
+            return baselines.NgramModel.from_tensors(tensors).rank
+        if model_name == "cqa":
+            model = baselines.CqaModel.from_tensors(tensors)
+            return lambda cs: model.rank(cs, table)
+        if model_name == "evpi":
+            params = evpi.EvpiParams.from_tensors(tensors)
+        else:
+            params = baselines.NeuralBaselineParams.from_tensors(
+                model_name.removeprefix("neural-"), tensors
+            )
+        unused = sorted(set(tensors) - set(params.tensors()))
+        if unused:
+            raise ValueError(f"unused tensor {unused[0]!r}")
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"checkpoint {checkpoint} is not a {model_name} model: {exc}") from None
+    input_dim = params.lstm_post.input_dim
+    if table.vectors and table.dim != input_dim:
+        raise UsageError(
+            f"embeddings have dimension {table.dim}, checkpoint {checkpoint} expects {input_dim}"
+        )
     if model_name == "evpi":
-        params = evpi.EvpiParams.from_tensors(tensors)
-        model = evpi.EvpiModel(params, table, config.get("clamp_negative_sim"))
-        return model.rank
-    if model_name.startswith("neural-"):
-        variant = model_name.removeprefix("neural-")
-        params = baselines.NeuralBaselineParams.from_tensors(variant, tensors)
-        return baselines.NeuralBaselineModel(params, table).rank
-    if model_name == "ngrams":
-        return baselines.NgramModel.from_tensors(tensors).rank
-    model = baselines.CqaModel.from_tensors(tensors)
-    return lambda cs: model.rank(cs, table)
+        return evpi.EvpiModel(params, table, config.get("clamp_negative_sim")).rank
+    return baselines.NeuralBaselineModel(params, table).rank
 
 
 def cmd_rank(args) -> int:
@@ -398,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, ConfigError) as exc:
+    except (UsageError, ConfigError, evaluation.EvaluationError) as exc:
         _log(f"error: {exc}")
         return 2
     except TrainingDivergedError as exc:

@@ -24,6 +24,9 @@ VALID_KEYS: dict[str, type] = {f.name: _TYPES[f.name] for f in fields(TrainConfi
 
 DEFAULTS: dict[str, object] = {f.name: f.default for f in fields(TrainConfig)}
 
+# Smallest legal value of the keys that have one.
+_MINIMUMS: dict[str, float] = {"hidden_dim": 1, "batch_size": 1, "lr": 0.0}
+
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
 
@@ -44,9 +47,12 @@ def _parse(key: str, raw: str):
             if lowered in _FALSE:
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        return typ(raw)
+        value = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
+    if key in _MINIMUMS and not value >= _MINIMUMS[key]:
+        raise ConfigError(f"config key {key!r}: must be >= {_MINIMUMS[key]}, got {raw}")
+    return value
 
 
 @dataclass

@@ -42,9 +42,6 @@ class Annotation:
             raise EvaluationError(
                 f"post {self.post_id}: best candidate {self.best} must be marked valid"
             )
-        for idx in self.valid:
-            if not 0 <= idx <= 9:
-                raise EvaluationError(f"post {self.post_id}: candidate index {idx} out of range")
 
 
 @dataclass
@@ -180,6 +177,13 @@ def build_labelsets(
         if post_id not in by_post:
             raise EvaluationError(f"annotations reference unknown post {post_id!r}")
         first, second = pairs[post_id]
+        n_candidates = len(by_post[post_id])
+        for idx in sorted(first.valid | second.valid):
+            if not 0 <= idx < n_candidates:
+                raise EvaluationError(
+                    f"post {post_id}: candidate index {idx} out of range for "
+                    f"{n_candidates} candidates"
+                )
         if mode == "best_union":
             relevant = {first.best, second.best}
         elif mode == "valid_intersection":
@@ -277,6 +281,11 @@ def per_post_metrics(
         cs = cs_by_post.get(labelset.post_id)
         if cs is None:
             raise EvaluationError(f"no candidate set for post {labelset.post_id!r}")
+        if sorted(ranked.order) != list(range(len(cs))):
+            raise EvaluationError(
+                f"post {labelset.post_id!r}: ranking order {ranked.order} is not a "
+                f"permutation of its {len(cs)} candidates"
+            )
         order = _mode_order(ranked, cs, mode)
         out[labelset.post_id] = {
             "p_at_1": precision_at_k(order, labelset.relevant, 1),

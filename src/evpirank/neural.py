@@ -5,6 +5,10 @@ encoder whose output is the mean of its hidden states, multi-layer tanh
 feedforward networks with a linear final layer, the Adam optimizer, a
 central-difference gradient checker, and a bit-exact checkpoint format.
 
+The LSTM keeps its four gates stacked in one W, U and b; the per-gate
+names of checkpoints (W_i ... b_g) exist only in LstmParams.tensors() and
+from_tensors().
+
 Gradients are implemented per architecture rather than through a general
 autodiff graph; the gradient checker is the safety net for all of them.
 """
@@ -47,32 +51,24 @@ def sigmoid(x):
 
 @dataclass
 class LstmParams:
-    """Gate weights of a single-layer LSTM.
+    """Single-layer LSTM weights, the four gates stacked in GATES order.
 
-    W_* map the input (hidden_dim x input_dim), U_* map the previous hidden
-    state (hidden_dim x hidden_dim), b_* are gate biases.
+    Rows [k*H, (k+1)*H) of W (4H x D), U (4H x H) and b (4H) belong to gate
+    GATES[k]. Checkpoints, gradients and Adam state use per-gate names:
+    tensors() returns them as views of these rows, from_tensors() joins them.
     """
 
-    W_i: np.ndarray
-    W_f: np.ndarray
-    W_o: np.ndarray
-    W_g: np.ndarray
-    U_i: np.ndarray
-    U_f: np.ndarray
-    U_o: np.ndarray
-    U_g: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
 
     @property
     def input_dim(self) -> int:
-        return self.W_i.shape[1]
+        return self.W.shape[1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.W_i.shape[0]
+        return self.W.shape[0] // len(GATES)
 
     @classmethod
     def init(
@@ -81,44 +77,30 @@ class LstmParams:
         hidden_dim: int,
         rng: np.random.Generator,
         scale: float = DEFAULT_INIT_SCALE,
-        forget_bias: float = DEFAULT_FORGET_BIAS,
     ) -> "LstmParams":
-        def w(rows, cols):
-            return rng.uniform(-scale, scale, size=(rows, cols))
-
-        params = cls(
-            W_i=w(hidden_dim, input_dim),
-            W_f=w(hidden_dim, input_dim),
-            W_o=w(hidden_dim, input_dim),
-            W_g=w(hidden_dim, input_dim),
-            U_i=w(hidden_dim, hidden_dim),
-            U_f=w(hidden_dim, hidden_dim),
-            U_o=w(hidden_dim, hidden_dim),
-            U_g=w(hidden_dim, hidden_dim),
-            b_i=np.zeros(hidden_dim),
-            b_f=np.full(hidden_dim, forget_bias, dtype=np.float64),
-            b_o=np.zeros(hidden_dim),
-            b_g=np.zeros(hidden_dim),
+        rows = len(GATES) * hidden_dim
+        return cls(
+            W=rng.uniform(-scale, scale, size=(rows, input_dim)),
+            U=rng.uniform(-scale, scale, size=(rows, hidden_dim)),
+            b=np.repeat([0.0, DEFAULT_FORGET_BIAS, 0.0, 0.0], hidden_dim),  # i, f, o, g
         )
-        return params
 
     def tensors(self, prefix: str = "") -> dict[str, np.ndarray]:
-        out = {}
-        for gate in GATES:
-            out[f"{prefix}W_{gate}"] = getattr(self, f"W_{gate}")
-        for gate in GATES:
-            out[f"{prefix}U_{gate}"] = getattr(self, f"U_{gate}")
-        for gate in GATES:
-            out[f"{prefix}b_{gate}"] = getattr(self, f"b_{gate}")
-        return out
+        """Per-gate views W_i..W_g, U_i..U_g, b_i..b_g; writes reach the model."""
+        hidden = self.hidden_dim
+        return {
+            f"{prefix}{kind}_{gate}": stacked[k * hidden : (k + 1) * hidden]
+            for kind, stacked in (("W", self.W), ("U", self.U), ("b", self.b))
+            for k, gate in enumerate(GATES)
+        }
 
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray], prefix: str = "") -> "LstmParams":
-        kwargs = {}
-        for kind in ("W", "U", "b"):
-            for gate in GATES:
-                kwargs[f"{kind}_{gate}"] = tensors[f"{prefix}{kind}_{gate}"]
-        return cls(**kwargs)
+        names = [[f"{prefix}{kind}_{gate}" for gate in GATES] for kind in ("W", "U", "b")]
+        missing = [name for row in names for name in row if name not in tensors]
+        if missing:
+            raise ValueError(f"missing LSTM tensor {missing[0]!r}")
+        return cls(*(np.concatenate([tensors[name] for name in row]) for row in names))
 
 
 @dataclass
@@ -197,19 +179,16 @@ def copy_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 @dataclass
 class LstmCache:
     xs: np.ndarray          # (T, input_dim)
-    i: np.ndarray           # (T, hidden)
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
-    h: np.ndarray
+    gates: np.ndarray       # (T, 4 * hidden): i, f, o, g activations
+    c: np.ndarray           # (T, hidden)
+    h: np.ndarray           # (T, hidden)
 
 
 def lstm_forward(params: LstmParams, xs: np.ndarray) -> tuple[np.ndarray, LstmCache | None]:
     """Run the LSTM over xs (T, input_dim); returns (mean hidden state, cache).
 
-    The empty sequence encodes to the zero vector with no cache.
+    The input projection of every step is one product outside the
+    recurrence. The empty sequence encodes to the zero vector with no cache.
     """
     xs = np.asarray(xs, dtype=np.float64)
     hidden = params.hidden_dim
@@ -218,74 +197,53 @@ def lstm_forward(params: LstmParams, xs: np.ndarray) -> tuple[np.ndarray, LstmCa
     if xs.ndim != 2 or xs.shape[1] != params.input_dim:
         raise ValueError(f"expected (T, {params.input_dim}) inputs, got {xs.shape}")
     steps = xs.shape[0]
-    i_s = np.empty((steps, hidden))
-    f_s = np.empty((steps, hidden))
-    o_s = np.empty((steps, hidden))
-    g_s = np.empty((steps, hidden))
+    gates = xs @ params.W.T + params.b
     c_s = np.empty((steps, hidden))
-    tanh_c_s = np.empty((steps, hidden))
     h_s = np.empty((steps, hidden))
     h_prev = np.zeros(hidden)
     c_prev = np.zeros(hidden)
     for t in range(steps):
-        x = xs[t]
-        i_t = sigmoid(params.W_i @ x + params.U_i @ h_prev + params.b_i)
-        f_t = sigmoid(params.W_f @ x + params.U_f @ h_prev + params.b_f)
-        o_t = sigmoid(params.W_o @ x + params.U_o @ h_prev + params.b_o)
-        g_t = np.tanh(params.W_g @ x + params.U_g @ h_prev + params.b_g)
-        c_t = f_t * c_prev + i_t * g_t
-        tanh_c = np.tanh(c_t)
-        h_t = o_t * tanh_c
-        i_s[t], f_s[t], o_s[t], g_s[t] = i_t, f_t, o_t, g_t
-        c_s[t], tanh_c_s[t], h_s[t] = c_t, tanh_c, h_t
-        h_prev, c_prev = h_t, c_t
-    cache = LstmCache(xs=xs, i=i_s, f=f_s, o=o_s, g=g_s, c=c_s, tanh_c=tanh_c_s, h=h_s)
-    return h_s.mean(axis=0), cache
+        z = gates[t]
+        z += params.U @ h_prev
+        z[: 3 * hidden] = sigmoid(z[: 3 * hidden])
+        z[3 * hidden :] = np.tanh(z[3 * hidden :])
+        i_t, f_t, o_t, g_t = z.reshape(len(GATES), hidden)
+        c_prev = c_s[t] = f_t * c_prev + i_t * g_t
+        h_prev = h_s[t] = o_t * np.tanh(c_prev)
+    return h_s.mean(axis=0), LstmCache(xs=xs, gates=gates, c=c_s, h=h_s)
 
 
 def lstm_backward(
     params: LstmParams, cache: LstmCache | None, d_mean: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Gradients of scalar loss wrt params, given d(loss)/d(mean hidden state)."""
-    grads = {
-        f"{kind}_{gate}": np.zeros_like(getattr(params, f"{kind}_{gate}"))
-        for kind in ("W", "U", "b")
-        for gate in GATES
-    }
+    """Gradients of scalar loss wrt params, given d(loss)/d(mean hidden state).
+
+    The recurrence fills d(loss)/d(gate pre-activations) for every step; each
+    weight gradient is then one contraction over time.
+    """
     if cache is None:
-        return grads
+        return LstmParams(*(np.zeros_like(a) for a in (params.W, params.U, params.b))).tensors()
     steps, hidden = cache.h.shape
+    i, f, o, g = (cache.gates[:, k * hidden : (k + 1) * hidden] for k in range(len(GATES)))
+    tanh_c = np.tanh(cache.c)
+    c_prev = np.vstack([np.zeros(hidden), cache.c[:-1]])
+    # d(pre-activation)/d(c) for the i, f and g blocks, d(pre-activation)/d(h) for o
+    local = np.hstack(
+        [g * i * (1.0 - i), c_prev * f * (1.0 - f), tanh_c * o * (1.0 - o), i * (1.0 - g**2)]
+    )
+    dc_dh = o * (1.0 - tanh_c**2)
+    dpre = np.empty_like(cache.gates)
     dh_shared = np.asarray(d_mean, dtype=np.float64) / steps
     dh_next = np.zeros(hidden)
     dc_next = np.zeros(hidden)
     for t in range(steps - 1, -1, -1):
         dh = dh_shared + dh_next
-        i_t, f_t, o_t, g_t = cache.i[t], cache.f[t], cache.o[t], cache.g[t]
-        tanh_c = cache.tanh_c[t]
-        c_prev = cache.c[t - 1] if t > 0 else np.zeros(hidden)
-        h_prev = cache.h[t - 1] if t > 0 else np.zeros(hidden)
-        x_t = cache.xs[t]
-
-        d_o = dh * tanh_c
-        dc = dh * o_t * (1.0 - tanh_c**2) + dc_next
-        d_f = dc * c_prev
-        d_i = dc * g_t
-        d_g = dc * i_t
-
-        dpre = {
-            "i": d_i * i_t * (1.0 - i_t),
-            "f": d_f * f_t * (1.0 - f_t),
-            "o": d_o * o_t * (1.0 - o_t),
-            "g": d_g * (1.0 - g_t**2),
-        }
-        dh_next = np.zeros(hidden)
-        for gate in GATES:
-            grads[f"W_{gate}"] += np.outer(dpre[gate], x_t)
-            grads[f"U_{gate}"] += np.outer(dpre[gate], h_prev)
-            grads[f"b_{gate}"] += dpre[gate]
-            dh_next += getattr(params, f"U_{gate}").T @ dpre[gate]
-        dc_next = dc * f_t
-    return grads
+        dc = dh * dc_dh[t] + dc_next
+        dpre[t] = local[t] * np.concatenate((dc, dc, dh, dc))
+        dh_next = params.U.T @ dpre[t]
+        dc_next = dc * f[t]
+    grads = LstmParams(W=dpre.T @ cache.xs, U=dpre[1:].T @ cache.h[:-1], b=dpre.sum(axis=0))
+    return grads.tensors()
 
 
 # ---------------------------------------------------------------------------

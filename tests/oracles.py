@@ -99,6 +99,30 @@ def brute_average_precision(order: list[int], relevant: set[int]) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Per-gate LSTM reference: one (H x D) and one (H x H) matrix per gate, as a
+# checkpoint stores them, with no stacked layout.
+
+
+def per_gate_lstm_mean(gates: dict[str, np.ndarray], xs: np.ndarray) -> np.ndarray:
+    """Mean hidden state of the LSTM whose per-gate tensors are gates (W_i ... b_g)."""
+    logistic = lambda z: 1.0 / (1.0 + np.exp(-z))
+    hidden = gates["b_i"].shape[0]
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    total = np.zeros(hidden)
+    for x in xs:
+        pre = {
+            gate: gates[f"W_{gate}"] @ x + gates[f"U_{gate}"] @ h + gates[f"b_{gate}"]
+            for gate in "ifog"
+        }
+        i, f, o = logistic(pre["i"]), logistic(pre["f"]), logistic(pre["o"])
+        c = f * c + i * np.tanh(pre["g"])
+        h = o * np.tanh(c)
+        total += h
+    return total / len(xs)
+
+
+# ---------------------------------------------------------------------------
 # Scalar EVPI reference path: every text encoded on its own, straight from
 # the paper's formulas. The model path (EvpiModel) is tested against it.
 

@@ -242,6 +242,81 @@ class TestTrainRankEvaluate:
             assert code == 0
             assert len(rankings.read_text().splitlines()) == 7
 
+    def train_small(self, pipeline, model) -> Path:
+        ckpt = pipeline["root"] / f"small_{model}.ckpt"
+        assert main([
+            "train",
+            "--candidates", str(pipeline["candidates"]),
+            "--embeddings", str(FIXTURES / "embeddings_toy.txt"),
+            "--model", model,
+            "--no-split",
+            "--set", "hidden_dim=3",
+            "--set", "epochs=1",
+            "--out", str(ckpt),
+        ]) == 0
+        return ckpt
+
+    def rank_args(self, pipeline, model, ckpt, rankings, embeddings=None):
+        return [
+            "rank",
+            "--candidates", str(pipeline["candidates"]),
+            "--embeddings", str(embeddings or FIXTURES / "embeddings_toy.txt"),
+            "--model", model,
+            "--checkpoint", str(ckpt),
+            "--out", str(rankings),
+        ]
+
+    @pytest.mark.parametrize(
+        "trained, ranked, missing",
+        [("neural-pq", "evpi", "lstm_answer/W_i"), ("evpi", "neural-pq", "ff/")],
+    )
+    def test_checkpoint_of_another_model_is_usage_error(
+        self, pipeline, capsys, trained, ranked, missing
+    ):
+        ckpt = self.train_small(pipeline, trained)
+        rankings = pipeline["root"] / "mismatch_rankings.jsonl"
+        code, _, err = run(capsys, *self.rank_args(pipeline, ranked, ckpt, rankings))
+        assert code == 2
+        assert f"{ckpt} is not a {ranked} model" in err
+        assert missing in err
+        assert not rankings.exists()
+
+    def test_checkpoint_with_unused_tensors_is_usage_error(self, pipeline, capsys):
+        ckpt = self.train_small(pipeline, "neural-pqa")
+        rankings = pipeline["root"] / "unused_rankings.jsonl"
+        code, _, err = run(capsys, *self.rank_args(pipeline, "neural-pq", ckpt, rankings))
+        assert code == 2
+        assert "unused tensor 'lstm_answer/" in err
+        assert not rankings.exists()
+
+    def test_embedding_dimension_mismatch_is_usage_error(self, pipeline, capsys):
+        ckpt = self.train_small(pipeline, "evpi")
+        wide = pipeline["root"] / "embeddings_wide.txt"
+        lines = (FIXTURES / "embeddings_toy.txt").read_text(encoding="utf-8").splitlines()
+        wide.write_text("".join(line + " 0.5\n" for line in lines), encoding="utf-8")
+        rankings = pipeline["root"] / "wide_rankings.jsonl"
+        code, _, err = run(capsys, *self.rank_args(pipeline, "evpi", ckpt, rankings, wide))
+        assert code == 2
+        assert "embeddings have dimension 5" in err and "expects 4" in err
+        assert not rankings.exists()
+
+    @pytest.mark.parametrize("assignment", ["batch_size=0", "hidden_dim=0", "lr=-1"])
+    def test_out_of_range_config_is_usage_error(self, pipeline, capsys, assignment):
+        ckpt = pipeline["root"] / "out_of_range.ckpt"
+        code, _, err = run(
+            capsys,
+            "train",
+            "--candidates", str(pipeline["candidates"]),
+            "--embeddings", str(FIXTURES / "embeddings_toy.txt"),
+            "--model", "evpi",
+            "--no-split",
+            "--set", assignment,
+            "--out", str(ckpt),
+        )
+        assert code == 2
+        assert f"config key {assignment.split('=')[0]!r}: must be >=" in err
+        assert not ckpt.exists()
+
     def test_random_rank_is_seeded_and_deterministic(self, pipeline, capsys):
         root = pipeline["root"]
         a = root / "rand_a.jsonl"
@@ -280,6 +355,42 @@ class TestSignificanceCommand:
         )
         assert code == 0
         assert json.loads(out)["p_value"] == 1.0
+
+
+class TestRankingsValidation:
+    def test_order_that_is_not_a_permutation_is_usage_error(self, pipeline, capsys):
+        root = pipeline["root"]
+        rankings = root / "repeated_rankings.jsonl"
+        assert main([
+            "rank", "--candidates", str(pipeline["candidates"]),
+            "--model", "random", "--seed", "4", "--out", str(rankings),
+        ]) == 0
+        records = [json.loads(line) for line in rankings.read_text().splitlines()]
+        records[0]["order"], records[0]["scores"] = [0, 0, 0], [1.0, 1.0, 1.0]
+        rankings.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        bad_post = records[0]["post_id"]
+        code, out, err = run(
+            capsys,
+            "evaluate",
+            "--rankings", str(rankings),
+            "--candidates", str(pipeline["candidates"]),
+            "--mode", "original",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"post {bad_post!r}" in err and "not a permutation" in err
+        code, out, err = run(
+            capsys,
+            "significance",
+            "--rankings-a", str(rankings),
+            "--rankings-b", str(rankings),
+            "--candidates", str(pipeline["candidates"]),
+            "--mode", "original",
+            "--n", "10",
+        )
+        assert code == 2
+        assert out == ""
+        assert "not a permutation" in err
 
 
 class TestEvaluateWithAnnotations:

@@ -146,6 +146,23 @@ class TestBuildLabelsets:
         with pytest.raises(EvaluationError, match="valid"):
             annotation("p1", "a1", best=4, valid=[1, 2])
 
+    def test_index_beyond_the_candidate_set_is_error(self):
+        annotations = [
+            annotation("p1", "a1", best=7, valid=[1, 7]),
+            annotation("p1", "a2", best=1, valid=[1]),
+        ]
+        with pytest.raises(EvaluationError, match="post p1: candidate index 7 out of range"):
+            build_labelsets(annotations, [candidate_set("p1", n=3)], "best_union")
+
+    def test_index_past_nine_is_valid_in_a_larger_set(self):
+        # Candidate sets built with --k 20 hold indices up to 19.
+        annotations = [
+            annotation("p1", "a1", best=15, valid=[15, 19]),
+            annotation("p1", "a2", best=19, valid=[12, 19]),
+        ]
+        sets = build_labelsets(annotations, [candidate_set("p1", n=20)], "valid_intersection")
+        assert sets[0].relevant == {19}
+
 
 class TestCohenKappa:
     def test_identical_sequences(self):
@@ -274,6 +291,14 @@ class TestPerPostMetrics:
         got = per_post_metrics(rankings, labelsets, [candidate_set("p1", original=1)], "original")
         assert got["p1"]["p_at_1"] == 1.0
         assert got["p1"]["ap"] == 1.0
+
+    @pytest.mark.parametrize("order", [[0, 0, 0], [0, 1], [0, 1, 2, 3], [2, 1, 3]])
+    def test_order_must_be_a_permutation_of_the_candidates(self, order):
+        # [0, 0, 0] would otherwise score AP 3.0 with the original relevant.
+        labelsets = [LabelSet(post_id="p1", relevant={0}, mode="original")]
+        rankings, sets = [ranking("p1", order)], [candidate_set("p1", n=3)]
+        with pytest.raises(EvaluationError, match="'p1'.*not a permutation"):
+            per_post_metrics(rankings, labelsets, sets, "original")
 
 
 class TestAnnotationsFile:

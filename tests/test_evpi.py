@@ -17,7 +17,14 @@ from evpirank.evpi import (
     read_rankings,
     write_rankings,
 )
-from evpirank.neural import AdamState, FeedForwardParams, adam_step, grad_check
+from evpirank.neural import (
+    AdamState,
+    FeedForwardParams,
+    adam_step,
+    grad_check,
+    load_checkpoint,
+    save_checkpoint,
+)
 from evpirank.retrieval import CandidateSet
 from evpirank.rng import substream
 
@@ -192,9 +199,10 @@ class TestFAns:
         for tensor in params.tensors().values():
             tensor[...] = 0.0
         for lstm in (params.lstm_post, params.lstm_question):
-            lstm.b_i[0] = 50.0
-            lstm.b_o[0] = 50.0
-            lstm.W_g[0, 0] = 1.0
+            gates = lstm.tensors()
+            gates["b_i"][0] = 50.0
+            gates["b_o"][0] = 50.0
+            gates["W_g"][0, 0] = 1.0
         params.ff_ans = FeedForwardParams(
             weights=[np.array([[1.0, 1.0]]), np.array([[2.0]])],
             biases=[np.array([0.0]), np.array([1.0])],
@@ -436,6 +444,39 @@ class TestGradientsAndDescent:
             loss, grads = model.loss_and_grads(preps)
             adam_step(tensors, grads, state, lr=1e-3)
         assert loss < loss0
+
+
+class TestPerGateCheckpoint:
+    def test_hand_written_v1_checkpoint_loads_and_resaves_byte_identically(self, tmp_path):
+        # A v1 checkpoint stores each LSTM gate as its own tensor, in the
+        # order W_i..W_g, U_i..U_g, b_i..b_g; the stacked model must keep it.
+        rng = np.random.default_rng(61)
+        d, h = 2, 3
+        tensors = {}
+        for enc in ("post", "question", "answer"):
+            for kind, shape in (("W", (h, d)), ("U", (h, h)), ("b", (h,))):
+                for gate in "ifog":
+                    tensors[f"lstm_{enc}/{kind}_{gate}"] = rng.normal(size=shape)
+        ff_dims = {"ff_ans/": [2 * h] + [h] * 5 + [d], "ff_util/": [3 * h] + [h] * 5 + [1]}
+        for prefix, dims in ff_dims.items():
+            for layer, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+                tensors[f"{prefix}W{layer}"] = rng.normal(size=(fan_out, fan_in))
+                tensors[f"{prefix}b{layer}"] = rng.normal(size=fan_out)
+        header = ["EVPIRANK-CKPT v1", str(len(tensors))]
+        for name, arr in tensors.items():
+            header.append(f"{name} {arr.ndim} " + " ".join(map(str, arr.shape)))
+        blob = ("\n".join(header + ["data"]) + "\n").encode("utf-8")
+        blob += b"".join(arr.astype("<f8").tobytes() for arr in tensors.values())
+        path = tmp_path / "per_gate.ckpt"
+        path.write_bytes(blob)
+
+        params = EvpiParams.from_tensors(load_checkpoint(path))
+        assert list(params.tensors()) == list(tensors)
+        # gate f is the second row block of the stacked U
+        np.testing.assert_array_equal(params.lstm_answer.U[h : 2 * h], tensors["lstm_answer/U_f"])
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(again, params.tensors())
+        assert again.read_bytes() == blob
 
 
 class TestRankingsFile:

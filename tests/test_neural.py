@@ -21,25 +21,25 @@ from evpirank.neural import (
     zeros_like_tensors,
 )
 
+from tests.oracles import per_gate_lstm_mean
+
 
 def zero_lstm(input_dim=1, hidden_dim=1):
-    zeros_w = np.zeros((hidden_dim, input_dim))
-    zeros_u = np.zeros((hidden_dim, hidden_dim))
-    zeros_b = np.zeros(hidden_dim)
-    return LstmParams(
-        W_i=zeros_w.copy(), W_f=zeros_w.copy(), W_o=zeros_w.copy(), W_g=zeros_w.copy(),
-        U_i=zeros_u.copy(), U_f=zeros_u.copy(), U_o=zeros_u.copy(), U_g=zeros_u.copy(),
-        b_i=zeros_b.copy(), b_f=zeros_b.copy(), b_o=zeros_b.copy(), b_g=zeros_b.copy(),
+    """All-zero LSTM, joined from per-gate blocks as a checkpoint stores them."""
+    shapes = {"W": (hidden_dim, input_dim), "U": (hidden_dim, hidden_dim), "b": (hidden_dim,)}
+    return LstmParams.from_tensors(
+        {f"{kind}_{gate}": np.zeros(shape) for kind, shape in shapes.items() for gate in "ifog"}
     )
 
 
 def hand_lstm_step(params, x, h_prev, c_prev):
     """Independent scalar recurrence used as the oracle for 1-dim cases."""
     sig = lambda z: 1.0 / (1.0 + math.exp(-z))
-    i = sig(params.W_i[0, 0] * x + params.U_i[0, 0] * h_prev + params.b_i[0])
-    f = sig(params.W_f[0, 0] * x + params.U_f[0, 0] * h_prev + params.b_f[0])
-    o = sig(params.W_o[0, 0] * x + params.U_o[0, 0] * h_prev + params.b_o[0])
-    g = math.tanh(params.W_g[0, 0] * x + params.U_g[0, 0] * h_prev + params.b_g[0])
+    t = params.tensors()
+    i = sig(t["W_i"][0, 0] * x + t["U_i"][0, 0] * h_prev + t["b_i"][0])
+    f = sig(t["W_f"][0, 0] * x + t["U_f"][0, 0] * h_prev + t["b_f"][0])
+    o = sig(t["W_o"][0, 0] * x + t["U_o"][0, 0] * h_prev + t["b_o"][0])
+    g = math.tanh(t["W_g"][0, 0] * x + t["U_g"][0, 0] * h_prev + t["b_g"][0])
     c = f * c_prev + i * g
     h = o * math.tanh(c)
     return h, c
@@ -55,9 +55,10 @@ class TestEncodeSequence:
         # Open the input and output gates (b_i = b_o = 50), W_g = 1, x = 0.5:
         # h = sigma(50) * tanh(sigma(50) * tanh(0.5)) ~= tanh(tanh(0.5)).
         params = zero_lstm()
-        params.b_i[0] = 50.0
-        params.b_o[0] = 50.0
-        params.W_g[0, 0] = 1.0
+        gates = params.tensors()
+        gates["b_i"][0] = 50.0
+        gates["b_o"][0] = 50.0
+        gates["W_g"][0, 0] = 1.0
         got = lstm_forward(params, np.array([[0.5]]))[0][0]
         s50 = 1.0 / (1.0 + math.exp(-50.0))
         expected = s50 * math.tanh(s50 * math.tanh(0.5))
@@ -68,9 +69,10 @@ class TestEncodeSequence:
 
     def test_repeated_input_differs_from_single(self):
         params = zero_lstm()
-        params.b_i[0] = 50.0
-        params.b_o[0] = 50.0
-        params.W_g[0, 0] = 1.0
+        gates = params.tensors()
+        gates["b_i"][0] = 50.0
+        gates["b_o"][0] = 50.0
+        gates["W_g"][0, 0] = 1.0
         once = lstm_forward(params, np.array([[0.5]]))[0][0]
         twice = lstm_forward(params, np.array([[0.5], [0.5]]))[0][0]
         h1, c1 = hand_lstm_step(params, 0.5, 0.0, 0.0)
@@ -82,10 +84,11 @@ class TestEncodeSequence:
     def test_multistep_matches_hand_recurrence(self):
         rng = np.random.default_rng(12)
         params = zero_lstm()
+        gates = params.tensors()
         for name in ("W_i", "W_f", "W_o", "W_g", "U_i", "U_f", "U_o", "U_g"):
-            getattr(params, name)[0, 0] = rng.normal()
+            gates[name][0, 0] = rng.normal()
         for name in ("b_i", "b_f", "b_o", "b_g"):
-            getattr(params, name)[0] = rng.normal()
+            gates[name][0] = rng.normal()
         xs = rng.normal(size=5)
         h = c = 0.0
         hs = []
@@ -94,6 +97,17 @@ class TestEncodeSequence:
             hs.append(h)
         got = lstm_forward(params, xs.reshape(-1, 1))[0][0]
         assert got == pytest.approx(sum(hs) / len(hs), abs=1e-12)
+
+    def test_wide_lstm_matches_per_gate_oracle(self):
+        # H > 1, so a gate block read from the wrong rows of W, U or b fails.
+        rng = np.random.default_rng(15)
+        for _ in range(5):
+            params = LstmParams.init(5, 4, rng, scale=0.7)
+            params.b[...] = rng.normal(size=16)
+            xs = rng.normal(size=(int(rng.integers(1, 9)), 5))
+            got = lstm_forward(params, xs)[0]
+            expected = per_gate_lstm_mean(params.tensors(), xs)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_outputs_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(13)
@@ -290,14 +304,46 @@ class TestCheckpoints:
 class TestInit:
     def test_forget_gate_bias_is_one(self):
         rng = np.random.default_rng(31)
-        params = LstmParams.init(3, 5, rng)
-        np.testing.assert_array_equal(params.b_f, np.ones(5))
-        np.testing.assert_array_equal(params.b_i, np.zeros(5))
+        gates = LstmParams.init(3, 5, rng).tensors()
+        np.testing.assert_array_equal(gates["b_f"], np.ones(5))
+        for name in ("b_i", "b_o", "b_g"):
+            np.testing.assert_array_equal(gates[name], np.zeros(5))
 
     def test_lstm_weights_within_uniform_bound(self):
         rng = np.random.default_rng(32)
         params = LstmParams.init(3, 5, rng)
-        assert np.all(np.abs(params.W_g) <= 0.08)
+        for name, tensor in params.tensors().items():
+            if not name.startswith("b_"):
+                assert np.all(np.abs(tensor) <= 0.08)
+
+    def test_init_draws_match_per_gate_order(self):
+        # One (4H x D) draw equals the four (H x D) per-gate draws W_i, W_f,
+        # W_o, W_g, then the same for U, so a seed gives the same initial
+        # weights as it did when each gate was its own tensor.
+        params = LstmParams.init(3, 5, np.random.default_rng(33), scale=0.2)
+        rng = np.random.default_rng(33)
+        gates = params.tensors()
+        for kind, cols in (("W", 3), ("U", 5)):
+            for gate in "ifog":
+                expected = rng.uniform(-0.2, 0.2, size=(5, cols))
+                np.testing.assert_array_equal(gates[f"{kind}_{gate}"], expected)
+
+    def test_per_gate_tensors_are_views_of_the_stacked_weights(self):
+        rng = np.random.default_rng(34)
+        params = LstmParams.init(3, 4, rng, scale=0.5)
+        tensors = params.tensors()
+        assert list(tensors) == [f"{kind}_{gate}" for kind in "WUb" for gate in "ifog"]
+        for name, tensor in tensors.items():
+            assert np.shares_memory(tensor, getattr(params, name[0]))
+        xs = rng.normal(size=(4, 3))
+        before = lstm_forward(params, xs)[0]
+        stacked_before = [params.W.copy(), params.U.copy(), params.b.copy()]
+        grads = {name: np.ones_like(tensor) for name, tensor in tensors.items()}
+        adam_step(tensors, grads, AdamState.fresh(tensors), lr=0.1)
+        # a first Adam step with unit gradients moves every weight by -lr
+        for after, start in zip((params.W, params.U, params.b), stacked_before):
+            np.testing.assert_allclose(after, start - 0.1, atol=1e-8)
+        assert not np.allclose(lstm_forward(params, xs)[0], before)
 
     def test_zeros_like_tensors(self):
         tensors = {"a": np.ones((2, 2))}
