@@ -326,7 +326,7 @@ def init_neural_baseline(
     )
 
 
-def _scorer_losses(params: NeuralBaselineParams, enc: SetEncoding, prep, grads) -> list[float]:
+def _scorer_losses(params: NeuralBaselineParams, enc: SetEncoding, prep, grads) -> float:
     """The baselines' only head: bce_losses of ff over the variant's encodings."""
     return bce_losses(params.ff, "ff/", enc, prep.cs.original_index, grads)
 

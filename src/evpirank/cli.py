@@ -40,6 +40,15 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
+def _read(reader, path: str, what: str):
+    """reader(path) on an input file; a missing or malformed file is a usage error."""
+    p = _require_file(path, what)
+    try:
+        return reader(p)
+    except ValueError as exc:
+        raise UsageError(f"malformed {what} file {path}: {exc}") from None
+
+
 def _load_config(args) -> Config:
     config = Config.from_file(_require_file(args.config, "config")) if args.config else Config()
     for assignment in args.set or []:
@@ -53,7 +62,7 @@ def _load_config(args) -> Config:
 def _load_table(path: str | None) -> EmbeddingTable:
     if path is None:
         return EmbeddingTable.empty()
-    return load_embeddings_file(_require_file(path, "embeddings"))
+    return _read(load_embeddings_file, path, "embeddings")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -83,7 +92,9 @@ def cmd_ingest(args) -> int:
 def cmd_candidates(args) -> int:
     config = _load_config(args)
     del config
-    triples = ingest.read_triples(_require_file(args.triples, "triples"))
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
+    triples = _read(ingest.read_triples, args.triples, "triples")
     if not triples:
         Path(args.out).write_text("", encoding="utf-8")
         _log(json.dumps({"candidate_sets": 0, "warning": "no triples in input"}))
@@ -132,7 +143,7 @@ def cmd_train(args) -> int:
     if args.model == "random":
         raise UsageError("model 'random' has no parameters to train")
     config = _load_config(args)
-    candidate_sets = retrieval.read_candidates(_require_file(args.candidates, "candidates"))
+    candidate_sets = _read(retrieval.read_candidates, args.candidates, "candidates")
     table = _load_table(args.embeddings)
     if args.no_split:
         train_sets = tune_sets = candidate_sets
@@ -193,7 +204,7 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, conf
         return lambda cs: baselines.random_rankings([cs], seed=seed)[0]
     if checkpoint is None:
         raise UsageError(f"model {model_name!r} requires --checkpoint")
-    tensors = load_checkpoint(_require_file(checkpoint, "checkpoint"))
+    tensors = _read(load_checkpoint, checkpoint, "checkpoint")
     try:
         if model_name == "ngrams":
             return baselines.NgramModel.from_tensors(tensors).rank
@@ -212,9 +223,11 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, conf
     except (KeyError, ValueError) as exc:
         raise UsageError(f"checkpoint {checkpoint} is not a {model_name} model: {exc}") from None
     input_dim = params.lstm_post.input_dim
-    if table.vectors and table.dim != input_dim:
+    if table.dim != input_dim:
+        source = "" if table.vectors else " (no --embeddings given)"
         raise UsageError(
-            f"embeddings have dimension {table.dim}, checkpoint {checkpoint} expects {input_dim}"
+            f"embeddings have dimension {table.dim}{source}, checkpoint {checkpoint} expects "
+            f"{input_dim}; pass the --embeddings file it was trained with"
         )
     if model_name == "evpi":
         return evpi.EvpiModel(params, table, config.get("clamp_negative_sim")).rank
@@ -224,7 +237,7 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, conf
 def cmd_rank(args) -> int:
     _check_model_name(args.model)
     config = _load_config(args)
-    candidate_sets = retrieval.read_candidates(_require_file(args.candidates, "candidates"))
+    candidate_sets = _read(retrieval.read_candidates, args.candidates, "candidates")
     selected = _split_sets(candidate_sets, args.split)
     if not selected:
         raise UsageError(f"no posts in split {args.split!r}")
@@ -245,11 +258,11 @@ def cmd_evaluate(args) -> int:
     _check_mode(args.mode)
     config = _load_config(args)
     del config
-    rankings = evpi.read_rankings(_require_file(args.rankings, "rankings"))
-    candidate_sets = retrieval.read_candidates(_require_file(args.candidates, "candidates"))
+    rankings = _read(evpi.read_rankings, args.rankings, "rankings")
+    candidate_sets = _read(retrieval.read_candidates, args.candidates, "candidates")
     annotations = None
     if args.annotations:
-        annotations = evaluation.read_annotations(_require_file(args.annotations, "annotations"))
+        annotations = _read(evaluation.read_annotations, args.annotations, "annotations")
     elif args.mode != "original":
         raise UsageError(f"mode {args.mode!r} requires --annotations")
     ranked_ids = {rl.post_id for rl in rankings}
@@ -275,12 +288,12 @@ def cmd_evaluate(args) -> int:
 def cmd_significance(args) -> int:
     _check_mode(args.mode)
     config = _load_config(args)
-    rankings_a = evpi.read_rankings(_require_file(args.rankings_a, "rankings-a"))
-    rankings_b = evpi.read_rankings(_require_file(args.rankings_b, "rankings-b"))
-    candidate_sets = retrieval.read_candidates(_require_file(args.candidates, "candidates"))
+    rankings_a = _read(evpi.read_rankings, args.rankings_a, "rankings-a")
+    rankings_b = _read(evpi.read_rankings, args.rankings_b, "rankings-b")
+    candidate_sets = _read(retrieval.read_candidates, args.candidates, "candidates")
     annotations = None
     if args.annotations:
-        annotations = evaluation.read_annotations(_require_file(args.annotations, "annotations"))
+        annotations = _read(evaluation.read_annotations, args.annotations, "annotations")
     elif args.mode != "original":
         raise UsageError(f"mode {args.mode!r} requires --annotations")
     common = {rl.post_id for rl in rankings_a} & {rl.post_id for rl in rankings_b}

@@ -20,9 +20,6 @@ class EmbeddingTable:
     dim: int
     vectors: dict[str, np.ndarray]
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.vectors
-
     def __len__(self) -> int:
         return len(self.vectors)
 
@@ -108,3 +105,9 @@ def cos_sim(u: np.ndarray, v: np.ndarray) -> float:
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(np.dot(u, v) / (nu * nv))
+
+
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """x scaled to unit norm along its last axis; zero-norm rows stay zero."""
+    norms = np.sqrt(np.einsum("...k,...k->...", x, x))[..., None]
+    return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0.0)

@@ -346,5 +346,5 @@ def read_annotations(path: str | Path) -> list[Annotation]:
                     )
                 )
             except (KeyError, ValueError, TypeError) as exc:
-                raise EvaluationError(f"{path}: line {lineno}: {exc}") from None
+                raise EvaluationError(f"line {lineno}: {exc}") from None
     return annotations

@@ -12,14 +12,13 @@ and bce_losses.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import AvgVector, EmbeddingTable, avg_vector, cos_sim
+from .embeddings import EmbeddingTable, avg_vector, unit_rows
 from .neural import (
     FeedForwardParams,
     LstmParams,
@@ -155,39 +154,13 @@ def token_matrix(table: EmbeddingTable, text: str) -> np.ndarray:
 # Scoring primitives
 
 
-def dist(rep: np.ndarray, a_hat: AvgVector | np.ndarray) -> float:
-    """1 - cos_sim(rep, a_hat); lies in [0, 2]."""
-    values = a_hat.values if isinstance(a_hat, AvgVector) else a_hat
-    return 1.0 - cos_sim(rep, values)
-
-
-def _dist_grad_wrt_rep(rep: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Gradient of dist(rep, target) with respect to rep.
-
-    Zero at the degenerate points where either vector has zero norm (the
-    cosine is defined as 0 there, a locally constant choice).
-    """
-    nr = float(np.linalg.norm(rep))
-    nt = float(np.linalg.norm(target))
-    if nr == 0.0 or nt == 0.0:
-        return np.zeros_like(rep)
-    cos = float(np.dot(rep, target) / (nr * nt))
-    return cos * rep / nr**2 - target / (nr * nt)
-
-
-def similarity_weight(q_hat_i: np.ndarray, q_hat_j: np.ndarray, clamp: bool = True) -> float:
-    """Question-similarity weight; negative similarities clamp to 0."""
-    sim = cos_sim(q_hat_i, q_hat_j)
-    if clamp:
-        return max(0.0, sim)
-    return sim
-
-
-def expected_value(answer_probs: Sequence[float], utilities: Sequence[float]) -> float:
-    """Sum over candidate answers of probability times utility."""
-    if len(answer_probs) != len(utilities):
+def expected_value(answer_probs, utilities):
+    """Expected utility: (..., n) answer probabilities times (n,) utilities, summed over n."""
+    probs = np.asarray(answer_probs, dtype=np.float64)
+    utils = np.asarray(utilities, dtype=np.float64)
+    if probs.shape[-1:] != utils.shape:
         raise ValueError("probability and utility lists must have equal length")
-    return float(np.dot(np.asarray(answer_probs, dtype=np.float64), np.asarray(utilities, dtype=np.float64)))
+    return np.einsum("...j,j->...", probs, utils)
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +171,19 @@ def expected_value(answer_probs: Sequence[float], utilities: Sequence[float]) ->
 class PreparedCandidates:
     """Token matrices of one candidate set, cached once.
 
-    Only the answer model reads the average vectors and sim_weights (the
-    weight of candidate j in the answer loss); a neural baseline leaves them
-    empty.
+    Only the answer model reads a_units (the average answer vectors scaled
+    to unit norm, n x d), q_sims (the n x n cosines of the average question
+    vectors, negatives clamped to 0 unless the model says otherwise) and
+    sim_weights (the original question's row of q_sims: the weight of
+    candidate j in the answer loss); a neural baseline leaves them empty.
     """
 
     cs: CandidateSet
     post_tokens: np.ndarray
     question_tokens: list[np.ndarray]
     answer_tokens: list[np.ndarray]
-    q_hats: list[np.ndarray] = field(default_factory=list)
-    a_hats: list[np.ndarray] = field(default_factory=list)
+    a_units: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    q_sims: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     sim_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
@@ -216,61 +191,64 @@ class SetEncoding:
     """Every text of a prepared set run through its LSTM encoder once.
 
     params is any model with lstm_post, lstm_question and lstm_answer; the
-    last two may be None. The sequences are the post, then each question,
-    then each answer. With for_backward, each sequence keeps its LSTM cache
-    and an accumulator of d(loss)/d(encoding): every head adds into the
-    accumulators, and backward() then runs one lstm_backward per sequence.
-    Without it the pass is forward-only and keeps neither.
+    last two may be None. The encodings are the column blocks of the heads'
+    (n, k*H) input: the post's encoding on every row, then the question
+    encodings, then the answer encodings, one row per candidate. With
+    for_backward, each block keeps its LSTM caches and an (n, H)
+    accumulator of d(loss)/d(block) that backprop_head adds into, and
+    backward() runs one lstm_backward per sequence. Without it the pass is
+    forward-only and keeps neither.
     """
 
     def __init__(self, params, prep: PreparedCandidates, for_backward: bool = False):
         self.n = len(prep.cs)
-        self.lstms = [("lstm_post/", params.lstm_post)]
-        texts = [prep.post_tokens]
-        for prefix, lstm, tokens in (
+        self.lstms, self.blocks, self.caches = [], [], []
+        for prefix, lstm, texts in (
+            ("lstm_post/", params.lstm_post, [prep.post_tokens]),
             ("lstm_question/", params.lstm_question, prep.question_tokens),
             ("lstm_answer/", params.lstm_answer, prep.answer_tokens),
         ):
-            if lstm is not None:
-                self.lstms += [(prefix, lstm)] * len(tokens)
-                texts += tokens
-        self.n_q = self.n if params.lstm_question is not None else 0
-        self.has_answers = params.lstm_answer is not None
+            if lstm is None:
+                continue
+            if for_backward:
+                means, caches = zip(*(lstm_forward(lstm, xs) for xs in texts))
+                self.caches.append(caches)
+            else:
+                means = [lstm_forward(lstm, xs)[0] for xs in texts]
+            self.lstms.append((prefix, lstm))
+            self.blocks.append(np.broadcast_to(np.stack(means), (self.n, lstm.hidden_dim)))
         if for_backward:
-            outs = [lstm_forward(lstm, xs) for (_, lstm), xs in zip(self.lstms, texts)]
-            self.bars = [mean for mean, _ in outs]
-            self.caches = [cache for _, cache in outs]
-            self.d_bars = [np.zeros_like(mean) for mean in self.bars]
-        else:
-            self.bars = [lstm_forward(lstm, xs)[0] for (_, lstm), xs in zip(self.lstms, texts)]
+            self.d_blocks = [np.zeros(block.shape) for block in self.blocks]
 
-    def _slots(self, j: int, with_answer: bool) -> list[int]:
-        slots = [0]
-        if self.n_q:
-            slots.append(1 + j)
-        if with_answer and self.has_answers:
-            slots.append(1 + self.n_q + j)
-        return slots
+    def inputs(self) -> np.ndarray:
+        """The (n, k*H) rows [p; q_j; a_j] over the encoders present."""
+        return np.hstack(self.blocks)
 
-    def head_input(self, j: int, with_answer: bool = True) -> np.ndarray:
-        """[p; q_j; a_j] over the encoders present; with_answer=False drops a_j."""
-        return np.concatenate([self.bars[k] for k in self._slots(j, with_answer)])
+    def backprop_head(self, ff, prefix: str, acts, d_out, grads, rows=slice(None)) -> None:
+        """Backpropagate head ff, run on inputs()[rows, :m], from d(loss)/d(output).
 
-    def add_grad(self, j: int, d_input: np.ndarray, with_answer: bool = True) -> None:
-        """Split d(loss)/d(head_input(j)) into the per-sequence accumulators."""
-        hidden = len(self.bars[0])
-        for pos, k in enumerate(self._slots(j, with_answer)):
-            self.d_bars[k] += d_input[pos * hidden : (pos + 1) * hidden]
+        ff's gradients go into grads under prefix; the input gradient goes
+        into the accumulators, one column block each.
+        """
+        ff_grads, d_in = feedforward_backward(ff, acts, d_out)
+        for name, grad in ff_grads.items():
+            grads[prefix + name] += grad
+        hidden = self.blocks[0].shape[1]
+        for d_block, part in zip(self.d_blocks, np.hsplit(d_in, d_in.shape[-1] // hidden)):
+            d_block[rows] += part
 
     def backward(self, grads: dict[str, np.ndarray]) -> None:
-        for (prefix, lstm), cache, d_bar in zip(self.lstms, self.caches, self.d_bars):
-            for name, grad in lstm_backward(lstm, cache, d_bar).items():
-                grads[prefix + name] += grad
+        # The post's n rows are one sequence; every other row is its own.
+        self.d_blocks[0] = self.d_blocks[0].sum(axis=0, keepdims=True)
+        for (prefix, lstm), caches, d_block in zip(self.lstms, self.caches, self.d_blocks):
+            for cache, d_mean in zip(caches, d_block):
+                for name, grad in lstm_backward(lstm, cache, d_mean).items():
+                    grads[prefix + name] += grad
 
 
-def bce_scores(ff: FeedForwardParams, enc: SetEncoding) -> list[float]:
-    """sigma(ff([p; q_j; a_j])) for every candidate j: utility or baseline score."""
-    return [sigmoid(float(feedforward_forward(ff, enc.head_input(j))[0][0])) for j in range(enc.n)]
+def bce_scores(ff: FeedForwardParams, enc: SetEncoding) -> np.ndarray:
+    """sigma(ff([p; q_j; a_j])) for every candidate j: utility or baseline scores."""
+    return sigmoid(feedforward_forward(ff, enc.inputs())[0][:, 0])
 
 
 def bce_losses(
@@ -279,62 +257,58 @@ def bce_losses(
     enc: SetEncoding,
     original_index: int,
     grads: dict[str, np.ndarray],
-) -> list[float]:
-    """Per-candidate BCE of bce_scores against the one-positive labels.
+) -> float:
+    """Summed BCE of bce_scores against the one-positive labels.
 
-    The probability is clamped away from 0 and 1. Adds ff's gradients to
-    grads under prefix and the input gradients to enc's accumulators.
+    The probability is clamped away from 0 and 1. Backpropagates through
+    enc.backprop_head.
     """
-    losses = []
-    for j in range(enc.n):
-        y = 1 if j == original_index else 0
-        s_out, acts = feedforward_forward(ff, enc.head_input(j))
-        u = sigmoid(float(s_out[0]))
-        u_c = min(max(u, BCE_CLAMP), 1.0 - BCE_CLAMP)
-        losses.append(-(y * math.log(u_c) + (1 - y) * math.log(1.0 - u_c)))
-        # Where the clamp is active the loss is locally flat in s.
-        d_s = u - y if BCE_CLAMP < u < 1.0 - BCE_CLAMP else 0.0
-        ff_grads, d_in = feedforward_backward(ff, acts, np.array([d_s]))
-        for name, grad in ff_grads.items():
-            grads[prefix + name] += grad
-        enc.add_grad(j, d_in)
-    return losses
+    out, acts = feedforward_forward(ff, enc.inputs())
+    u = sigmoid(out[:, 0])
+    y = np.zeros(enc.n)
+    y[original_index] = 1.0
+    u_c = np.clip(u, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    losses = -(y * np.log(u_c) + (1.0 - y) * np.log(1.0 - u_c))
+    # Where the clamp is active the loss is locally flat in s.
+    d_s = np.where((BCE_CLAMP < u) & (u < 1.0 - BCE_CLAMP), u - y, 0.0)
+    enc.backprop_head(ff, prefix, acts, d_s[:, None], grads)
+    return float(losses.sum())
 
 
-# A head is head(params, enc, prep, grads) -> losses: it scores one encoded
-# set, adds its gradients as bce_losses does, and returns its loss terms.
+# A head is head(params, enc, prep, grads) -> loss: it scores one encoded
+# set, backpropagates through enc.backprop_head, and returns its summed loss.
 
 
 def utility_losses(
     params: EvpiParams, enc: SetEncoding, prep: PreparedCandidates, grads: dict[str, np.ndarray]
-) -> list[float]:
+) -> float:
     """The utility head: bce_losses of ff_util over [p; q_j; a_j]."""
     return bce_losses(params.ff_util, "ff_util/", enc, prep.cs.original_index, grads)
 
 
 def answer_losses(
     params: EvpiParams, enc: SetEncoding, prep: PreparedCandidates, grads: dict[str, np.ndarray]
-) -> list[float]:
+) -> float:
     """The answer head: one loss term per post.
 
-    Distance of F_ans(p, q_o) to the original answer, plus the distances to
-    the other candidates' answers weighted by how similar their questions
-    are to the original question.
+    Distance 1 - cos of F_ans(p, q_o) to the original answer, plus the
+    distances to the other candidates' answers weighted by how similar their
+    questions are to the original question. The cosine and its gradient are
+    0 where either vector has zero norm.
     """
     o = prep.cs.original_index
-    rep, acts = feedforward_forward(params.ff_ans, enc.head_input(o, with_answer=False))
-    loss = dist(rep, prep.a_hats[o])
-    d_rep = _dist_grad_wrt_rep(rep, prep.a_hats[o])
-    for j, weight in enumerate(prep.sim_weights):
-        if j == o or weight == 0.0:
-            continue
-        loss += dist(rep, prep.a_hats[j]) * weight
-        d_rep = d_rep + weight * _dist_grad_wrt_rep(rep, prep.a_hats[j])
-    ff_grads, d_in = feedforward_backward(params.ff_ans, acts, d_rep)
-    for name, grad in ff_grads.items():
-        grads[f"ff_ans/{name}"] += grad
-    enc.add_grad(o, d_in, with_answer=False)
-    return [loss]
+    # [p; q_o]: the first two column blocks of row o
+    rep, acts = feedforward_forward(params.ff_ans, enc.inputs()[o, : 2 * params.hidden_dim])
+    weights = prep.sim_weights.copy()
+    weights[o] = 1.0
+    unit = unit_rows(rep)
+    cos = prep.a_units @ unit
+    norm = np.linalg.norm(rep)
+    # d(1 - cos_j)/d(rep) = (cos_j unit - a_units_j) / |rep|, and 0 where rep = 0
+    d_rep = (weights @ cos) * unit - weights @ prep.a_units
+    d_rep = d_rep / norm if norm > 0.0 else np.zeros_like(rep)
+    enc.backprop_head(params.ff_ans, "ff_ans/", acts, d_rep, grads, rows=o)
+    return float(weights @ (1.0 - cos))
 
 
 def batch_loss_and_grads(
@@ -349,8 +323,7 @@ def batch_loss_and_grads(
     for prep in batch:
         enc = SetEncoding(params, prep, for_backward=True)
         for head in heads:
-            for loss in head(params, enc, prep, grads):
-                total += loss
+            total += head(params, enc, prep, grads)
         enc.backward(grads)
     n = max(1, len(batch))
     for name in grads:
@@ -377,21 +350,21 @@ class EvpiModel:
         self.params = EvpiParams.from_tensors({k: v.copy() for k, v in tensors.items()})
 
     def prepare(self, cs: CandidateSet) -> PreparedCandidates:
-        table = self.table
-        q_hats = [avg_vector(table, tokenize(q)).values for q in cs.questions]
-        a_hats = [avg_vector(table, tokenize(a)).values for a in cs.answers]
-        o = cs.original_index
-        weights = np.array(
-            [similarity_weight(q_hats[o], q_hats[j], self.clamp_negative_sim) for j in range(len(cs))]
-        )
+        def units(texts):  # average vectors scaled to unit norm, one row per text
+            return unit_rows(np.stack([avg_vector(self.table, tokenize(t)).values for t in texts]))
+
+        q_units = units(cs.questions)
+        q_sims = np.einsum("ik,jk->ij", q_units, q_units)
+        if self.clamp_negative_sim:
+            q_sims = np.maximum(q_sims, 0.0)
         return PreparedCandidates(
             cs=cs,
-            post_tokens=token_matrix(table, cs.post_body),
-            question_tokens=[token_matrix(table, q) for q in cs.questions],
-            answer_tokens=[token_matrix(table, a) for a in cs.answers],
-            q_hats=q_hats,
-            a_hats=a_hats,
-            sim_weights=weights,
+            post_tokens=token_matrix(self.table, cs.post_body),
+            question_tokens=[token_matrix(self.table, q) for q in cs.questions],
+            answer_tokens=[token_matrix(self.table, a) for a in cs.answers],
+            a_units=units(cs.answers),
+            q_sims=q_sims,
+            sim_weights=q_sims[cs.original_index],
         )
 
     def loss_and_grads(
@@ -401,24 +374,17 @@ class EvpiModel:
         return batch_loss_and_grads(self.params, batch, (answer_losses, utility_losses))
 
     def rank_prepared(self, prep: PreparedCandidates) -> RankedList:
+        """score_i = sum_j exp(-(1 - cos(F_ans(p, q_i), a_hat_j))) * q_sims[i, j] * U_j.
+
+        Every product whose rows become per-candidate scores is an einsum, so
+        identical candidates get bit-identical scores.
+        """
         params = self.params
-        n = len(prep.cs)
         enc = SetEncoding(params, prep)
-        reps = [
-            feedforward_forward(params.ff_ans, enc.head_input(i, with_answer=False))[0]
-            for i in range(n)
-        ]
-        utils = bce_scores(params.ff_util, enc)
-        scores = []
-        for i in range(n):
-            probs = np.array(
-                [
-                    math.exp(-dist(reps[i], prep.a_hats[j]))
-                    * similarity_weight(prep.q_hats[i], prep.q_hats[j], self.clamp_negative_sim)
-                    for j in range(n)
-                ]
-            )
-            scores.append(expected_value(probs, utils))
+        # [p; q_i]: the first two column blocks
+        reps = feedforward_forward(params.ff_ans, enc.inputs()[:, : 2 * params.hidden_dim])[0]
+        probs = np.exp(np.einsum("ik,jk->ij", unit_rows(reps), prep.a_units) - 1.0) * prep.q_sims
+        scores = expected_value(probs, bce_scores(params.ff_util, enc))
         return rank_from_scores(prep.cs.post_id, scores)
 
     def rank(self, cs: CandidateSet) -> RankedList:
@@ -463,6 +429,7 @@ def write_rankings(path: str | Path, model_name: str, ranked: Iterable[RankedLis
 
 
 def read_rankings(path: str | Path) -> list[RankedList]:
+    """Load rankings.jsonl; each order must be a permutation with one score per entry."""
     ranked = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -470,13 +437,17 @@ def read_rankings(path: str | Path) -> list[RankedList]:
                 continue
             try:
                 raw = json.loads(line)
-                ranked.append(
-                    RankedList(
-                        post_id=raw["post_id"],
-                        order=[int(v) for v in raw["order"]],
-                        scores=[float(v) for v in raw["scores"]],
-                    )
+                rl = RankedList(
+                    post_id=raw["post_id"],
+                    order=[int(v) for v in raw["order"]],
+                    scores=[float(v) for v in raw["scores"]],
                 )
             except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+                raise ValueError(f"line {lineno}: {exc}") from None
+            where, n = f"line {lineno}: post {rl.post_id!r}", len(rl.order)
+            if sorted(rl.order) != list(range(n)):
+                raise ValueError(f"{where}: order {rl.order} is not a permutation of range({n})")
+            if len(rl.scores) != n:
+                raise ValueError(f"{where}: {len(rl.scores)} scores for {n} entries")
+            ranked.append(rl)
     return ranked

@@ -103,14 +103,15 @@ def _check_lstm(rng: np.random.Generator, n_probes: int) -> float:
 def _check_feedforward(rng: np.random.Generator, n_probes: int, n_hidden: int) -> float:
     dims = [EMBED_DIM] + [HIDDEN_DIM] * n_hidden + [3]
     params = FeedForwardParams.init(dims, rng, scale=0.4)
-    x = rng.normal(size=EMBED_DIM)
-    direction = rng.normal(size=3)
+    # Three rows, so the check covers the weight gradients' sum over rows.
+    x = rng.normal(size=(3, EMBED_DIM))
+    direction = rng.normal(size=(3, 3))
 
     def loss_fn(tensors):
         p = FeedForwardParams.from_tensors(tensors)
         out, acts = feedforward_forward(p, x)
         grads, _ = feedforward_backward(p, acts, direction)
-        return float(direction @ out), grads
+        return float(np.sum(direction * out)), grads
 
     return grad_check(loss_fn, params.tensors(), n_probes=n_probes, rng=rng)
 

@@ -379,5 +379,5 @@ def read_triples(path) -> list[Triple]:
                     )
                 )
             except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+                raise ValueError(f"line {lineno}: {exc}") from None
     return triples

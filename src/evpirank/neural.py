@@ -253,14 +253,19 @@ def lstm_backward(
 def feedforward_forward(
     params: FeedForwardParams, x: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Affine + tanh on hidden layers, linear final layer; (output, activations)."""
+    """Affine + tanh on hidden layers, linear final layer; (output, activations).
+
+    x holds rows (..., input_dim); a 1-D x is one row. Each layer is one
+    einsum, which gives a row the same bits whatever rows share its call, so
+    identical candidates score identically (a BLAS product does not).
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.input_dim,):
-        raise ValueError(f"expected input of shape ({params.input_dim},), got {x.shape}")
+    if x.shape[-1:] != (params.input_dim,):
+        raise ValueError(f"expected rows of length {params.input_dim}, got shape {x.shape}")
     activations = [x]
     n_layers = len(params.weights)
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = w @ activations[-1] + b
+        z = np.einsum("...i,oi->...o", activations[-1], w) + b
         if layer < n_layers - 1:
             z = np.tanh(z)
         activations.append(z)
@@ -270,7 +275,7 @@ def feedforward_forward(
 def feedforward_backward(
     params: FeedForwardParams, activations: list[np.ndarray], d_out: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Gradients wrt each layer plus the gradient propagated to the input."""
+    """Layer gradients summed over rows, plus the gradient of each input row."""
     grads: dict[str, np.ndarray] = {}
     delta = np.asarray(d_out, dtype=np.float64)
     n_layers = len(params.weights)
@@ -278,9 +283,10 @@ def feedforward_backward(
         out_act = activations[layer + 1]
         if layer < n_layers - 1:
             delta = delta * (1.0 - out_act**2)
-        grads[f"W{layer}"] = np.outer(delta, activations[layer])
-        grads[f"b{layer}"] = delta.copy()
-        delta = params.weights[layer].T @ delta
+        rows = delta.reshape(-1, delta.shape[-1])
+        grads[f"W{layer}"] = rows.T @ activations[layer].reshape(len(rows), -1)
+        grads[f"b{layer}"] = rows.sum(axis=0)
+        delta = delta @ params.weights[layer]
     return grads, delta
 
 
@@ -414,14 +420,15 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     header_lines = blob[:head_end].decode("utf-8").split("\n")
     if header_lines[0] != CHECKPOINT_HEADER:
         raise ValueError(f"not a checkpoint file (missing {CHECKPOINT_HEADER!r} header)")
-    n_tensors = int(header_lines[1])
     manifest = []
-    for line in header_lines[2 : 2 + n_tensors]:
-        parts = line.split(" ")
-        name = parts[0]
-        ndim = int(parts[1])
-        shape = tuple(int(v) for v in parts[2 : 2 + ndim])
-        manifest.append((name, shape))
+    try:
+        for line in header_lines[2 : 2 + int(header_lines[1])]:
+            name, ndim, *dims = line.split(" ")
+            if len(dims) != int(ndim):
+                raise ValueError(f"tensor {name!r} has {len(dims)} dimensions, expected {ndim}")
+            manifest.append((name, tuple(int(v) for v in dims)))
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"malformed checkpoint manifest: {exc}") from None
     body = blob[head_end + len(marker) :]
     tensors: dict[str, np.ndarray] = {}
     offset = 0

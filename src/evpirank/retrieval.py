@@ -279,5 +279,5 @@ def read_candidates(path: str | Path) -> list[CandidateSet]:
                     )
                 )
             except (KeyError, ValueError, TypeError) as exc:
-                raise RetrievalError(f"{path}: line {lineno}: {exc}") from None
+                raise RetrievalError(f"line {lineno}: {exc}") from None
     return sets

@@ -3,8 +3,8 @@
 Everything here is deliberately written from the definitions, without reusing
 the library's index structures or metric code, so the two paths can be
 compared against each other. The EVPI reference path reuses only the layer
-primitives (LSTM, feedforward, distances), not the model's shared encoding
-pass or its heads.
+primitives (LSTM, feedforward, cos_sim) and expected_value, not the model's
+shared encoding pass, its heads or its batched cosines.
 """
 
 from __future__ import annotations
@@ -16,15 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-from evpirank.embeddings import EmbeddingTable, avg_vector
-from evpirank.evpi import (
-    BCE_CLAMP,
-    EvpiParams,
-    dist,
-    expected_value,
-    similarity_weight,
-    token_matrix,
-)
+from evpirank.embeddings import AvgVector, EmbeddingTable, avg_vector, cos_sim
+from evpirank.evpi import BCE_CLAMP, EvpiParams, expected_value, token_matrix
 from evpirank.neural import LstmParams, feedforward_forward, lstm_forward, sigmoid
 from evpirank.retrieval import CandidateSet, tokenize
 
@@ -125,6 +118,20 @@ def per_gate_lstm_mean(gates: dict[str, np.ndarray], xs: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 # Scalar EVPI reference path: every text encoded on its own, straight from
 # the paper's formulas. The model path (EvpiModel) is tested against it.
+
+
+def dist(rep: np.ndarray, a_hat: AvgVector | np.ndarray) -> float:
+    """1 - cos_sim(rep, a_hat); lies in [0, 2]."""
+    values = a_hat.values if isinstance(a_hat, AvgVector) else a_hat
+    return 1.0 - cos_sim(rep, values)
+
+
+def similarity_weight(q_hat_i: np.ndarray, q_hat_j: np.ndarray, clamp: bool = True) -> float:
+    """Question-similarity weight; negative similarities clamp to 0."""
+    sim = cos_sim(q_hat_i, q_hat_j)
+    if clamp:
+        return max(0.0, sim)
+    return sim
 
 
 def encode_text(lstm: LstmParams, table: EmbeddingTable, text: str) -> np.ndarray:

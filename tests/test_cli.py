@@ -107,6 +107,16 @@ class TestCandidatesCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_usage_error(self, tmp_path, capsys, k):
+        out = tmp_path / "candidates.jsonl"
+        code, _, err = run(capsys, "candidates", "--triples", str(FIXTURES / "golden" / "triples.jsonl"),
+                           "--out", str(out), "--k", k)
+        assert code == 2
+        assert "--k must be >= 1" in err
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Fixture dump pushed through ingest and candidates once per module."""
@@ -300,6 +310,26 @@ class TestTrainRankEvaluate:
         assert "embeddings have dimension 5" in err and "expects 4" in err
         assert not rankings.exists()
 
+    def test_checkpoint_ranked_without_its_embeddings_is_usage_error(self, pipeline, capsys):
+        ckpt = self.train_small(pipeline, "evpi")  # 4-d toy embeddings
+        rankings = pipeline["root"] / "no_embeddings_rankings.jsonl"
+        argv = self.rank_args(pipeline, "evpi", ckpt, rankings)
+        del argv[argv.index("--embeddings") : argv.index("--embeddings") + 2]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "embeddings have dimension 1 (no --embeddings given)" in err and "expects 4" in err
+        assert not rankings.exists()
+
+    def test_checkpoint_trained_without_embeddings_ranks_without_them(self, pipeline, capsys):
+        ckpt = pipeline["root"] / "no_embeddings.ckpt"
+        common = ["--candidates", str(pipeline["candidates"]), "--model", "evpi"]
+        assert main(["train", *common, "--no-split", "--set", "hidden_dim=3", "--set", "epochs=1",
+                     "--out", str(ckpt)]) == 0
+        rankings = pipeline["root"] / "no_embeddings_rankings_ok.jsonl"
+        code, _, _ = run(capsys, "rank", *common, "--checkpoint", str(ckpt), "--out", str(rankings))
+        assert code == 0
+        assert len(rankings.read_text().splitlines()) == 7
+
     @pytest.mark.parametrize("assignment", ["batch_size=0", "hidden_dim=0", "lr=-1"])
     def test_out_of_range_config_is_usage_error(self, pipeline, capsys, assignment):
         ckpt = pipeline["root"] / "out_of_range.ckpt"
@@ -391,6 +421,63 @@ class TestRankingsValidation:
         assert code == 2
         assert out == ""
         assert "not a permutation" in err
+
+
+class TestMalformedInputFiles:
+    """A file a reader cannot parse ends in exit 2 naming it, never in a traceback."""
+
+    # A JSON line that lacks most fields: a bad record for every JSONL reader,
+    # and a non-numeric vector for the embeddings reader.
+    BAD_LINE = '{"post_id": "p01"}\n'
+    # The manifest gives tensor ff/W0 two dimensions but lists one.
+    BAD_CHECKPOINT = b"EVPIRANK-CKPT v1\n1\nff/W0 2 3\ndata\n"
+
+    @pytest.mark.parametrize(
+        "reader", ["triples", "candidates", "rankings", "embeddings", "checkpoint", "annotations"]
+    )
+    def test_corrupt_file_is_usage_error(self, pipeline, capsys, tmp_path, reader):
+        bad = tmp_path / f"bad.{reader}"
+        if reader == "checkpoint":
+            bad.write_bytes(self.BAD_CHECKPOINT)
+        else:
+            bad.write_text(self.BAD_LINE, encoding="utf-8")
+        cands, path = str(pipeline["candidates"]), str(bad)
+        rankings = str(tmp_path / "rankings.jsonl")
+        assert main(["rank", "--candidates", cands, "--model", "random", "--out", rankings]) == 0
+        out = tmp_path / "out"
+        argv = {
+            "triples": ["candidates", "--triples", path],
+            "candidates": ["rank", "--candidates", path, "--model", "random"],
+            "rankings": ["evaluate", "--rankings", path, "--candidates", cands, "--mode", "original"],
+            "embeddings": ["rank", "--candidates", cands, "--embeddings", path, "--model", "random"],
+            "checkpoint": ["rank", "--candidates", cands, "--model", "evpi", "--checkpoint", path],
+            "annotations": [
+                "evaluate", "--rankings", rankings, "--candidates", cands,
+                "--annotations", path, "--mode", "best_union",
+            ],
+        }[reader]
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert f"malformed {reader} file {bad}: " in err
+        assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"order": [0, 0, 2], "scores": [1.0, 1.0, 1.0]}, "not a permutation of range(3)"),
+            ({"order": [1, 2], "scores": [1.0, 0.5]}, "not a permutation of range(2)"),
+            ({"order": [1, 0], "scores": [1.0]}, "1 scores for 2 entries"),
+        ],
+    )
+    def test_rankings_reader_checks_each_line(self, tmp_path, record, message):
+        from evpirank.evpi import read_rankings
+
+        path = tmp_path / "rankings.jsonl"
+        path.write_text(json.dumps({"post_id": "p9", **record}) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 1: post 'p9': ") as info:
+            read_rankings(path)
+        assert message in str(info.value)
 
 
 class TestEvaluateWithAnnotations:

@@ -10,7 +10,6 @@ from evpirank.evpi import (
     EvpiModel,
     EvpiParams,
     candidate_training_examples,
-    dist,
     expected_value,
     init_evpi_params,
     rank_from_scores,
@@ -30,6 +29,7 @@ from evpirank.rng import substream
 
 from tests.oracles import (
     answer_prob,
+    dist,
     evpi_score,
     f_ans,
     joint_loss,
