@@ -8,7 +8,6 @@ annotation labels restricted to the nine non-original candidates.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .evpi import RankedList
-from .retrieval import CandidateSet
+from .retrieval import CandidateSet, read_jsonl
 from .rng import substream
 
 MODES = ("best_union", "valid_intersection", "original", "exclude_original")
@@ -330,21 +329,13 @@ def valid_intersection_histogram(annotations: Iterable[Annotation]) -> dict[int,
 
 def read_annotations(path: str | Path) -> list[Annotation]:
     """Load annotations.jsonl: post_id, annotator_id, best, valid[]."""
-    annotations = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                annotations.append(
-                    Annotation(
-                        post_id=raw["post_id"],
-                        annotator_id=raw["annotator_id"],
-                        best=int(raw["best"]),
-                        valid={int(v) for v in raw["valid"]},
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise EvaluationError(f"line {lineno}: {exc}") from None
-    return annotations
+    return read_jsonl(
+        path,
+        lambda raw: Annotation(
+            post_id=raw["post_id"],
+            annotator_id=raw["annotator_id"],
+            best=int(raw["best"]),
+            valid={int(v) for v in raw["valid"]},
+        ),
+        EvaluationError,
+    )

@@ -29,7 +29,7 @@ from .neural import (
     sigmoid,
     zeros_like_tensors,
 )
-from .retrieval import CandidateSet, tokenize
+from .retrieval import CandidateSet, read_jsonl, tokenize
 
 FF_HIDDEN_LAYERS = 5
 
@@ -187,22 +187,31 @@ class PreparedCandidates:
     sim_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
+def _distinct(mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """The distinct matrices of mats, and for each of mats the index of its copy."""
+    index: dict[tuple, int] = {}
+    inverse = [index.setdefault((m.shape, m.tobytes()), len(index)) for m in mats]
+    return [mats[inverse.index(k)] for k in range(len(index))], np.array(inverse)
+
+
 class SetEncoding:
     """Every text of a prepared set run through its LSTM encoder once.
 
     params is any model with lstm_post, lstm_question and lstm_answer; the
-    last two may be None. The encodings are the column blocks of the heads'
-    (n, k*H) input: the post's encoding on every row, then the question
-    encodings, then the answer encodings, one row per candidate. With
-    for_backward, each block keeps its LSTM caches and an (n, H)
-    accumulator of d(loss)/d(block) that backprop_head adds into, and
-    backward() runs one lstm_backward per sequence. Without it the pass is
-    forward-only and keeps neither.
+    last two may be None. Each encoder makes one packed lstm_forward over the
+    distinct token matrices of its texts (equal matrices share one encoding,
+    so they stay bit-equal whatever rows a product rounds differently). The
+    encodings are the column blocks of the heads' (n, k*H) input: the post's
+    encoding on every row, then the question encodings, then the answer
+    encodings, one row per candidate. With for_backward, each block keeps its
+    LSTM cache and an (n, H) accumulator of d(loss)/d(block) that
+    backprop_head adds into, and backward() runs one lstm_backward per
+    encoder. Without it the pass is forward-only and keeps neither.
     """
 
     def __init__(self, params, prep: PreparedCandidates, for_backward: bool = False):
         self.n = len(prep.cs)
-        self.lstms, self.blocks, self.caches = [], [], []
+        self.lstms, self.blocks, self.text_ids, self.caches = [], [], [], []
         for prefix, lstm, texts in (
             ("lstm_post/", params.lstm_post, [prep.post_tokens]),
             ("lstm_question/", params.lstm_question, prep.question_tokens),
@@ -210,13 +219,14 @@ class SetEncoding:
         ):
             if lstm is None:
                 continue
-            if for_backward:
-                means, caches = zip(*(lstm_forward(lstm, xs) for xs in texts))
-                self.caches.append(caches)
-            else:
-                means = [lstm_forward(lstm, xs)[0] for xs in texts]
+            distinct, inverse = _distinct(texts)
+            means, cache = lstm_forward(lstm, np.concatenate(distinct), [len(m) for m in distinct])
+            text_ids = np.broadcast_to(inverse, self.n)  # the post's one text serves every row
             self.lstms.append((prefix, lstm))
-            self.blocks.append(np.broadcast_to(np.stack(means), (self.n, lstm.hidden_dim)))
+            self.blocks.append(means[text_ids])
+            self.text_ids.append(text_ids)
+            if for_backward:
+                self.caches.append(cache)
         if for_backward:
             self.d_blocks = [np.zeros(block.shape) for block in self.blocks]
 
@@ -238,12 +248,13 @@ class SetEncoding:
             d_block[rows] += part
 
     def backward(self, grads: dict[str, np.ndarray]) -> None:
-        # The post's n rows are one sequence; every other row is its own.
-        self.d_blocks[0] = self.d_blocks[0].sum(axis=0, keepdims=True)
-        for (prefix, lstm), caches, d_block in zip(self.lstms, self.caches, self.d_blocks):
-            for cache, d_mean in zip(caches, d_block):
-                for name, grad in lstm_backward(lstm, cache, d_mean).items():
-                    grads[prefix + name] += grad
+        for (prefix, lstm), cache, text_ids, d_block in zip(
+            self.lstms, self.caches, self.text_ids, self.d_blocks
+        ):
+            d_means = np.zeros((len(cache.lengths), lstm.hidden_dim))
+            np.add.at(d_means, text_ids, d_block)
+            for name, grad in lstm_backward(lstm, cache, d_means).items():
+                grads[prefix + name] += grad
 
 
 def bce_scores(ff: FeedForwardParams, enc: SetEncoding) -> np.ndarray:
@@ -430,24 +441,18 @@ def write_rankings(path: str | Path, model_name: str, ranked: Iterable[RankedLis
 
 def read_rankings(path: str | Path) -> list[RankedList]:
     """Load rankings.jsonl; each order must be a permutation with one score per entry."""
-    ranked = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                rl = RankedList(
-                    post_id=raw["post_id"],
-                    order=[int(v) for v in raw["order"]],
-                    scores=[float(v) for v in raw["scores"]],
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            where, n = f"line {lineno}: post {rl.post_id!r}", len(rl.order)
-            if sorted(rl.order) != list(range(n)):
-                raise ValueError(f"{where}: order {rl.order} is not a permutation of range({n})")
-            if len(rl.scores) != n:
-                raise ValueError(f"{where}: {len(rl.scores)} scores for {n} entries")
-            ranked.append(rl)
-    return ranked
+
+    def build(raw: dict) -> RankedList:
+        rl = RankedList(
+            post_id=raw["post_id"],
+            order=[int(v) for v in raw["order"]],
+            scores=[float(v) for v in raw["scores"]],
+        )
+        where, n = f"post {rl.post_id!r}", len(rl.order)
+        if sorted(rl.order) != list(range(n)):
+            raise ValueError(f"{where}: order {rl.order} is not a permutation of range({n})")
+        if len(rl.scores) != n:
+            raise ValueError(f"{where}: {len(rl.scores)} scores for {n} entries")
+        return rl
+
+    return read_jsonl(path, build)

@@ -100,6 +100,21 @@ def _check_lstm(rng: np.random.Generator, n_probes: int) -> float:
     return grad_check(loss_fn, params.tensors(), n_probes=n_probes, rng=rng)
 
 
+def _check_lstm_ragged(rng: np.random.Generator, n_probes: int) -> float:
+    """One packed pass over sequences of lengths 5, 0, 1 and 3."""
+    params = LstmParams.init(EMBED_DIM, HIDDEN_DIM, rng, scale=0.4)
+    lengths = [5, 0, 1, 3]
+    xs = rng.normal(size=(sum(lengths), EMBED_DIM))
+    direction = rng.normal(size=(len(lengths), HIDDEN_DIM))
+
+    def loss_fn(tensors):
+        p = LstmParams.from_tensors(tensors)
+        means, cache = lstm_forward(p, xs, lengths)
+        return float(np.sum(direction * means)), lstm_backward(p, cache, direction)
+
+    return grad_check(loss_fn, params.tensors(), n_probes=n_probes, rng=rng)
+
+
 def _check_feedforward(rng: np.random.Generator, n_probes: int, n_hidden: int) -> float:
     dims = [EMBED_DIM] + [HIDDEN_DIM] * n_hidden + [3]
     params = FeedForwardParams.init(dims, rng, scale=0.4)
@@ -158,6 +173,7 @@ def run_gradient_suite(seed: int = 0, draws: int = 10, n_probes: int = 8) -> lis
     """Run every gradient check `draws` times; report the worst error of each."""
     checks = [
         ("lstm_encoder", _check_lstm),
+        ("lstm_ragged_batch", _check_lstm_ragged),
         ("feedforward_5_hidden", lambda rng, probes: _check_feedforward(rng, probes, 5)),
         ("feedforward_10_hidden", lambda rng, probes: _check_feedforward(rng, probes, 10)),
         ("answer_loss", lambda rng, probes: _check_evpi_head(rng, probes, "gc-ans", answer_losses)),

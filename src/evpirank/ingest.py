@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .embeddings import EmbeddingTable, avg_vector, cos_sim
-from .retrieval import tokenize
+from .retrieval import read_jsonl, tokenize
 
 ANSWER_SOURCE_EDIT = "edit"
 ANSWER_SOURCE_COMMENT = "comment"
@@ -356,28 +356,19 @@ def read_triples(path) -> list[Triple]:
     Author and creation time are not stored in the file; the reconstructed
     PostRecord carries placeholders for them.
     """
-    triples = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                triples.append(
-                    Triple(
-                        post=PostRecord(
-                            post_id=raw["post_id"],
-                            author_id="",
-                            title=raw["post_title"],
-                            body=raw["post_body"],
-                            created_at=0,
-                        ),
-                        question=raw["question"],
-                        question_time=int(raw["question_time"]),
-                        answer=raw["answer"],
-                        answer_source=raw["answer_source"],
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-    return triples
+    return read_jsonl(
+        path,
+        lambda raw: Triple(
+            post=PostRecord(
+                post_id=raw["post_id"],
+                author_id="",
+                title=raw["post_title"],
+                body=raw["post_body"],
+                created_at=0,
+            ),
+            question=raw["question"],
+            question_time=int(raw["question_time"]),
+            answer=raw["answer"],
+            answer_source=raw["answer_source"],
+        ),
+    )

@@ -7,7 +7,10 @@ central-difference gradient checker, and a bit-exact checkpoint format.
 
 The LSTM keeps its four gates stacked in one W, U and b; the per-gate
 names of checkpoints (W_i ... b_g) exist only in LstmParams.tensors() and
-from_tensors().
+from_tensors(). lstm_forward and lstm_backward run a batch of ragged
+sequences as one packed pass, longest first, so each step is one product
+over the sequences still running (Appleyard, Kocisky & Blunsom 2016,
+arXiv:1604.01946).
 
 Gradients are implemented per architecture rather than through a general
 autodiff graph; the gradient checker is the safety net for all of them.
@@ -178,71 +181,115 @@ def copy_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 @dataclass
 class LstmCache:
-    xs: np.ndarray          # (T, input_dim)
-    gates: np.ndarray       # (T, 4 * hidden): i, f, o, g activations
-    c: np.ndarray           # (T, hidden)
-    h: np.ndarray           # (T, hidden)
+    """A packed batch: the rows of step t are one contiguous block, slot k of
+    each block is the k-th longest sequence, and every array has one row per
+    token."""
+
+    xs: np.ndarray          # (N, input_dim)
+    gates: np.ndarray       # (N, 4 * hidden): i, f, o, g activations
+    c: np.ndarray           # (N, hidden)
+    h: np.ndarray           # (N, hidden)
+    lengths: np.ndarray     # (B,) rows of each sequence, in input order
+    order: np.ndarray       # (B,) the input sequence held by each slot
+    batch_sizes: np.ndarray # (T,) sequences still running at each step
 
 
-def lstm_forward(params: LstmParams, xs: np.ndarray) -> tuple[np.ndarray, LstmCache | None]:
-    """Run the LSTM over xs (T, input_dim); returns (mean hidden state, cache).
+def lstm_forward(
+    params: LstmParams, xs: np.ndarray, lengths: Sequence[int] | None = None
+) -> tuple[np.ndarray, LstmCache]:
+    """Run the LSTM over a batch of sequences; returns (mean hidden states, cache).
 
-    The input projection of every step is one product outside the
-    recurrence. The empty sequence encodes to the zero vector with no cache.
+    xs holds the token rows (N, input_dim) of every sequence, concatenated,
+    and lengths the row count of each; the means come back as (B, hidden).
+    Without lengths xs is one sequence and its mean is (hidden,). Sorted
+    longest first, the sequences still running at step t are a prefix of the
+    batch, so each step is one U product over them with no padding or mask.
+    The input projection of every token is one product outside the
+    recurrence. An empty sequence encodes to the zero vector.
     """
     xs = np.asarray(xs, dtype=np.float64)
     hidden = params.hidden_dim
     if xs.size == 0:
-        return np.zeros(hidden), None
+        xs = xs.reshape(0, params.input_dim)
     if xs.ndim != 2 or xs.shape[1] != params.input_dim:
         raise ValueError(f"expected (T, {params.input_dim}) inputs, got {xs.shape}")
-    steps = xs.shape[0]
+    lens = np.array([len(xs)] if lengths is None else lengths, dtype=np.int64).reshape(-1)
+    if (lens < 0).any() or lens.sum() != len(xs):
+        raise ValueError(f"lengths {list(lens)} do not split {len(xs)} rows")
+    order = np.argsort(-lens, kind="stable")
+    sorted_lens = lens[order]
+    steps = np.arange(sorted_lens.max(initial=0))
+    batch_sizes = np.count_nonzero(sorted_lens[:, None] > steps, axis=0)
+    # Packed row r at step t, slot k, is token t of sequence order[k].
+    slot = np.arange(len(xs)) - np.repeat(np.cumsum(batch_sizes) - batch_sizes, batch_sizes)
+    xs = xs[(np.cumsum(lens) - lens)[order][slot] + np.repeat(steps, batch_sizes)]
     gates = xs @ params.W.T + params.b
-    c_s = np.empty((steps, hidden))
-    h_s = np.empty((steps, hidden))
-    h_prev = np.zeros(hidden)
-    c_prev = np.zeros(hidden)
-    for t in range(steps):
-        z = gates[t]
-        z += params.U @ h_prev
-        z[: 3 * hidden] = sigmoid(z[: 3 * hidden])
-        z[3 * hidden :] = np.tanh(z[3 * hidden :])
-        i_t, f_t, o_t, g_t = z.reshape(len(GATES), hidden)
-        c_prev = c_s[t] = f_t * c_prev + i_t * g_t
-        h_prev = h_s[t] = o_t * np.tanh(c_prev)
-    return h_s.mean(axis=0), LstmCache(xs=xs, gates=gates, c=c_s, h=h_s)
+    u_t = np.ascontiguousarray(params.U.T)  # small products run faster on contiguous rows
+    i_, f_, o_, g_ = (slice(k * hidden, (k + 1) * hidden) for k in range(len(GATES)))
+    ifo = slice(0, 3 * hidden)
+    c_s = np.empty((len(xs), hidden))
+    h_s = np.empty((len(xs), hidden))
+    h_prev = c_prev = np.zeros((len(lens), hidden))
+    total = np.zeros((len(lens), hidden))
+    lo = 0
+    for live in batch_sizes:
+        hi = lo + live
+        z = gates[lo:hi]
+        z += h_prev[:live] @ u_t
+        # sigma(x) = (1 + tanh(x / 2)) / 2, so one tanh serves all four gates
+        z[:, ifo] *= 0.5
+        np.tanh(z, out=z)
+        z[:, ifo] += 1.0
+        z[:, ifo] *= 0.5
+        c_prev = c_s[lo:hi] = z[:, f_] * c_prev[:live] + z[:, i_] * z[:, g_]
+        h_prev = h_s[lo:hi] = z[:, o_] * np.tanh(c_prev)
+        total[:live] += h_prev
+        lo = hi
+    means = np.zeros((len(lens), hidden))
+    means[order] = total / np.maximum(sorted_lens, 1)[:, None]
+    cache = LstmCache(xs, gates, c_s, h_s, lens, order, batch_sizes)
+    return (means[0] if lengths is None else means), cache
 
 
 def lstm_backward(
-    params: LstmParams, cache: LstmCache | None, d_mean: np.ndarray
+    params: LstmParams, cache: LstmCache, d_mean: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Gradients of scalar loss wrt params, given d(loss)/d(mean hidden state).
+    """Gradients of scalar loss wrt params, given d(loss)/d(mean hidden states).
 
-    The recurrence fills d(loss)/d(gate pre-activations) for every step; each
-    weight gradient is then one contraction over time.
+    d_mean has lstm_forward's shape: (B, hidden), or (hidden,) for one
+    sequence. The recurrence fills d(loss)/d(gate pre-activations) for every
+    token, step by step over the running sequences; each weight gradient is
+    then one contraction over all tokens.
     """
-    if cache is None:
-        return LstmParams(*(np.zeros_like(a) for a in (params.W, params.U, params.b))).tensors()
-    steps, hidden = cache.h.shape
-    i, f, o, g = (cache.gates[:, k * hidden : (k + 1) * hidden] for k in range(len(GATES)))
+    hidden = params.hidden_dim
+    sizes = cache.batch_sizes
+    i, f, o, g = np.hsplit(cache.gates, len(GATES))
     tanh_c = np.tanh(cache.c)
-    c_prev = np.vstack([np.zeros(hidden), cache.c[:-1]])
+    # A row's previous step is the same slot one block earlier.
+    first = sizes[0] if len(sizes) else 0
+    prev = np.arange(first, len(cache.h)) - np.repeat(sizes[:-1], sizes[1:])
+    c_prev = np.zeros_like(cache.c)
+    c_prev[first:] = cache.c[prev]
     # d(pre-activation)/d(c) for the i, f and g blocks, d(pre-activation)/d(h) for o
     local = np.hstack(
         [g * i * (1.0 - i), c_prev * f * (1.0 - f), tanh_c * o * (1.0 - o), i * (1.0 - g**2)]
     )
     dc_dh = o * (1.0 - tanh_c**2)
     dpre = np.empty_like(cache.gates)
-    dh_shared = np.asarray(d_mean, dtype=np.float64) / steps
-    dh_next = np.zeros(hidden)
-    dc_next = np.zeros(hidden)
-    for t in range(steps - 1, -1, -1):
-        dh = dh_shared + dh_next
-        dc = dh * dc_dh[t] + dc_next
-        dpre[t] = local[t] * np.concatenate((dc, dc, dh, dc))
-        dh_next = params.U.T @ dpre[t]
-        dc_next = dc * f[t]
-    grads = LstmParams(W=dpre.T @ cache.xs, U=dpre[1:].T @ cache.h[:-1], b=dpre.sum(axis=0))
+    d_mean = np.asarray(d_mean, dtype=np.float64).reshape(len(cache.order), hidden)
+    dh_shared = d_mean[cache.order] / np.maximum(cache.lengths[cache.order], 1)[:, None]
+    dh_next = np.zeros_like(dh_shared)
+    dc_next = np.zeros_like(dh_shared)
+    hi = len(dpre)
+    for live in sizes[::-1]:
+        lo = hi - live
+        dh = dh_shared[:live] + dh_next[:live]
+        dc = dh * dc_dh[lo:hi] + dc_next[:live]
+        dpre[lo:hi] = local[lo:hi] * np.hstack((dc, dc, dh, dc))
+        dh_next[:live] = dpre[lo:hi] @ params.U
+        dc_next[:live] = dc * f[lo:hi]
+        hi = lo
+    grads = LstmParams(W=dpre.T @ cache.xs, U=dpre[first:].T @ cache.h[prev], b=dpre.sum(axis=0))
     return grads.tensors()
 
 

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 INDEX_HEADER = "EVPIRANK-IDX v1"
 
@@ -260,24 +260,39 @@ def write_candidates(path: str | Path, sets: Iterable[CandidateSet]) -> None:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def read_candidates(path: str | Path) -> list[CandidateSet]:
-    sets = []
+def read_jsonl(path: str | Path, build: Callable[[dict], Any], error=ValueError) -> list:
+    """build(record) for each JSON object line of path; blank lines are skipped.
+
+    A line that is not JSON, not an object, lacks a field build reads, or
+    holds a value build rejects raises error naming the line.
+    """
+    out = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-                sets.append(
-                    CandidateSet(
-                        post_id=record["post_id"],
-                        post_body=record["post_body"],
-                        questions=list(record["questions"]),
-                        answers=list(record["answers"]),
-                        source_post_ids=list(record["source_post_ids"]),
-                        original_index=int(record["original_index"]),
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise RetrievalError(f"line {lineno}: {exc}") from None
-    return sets
+                if not isinstance(record, dict):
+                    raise TypeError("expected a JSON object")
+                out.append(build(record))
+            except KeyError as exc:
+                raise error(f"line {lineno}: missing field {exc}") from None
+            except (ValueError, TypeError) as exc:
+                raise error(f"line {lineno}: {exc}") from None
+    return out
+
+
+def read_candidates(path: str | Path) -> list[CandidateSet]:
+    return read_jsonl(
+        path,
+        lambda record: CandidateSet(
+            post_id=record["post_id"],
+            post_body=record["post_body"],
+            questions=list(record["questions"]),
+            answers=list(record["answers"]),
+            source_post_ids=list(record["source_post_ids"]),
+            original_index=int(record["original_index"]),
+        ),
+        RetrievalError,
+    )

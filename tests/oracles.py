@@ -18,7 +18,7 @@ import numpy as np
 
 from evpirank.embeddings import AvgVector, EmbeddingTable, avg_vector, cos_sim
 from evpirank.evpi import BCE_CLAMP, EvpiParams, expected_value, token_matrix
-from evpirank.neural import LstmParams, feedforward_forward, lstm_forward, sigmoid
+from evpirank.neural import LstmParams, feedforward_forward, sigmoid
 from evpirank.retrieval import CandidateSet, tokenize
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -116,6 +116,61 @@ def per_gate_lstm_mean(gates: dict[str, np.ndarray], xs: np.ndarray) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
+# Per-sequence LSTM reference: one sequence at a time with the stacked gates
+# and one step loop per sequence; the packed batch of lstm_forward and
+# lstm_backward is checked against it.
+
+
+def sequence_lstm_forward(params: LstmParams, xs: np.ndarray):
+    """(mean hidden state, cache) of one sequence xs (T, D); zeros and None when empty."""
+    xs = np.asarray(xs, dtype=np.float64).reshape(-1, params.input_dim)
+    hidden = params.hidden_dim
+    if len(xs) == 0:
+        return np.zeros(hidden), None
+    gates = xs @ params.W.T + params.b
+    c_s = np.empty((len(xs), hidden))
+    h_s = np.empty((len(xs), hidden))
+    h_prev = np.zeros(hidden)
+    c_prev = np.zeros(hidden)
+    for t in range(len(xs)):
+        z = gates[t]
+        z += params.U @ h_prev
+        z[: 3 * hidden] = sigmoid(z[: 3 * hidden])
+        z[3 * hidden :] = np.tanh(z[3 * hidden :])
+        i_t, f_t, o_t, g_t = z.reshape(4, hidden)
+        c_prev = c_s[t] = f_t * c_prev + i_t * g_t
+        h_prev = h_s[t] = o_t * np.tanh(c_prev)
+    return h_s.mean(axis=0), (xs, gates, c_s, h_s)
+
+
+def sequence_lstm_backward(params: LstmParams, cache, d_mean: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-gate gradients of d_mean . mean for one sequence's cache."""
+    if cache is None:
+        return LstmParams(*(np.zeros_like(a) for a in (params.W, params.U, params.b))).tensors()
+    xs, gates, c_s, h_s = cache
+    steps, hidden = h_s.shape
+    i, f, o, g = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+    tanh_c = np.tanh(c_s)
+    c_prev = np.vstack([np.zeros(hidden), c_s[:-1]])
+    local = np.hstack(
+        [g * i * (1.0 - i), c_prev * f * (1.0 - f), tanh_c * o * (1.0 - o), i * (1.0 - g**2)]
+    )
+    dc_dh = o * (1.0 - tanh_c**2)
+    dpre = np.empty_like(gates)
+    dh_shared = np.asarray(d_mean, dtype=np.float64) / steps
+    dh_next = np.zeros(hidden)
+    dc_next = np.zeros(hidden)
+    for t in range(steps - 1, -1, -1):
+        dh = dh_shared + dh_next
+        dc = dh * dc_dh[t] + dc_next
+        dpre[t] = local[t] * np.concatenate((dc, dc, dh, dc))
+        dh_next = params.U.T @ dpre[t]
+        dc_next = dc * f[t]
+    grads = LstmParams(W=dpre.T @ xs, U=dpre[1:].T @ h_s[:-1], b=dpre.sum(axis=0))
+    return grads.tensors()
+
+
+# ---------------------------------------------------------------------------
 # Scalar EVPI reference path: every text encoded on its own, straight from
 # the paper's formulas. The model path (EvpiModel) is tested against it.
 
@@ -135,8 +190,7 @@ def similarity_weight(q_hat_i: np.ndarray, q_hat_j: np.ndarray, clamp: bool = Tr
 
 
 def encode_text(lstm: LstmParams, table: EmbeddingTable, text: str) -> np.ndarray:
-    mean, _ = lstm_forward(lstm, token_matrix(table, text))
-    return mean
+    return sequence_lstm_forward(lstm, token_matrix(table, text))[0]
 
 
 def f_ans(params: EvpiParams, post_text: str, question_text: str, table: EmbeddingTable) -> np.ndarray:

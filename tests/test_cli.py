@@ -441,6 +441,11 @@ class TestMalformedInputFiles:
             bad.write_bytes(self.BAD_CHECKPOINT)
         else:
             bad.write_text(self.BAD_LINE, encoding="utf-8")
+        self.assert_usage_error(pipeline, capsys, tmp_path, reader, bad, "")
+
+    @staticmethod
+    def assert_usage_error(pipeline, capsys, tmp_path, reader, bad, message):
+        """The command reading bad as its reader's input exits 2 with message."""
         cands, path = str(pipeline["candidates"]), str(bad)
         rankings = str(tmp_path / "rankings.jsonl")
         assert main(["rank", "--candidates", cands, "--model", "random", "--out", rankings]) == 0
@@ -458,9 +463,37 @@ class TestMalformedInputFiles:
         }[reader]
         code, stdout, err = run(capsys, *argv, "--out", str(out))
         assert code == 2
-        assert f"malformed {reader} file {bad}: " in err
+        assert f"malformed {reader} file {bad}: {message}" in err
         assert "Traceback" not in err and stdout == ""
         assert not out.exists()
+
+    @staticmethod
+    def golden_record(name: str) -> dict:
+        return json.loads((FIXTURES / "golden" / name).read_text().splitlines()[0])
+
+    # (reader, a valid record of its file, the field the test drops)
+    JSONL_RECORDS = [
+        ("triples", golden_record("triples.jsonl"), "question"),
+        ("candidates", golden_record("candidates.jsonl"), "original_index"),
+        ("rankings", {"post_id": "p01", "order": [1, 0], "scores": [0.5, 0.2]}, "order"),
+        ("annotations", {"post_id": "p01", "annotator_id": "a1", "best": 1, "valid": [1]}, "best"),
+    ]
+
+    @pytest.mark.parametrize(
+        "reader, record, field", JSONL_RECORDS, ids=[r[0] for r in JSONL_RECORDS]
+    )
+    def test_missing_field_and_non_object_line_are_named(
+        self, pipeline, capsys, tmp_path, reader, record, field
+    ):
+        lacking = tmp_path / f"lacking.{reader}"
+        without = {k: v for k, v in record.items() if k != field}
+        lacking.write_text(f"{json.dumps(record)}\n{json.dumps(without)}\n", encoding="utf-8")
+        message = f"line 2: missing field '{field}'"
+        self.assert_usage_error(pipeline, capsys, tmp_path, reader, lacking, message)
+        not_object = tmp_path / f"list.{reader}"
+        not_object.write_text(f"\n{json.dumps(list(record))}\n", encoding="utf-8")
+        message = "line 2: expected a JSON object"
+        self.assert_usage_error(pipeline, capsys, tmp_path, reader, not_object, message)
 
     @pytest.mark.parametrize(
         "record, message",
@@ -559,7 +592,7 @@ class TestGradcheckCommand:
         code, out, _ = run(capsys, "gradcheck", "--draws", "2")
         assert code == 0
         lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
-        assert len(lines) == 9
+        assert len(lines) == 10
         assert all(line.startswith("PASS") for line in lines)
 
     def test_impossible_threshold_exits_nonzero(self, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from evpirank.baselines import NeuralBaselineModel, init_neural_baseline
 from evpirank.embeddings import EmbeddingTable
 from evpirank.evpi import (
     EvpiModel,
@@ -406,9 +407,9 @@ class TestGradientsAndDescent:
 
         assert grad_check(loss_fn, model.tensors(), n_probes=20, rng=rng) < 1e-4
 
-    def test_training_step_encodes_each_text_once(self, monkeypatch):
-        # The answer and utility heads share one encoding of the post and of
-        # every question and answer, and one backward pass through each.
+    @staticmethod
+    def count_lstm_calls(monkeypatch, model) -> dict[str, int]:
+        """LSTM forward and backward calls in one training step on a 4-candidate set."""
         import evpirank.evpi as evpi_module
 
         calls = {"forward": 0, "backward": 0}
@@ -422,13 +423,20 @@ class TestGradientsAndDescent:
 
         monkeypatch.setattr(evpi_module, "lstm_forward", counted("forward", evpi_module.lstm_forward))
         monkeypatch.setattr(evpi_module, "lstm_backward", counted("backward", evpi_module.lstm_backward))
+        model.loss_and_grads([model.prepare(toy_candidate_set(n=4, original=2))])
+        return calls
+
+    def test_training_step_encodes_each_text_once(self, monkeypatch):
+        # The answer and utility heads share one packed encoding of the post,
+        # of all questions and of all answers, and one backward pass per encoder.
         rng = substream(0, "test/encode-once")
-        table = toy_table(rng)
-        model = EvpiModel(init_evpi_params(5, 3, rng), table)
-        n = 4
-        prep = model.prepare(toy_candidate_set(n=n, original=2))
-        model.loss_and_grads([prep])
-        assert calls == {"forward": 1 + 2 * n, "backward": 1 + 2 * n}
+        model = EvpiModel(init_evpi_params(5, 3, rng), toy_table(rng))
+        assert self.count_lstm_calls(monkeypatch, model) == {"forward": 3, "backward": 3}
+
+    def test_neural_pq_step_runs_one_pass_per_encoder(self, monkeypatch):
+        rng = substream(0, "test/encode-once-pq")
+        model = NeuralBaselineModel(init_neural_baseline("pq", 5, 3, rng), toy_table(rng))
+        assert self.count_lstm_calls(monkeypatch, model) == {"forward": 2, "backward": 2}
 
     def test_fifty_adam_steps_reduce_loss(self):
         rng = substream(0, "test/descent")
