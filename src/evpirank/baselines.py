@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,11 +20,9 @@ from .evpi import (
     PreparedCandidates,
     RankedList,
     SetEncoding,
-    TrainingExample,
     batch_loss_and_grads,
     bce_losses,
     bce_scores,
-    candidate_training_examples,
     rank_from_scores,
     token_matrix,
 )
@@ -110,6 +108,20 @@ def random_rankings(
 
 
 # ---------------------------------------------------------------------------
+# Labeled examples: the training input of the ngrams and cqa baselines
+
+
+def labeled_examples(sets: Iterable[CandidateSet]) -> Iterator[tuple[str, str, str, int]]:
+    """(post, question, answer, label) of every candidate, set by set in index order.
+
+    Each set gives one positive, its original question, and n-1 negatives.
+    """
+    for cs in sets:
+        for j in range(len(cs)):
+            yield cs.post_body, cs.questions[j], cs.answers[j], int(j == cs.original_index)
+
+
+# ---------------------------------------------------------------------------
 # Bag-of-ngrams with hinge loss
 
 
@@ -148,30 +160,20 @@ def _sparse_dot(weights: np.ndarray, features: dict[int, float]) -> float:
     return float(sum(weights[fid] * value for fid, value in features.items()))
 
 
-def hinge_loss(weights: np.ndarray, features: dict[int, float], label: int) -> float:
-    """max(0, 1 - y * w.x) with y in {-1, +1} derived from the 0/1 label."""
-    y = 1.0 if label == 1 else -1.0
-    return max(0.0, 1.0 - y * _sparse_dot(weights, features))
+def ngram_train(sets: Sequence[CandidateSet], epochs: int = 10, lr: float = 0.1) -> np.ndarray:
+    """Sub-gradient descent on the hinge loss max(0, 1 - y w.x), y = +/-1, over n-gram features.
 
-
-def ngram_train(
-    examples: Sequence[TrainingExample],
-    epochs: int = 10,
-    lr: float = 0.1,
-) -> np.ndarray:
-    """Sub-gradient descent on the hinge loss over hashed n-gram features.
-
-    Examples are visited in their given order each epoch, which keeps the
-    result deterministic. Both classes must be present.
+    The labeled_examples of sets are visited in their given order each
+    epoch, which keeps the result deterministic. Both classes must be present.
     """
-    labels = {ex.label for ex in examples}
-    if labels != {0, 1}:
+    examples = list(labeled_examples(sets))
+    if {label for *_, label in examples} != {0, 1}:
         raise ValueError("training needs both positive and negative examples")
-    features = [ngram_features(ex.post, ex.question, ex.answer) for ex in examples]
+    features = [ngram_features(post, question, answer) for post, question, answer, _ in examples]
+    signs = [1.0 if label == 1 else -1.0 for *_, label in examples]
     weights = np.zeros(NGRAM_FEATURE_SPACE)
     for _ in range(epochs):
-        for ex, feats in zip(examples, features):
-            y = 1.0 if ex.label == 1 else -1.0
+        for y, feats in zip(signs, features):
             if y * _sparse_dot(weights, feats) < 1.0:
                 for fid, value in feats.items():
                     weights[fid] += lr * y * value
@@ -229,7 +231,7 @@ class CqaModel:
     bias: float
 
     def score(self, post: str, question: str, table: EmbeddingTable) -> float:
-        return sigmoid(float(self.weights @ cqa_features(post, question, table) + self.bias))
+        return float(sigmoid(self.weights @ cqa_features(post, question, table) + self.bias))
 
     def rank(self, cs: CandidateSet, table: EmbeddingTable) -> RankedList:
         scores = [self.score(cs.post_body, cs.questions[j], table) for j in range(len(cs))]
@@ -244,17 +246,17 @@ class CqaModel:
 
 
 def cqa_train(
-    examples: Sequence[TrainingExample],
+    sets: Sequence[CandidateSet],
     table: EmbeddingTable,
     epochs: int = 500,
     lr: float = 0.5,
 ) -> CqaModel:
-    """Batch gradient descent for logistic regression on CQA features."""
-    labels = {ex.label for ex in examples}
-    if labels != {0, 1}:
+    """Batch gradient descent for logistic regression on CQA features of labeled_examples(sets)."""
+    examples = list(labeled_examples(sets))
+    if {label for *_, label in examples} != {0, 1}:
         raise ValueError("training needs both positive and negative examples")
-    X = np.stack([cqa_features(ex.post, ex.question, table) for ex in examples])
-    y = np.array([float(ex.label) for ex in examples])
+    X = np.stack([cqa_features(post, question, table) for post, question, _, _ in examples])
+    y = np.array([float(label) for *_, label in examples])
     constant = np.all(X == X[0:1, :], axis=0)
     if np.all(constant):
         warnings.warn("all CQA features are constant across examples", stacklevel=2)
@@ -384,11 +386,3 @@ def neural_baseline_train(
     model = NeuralBaselineModel(params, table)
     result = fit(model, train_sets, tune_sets, config)
     return model, result
-
-
-def build_labeled_examples(candidate_sets: Iterable[CandidateSet]) -> list[TrainingExample]:
-    """Flatten candidate sets into labeled (p, q, a) training examples."""
-    examples: list[TrainingExample] = []
-    for cs in candidate_sets:
-        examples.extend(candidate_training_examples(cs))
-    return examples

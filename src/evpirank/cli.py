@@ -168,15 +168,13 @@ def cmd_train(args) -> int:
         tensors = model.tensors()
         log_entries = result.log
     elif args.model == "ngrams":
-        examples = baselines.build_labeled_examples(train_sets)
         weights = baselines.ngram_train(
-            examples, epochs=config.get("epochs"), lr=config.get("lr")
+            train_sets, epochs=config.get("epochs"), lr=config.get("lr")
         )
         tensors = baselines.NgramModel(weights).tensors()
     else:  # cqa
-        examples = baselines.build_labeled_examples(train_sets)
         model = baselines.cqa_train(
-            examples, table, epochs=config.get("epochs"), lr=config.get("lr")
+            train_sets, table, epochs=config.get("epochs"), lr=config.get("lr")
         )
         tensors = model.tensors()
     save_checkpoint(args.out, tensors)
@@ -287,6 +285,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_significance(args) -> int:
     _check_mode(args.mode)
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
     config = _load_config(args)
     rankings_a = _read(evpi.read_rankings, args.rankings_a, "rankings-a")
     rankings_b = _read(evpi.read_rankings, args.rankings_b, "rankings-b")
@@ -321,6 +321,8 @@ def cmd_significance(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.draws < 1:
+        raise UsageError(f"--draws must be >= 1, got {args.draws}")
     config = _load_config(args)
     results = run_gradient_suite(seed=config.get("seed"), draws=args.draws)
     failed = 0

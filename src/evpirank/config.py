@@ -25,7 +25,7 @@ VALID_KEYS: dict[str, type] = {f.name: _TYPES[f.name] for f in fields(TrainConfi
 DEFAULTS: dict[str, object] = {f.name: f.default for f in fields(TrainConfig)}
 
 # Smallest legal value of the keys that have one.
-_MINIMUMS: dict[str, float] = {"hidden_dim": 1, "batch_size": 1, "lr": 0.0}
+_MINIMUMS: dict[str, float] = {"hidden_dim": 1, "batch_size": 1, "epochs": 1, "lr": 0.0}
 
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}

@@ -23,9 +23,6 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def get(self, word: str) -> np.ndarray | None:
-        return self.vectors.get(word)
-
     @classmethod
     def empty(cls, dim: int = 1) -> "EmbeddingTable":
         return cls(dim=dim, vectors={})

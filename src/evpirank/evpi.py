@@ -95,31 +95,6 @@ def init_evpi_params(
 
 
 @dataclass
-class TrainingExample:
-    """One labeled (post, question, answer) instance from a candidate set."""
-
-    post: str
-    question: str
-    answer: str
-    label: int
-    candidate_index: int
-
-
-def candidate_training_examples(cs: CandidateSet) -> list[TrainingExample]:
-    """The one positive and n-1 negative examples a candidate set induces."""
-    return [
-        TrainingExample(
-            post=cs.post_body,
-            question=cs.questions[j],
-            answer=cs.answers[j],
-            label=1 if j == cs.original_index else 0,
-            candidate_index=j,
-        )
-        for j in range(len(cs))
-    ]
-
-
-@dataclass
 class RankedList:
     """A model's ordering of one candidate set, best first.
 

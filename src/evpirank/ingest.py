@@ -22,7 +22,7 @@ ANSWER_SOURCE_COMMENT = "comment"
 
 MIN_EDIT_ANSWER_TOKENS = 5
 
-DEFAULT_RHETORICAL_PREFIXES = (
+RHETORICAL_PREFIXES = (
     "have you considered",
     "have you tried",
     "why don't you",
@@ -170,10 +170,9 @@ def extract_question(
     return None
 
 
-def is_rhetorical(question: str, prefixes: Sequence[str] = DEFAULT_RHETORICAL_PREFIXES) -> bool:
-    """True iff the lowercased question starts with a rhetorical prefix."""
-    lowered = question.lower()
-    return any(lowered.startswith(prefix) for prefix in prefixes)
+def is_rhetorical(question: str) -> bool:
+    """True iff the lowercased question starts with one of RHETORICAL_PREFIXES."""
+    return question.lower().startswith(RHETORICAL_PREFIXES)
 
 
 def _added_tokens(previous_body: str, new_body: str) -> list[str]:
@@ -249,7 +248,6 @@ def build_triples(
     comments: Iterable[CommentRecord],
     edits: Iterable[EditRecord],
     table: EmbeddingTable | None = None,
-    rhetorical_prefixes: Sequence[str] = DEFAULT_RHETORICAL_PREFIXES,
     diagnostics: IngestDiagnostics | None = None,
 ) -> tuple[list[Triple], IngestDiagnostics]:
     """Run the full extraction pipeline; output is ordered by post_id.
@@ -286,7 +284,7 @@ def build_triples(
             diag.no_question += 1
             continue
         question, question_time = extracted
-        if is_rhetorical(question, rhetorical_prefixes):
+        if is_rhetorical(question):
             diag.rhetorical += 1
             continue
         edit_answer = extract_answer_edit(post, edits_by_post.get(post.post_id, []), question_time)

@@ -32,19 +32,19 @@ GATES = ("i", "f", "o", "g")
 DEFAULT_INIT_SCALE = 0.08
 DEFAULT_FORGET_BIAS = 1.0
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-def sigmoid(x):
-    """Numerically stable logistic function, elementwise."""
-    arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
+
+def sigmoid(x) -> np.ndarray:
+    """Numerically stable logistic function, elementwise; a scalar gives a 0-d array."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    if scalar:
-        return float(out[0])
     return out
 
 
@@ -161,10 +161,6 @@ class FeedForwardParams:
         if not weights:
             raise ValueError(f"no layers found under prefix {prefix!r}")
         return cls(weights=weights, biases=biases)
-
-
-def count_parameters(tensors: dict[str, np.ndarray]) -> int:
-    return sum(int(np.size(t)) for t in tensors.values())
 
 
 def zeros_like_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -353,30 +349,23 @@ class AdamState:
 
 
 def adam_step(
-    tensors: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One Adam update with bias correction; tensors are updated in place."""
+    tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState, lr: float
+) -> None:
+    """One Adam update with bias correction; tensors and state are updated in place."""
     state.step += 1
-    bc1 = 1.0 - beta1**state.step
-    bc2 = 1.0 - beta2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     for name, grad in grads.items():
         tensor = tensors[name]
         if tensor.shape != grad.shape:
             raise ValueError(f"shape mismatch for {name}: {tensor.shape} vs {grad.shape}")
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * grad**2
-        tensor -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-    return tensors, state
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad**2
+        tensor -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

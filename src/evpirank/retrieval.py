@@ -71,42 +71,15 @@ def _idf(index: Index, term_id: int) -> float:
     return 1.0 + math.log(index.doc_count / (df + 1))
 
 
-def score(index: Index, query_tokens: Sequence[str], doc_id: str) -> float:
-    """Relevance of one document to the query.
-
-    score = sum over distinct query terms t of
-        sqrt(tf(t, doc)) * idf(t)^2 / sqrt(doc_length)
-    with idf(t) = 1 + ln(N / (df(t) + 1)). Duplicate query tokens count once;
-    terms absent from the document contribute 0.
-    """
-    if doc_id not in index.doc_lengths:
-        raise KeyError(f"unknown doc_id: {doc_id!r}")
-    length = index.doc_lengths[doc_id]
-    if length == 0:
-        return 0.0
-    norm = 1.0 / math.sqrt(length)
-    total = 0.0
-    for term in sorted(set(query_tokens)):
-        term_id = index.vocabulary.get(term)
-        if term_id is None:
-            continue
-        tf = 0
-        for posting_doc, posting_tf in index.postings[term_id]:
-            if posting_doc == doc_id:
-                tf = posting_tf
-                break
-        if tf == 0:
-            continue
-        total += math.sqrt(tf) * _idf(index, term_id) ** 2 * norm
-    return total
-
-
 def top_k(index: Index, query_tokens: Sequence[str], k: int = 10) -> list[tuple[str, float]]:
     """The k highest-scoring documents, score-descending.
 
-    Ties break by ascending doc_id. If fewer than k documents score above
-    zero, the remainder is padded with zero-score documents in ascending
-    doc_id order; zero scores therefore mark padding.
+    score(d) = sum over distinct query terms t of
+        sqrt(tf(t, d)) * idf(t)^2 / sqrt(len(d))
+    with idf(t) = 1 + ln(N / (df(t) + 1)). Ties break by ascending doc_id.
+    If fewer than k documents score above zero, the remainder is padded with
+    zero-score documents in ascending doc_id order; zero scores therefore
+    mark padding.
     """
     if k < 1:
         raise RetrievalError("k must be >= 1")
@@ -184,7 +157,7 @@ def generate_candidates(
 
 
 def save_index(index: Index, path: str | Path) -> None:
-    """Persist the index; round-trips exactly through load_index."""
+    """Write the index as EVPIRANK-IDX v1 text: doc lengths, terms, postings."""
     doc_ids = sorted(index.doc_lengths)
     doc_pos = {d: i for i, d in enumerate(doc_ids)}
     lines = [INDEX_HEADER, f"doc_count\t{index.doc_count}", f"docs\t{len(doc_ids)}"]
@@ -199,50 +172,6 @@ def save_index(index: Index, path: str | Path) -> None:
         pairs = ",".join(f"{doc_pos[d]}:{tf}" for d, tf in index.postings[term_id])
         lines.append(f"{term_id}\t{pairs}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def load_index(path: str | Path) -> Index:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if not lines or lines[0] != INDEX_HEADER:
-        raise RetrievalError(f"not an index file (missing {INDEX_HEADER!r} header)")
-    pos = 1
-
-    def expect(tag: str) -> str:
-        nonlocal pos
-        name, _, value = lines[pos].partition("\t")
-        if name != tag:
-            raise RetrievalError(f"index file line {pos + 1}: expected {tag!r}")
-        pos += 1
-        return value
-
-    index = Index()
-    index.doc_count = int(expect("doc_count"))
-    n_docs = int(expect("docs"))
-    doc_ids: list[str] = []
-    for _ in range(n_docs):
-        length, _, doc_id = lines[pos].partition("\t")
-        index.doc_lengths[doc_id] = int(length)
-        doc_ids.append(doc_id)
-        pos += 1
-    n_terms = int(expect("terms"))
-    by_id: dict[int, str] = {}
-    for _ in range(n_terms):
-        term_id, _, term = lines[pos].partition("\t")
-        by_id[int(term_id)] = term
-        pos += 1
-    for term_id in sorted(by_id):
-        index.vocabulary[by_id[term_id]] = term_id
-    n_postings = int(expect("postings"))
-    for _ in range(n_postings):
-        term_id, _, pairs = lines[pos].partition("\t")
-        entries = []
-        for pair in pairs.split(","):
-            ref, _, tf = pair.partition(":")
-            entries.append((doc_ids[int(ref)], int(tf)))
-        index.postings[int(term_id)] = entries
-        pos += 1
-    return index
 
 
 def write_candidates(path: str | Path, sets: Iterable[CandidateSet]) -> None:

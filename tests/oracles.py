@@ -257,7 +257,7 @@ def utility(
     q_bar = encode_text(params.lstm_question, table, q_j)
     a_bar = encode_text(params.lstm_answer, table, a_j)
     out, _ = feedforward_forward(params.ff_util, np.concatenate([p_bar, q_bar, a_bar]))
-    return sigmoid(float(out[0]))
+    return float(sigmoid(out[0]))
 
 
 def loss_util(y: int, utility_value: float) -> float:

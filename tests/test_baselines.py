@@ -7,12 +7,11 @@ from evpirank.baselines import (
     CqaModel,
     NeuralBaselineModel,
     NgramModel,
-    build_labeled_examples,
     cqa_features,
     cqa_train,
     hash_feature,
-    hinge_loss,
     init_neural_baseline,
+    labeled_examples,
     ngram_features,
     ngram_train,
     neural_baseline_train,
@@ -21,9 +20,9 @@ from evpirank.baselines import (
     NGRAM_FEATURE_SPACE,
 )
 from evpirank.embeddings import EmbeddingTable
-from evpirank.evpi import TrainingExample, init_evpi_params
+from evpirank.evpi import init_evpi_params
 from evpirank.evaluation import LabelSet
-from evpirank.neural import count_parameters, grad_check
+from evpirank.neural import grad_check
 from evpirank.retrieval import CandidateSet
 from evpirank.rng import substream
 from evpirank.training import TrainConfig
@@ -31,8 +30,16 @@ from evpirank.training import TrainConfig
 from tests.synthetic import make_random_rankings_fixture
 
 
-def example(post, question, answer, label, idx=0):
-    return TrainingExample(post=post, question=question, answer=answer, label=label, candidate_index=idx)
+def labeled_set(post, questions, answers, post_id="t", original=0):
+    """A candidate set whose original pair is labeled 1 and every other pair 0."""
+    return CandidateSet(
+        post_id=post_id,
+        post_body=post,
+        questions=questions,
+        answers=answers,
+        source_post_ids=[f"{post_id}-{j}" for j in range(len(questions))],
+        original_index=original,
+    )
 
 
 def toy_table(rng, n_words=12, dim=6):
@@ -117,12 +124,12 @@ class TestNgramFeatures:
 
 class TestNgramTraining:
     def test_linearly_separable_toy_reaches_zero_loss(self):
-        pos = example("alpha post", "good question?", "useful answer", 1)
-        neg = example("omega post", "bad question?", "useless reply", 0)
-        weights = ngram_train([pos, neg], epochs=10, lr=0.1)
-        for ex in (pos, neg):
-            feats = ngram_features(ex.post, ex.question, ex.answer)
-            assert hinge_loss(weights, feats, ex.label) == 0.0
+        sets = [labeled_set("alpha post", ["good question?", "bad question?"],
+                            ["useful answer", "useless reply"])]
+        model = NgramModel(ngram_train(sets, epochs=10, lr=0.1))
+        for post, question, answer, label in labeled_examples(sets):
+            y = 1.0 if label == 1 else -1.0
+            assert y * model.score(post, question, answer) >= 1.0  # zero hinge loss
 
     def test_zero_weights_rank_by_tie_break(self):
         rng = np.random.default_rng(51)
@@ -130,15 +137,9 @@ class TestNgramTraining:
         cs = toy_candidate_set(rng)
         assert model.rank(cs).order == list(range(4))
 
-    def test_margin_example_has_zero_hinge(self):
-        feats = {7: 1.5}
-        weights = np.zeros(NGRAM_FEATURE_SPACE)
-        weights[7] = 1.0
-        assert hinge_loss(weights, feats, 1) == 0.0  # w.x = 1.5 >= 1
-
     def test_single_class_is_error(self):
         with pytest.raises(ValueError):
-            ngram_train([example("p", "q?", "a", 1)], epochs=1)
+            ngram_train([labeled_set("p", ["q?"], ["a"])], epochs=1)
 
 
 class TestCqa:
@@ -151,16 +152,17 @@ class TestCqa:
     def test_separable_on_overlap_feature(self):
         rng = np.random.default_rng(53)
         table = toy_table(rng)
-        examples = []
-        for k in range(6):
-            examples.append(example(f"w{k} w{(k+1) % 12} topic", f"w{k} overlap?", "", 1))
-            examples.append(example(f"w{k} w{(k+1) % 12} topic", "w9 w10 w11 nothing?", "", 0))
-        model = cqa_train(examples, table, epochs=400, lr=0.5)
+        sets = [
+            labeled_set(f"w{k} w{(k+1) % 12} topic", [f"w{k} overlap?", "w9 w10 w11 nothing?"],
+                        ["", ""], post_id=f"t{k}")
+            for k in range(6)
+        ]
+        model = cqa_train(sets, table, epochs=400, lr=0.5)
         correct = 0
-        for ex in examples:
-            p = model.score(ex.post, ex.question, table)
-            correct += int((p > 0.5) == bool(ex.label))
-        assert correct == len(examples)
+        for post, question, _, label in labeled_examples(sets):
+            p = model.score(post, question, table)
+            correct += int((p > 0.5) == bool(label))
+        assert correct == 12
 
     def test_score_monotone_in_logit(self):
         rng = np.random.default_rng(54)
@@ -174,9 +176,9 @@ class TestCqa:
     def test_constant_features_warn(self):
         rng = np.random.default_rng(55)
         table = toy_table(rng)
-        examples = [example("w0", "w1?", "", 1), example("w0", "w1?", "", 0)]
+        sets = [labeled_set("w0", ["w1?", "w1?"], ["", ""])]
         with pytest.warns(UserWarning, match="constant"):
-            cqa_train(examples, table, epochs=1)
+            cqa_train(sets, table, epochs=1)
 
     def test_contains_you_flag(self):
         rng = np.random.default_rng(56)
@@ -242,8 +244,11 @@ class TestParameterParity:
         hidden = 100
         evpi = init_evpi_params(embed_dim=50, hidden_dim=hidden, rng=rng)
         pqa = init_neural_baseline("pqa", embed_dim=50, hidden_dim=hidden, rng=rng)
-        evpi_ff = count_parameters(evpi.ff_ans.tensors()) + count_parameters(evpi.ff_util.tensors())
-        pqa_ff = count_parameters(pqa.ff.tensors())
+        def size(*nets):
+            return sum(t.size for net in nets for t in net.tensors().values())
+
+        evpi_ff = size(evpi.ff_ans, evpi.ff_util)
+        pqa_ff = size(pqa.ff)
         ratio = evpi_ff / pqa_ff
         assert 0.5 <= ratio <= 2.0
 
@@ -269,7 +274,18 @@ class TestBuildLabeledExamples:
     def test_flattening(self):
         rng = np.random.default_rng(64)
         sets = [toy_candidate_set(rng, post_id="x", original=2)]
-        examples = build_labeled_examples(sets)
+        examples = list(labeled_examples(sets))
         assert len(examples) == 4
-        assert sum(ex.label for ex in examples) == 1
-        assert examples[2].label == 1
+        assert sum(label for *_, label in examples) == 1
+        assert examples[2][3] == 1
+
+    def test_one_positive_rest_negative(self):
+        rng = np.random.default_rng(65)
+        sets = [
+            toy_candidate_set(rng, post_id="x", n=5, original=3),
+            toy_candidate_set(rng, post_id="y", n=3, original=0),
+        ]
+        examples = list(labeled_examples(sets))
+        assert [label for *_, label in examples] == [0, 0, 0, 1, 0, 1, 0, 0]
+        expected = [(cs.post_body, q, a) for cs in sets for q, a in zip(cs.questions, cs.answers)]
+        assert [example[:3] for example in examples] == expected

@@ -187,7 +187,7 @@ class TestBatchedAgainstOracle:
                 encode_text(params.lstm_question, table, cs.questions[j]),
                 encode_text(params.lstm_answer, table, cs.answers[j]),
             ])
-            expected = sigmoid(float(feedforward_forward(params.ff, x)[0][0]))
+            expected = float(sigmoid(feedforward_forward(params.ff, x)[0][0]))
             assert score == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     @_settings

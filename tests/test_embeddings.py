@@ -25,11 +25,11 @@ class TestLoadEmbeddings:
         table = table_from("cat 1 2 3\ndog 4 5 6\n")
         assert table.dim == 3
         assert len(table) == 2
-        np.testing.assert_array_equal(table.get("dog"), [4.0, 5.0, 6.0])
+        np.testing.assert_array_equal(table.vectors["dog"], [4.0, 5.0, 6.0])
 
     def test_duplicate_word_keeps_first(self):
         table = table_from("cat 1 2\ncat 9 9\n")
-        np.testing.assert_array_equal(table.get("cat"), [1.0, 2.0])
+        np.testing.assert_array_equal(table.vectors["cat"], [1.0, 2.0])
 
     def test_dimension_mismatch_names_line(self):
         with pytest.raises(EmbeddingFormatError, match="line 2"):

@@ -10,7 +10,6 @@ from evpirank.embeddings import EmbeddingTable
 from evpirank.evpi import (
     EvpiModel,
     EvpiParams,
-    candidate_training_examples,
     expected_value,
     init_evpi_params,
     rank_from_scores,
@@ -378,14 +377,6 @@ class TestRanking:
         a = EvpiModel(params, table).rank(cs)
         b = EvpiModel(params, table).rank(cs)
         assert a.order == b.order and a.scores == b.scores
-
-
-class TestTrainingExamples:
-    def test_one_positive_rest_negative(self):
-        cs = toy_candidate_set(n=5, original=3)
-        examples = candidate_training_examples(cs)
-        assert [ex.label for ex in examples] == [0, 0, 0, 1, 0]
-        assert [ex.candidate_index for ex in examples] == list(range(5))
 
 
 class TestGradientsAndDescent:

@@ -1,6 +1,7 @@
 """Tokenizer, inverted index, TF-IDF scoring, top-k, and candidate sets."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ from evpirank.retrieval import (
     build_index,
     doc_text,
     generate_candidates,
-    load_index,
     save_index,
-    score,
     tokenize,
     top_k,
 )
 from tests.oracles import brute_tfidf_scores, brute_top_k
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
 
 def make_triple(post_id: str, title: str, body: str) -> Triple:
@@ -81,7 +82,7 @@ class TestBuildIndex:
 class TestScore:
     def test_no_shared_terms_scores_zero(self):
         index = build_index([("d1", "alpha beta")])
-        assert score(index, ["gamma"], "d1") == 0.0
+        assert top_k(index, ["gamma"], k=1) == [("d1", 0.0)]
 
     def test_single_doc_self_query_hand_value(self):
         # doc "a b b": terms a (tf 1) and b (tf 2), length 3, N = 1,
@@ -89,12 +90,9 @@ class TestScore:
         index = build_index([("d1", "a b b")])
         idf = 1.0 + math.log(1.0 / 2.0)
         expected = (math.sqrt(1.0) + math.sqrt(2.0)) * idf * idf / math.sqrt(3.0)
-        assert score(index, tokenize("a b b"), "d1") == pytest.approx(expected, abs=1e-12)
-
-    def test_unknown_doc_is_error(self):
-        index = build_index([("d1", "a")])
-        with pytest.raises(KeyError):
-            score(index, ["a"], "nope")
+        [(doc_id, got)] = top_k(index, tokenize("a b b"), k=1)
+        assert doc_id == "d1"
+        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_three_doc_ranking_matches_brute_force(self):
         docs = {
@@ -105,8 +103,10 @@ class TestScore:
         index = build_index(sorted(docs.items()))
         query = tokenize("ubuntu wifi driver")
         expected = brute_tfidf_scores(docs, query)
-        for doc_id in docs:
-            assert score(index, query, doc_id) == pytest.approx(expected[doc_id], abs=1e-12)
+        got = top_k(index, query, k=3)
+        assert sorted(doc_id for doc_id, _ in got) == sorted(docs)
+        for doc_id, got_score in got:
+            assert got_score == pytest.approx(expected[doc_id], abs=1e-12)
 
 
 class TestTopK:
@@ -207,22 +207,10 @@ class TestGenerateCandidates:
 
 
 class TestIndexPersistence:
-    def test_round_trip_exact(self, tmp_path):
-        docs = [("d one", "alpha beta beta"), ("d two", "beta gamma"), ("d3", "")]
-        index = build_index(docs)
-        path = tmp_path / "test.idx"
-        save_index(index, path)
-        loaded = load_index(path)
-        assert loaded.vocabulary == index.vocabulary
-        assert loaded.postings == index.postings
-        assert loaded.doc_lengths == index.doc_lengths
-        assert loaded.doc_count == index.doc_count
-        again = tmp_path / "again.idx"
-        save_index(loaded, again)
-        assert path.read_bytes() == again.read_bytes()
-
-    def test_header_validated(self, tmp_path):
-        path = tmp_path / "bad.idx"
-        path.write_text("not an index\n")
-        with pytest.raises(RetrievalError, match="header"):
-            load_index(path)
+    def test_golden_bytes(self, tmp_path):
+        # Pins the EVPIRANK-IDX v1 format: a doc id with a space, an empty
+        # doc, a repeated term and a non-ASCII term written as UTF-8.
+        docs = [("d one", "alpha beta beta"), ("d two", "Beta gamma, café"), ("d3", "")]
+        path = tmp_path / "small.idx"
+        save_index(build_index(docs), path)
+        assert path.read_bytes() == (GOLDEN / "small.idx").read_bytes()

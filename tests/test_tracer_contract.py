@@ -1,0 +1,109 @@
+"""The names and fields perfbench's out-of-tree tracer relies on.
+
+perfbench/tracer.py wraps evpirank functions and methods by name and its
+counters read fields of their arguments and results. This loads the tracer
+read-only (no bytecode is written under perfbench/), resolves every entry it
+wraps, and runs each counter on a real result, so a change under src/ that
+breaks `perfbench/run.py --trace 1` fails here too.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+from evpirank import baselines, embeddings, evaluation, evpi, ingest, neural, retrieval, training
+from evpirank.rng import substream
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = Path(__file__).parent / "fixtures"
+DUMP = FIXTURES / "dump"
+
+
+def _load_tracer() -> types.ModuleType:
+    path = ROOT / "perfbench" / "tracer.py"
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+TRACER = _load_tracer()
+
+
+@pytest.fixture(scope="module")
+def fixture_run():
+    """One real call of every counted function on the test fixture: name -> (args, result)."""
+    table = embeddings.load_embeddings_file(FIXTURES / "embeddings_toy.txt")
+    posts = ingest.read_posts(DUMP / "posts.jsonl")
+    built = ingest.build_triples(
+        posts[0],
+        ingest.read_comments(DUMP / "comments.jsonl")[0],
+        ingest.read_edits(DUMP / "history.jsonl")[0],
+        table=table,
+    )
+    sets = retrieval.read_candidates(FIXTURES / "golden" / "candidates.jsonl")
+    docs = sorted((t.post.post_id, retrieval.doc_text(t.post.title, t.post.body)) for t in built[0])
+    index = retrieval.build_index(docs)
+    query = retrieval.tokenize(docs[0][1])
+    tokens = retrieval.tokenize(sets[0].post_body) + ["cpu", "ram"]
+
+    rng = substream(0, "test/tracer-contract")
+    lstm = neural.LstmParams.init(table.dim, 3, rng)
+    xs = rng.normal(size=(5, table.dim))
+    means, cache = neural.lstm_forward(lstm, xs, [3, 0, 2])
+    d_means = rng.normal(size=means.shape)
+
+    config = training.TrainConfig(hidden_dim=3, epochs=1, seed=0)
+    model, fit_result = evpi.train(sets, sets, table, config)
+    rankings = baselines.random_rankings(sets)
+    return {
+        "_read": ((DUMP / "posts.jsonl",), posts),
+        "_build_triples": ((), built),
+        "_build_index": ((docs,), index),
+        "_top_k": ((index, query), retrieval.top_k(index, query)),
+        "_words": ((FIXTURES / "embeddings_toy.txt",), table),
+        "_avg_vector": ((table, tokens), embeddings.avg_vector(table, tokens)),
+        "_lstm_forward": ((lstm, xs, [3, 0, 2]), (means, cache)),
+        "_lstm_backward": ((lstm, cache, d_means), neural.lstm_backward(lstm, cache, d_means)),
+        "_prepare": ((model, sets[0]), model.prepare(sets[0])),
+        "_fit": ((), fit_result),
+        "_evaluate": ((), evaluation.evaluate(rankings, None, sets, "original")),
+    }
+
+
+def test_every_traced_function_resolves():
+    for _, module, attr, _ in TRACER.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"evpirank.{module}"), attr))
+
+
+def test_every_traced_method_resolves():
+    for _, module, cls_name, method, _ in TRACER.METHODS:
+        cls = getattr(importlib.import_module(f"evpirank.{module}"), cls_name)
+        assert callable(getattr(cls, method))
+
+
+def test_every_counter_runs_on_a_real_result(fixture_run):
+    counters = {entry[-1] for entry in TRACER.FUNCTIONS + TRACER.METHODS} - {None}
+    assert {count.__name__ for count in counters} == set(fixture_run)
+    for count in counters:
+        args, result = fixture_run[count.__name__]
+        counts = count(args, result)
+        assert counts and all(isinstance(v, int) and v >= 0 for v in counts.values()), count
+
+
+def test_counter_values(fixture_run):
+    def counts(name):
+        args, result = fixture_run[name]
+        return getattr(TRACER, name)(args, result)
+
+    assert counts("_words") == {"words": 4}
+    assert counts("_build_index")["docs"] == 7
+    assert counts("_top_k")["slots"] == 7  # 7 posts < k = 10
+    assert counts("_avg_vector")["found"] >= 2  # "cpu" and "ram" are in the table
+    assert counts("_lstm_forward")["tokens"] == 5
+    assert counts("_lstm_backward") == {"tokens": 5}
+    assert counts("_prepare")["others"] == len(fixture_run["_prepare"][0][1]) - 1
+    assert counts("_fit") == {"epochs": 1}
+    assert counts("_evaluate") == {"posts": 7}
