@@ -2,8 +2,9 @@
 
 The neural baselines rank candidates with a single deep feedforward network
 over LSTM encodings, trained with binary cross-entropy on the same
-one-positive/nine-negative labeling the utility model uses; they run on the
-utility model's scorer code in evpi.
+one-positive/nine-negative labeling the utility model uses. Their parameters
+are evpi's NeuralParams with the parts MODEL_PARTS gives neural-pq, neural-pa
+and neural-pqa, and they run on the utility model's scorer code in evpi.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 
 from .embeddings import EmbeddingTable, avg_vector, cos_sim
 from .evpi import (
+    NeuralModel,
+    NeuralParams,
     PreparedCandidates,
     RankedList,
     SetEncoding,
@@ -24,19 +27,15 @@ from .evpi import (
     bce_losses,
     bce_scores,
     rank_from_scores,
-    token_matrix,
 )
 from .evaluation import LabelSet, MetricReport
-from .neural import FeedForwardParams, LstmParams, sigmoid
+from .neural import sigmoid
 from .retrieval import CandidateSet, tokenize
 from .rng import substream
 
 NGRAM_FEATURE_BITS = 20
 NGRAM_FEATURE_SPACE = 1 << NGRAM_FEATURE_BITS
 _NGRAM_HASH_KEY = b"evpirank-ngrams-v1"
-
-NEURAL_BASELINE_HIDDEN_LAYERS = 10
-NEURAL_VARIANTS = ("pq", "pa", "pqa")
 
 QUESTION_WORDS = frozenset(
     {"what", "when", "where", "who", "whom", "whose", "why", "how", "which"}
@@ -275,88 +274,17 @@ def cqa_train(
 # Neural baselines
 
 
-@dataclass
-class NeuralBaselineParams:
-    """LSTM encoders for the used inputs plus one deep scoring network."""
-
-    variant: str
-    lstm_post: LstmParams
-    lstm_question: LstmParams | None
-    lstm_answer: LstmParams | None
-    ff: FeedForwardParams
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        out = {}
-        out.update(self.lstm_post.tensors("lstm_post/"))
-        if self.lstm_question is not None:
-            out.update(self.lstm_question.tensors("lstm_question/"))
-        if self.lstm_answer is not None:
-            out.update(self.lstm_answer.tensors("lstm_answer/"))
-        out.update(self.ff.tensors("ff/"))
-        return out
-
-    @classmethod
-    def from_tensors(cls, variant: str, tensors: dict[str, np.ndarray]) -> "NeuralBaselineParams":
-        uses_q, uses_a = _variant_uses(variant)
-        return cls(
-            variant=variant,
-            lstm_post=LstmParams.from_tensors(tensors, "lstm_post/"),
-            lstm_question=LstmParams.from_tensors(tensors, "lstm_question/") if uses_q else None,
-            lstm_answer=LstmParams.from_tensors(tensors, "lstm_answer/") if uses_a else None,
-            ff=FeedForwardParams.from_tensors(tensors, "ff/"),
-        )
-
-
-def _variant_uses(variant: str) -> tuple[bool, bool]:
-    if variant not in NEURAL_VARIANTS:
-        raise ValueError(f"unknown neural variant {variant!r}; valid: {', '.join(NEURAL_VARIANTS)}")
-    return "q" in variant, "a" in variant
-
-
-def init_neural_baseline(
-    variant: str, embed_dim: int, hidden_dim: int, rng: np.random.Generator
-) -> NeuralBaselineParams:
-    uses_q, uses_a = _variant_uses(variant)
-    n_inputs = 1 + int(uses_q) + int(uses_a)
-    dims = [n_inputs * hidden_dim] + [hidden_dim] * NEURAL_BASELINE_HIDDEN_LAYERS + [1]
-    return NeuralBaselineParams(
-        variant=variant,
-        lstm_post=LstmParams.init(embed_dim, hidden_dim, rng),
-        lstm_question=LstmParams.init(embed_dim, hidden_dim, rng) if uses_q else None,
-        lstm_answer=LstmParams.init(embed_dim, hidden_dim, rng) if uses_a else None,
-        ff=FeedForwardParams.init(dims, rng),
-    )
-
-
-def _scorer_losses(params: NeuralBaselineParams, enc: SetEncoding, prep, grads) -> float:
-    """The baselines' only head: bce_losses of ff over the variant's encodings."""
+def _scorer_losses(params: NeuralParams, enc: SetEncoding, prep, grads) -> float:
+    """The baselines' only head: bce_losses of ff over the model's encodings."""
     return bce_losses(params.ff, "ff/", enc, prep.cs.original_index, grads)
 
 
-class NeuralBaselineModel:
-    """Scores candidates with sigma(FF(encodings)) and BCE training loss."""
-
-    def __init__(self, params: NeuralBaselineParams, table: EmbeddingTable):
-        self.params = params
-        self.table = table
-        self.name = f"neural-{params.variant}"
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return self.params.tensors()
-
-    def load_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        self.params = NeuralBaselineParams.from_tensors(
-            self.params.variant, {k: v.copy() for k, v in tensors.items()}
-        )
+class NeuralBaselineModel(NeuralModel):
+    """neural-pq, neural-pa or neural-pqa: sigma(ff(encodings)) scores, BCE training loss."""
 
     def prepare(self, cs: CandidateSet) -> PreparedCandidates:
         # Texts of an unused encoder are tokenized but never encoded.
-        return PreparedCandidates(
-            cs=cs,
-            post_tokens=token_matrix(self.table, cs.post_body),
-            question_tokens=[token_matrix(self.table, q) for q in cs.questions],
-            answer_tokens=[token_matrix(self.table, a) for a in cs.answers],
-        )
+        return self._prepared(cs)
 
     def loss_and_grads(
         self, batch: Sequence[PreparedCandidates]
@@ -366,23 +294,3 @@ class NeuralBaselineModel:
     def rank_prepared(self, prep: PreparedCandidates) -> RankedList:
         scores = bce_scores(self.params.ff, SetEncoding(self.params, prep))
         return rank_from_scores(prep.cs.post_id, scores)
-
-    def rank(self, cs: CandidateSet) -> RankedList:
-        return self.rank_prepared(self.prepare(cs))
-
-
-def neural_baseline_train(
-    variant: str,
-    train_sets: Sequence[CandidateSet],
-    tune_sets: Sequence[CandidateSet],
-    table: EmbeddingTable,
-    config,
-) -> tuple[NeuralBaselineModel, "object"]:
-    """Train one neural baseline variant; returns the best-MAP model and log."""
-    from .training import fit
-
-    rng = substream(config.seed, f"init/neural-{variant}")
-    params = init_neural_baseline(variant, table.dim, config.hidden_dim, rng)
-    model = NeuralBaselineModel(params, table)
-    result = fit(model, train_sets, tune_sets, config)
-    return model, result

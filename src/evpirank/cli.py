@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import baselines, evaluation, evpi, ingest, retrieval
+from . import baselines, evaluation, evpi, ingest, retrieval, training
 from .config import Config, ConfigError
 from .embeddings import EmbeddingTable, load_embeddings_file
 from .gradsuite import GRAD_TOLERANCE, run_gradient_suite
@@ -156,14 +156,9 @@ def cmd_train(args) -> int:
         )
 
     log_entries = []
-    if args.model == "evpi":
-        model, result = evpi.train(train_sets, tune_sets, table, config.train_config())
-        tensors = model.tensors()
-        log_entries = result.log
-    elif args.model.startswith("neural-"):
-        variant = args.model.removeprefix("neural-")
-        model, result = baselines.neural_baseline_train(
-            variant, train_sets, tune_sets, table, config.train_config()
+    if args.model in evpi.MODEL_PARTS:
+        model, result = training.train(
+            args.model, train_sets, tune_sets, table, config.train_config()
         )
         tensors = model.tensors()
         log_entries = result.log
@@ -209,15 +204,7 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, conf
         if model_name == "cqa":
             model = baselines.CqaModel.from_tensors(tensors)
             return lambda cs: model.rank(cs, table)
-        if model_name == "evpi":
-            params = evpi.EvpiParams.from_tensors(tensors)
-        else:
-            params = baselines.NeuralBaselineParams.from_tensors(
-                model_name.removeprefix("neural-"), tensors
-            )
-        unused = sorted(set(tensors) - set(params.tensors()))
-        if unused:
-            raise ValueError(f"unused tensor {unused[0]!r}")
+        params = evpi.NeuralParams.from_tensors(model_name, tensors)
     except (KeyError, ValueError) as exc:
         raise UsageError(f"checkpoint {checkpoint} is not a {model_name} model: {exc}") from None
     input_dim = params.lstm_post.input_dim
@@ -227,9 +214,7 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, conf
             f"embeddings have dimension {table.dim}{source}, checkpoint {checkpoint} expects "
             f"{input_dim}; pass the --embeddings file it was trained with"
         )
-    if model_name == "evpi":
-        return evpi.EvpiModel(params, table, config.get("clamp_negative_sim")).rank
-    return baselines.NeuralBaselineModel(params, table).rank
+    return training.neural_model(params, table).rank
 
 
 def cmd_rank(args) -> int:

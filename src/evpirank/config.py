@@ -27,9 +27,6 @@ DEFAULTS: dict[str, object] = {f.name: f.default for f in fields(TrainConfig)}
 # Smallest legal value of the keys that have one.
 _MINIMUMS: dict[str, float] = {"hidden_dim": 1, "batch_size": 1, "epochs": 1, "lr": 0.0}
 
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
-
 
 def _check_key(key: str) -> None:
     if key not in VALID_KEYS:
@@ -38,16 +35,8 @@ def _check_key(key: str) -> None:
 
 
 def _parse(key: str, raw: str):
-    typ = VALID_KEYS[key]
     try:
-        if typ is bool:
-            lowered = raw.strip().lower()
-            if lowered in _TRUE:
-                return True
-            if lowered in _FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        value = typ(raw)
+        value = VALID_KEYS[key](raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
     if key in _MINIMUMS and not value >= _MINIMUMS[key]:

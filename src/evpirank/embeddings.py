@@ -24,8 +24,9 @@ class EmbeddingTable:
         return len(self.vectors)
 
     @classmethod
-    def empty(cls, dim: int = 1) -> "EmbeddingTable":
-        return cls(dim=dim, vectors={})
+    def empty(cls) -> "EmbeddingTable":
+        """No words, dimension 1."""
+        return cls(dim=1, vectors={})
 
 
 @dataclass

@@ -1,12 +1,15 @@
-"""Expected-value-of-perfect-information question ranking.
+"""Expected-value-of-perfect-information ranking and its neural model family.
 
 An answer model scores how likely each candidate answer is for a given
 question, a utility model scores how much an answer would improve the post,
 and a question's value is the utility expectation over the candidate answer
 pool. Both models share three LSTM text encoders and are trained jointly.
-The utility model's scorer, sigma(FF([p; q; a])) with a clamped BCE loss,
-is also the neural baselines' scorer: both run on SetEncoding, bce_scores
-and bce_losses.
+
+EVPI and the neural baselines are one family: NeuralParams holds the parts
+of any of them, MODEL_PARTS says which parts each has, and NeuralModel
+holds what they share. The utility model's scorer, sigma(FF([p; q; a]))
+with a clamped BCE loss, is also the baselines' scorer: both run on
+SetEncoding, bce_scores and bce_losses.
 """
 
 from __future__ import annotations
@@ -31,67 +34,94 @@ from .neural import (
 )
 from .retrieval import CandidateSet, read_jsonl, tokenize
 
-FF_HIDDEN_LAYERS = 5
-
 BCE_CLAMP = 1e-12
+
+# Hidden layers of EVPI's answer and utility heads, and of a baseline's scorer.
+FF_HIDDEN_LAYERS = 5
+BASELINE_HIDDEN_LAYERS = 10
+
+# The parts of each neural model, in init and checkpoint order.
+MODEL_PARTS = {
+    "evpi": ("lstm_post", "lstm_question", "lstm_answer", "ff_ans", "ff_util"),
+    "neural-pq": ("lstm_post", "lstm_question", "ff"),
+    "neural-pa": ("lstm_post", "lstm_answer", "ff"),
+    "neural-pqa": ("lstm_post", "lstm_question", "lstm_answer", "ff"),
+}
+
+
+def _parts(model: str) -> tuple[str, ...]:
+    if model not in MODEL_PARTS:
+        raise ValueError(f"unknown neural model {model!r}; valid: {', '.join(MODEL_PARTS)}")
+    return MODEL_PARTS[model]
 
 
 @dataclass
-class EvpiParams:
-    """Three LSTM encoders plus the answer and utility feedforward nets.
+class NeuralParams:
+    """LSTM encoders plus feedforward heads; the parts a model lacks are None.
 
     ff_ans maps the concatenated post/question encodings (2 * hidden) to the
-    embedding space (dim d) so it can be compared to average answer vectors;
-    ff_util maps the concatenated post/question/answer encodings (3 * hidden)
-    to a scalar squashed by a sigmoid at the call site.
+    embedding space (dim d) so it can be compared to average answer vectors.
+    ff_util maps the post/question/answer encodings (3 * hidden), and a
+    baseline's ff the encodings of its inputs, to a scalar squashed by a
+    sigmoid at the call site. Tensors are named <part>/<tensor>.
     """
 
-    lstm_post: LstmParams
-    lstm_question: LstmParams
-    lstm_answer: LstmParams
-    ff_ans: FeedForwardParams
-    ff_util: FeedForwardParams
+    lstm_post: LstmParams | None = None
+    lstm_question: LstmParams | None = None
+    lstm_answer: LstmParams | None = None
+    ff_ans: FeedForwardParams | None = None
+    ff_util: FeedForwardParams | None = None
+    ff: FeedForwardParams | None = None
 
     @property
     def hidden_dim(self) -> int:
         return self.lstm_post.hidden_dim
 
     @property
-    def embed_dim(self) -> int:
-        return self.lstm_post.input_dim
+    def model(self) -> str:
+        """The MODEL_PARTS name of the parts present."""
+        present = tuple(part for part, value in vars(self).items() if value is not None)
+        return next(name for name, parts in MODEL_PARTS.items() if parts == present)
 
     def tensors(self) -> dict[str, np.ndarray]:
         out = {}
-        out.update(self.lstm_post.tensors("lstm_post/"))
-        out.update(self.lstm_question.tensors("lstm_question/"))
-        out.update(self.lstm_answer.tensors("lstm_answer/"))
-        out.update(self.ff_ans.tensors("ff_ans/"))
-        out.update(self.ff_util.tensors("ff_util/"))
+        for part, value in vars(self).items():
+            if value is not None:
+                out.update(value.tensors(f"{part}/"))
         return out
 
     @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "EvpiParams":
-        return cls(
-            lstm_post=LstmParams.from_tensors(tensors, "lstm_post/"),
-            lstm_question=LstmParams.from_tensors(tensors, "lstm_question/"),
-            lstm_answer=LstmParams.from_tensors(tensors, "lstm_answer/"),
-            ff_ans=FeedForwardParams.from_tensors(tensors, "ff_ans/"),
-            ff_util=FeedForwardParams.from_tensors(tensors, "ff_util/"),
-        )
+    def init(
+        cls, model: str, embed_dim: int, hidden_dim: int, rng: np.random.Generator
+    ) -> "NeuralParams":
+        """Fresh parameters of model, drawn from rng part by part in MODEL_PARTS order."""
+        parts = _parts(model)
+        encoders = sum(part.startswith("lstm_") for part in parts)
+        ff_dims = {
+            "ff_ans": [2 * hidden_dim] + [hidden_dim] * FF_HIDDEN_LAYERS + [embed_dim],
+            "ff_util": [3 * hidden_dim] + [hidden_dim] * FF_HIDDEN_LAYERS + [1],
+            "ff": [encoders * hidden_dim] + [hidden_dim] * BASELINE_HIDDEN_LAYERS + [1],
+        }
+        return cls(**{
+            part: LstmParams.init(embed_dim, hidden_dim, rng)
+            if part.startswith("lstm_")
+            else FeedForwardParams.init(ff_dims[part], rng)
+            for part in parts
+        })
 
-
-def init_evpi_params(
-    embed_dim: int, hidden_dim: int, rng: np.random.Generator
-) -> EvpiParams:
-    ans_dims = [2 * hidden_dim] + [hidden_dim] * FF_HIDDEN_LAYERS + [embed_dim]
-    util_dims = [3 * hidden_dim] + [hidden_dim] * FF_HIDDEN_LAYERS + [1]
-    return EvpiParams(
-        lstm_post=LstmParams.init(embed_dim, hidden_dim, rng),
-        lstm_question=LstmParams.init(embed_dim, hidden_dim, rng),
-        lstm_answer=LstmParams.init(embed_dim, hidden_dim, rng),
-        ff_ans=FeedForwardParams.init(ans_dims, rng),
-        ff_util=FeedForwardParams.init(util_dims, rng),
-    )
+    @classmethod
+    def from_tensors(cls, model: str, tensors: dict[str, np.ndarray]) -> "NeuralParams":
+        """model's parts from checkpoint tensors; a missing or unused tensor is a ValueError."""
+        params = cls(**{
+            part: (LstmParams if part.startswith("lstm_") else FeedForwardParams).from_tensors(
+                tensors, f"{part}/"
+            )
+            for part in _parts(model)
+        })
+        unused = sorted(set(tensors) - set(params.tensors()))
+        if unused:
+            raise ValueError(f"unused tensor {unused[0]!r}")
+        return params
 
 
 @dataclass
@@ -148,9 +178,9 @@ class PreparedCandidates:
 
     Only the answer model reads a_units (the average answer vectors scaled
     to unit norm, n x d), q_sims (the n x n cosines of the average question
-    vectors, negatives clamped to 0 unless the model says otherwise) and
-    sim_weights (the original question's row of q_sims: the weight of
-    candidate j in the answer loss); a neural baseline leaves them empty.
+    vectors, negatives clamped to 0) and sim_weights (the original
+    question's row of q_sims: the weight of candidate j in the answer loss);
+    a neural baseline leaves them empty.
     """
 
     cs: CandidateSet
@@ -172,19 +202,19 @@ def _distinct(mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]
 class SetEncoding:
     """Every text of a prepared set run through its LSTM encoder once.
 
-    params is any model with lstm_post, lstm_question and lstm_answer; the
-    last two may be None. Each encoder makes one packed lstm_forward over the
-    distinct token matrices of its texts (equal matrices share one encoding,
-    so they stay bit-equal whatever rows a product rounds differently). The
-    encodings are the column blocks of the heads' (n, k*H) input: the post's
-    encoding on every row, then the question encodings, then the answer
-    encodings, one row per candidate. With for_backward, each block keeps its
-    LSTM cache and an (n, H) accumulator of d(loss)/d(block) that
-    backprop_head adds into, and backward() runs one lstm_backward per
-    encoder. Without it the pass is forward-only and keeps neither.
+    params is a NeuralParams; the encoders it lacks are skipped. Each
+    encoder it has makes one packed lstm_forward over the distinct token
+    matrices of its texts (equal matrices share one encoding, so they stay
+    bit-equal whatever rows a product rounds differently). The encodings are
+    the column blocks of the heads' (n, k*H) input: the post's encoding on
+    every row, then the question encodings, then the answer encodings, one
+    row per candidate. With for_backward, each block keeps its LSTM cache
+    and an (n, H) accumulator of d(loss)/d(block) that backprop_head adds
+    into, and backward() runs one lstm_backward per encoder. Without it the
+    pass is forward-only and keeps neither.
     """
 
-    def __init__(self, params, prep: PreparedCandidates, for_backward: bool = False):
+    def __init__(self, params: NeuralParams, prep: PreparedCandidates, for_backward: bool = False):
         self.n = len(prep.cs)
         self.lstms, self.blocks, self.text_ids, self.caches = [], [], [], []
         for prefix, lstm, texts in (
@@ -266,14 +296,14 @@ def bce_losses(
 
 
 def utility_losses(
-    params: EvpiParams, enc: SetEncoding, prep: PreparedCandidates, grads: dict[str, np.ndarray]
+    params: NeuralParams, enc: SetEncoding, prep: PreparedCandidates, grads: dict[str, np.ndarray]
 ) -> float:
     """The utility head: bce_losses of ff_util over [p; q_j; a_j]."""
     return bce_losses(params.ff_util, "ff_util/", enc, prep.cs.original_index, grads)
 
 
 def answer_losses(
-    params: EvpiParams, enc: SetEncoding, prep: PreparedCandidates, grads: dict[str, np.ndarray]
+    params: NeuralParams, enc: SetEncoding, prep: PreparedCandidates, grads: dict[str, np.ndarray]
 ) -> float:
     """The answer head: one loss term per post.
 
@@ -298,7 +328,7 @@ def answer_losses(
 
 
 def batch_loss_and_grads(
-    params, batch: Sequence[PreparedCandidates], heads: Sequence[Callable]
+    params: NeuralParams, batch: Sequence[PreparedCandidates], heads: Sequence[Callable]
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean over the batch of the heads' summed losses, with its gradient.
 
@@ -317,40 +347,49 @@ def batch_loss_and_grads(
     return total / n, grads
 
 
-class EvpiModel:
-    """Trainable wrapper: joint loss with gradients, and prepared ranking."""
+class NeuralModel:
+    """A NeuralParams model over an embedding table, named by its MODEL_PARTS entry.
 
-    name = "evpi"
+    Subclasses supply prepare, loss_and_grads and rank_prepared.
+    """
 
-    def __init__(
-        self, params: EvpiParams, table: EmbeddingTable, clamp_negative_sim: bool = True
-    ):
+    def __init__(self, params: NeuralParams, table: EmbeddingTable):
         self.params = params
         self.table = table
-        self.clamp_negative_sim = clamp_negative_sim
+        self.name = params.model
 
     def tensors(self) -> dict[str, np.ndarray]:
         return self.params.tensors()
 
     def load_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        self.params = EvpiParams.from_tensors({k: v.copy() for k, v in tensors.items()})
+        self.params = NeuralParams.from_tensors(
+            self.name, {k: v.copy() for k, v in tensors.items()}
+        )
+
+    def _prepared(self, cs: CandidateSet, **head_inputs) -> PreparedCandidates:
+        return PreparedCandidates(
+            cs=cs,
+            post_tokens=token_matrix(self.table, cs.post_body),
+            question_tokens=[token_matrix(self.table, q) for q in cs.questions],
+            answer_tokens=[token_matrix(self.table, a) for a in cs.answers],
+            **head_inputs,
+        )
+
+    def rank(self, cs: CandidateSet) -> RankedList:
+        return self.rank_prepared(self.prepare(cs))
+
+
+class EvpiModel(NeuralModel):
+    """The joint answer and utility model: its loss with gradients, and prepared ranking."""
 
     def prepare(self, cs: CandidateSet) -> PreparedCandidates:
         def units(texts):  # average vectors scaled to unit norm, one row per text
             return unit_rows(np.stack([avg_vector(self.table, tokenize(t)).values for t in texts]))
 
         q_units = units(cs.questions)
-        q_sims = np.einsum("ik,jk->ij", q_units, q_units)
-        if self.clamp_negative_sim:
-            q_sims = np.maximum(q_sims, 0.0)
-        return PreparedCandidates(
-            cs=cs,
-            post_tokens=token_matrix(self.table, cs.post_body),
-            question_tokens=[token_matrix(self.table, q) for q in cs.questions],
-            answer_tokens=[token_matrix(self.table, a) for a in cs.answers],
-            a_units=units(cs.answers),
-            q_sims=q_sims,
-            sim_weights=q_sims[cs.original_index],
+        q_sims = np.maximum(np.einsum("ik,jk->ij", q_units, q_units), 0.0)
+        return self._prepared(
+            cs, a_units=units(cs.answers), q_sims=q_sims, sim_weights=q_sims[cs.original_index]
         )
 
     def loss_and_grads(
@@ -372,30 +411,6 @@ class EvpiModel:
         probs = np.exp(np.einsum("ik,jk->ij", unit_rows(reps), prep.a_units) - 1.0) * prep.q_sims
         scores = expected_value(probs, bce_scores(params.ff_util, enc))
         return rank_from_scores(prep.cs.post_id, scores)
-
-    def rank(self, cs: CandidateSet) -> RankedList:
-        return self.rank_prepared(self.prepare(cs))
-
-
-def train(
-    train_sets: Sequence[CandidateSet],
-    tune_sets: Sequence[CandidateSet],
-    table: EmbeddingTable,
-    config,
-) -> tuple["EvpiModel", "object"]:
-    """Joint training of the answer and utility models.
-
-    Minimizes the joint loss with Adam and returns the model restored to the
-    checkpoint with the best tune-set MAP, plus the fit log.
-    """
-    from .rng import substream
-    from .training import fit
-
-    rng = substream(config.seed, "init/evpi")
-    params = init_evpi_params(table.dim, config.hidden_dim, rng)
-    model = EvpiModel(params, table, config.clamp_negative_sim)
-    result = fit(model, train_sets, tune_sets, config)
-    return model, result
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import NeuralBaselineModel, NeuralBaselineParams, init_neural_baseline
 from .embeddings import EmbeddingTable
-from .evpi import (
-    EvpiModel,
-    EvpiParams,
-    answer_losses,
-    batch_loss_and_grads,
-    init_evpi_params,
-    utility_losses,
-)
+from .evpi import NeuralParams, answer_losses, batch_loss_and_grads, utility_losses
 from .neural import (
     FeedForwardParams,
     LstmParams,
@@ -32,6 +24,7 @@ from .neural import (
 )
 from .retrieval import CandidateSet
 from .rng import substream
+from .training import neural_model
 
 EMBED_DIM = 5
 HIDDEN_DIM = 4
@@ -81,10 +74,11 @@ def _perturbed(
         tensor += rng.normal(scale=scale, size=tensor.shape)
 
 
-def _evpi_model(rng: np.random.Generator, table: EmbeddingTable) -> EvpiModel:
-    params = init_evpi_params(EMBED_DIM, HIDDEN_DIM, rng)
-    _perturbed(params.tensors(), rng, scale=0.5)
-    return EvpiModel(params, table)
+def _model(rng: np.random.Generator, table: EmbeddingTable, name: str):
+    hidden_dim, scale = (HIDDEN_DIM, 0.5) if name == "evpi" else (BASELINE_HIDDEN_DIM, 0.6)
+    params = NeuralParams.init(name, EMBED_DIM, hidden_dim, rng)
+    _perturbed(params.tensors(), rng, scale)
+    return neural_model(params, table)
 
 
 def _check_lstm(rng: np.random.Generator, n_probes: int) -> float:
@@ -134,37 +128,24 @@ def _check_feedforward(rng: np.random.Generator, n_probes: int, n_hidden: int) -
 def _check_evpi_head(rng: np.random.Generator, n_probes: int, post_id: str, head) -> float:
     """Check one EVPI head alone through the training path: encode, head, backward."""
     table = _toy_table(rng)
-    model = _evpi_model(rng, table)
+    model = _model(rng, table, "evpi")
     prep = model.prepare(_toy_candidate_set(rng, post_id))
 
     def loss_fn(tensors):
-        return batch_loss_and_grads(EvpiParams.from_tensors(tensors), [prep], [head])
+        return batch_loss_and_grads(NeuralParams.from_tensors("evpi", tensors), [prep], [head])
 
     return grad_check(loss_fn, model.tensors(), n_probes=n_probes, rng=rng)
 
 
-def _check_joint_loss(rng: np.random.Generator, n_probes: int) -> float:
+def _check_model_loss(rng: np.random.Generator, n_probes: int, name: str) -> float:
+    """Check a whole model's loss_and_grads: EVPI's over two sets, a baseline's over one."""
     table = _toy_table(rng)
-    model = _evpi_model(rng, table)
-    preps = [model.prepare(_toy_candidate_set(rng, f"gc-joint-{k}")) for k in range(2)]
+    model = _model(rng, table, name)
+    n_sets = 2 if name == "evpi" else 1
+    preps = [model.prepare(_toy_candidate_set(rng, f"gc-{name}-{k}")) for k in range(n_sets)]
 
     def loss_fn(tensors):
-        probe = EvpiModel(EvpiParams.from_tensors(tensors), table)
-        return probe.loss_and_grads(preps)
-
-    return grad_check(loss_fn, model.tensors(), n_probes=n_probes, rng=rng)
-
-
-def _check_neural_baseline(rng: np.random.Generator, n_probes: int, variant: str) -> float:
-    table = _toy_table(rng)
-    params = init_neural_baseline(variant, EMBED_DIM, BASELINE_HIDDEN_DIM, rng)
-    _perturbed(params.tensors(), rng, scale=0.6)
-    model = NeuralBaselineModel(params, table)
-    prep = model.prepare(_toy_candidate_set(rng, f"gc-{variant}"))
-
-    def loss_fn(tensors):
-        probe = NeuralBaselineModel(NeuralBaselineParams.from_tensors(variant, tensors), table)
-        return probe.loss_and_grads([prep])
+        return neural_model(NeuralParams.from_tensors(name, tensors), table).loss_and_grads(preps)
 
     return grad_check(loss_fn, model.tensors(), n_probes=n_probes, rng=rng)
 
@@ -178,10 +159,10 @@ def run_gradient_suite(seed: int = 0, draws: int = 10, n_probes: int = 8) -> lis
         ("feedforward_10_hidden", lambda rng, probes: _check_feedforward(rng, probes, 10)),
         ("answer_loss", lambda rng, probes: _check_evpi_head(rng, probes, "gc-ans", answer_losses)),
         ("utility_bce_loss", lambda rng, probes: _check_evpi_head(rng, probes, "gc-util", utility_losses)),
-        ("joint_loss", _check_joint_loss),
-        ("neural_baseline_pq", lambda rng, probes: _check_neural_baseline(rng, probes, "pq")),
-        ("neural_baseline_pa", lambda rng, probes: _check_neural_baseline(rng, probes, "pa")),
-        ("neural_baseline_pqa", lambda rng, probes: _check_neural_baseline(rng, probes, "pqa")),
+        ("joint_loss", lambda rng, probes: _check_model_loss(rng, probes, "evpi")),
+        ("neural_baseline_pq", lambda rng, probes: _check_model_loss(rng, probes, "neural-pq")),
+        ("neural_baseline_pa", lambda rng, probes: _check_model_loss(rng, probes, "neural-pa")),
+        ("neural_baseline_pqa", lambda rng, probes: _check_model_loss(rng, probes, "neural-pqa")),
     ]
     results = []
     for name, check in checks:

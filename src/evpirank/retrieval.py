@@ -213,15 +213,25 @@ def read_jsonl(path: str | Path, build: Callable[[dict], Any], error=ValueError)
 
 
 def read_candidates(path: str | Path) -> list[CandidateSet]:
-    return read_jsonl(
-        path,
-        lambda record: CandidateSet(
+    """Load candidates.jsonl; a set's three lists must be equally long and hold original_index."""
+
+    def build(record: dict) -> CandidateSet:
+        cs = CandidateSet(
             post_id=record["post_id"],
             post_body=record["post_body"],
             questions=list(record["questions"]),
             answers=list(record["answers"]),
             source_post_ids=list(record["source_post_ids"]),
             original_index=int(record["original_index"]),
-        ),
-        RetrievalError,
-    )
+        )
+        where, n = f"post {cs.post_id!r}", len(cs)
+        if not n == len(cs.answers) == len(cs.source_post_ids):
+            raise ValueError(
+                f"{where}: {n} questions, {len(cs.answers)} answers and "
+                f"{len(cs.source_post_ids)} source_post_ids"
+            )
+        if cs.original_index not in range(n):
+            raise ValueError(f"{where}: original_index {cs.original_index} is not in range({n})")
+        return cs
+
+    return read_jsonl(path, build, RetrievalError)

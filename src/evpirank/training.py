@@ -1,9 +1,9 @@
 """Shared mini-batch training loop with early stopping on tune-set MAP.
 
-Works for any model object exposing tensors()/load_tensors(), prepare(),
-loss_and_grads(batch), and rank_prepared(). Keeps the checkpoint with the
+fit works for any model object exposing tensors()/load_tensors(), prepare(),
+loss_and_grads(batch), and rank_prepared(). It keeps the checkpoint with the
 best tune MAP (evaluated against the original question) and restores it at
-the end.
+the end. train draws a neural model's initial parameters and fits them.
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .baselines import NeuralBaselineModel
+from .embeddings import EmbeddingTable
+from .evpi import EvpiModel, NeuralModel, NeuralParams
 from .neural import AdamState, adam_step, copy_tensors
 from .retrieval import CandidateSet
 from .rng import substream
@@ -33,7 +36,6 @@ class TrainConfig:
     epochs: int = 50
     patience: int = 5
     seed: int = 0
-    clamp_negative_sim: bool = True
 
 
 @dataclass
@@ -107,3 +109,24 @@ def fit(
                 break
     model.load_tensors(result.tensors)
     return result
+
+
+def neural_model(params: NeuralParams, table: EmbeddingTable) -> NeuralModel:
+    """The EvpiModel or NeuralBaselineModel that runs params."""
+    return (EvpiModel if params.model == "evpi" else NeuralBaselineModel)(params, table)
+
+
+def train(
+    model_name: str,
+    train_sets: Sequence[CandidateSet],
+    tune_sets: Sequence[CandidateSet],
+    table: EmbeddingTable,
+    config: TrainConfig,
+) -> tuple[NeuralModel, FitResult]:
+    """Fit a fresh model_name, a MODEL_PARTS key, drawn from substream init/<model_name>.
+
+    Returns the model restored to its best tune-MAP checkpoint, and the fit log.
+    """
+    rng = substream(config.seed, f"init/{model_name}")
+    model = neural_model(NeuralParams.init(model_name, table.dim, config.hidden_dim, rng), table)
+    return model, fit(model, train_sets, tune_sets, config)

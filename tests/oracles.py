@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from evpirank.embeddings import AvgVector, EmbeddingTable, avg_vector, cos_sim
-from evpirank.evpi import BCE_CLAMP, EvpiParams, expected_value, token_matrix
+from evpirank.evpi import BCE_CLAMP, NeuralParams, expected_value, token_matrix
 from evpirank.neural import LstmParams, feedforward_forward, sigmoid
 from evpirank.retrieval import CandidateSet, tokenize
 
@@ -181,19 +181,16 @@ def dist(rep: np.ndarray, a_hat: AvgVector | np.ndarray) -> float:
     return 1.0 - cos_sim(rep, values)
 
 
-def similarity_weight(q_hat_i: np.ndarray, q_hat_j: np.ndarray, clamp: bool = True) -> float:
+def similarity_weight(q_hat_i: np.ndarray, q_hat_j: np.ndarray) -> float:
     """Question-similarity weight; negative similarities clamp to 0."""
-    sim = cos_sim(q_hat_i, q_hat_j)
-    if clamp:
-        return max(0.0, sim)
-    return sim
+    return max(0.0, cos_sim(q_hat_i, q_hat_j))
 
 
 def encode_text(lstm: LstmParams, table: EmbeddingTable, text: str) -> np.ndarray:
     return sequence_lstm_forward(lstm, token_matrix(table, text))[0]
 
 
-def f_ans(params: EvpiParams, post_text: str, question_text: str, table: EmbeddingTable) -> np.ndarray:
+def f_ans(params: NeuralParams, post_text: str, question_text: str, table: EmbeddingTable) -> np.ndarray:
     """Predicted answer representation in the embedding space."""
     p_bar = encode_text(params.lstm_post, table, post_text)
     q_bar = encode_text(params.lstm_question, table, question_text)
@@ -202,33 +199,30 @@ def f_ans(params: EvpiParams, post_text: str, question_text: str, table: Embeddi
 
 
 def answer_prob(
-    params: EvpiParams,
+    params: NeuralParams,
     post: str,
     q_i: str,
     a_j: str,
     q_j: str,
     table: EmbeddingTable,
-    clamp_negative_sim: bool = True,
 ) -> float:
     """Likelihood that a_j answers question q_i on the post.
 
     exp(-dist(f_ans(post, q_i), a_hat_j)) weighted by the similarity of q_i
-    to the question q_j originally paired with a_j. Always in [0, 1] under
-    the default clamp.
+    to the question q_j originally paired with a_j. Always in [0, 1].
     """
     rep = f_ans(params, post, q_i, table)
     a_hat = avg_vector(table, tokenize(a_j))
     q_hat_i = avg_vector(table, tokenize(q_i)).values
     q_hat_j = avg_vector(table, tokenize(q_j)).values
-    weight = similarity_weight(q_hat_i, q_hat_j, clamp_negative_sim)
+    weight = similarity_weight(q_hat_i, q_hat_j)
     return math.exp(-dist(rep, a_hat)) * weight
 
 
 def loss_ans(
-    params: EvpiParams,
+    params: NeuralParams,
     cs: CandidateSet,
     table: EmbeddingTable,
-    clamp_negative_sim: bool = True,
 ) -> float:
     """Answer-model loss for one post and its candidate set.
 
@@ -244,13 +238,13 @@ def loss_ans(
     for j in range(len(cs)):
         if j == o:
             continue
-        weight = similarity_weight(q_hats[o], q_hats[j], clamp_negative_sim)
+        weight = similarity_weight(q_hats[o], q_hats[j])
         total += dist(rep, a_hats[j]) * weight
     return total
 
 
 def utility(
-    params: EvpiParams, post: str, q_j: str, a_j: str, table: EmbeddingTable
+    params: NeuralParams, post: str, q_j: str, a_j: str, table: EmbeddingTable
 ) -> float:
     """sigma(F_util(post, question, answer)); how complete the updated post is."""
     p_bar = encode_text(params.lstm_post, table, post)
@@ -267,15 +261,14 @@ def loss_util(y: int, utility_value: float) -> float:
 
 
 def joint_loss(
-    params: EvpiParams,
+    params: NeuralParams,
     candidate_sets: Iterable[CandidateSet],
     table: EmbeddingTable,
-    clamp_negative_sim: bool = True,
 ) -> float:
     """Sum over posts of the answer loss plus all per-candidate utility losses."""
     total = 0.0
     for cs in candidate_sets:
-        total += loss_ans(params, cs, table, clamp_negative_sim)
+        total += loss_ans(params, cs, table)
         for j in range(len(cs)):
             y = 1 if j == cs.original_index else 0
             total += loss_util(y, utility(params, cs.post_body, cs.questions[j], cs.answers[j], table))
@@ -283,16 +276,15 @@ def joint_loss(
 
 
 def evpi_score(
-    params: EvpiParams,
+    params: NeuralParams,
     post: str,
     q_i: str,
     cs: CandidateSet,
     table: EmbeddingTable,
-    clamp_negative_sim: bool = True,
 ) -> float:
     """Expected utility of asking q_i, summed over the candidate answer pool."""
     probs = [
-        answer_prob(params, post, q_i, cs.answers[j], cs.questions[j], table, clamp_negative_sim)
+        answer_prob(params, post, q_i, cs.answers[j], cs.questions[j], table)
         for j in range(len(cs))
     ]
     utils = [utility(params, post, cs.questions[j], cs.answers[j], table) for j in range(len(cs))]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evpirank.baselines import neural_baseline_train, random_rank_metrics
+from evpirank.baselines import random_rank_metrics
 from evpirank.cli import main
 from evpirank.embeddings import EmbeddingTable
 from evpirank.evaluation import (
@@ -23,10 +23,10 @@ from evpirank.evaluation import (
     mean_average_precision,
     precision_at_k,
 )
-from evpirank.evpi import expected_value, init_evpi_params, train
+from evpirank.evpi import NeuralParams, expected_value
 from evpirank.gradsuite import run_gradient_suite
 from evpirank.retrieval import build_index, tokenize, top_k
-from evpirank.training import TrainConfig
+from evpirank.training import TrainConfig, train
 
 from tests.oracles import BruteCorpus, answer_prob, brute_average_precision, brute_precision_at_k
 from tests.synthetic import (
@@ -177,12 +177,12 @@ class TestCriterion5OverfitSeparation:
         ]
         random_p1 = random_rank_metrics(sets, labels, n_perm=1000, seed=0).p_at_1
 
-        evpi_model, evpi_log = train(sets, sets, table, config)
+        evpi_model, evpi_log = train("evpi", sets, sets, table, config)
         evpi_p1 = sum(
             1 for cs in sets if evpi_model.rank(cs).order[0] == cs.original_index
         ) / len(sets)
 
-        pqa_model, pqa_log = neural_baseline_train("pqa", sets, sets, table, config)
+        pqa_model, pqa_log = train("neural-pqa", sets, sets, table, config)
         pqa_p1 = sum(
             1 for cs in sets if pqa_model.rank(cs).order[0] == cs.original_index
         ) / len(sets)
@@ -342,7 +342,7 @@ class TestCriterion9EvpiFormulaInvariants:
         table = EmbeddingTable(
             dim=5, vectors={f"w{k}": rng.normal(size=5) for k in range(12)}
         )
-        params = init_evpi_params(5, 3, rng)
+        params = NeuralParams.init("evpi", 5, 3, rng)
         for tensor in params.tensors().values():
             tensor += rng.normal(scale=0.4, size=tensor.shape)
         words = lambda k: " ".join(f"w{int(rng.integers(0, 14))}" for _ in range(k))  # some OOV

@@ -10,22 +10,20 @@ from evpirank.baselines import (
     cqa_features,
     cqa_train,
     hash_feature,
-    init_neural_baseline,
     labeled_examples,
     ngram_features,
     ngram_train,
-    neural_baseline_train,
     random_rank_metrics,
     random_rankings,
     NGRAM_FEATURE_SPACE,
 )
 from evpirank.embeddings import EmbeddingTable
-from evpirank.evpi import init_evpi_params
+from evpirank.evpi import NeuralParams
 from evpirank.evaluation import LabelSet
 from evpirank.neural import grad_check
 from evpirank.retrieval import CandidateSet
 from evpirank.rng import substream
-from evpirank.training import TrainConfig
+from evpirank.training import TrainConfig, train
 
 from tests.synthetic import make_random_rankings_fixture
 
@@ -193,14 +191,14 @@ class TestNeuralBaselines:
     def test_variant_input_dims(self):
         rng = np.random.default_rng(57)
         for variant, factor in (("pq", 2), ("pa", 2), ("pqa", 3)):
-            params = init_neural_baseline(variant, embed_dim=6, hidden_dim=5, rng=rng)
+            params = NeuralParams.init(f"neural-{variant}", embed_dim=6, hidden_dim=5, rng=rng)
             assert params.ff.input_dim == factor * 5
             assert len(params.ff.weights) == 11  # 10 hidden + 1 output
 
     def test_zeroed_final_layer_ties_to_index_order(self):
         rng = np.random.default_rng(58)
         table = toy_table(rng)
-        params = init_neural_baseline("pqa", embed_dim=6, hidden_dim=5, rng=rng)
+        params = NeuralParams.init("neural-pqa", embed_dim=6, hidden_dim=5, rng=rng)
         params.ff.weights[-1][...] = 0.0
         params.ff.biases[-1][...] = 0.0
         model = NeuralBaselineModel(params, table)
@@ -210,16 +208,14 @@ class TestNeuralBaselines:
     def test_bce_gradients_pass_finite_differences(self):
         rng = substream(0, "test/baseline-grad")
         table = toy_table(rng)
-        params = init_neural_baseline("pqa", embed_dim=6, hidden_dim=8, rng=rng)
+        params = NeuralParams.init("neural-pqa", embed_dim=6, hidden_dim=8, rng=rng)
         for tensor in params.tensors().values():
             tensor += rng.normal(scale=0.6, size=tensor.shape)
         model = NeuralBaselineModel(params, table)
         prep = model.prepare(toy_candidate_set(rng))
 
         def loss_fn(tensors):
-            from evpirank.baselines import NeuralBaselineParams
-
-            probe = NeuralBaselineModel(NeuralBaselineParams.from_tensors("pqa", tensors), table)
+            probe = NeuralBaselineModel(NeuralParams.from_tensors("neural-pqa", tensors), table)
             return probe.loss_and_grads([prep])
 
         assert grad_check(loss_fn, model.tensors(), n_probes=20, rng=rng) < 1e-4
@@ -229,21 +225,21 @@ class TestNeuralBaselines:
         table = toy_table(rng)
         sets = [toy_candidate_set(rng, post_id=f"b{i}", original=i % 4) for i in range(6)]
         config = TrainConfig(hidden_dim=6, lr=3e-3, batch_size=3, epochs=8, patience=100, seed=0)
-        model, result = neural_baseline_train("pq", sets, sets, table, config)
+        model, result = train("neural-pq", sets, sets, table, config)
         assert result.log[-1].train_loss < result.log[0].train_loss
 
     def test_unknown_variant_is_error(self):
         rng = np.random.default_rng(60)
-        with pytest.raises(ValueError, match="variant"):
-            init_neural_baseline("pz", embed_dim=4, hidden_dim=4, rng=rng)
+        with pytest.raises(ValueError, match="unknown neural model"):
+            NeuralParams.init("neural-pz", embed_dim=4, hidden_dim=4, rng=rng)
 
 
 class TestParameterParity:
     def test_evpi_nets_comparable_to_pqa_baseline_net(self):
         rng = np.random.default_rng(61)
         hidden = 100
-        evpi = init_evpi_params(embed_dim=50, hidden_dim=hidden, rng=rng)
-        pqa = init_neural_baseline("pqa", embed_dim=50, hidden_dim=hidden, rng=rng)
+        evpi = NeuralParams.init("evpi", embed_dim=50, hidden_dim=hidden, rng=rng)
+        pqa = NeuralParams.init("neural-pqa", embed_dim=50, hidden_dim=hidden, rng=rng)
         def size(*nets):
             return sum(t.size for net in nets for t in net.tensors().values())
 

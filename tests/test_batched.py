@@ -8,9 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import evpirank.evpi as evpi_module
-from evpirank.baselines import NeuralBaselineModel, init_neural_baseline
+from evpirank.baselines import NeuralBaselineModel
 from evpirank.embeddings import EmbeddingTable
-from evpirank.evpi import EvpiModel, init_evpi_params
+from evpirank.evpi import EvpiModel, NeuralParams
 from evpirank.neural import feedforward_forward, sigmoid
 from evpirank.retrieval import CandidateSet
 from evpirank.rng import substream
@@ -48,8 +48,8 @@ def candidate_set(questions, answers, post="w0 w1 w2", original=0) -> CandidateS
 
 def evpi_and_pqa(rng, embed_dim, hidden_dim):
     table = toy_table(rng, embed_dim)
-    evpi = init_evpi_params(embed_dim, hidden_dim, rng)
-    pqa = init_neural_baseline("pqa", embed_dim, hidden_dim, rng)
+    evpi = NeuralParams.init("evpi", embed_dim, hidden_dim, rng)
+    pqa = NeuralParams.init("neural-pqa", embed_dim, hidden_dim, rng)
     perturbed(evpi.tensors(), rng, 0.3)
     perturbed(pqa.tensors(), rng, 0.3)
     return EvpiModel(evpi, table), NeuralBaselineModel(pqa, table)
@@ -87,7 +87,8 @@ class TestOnePassPerHead:
     @pytest.mark.parametrize("variant", ["pq", "pa", "pqa"])
     def test_neural_baseline_one_pass_per_set(self, ff_calls, variant):
         rng = substream(0, f"test/one-pass/{variant}")
-        model = NeuralBaselineModel(init_neural_baseline(variant, 5, 3, rng), toy_table(rng, 5))
+        params = NeuralParams.init(f"neural-{variant}", 5, 3, rng)
+        model = NeuralBaselineModel(params, toy_table(rng, 5))
         preps = [model.prepare(cs) for cs in self.sets(6)]
         model.loss_and_grads(preps)
         assert ff_calls == {"forward": 2, "backward": 2}

@@ -512,6 +512,47 @@ class TestMalformedInputFiles:
         self.assert_usage_error(pipeline, capsys, tmp_path, reader, not_object, message)
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("original_index", 42, "original_index 42 is not in range(7)"),
+            ("original_index", -1, "original_index -1 is not in range(7)"),
+            ("answers", 3, "7 questions, 3 answers and 7 source_post_ids"),
+            ("source_post_ids", 8, "7 questions, 7 answers and 8 source_post_ids"),
+        ],
+    )
+    def test_inconsistent_candidate_set_is_usage_error(
+        self, pipeline, capsys, tmp_path, field, value, message
+    ):
+        # The second set gets a bad original_index, or its list cut or padded to value entries.
+        lines = pipeline["candidates"].read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        if field == "original_index":
+            record[field] = value
+        else:
+            record[field] = (record[field] * 2)[:value]
+        bad = tmp_path / "inconsistent.jsonl"
+        text = "\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n"
+        bad.write_text(text, encoding="utf-8")
+        cands, path = str(pipeline["candidates"]), str(bad)
+        rankings = str(tmp_path / "rankings.jsonl")
+        assert main(["rank", "--candidates", cands, "--model", "random", "--out", rankings]) == 0
+        out = tmp_path / "out"
+        for argv in (
+            ["train", "--candidates", path, "--model", "ngrams", "--no-split"],
+            [
+                "train", "--candidates", path, "--model", "evpi", "--no-split",
+                "--embeddings", str(FIXTURES / "embeddings_toy.txt"),
+            ],
+            ["evaluate", "--rankings", rankings, "--candidates", path, "--mode", "original"],
+        ):
+            code, stdout, err = run(capsys, *argv, "--out", str(out))
+            assert code == 2, argv
+            post_id = record["post_id"]
+            assert f"malformed candidates file {bad}: line 2: post {post_id!r}: {message}" in err
+            assert "Traceback" not in err and stdout == ""
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
         "record, message",
         [
             ({"order": [0, 0, 2], "scores": [1.0, 1.0, 1.0]}, "not a permutation of range(3)"),
@@ -640,11 +681,6 @@ class TestConfig:
         assert config.get("lr") == 0.25
         assert config.get("batch_size") == 32  # documented default
 
-    def test_boolean_parsing(self, tmp_path):
-        config = Config()
-        config.set_override("clamp_negative_sim=false")
-        assert config.get("clamp_negative_sim") is False
-
     def test_malformed_override(self):
         config = Config()
         with pytest.raises(ConfigError):
@@ -653,5 +689,5 @@ class TestConfig:
     def test_resolved_lists_every_key(self):
         resolved = Config().resolved()
         assert set(resolved) == {
-            "hidden_dim", "lr", "batch_size", "epochs", "patience", "seed", "clamp_negative_sim",
+            "hidden_dim", "lr", "batch_size", "epochs", "patience", "seed",
         }

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from evpirank.baselines import NeuralBaselineModel, init_neural_baseline
+from evpirank.baselines import NeuralBaselineModel
 from evpirank.embeddings import EmbeddingTable
 from evpirank.evpi import (
     EvpiModel,
-    EvpiParams,
+    NeuralParams,
     expected_value,
-    init_evpi_params,
     rank_from_scores,
     read_rankings,
     write_rankings,
@@ -59,9 +58,9 @@ def toy_table(rng, n_words=10, dim=5) -> EmbeddingTable:
     return EmbeddingTable(dim=dim, vectors={f"w{k}": rng.normal(size=dim) for k in range(n_words)})
 
 
-def zeroed_evpi(embed_dim=2, hidden_dim=2) -> EvpiParams:
+def zeroed_evpi(embed_dim=2, hidden_dim=2) -> NeuralParams:
     rng = np.random.default_rng(0)
-    params = init_evpi_params(embed_dim, hidden_dim, rng)
+    params = NeuralParams.init("evpi", embed_dim, hidden_dim, rng)
     for tensor in params.tensors().values():
         tensor[...] = 0.0
     return params
@@ -109,7 +108,7 @@ class TestAnswerProb:
     def test_fuzz_stays_in_unit_interval(self):
         rng = np.random.default_rng(40)
         table = toy_table(rng)
-        params = init_evpi_params(5, 3, rng)
+        params = NeuralParams.init("evpi", 5, 3, rng)
         for tensor in params.tensors().values():
             tensor += rng.normal(scale=0.3, size=tensor.shape)
         for _ in range(200):
@@ -122,7 +121,7 @@ class TestLossAns:
     def test_duplicate_original_candidate_doubles_distance(self):
         rng = np.random.default_rng(41)
         table = toy_table(rng)
-        params = init_evpi_params(5, 3, rng)
+        params = NeuralParams.init("evpi", 5, 3, rng)
         cs = CandidateSet(
             post_id="t",
             post_body="w0 w1",
@@ -195,7 +194,7 @@ class TestFAns:
         # (b_i = b_o = 50) with W_g = 1; the net computes 2 * tanh(sum) + 1.
         table = make_table({"px": [0.5], "qx": [0.25]})
         rng = np.random.default_rng(0)
-        params = init_evpi_params(embed_dim=1, hidden_dim=1, rng=rng)
+        params = NeuralParams.init("evpi", embed_dim=1, hidden_dim=1, rng=rng)
         for tensor in params.tensors().values():
             tensor[...] = 0.0
         for lstm in (params.lstm_post, params.lstm_question):
@@ -217,7 +216,7 @@ class TestFAns:
     def test_deterministic(self):
         rng = np.random.default_rng(49)
         table = toy_table(rng)
-        params = init_evpi_params(5, 3, rng)
+        params = NeuralParams.init("evpi", 5, 3, rng)
         a = f_ans(params, "w0 w1", "w2?", table)
         b = f_ans(params, "w0 w1", "w2?", table)
         np.testing.assert_array_equal(a, b)
@@ -263,7 +262,7 @@ class TestJointLoss:
     def test_additive_over_posts(self):
         rng = np.random.default_rng(42)
         table = toy_table(rng)
-        params = init_evpi_params(5, 3, rng)
+        params = NeuralParams.init("evpi", 5, 3, rng)
         cs1 = toy_candidate_set(n=3, original=1, post_id="a")
         cs2 = toy_candidate_set(n=3, original=2, post_id="b")
         total = joint_loss(params, [cs1, cs2], table)
@@ -273,7 +272,7 @@ class TestJointLoss:
     def test_matches_hand_composition(self):
         rng = np.random.default_rng(43)
         table = toy_table(rng)
-        params = init_evpi_params(5, 3, rng)
+        params = NeuralParams.init("evpi", 5, 3, rng)
         cs = toy_candidate_set(n=3, original=1)
         by_parts = loss_ans(params, cs, table)
         for j in range(3):
@@ -284,7 +283,7 @@ class TestJointLoss:
     def test_model_loss_is_mean_of_joint_loss(self):
         rng = np.random.default_rng(44)
         table = toy_table(rng)
-        params = init_evpi_params(5, 3, rng)
+        params = NeuralParams.init("evpi", 5, 3, rng)
         model = EvpiModel(params, table)
         sets = [toy_candidate_set(n=3, original=0, post_id="a"),
                 toy_candidate_set(n=3, original=2, post_id="b")]
@@ -339,7 +338,7 @@ class TestRanking:
     def test_rank_questions_all_equal_candidates_tie_to_index_order(self):
         rng = np.random.default_rng(55)
         table = toy_table(rng)
-        params = init_evpi_params(5, 3, rng)
+        params = NeuralParams.init("evpi", 5, 3, rng)
         cs = CandidateSet(
             post_id="t", post_body="w0 w1 w2",
             questions=["w3 w4?"] * 10, answers=["w5 w6"] * 10,
@@ -359,7 +358,7 @@ class TestRanking:
     def test_rank_questions_agrees_with_evpi_score(self):
         rng = np.random.default_rng(47)
         table = toy_table(rng)
-        params = init_evpi_params(5, 3, rng)
+        params = NeuralParams.init("evpi", 5, 3, rng)
         for tensor in params.tensors().values():
             tensor += rng.normal(scale=0.2, size=tensor.shape)
         cs = toy_candidate_set(n=4, original=2)
@@ -372,7 +371,7 @@ class TestRanking:
     def test_deterministic(self):
         rng = np.random.default_rng(48)
         table = toy_table(rng)
-        params = init_evpi_params(5, 3, rng)
+        params = NeuralParams.init("evpi", 5, 3, rng)
         cs = toy_candidate_set(n=4, original=1)
         a = EvpiModel(params, table).rank(cs)
         b = EvpiModel(params, table).rank(cs)
@@ -383,7 +382,7 @@ class TestGradientsAndDescent:
     def test_joint_loss_grad_check(self):
         rng = substream(0, "test/joint-grad")
         table = toy_table(rng)
-        params = init_evpi_params(5, 4, rng)
+        params = NeuralParams.init("evpi", 5, 4, rng)
         for tensor in params.tensors().values():
             tensor += rng.normal(scale=0.5, size=tensor.shape)
         model = EvpiModel(params, table)
@@ -393,7 +392,7 @@ class TestGradientsAndDescent:
         ]
 
         def loss_fn(tensors):
-            probe = EvpiModel(EvpiParams.from_tensors(tensors), table)
+            probe = EvpiModel(NeuralParams.from_tensors("evpi", tensors), table)
             return probe.loss_and_grads(preps)
 
         assert grad_check(loss_fn, model.tensors(), n_probes=20, rng=rng) < 1e-4
@@ -421,18 +420,18 @@ class TestGradientsAndDescent:
         # The answer and utility heads share one packed encoding of the post,
         # of all questions and of all answers, and one backward pass per encoder.
         rng = substream(0, "test/encode-once")
-        model = EvpiModel(init_evpi_params(5, 3, rng), toy_table(rng))
+        model = EvpiModel(NeuralParams.init("evpi", 5, 3, rng), toy_table(rng))
         assert self.count_lstm_calls(monkeypatch, model) == {"forward": 3, "backward": 3}
 
     def test_neural_pq_step_runs_one_pass_per_encoder(self, monkeypatch):
         rng = substream(0, "test/encode-once-pq")
-        model = NeuralBaselineModel(init_neural_baseline("pq", 5, 3, rng), toy_table(rng))
+        model = NeuralBaselineModel(NeuralParams.init("neural-pq", 5, 3, rng), toy_table(rng))
         assert self.count_lstm_calls(monkeypatch, model) == {"forward": 2, "backward": 2}
 
     def test_fifty_adam_steps_reduce_loss(self):
         rng = substream(0, "test/descent")
         table = toy_table(rng)
-        params = init_evpi_params(5, 4, rng)
+        params = NeuralParams.init("evpi", 5, 4, rng)
         model = EvpiModel(params, table)
         preps = [model.prepare(toy_candidate_set(n=4, original=i % 4, post_id=f"p{i}")) for i in range(4)]
         tensors = model.tensors()
@@ -469,7 +468,7 @@ class TestPerGateCheckpoint:
         path = tmp_path / "per_gate.ckpt"
         path.write_bytes(blob)
 
-        params = EvpiParams.from_tensors(load_checkpoint(path))
+        params = NeuralParams.from_tensors("evpi", load_checkpoint(path))
         assert list(params.tensors()) == list(tensors)
         # gate f is the second row block of the stacked U
         np.testing.assert_array_equal(params.lstm_answer.U[h : 2 * h], tensors["lstm_answer/U_f"])

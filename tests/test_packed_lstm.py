@@ -1,13 +1,11 @@
 """One packed LSTM pass over ragged sequences against the per-sequence loop."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evpirank.evpi import PreparedCandidates, SetEncoding
+from evpirank.evpi import NeuralParams, PreparedCandidates, SetEncoding
 from evpirank.neural import LstmParams, lstm_backward, lstm_forward
 from evpirank.retrieval import CandidateSet
 
@@ -109,7 +107,7 @@ class TestEqualTextsInOneSet:
         embed_dim, hidden_dim = dims
         rng = np.random.default_rng(seed)
         pool = [rng.normal(size=(int(rng.integers(0, 9)), embed_dim)) for _ in range(4)]
-        params = SimpleNamespace(
+        params = NeuralParams(
             lstm_post=random_lstm(rng, embed_dim, hidden_dim),
             lstm_question=random_lstm(rng, embed_dim, hidden_dim),
             lstm_answer=random_lstm(rng, embed_dim, hidden_dim),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from evpirank import baselines, embeddings, evaluation, evpi, ingest, neural, retrieval, training
+from evpirank import baselines, embeddings, evaluation, ingest, neural, retrieval, training
 from evpirank.rng import substream
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,7 +56,7 @@ def fixture_run():
     d_means = rng.normal(size=means.shape)
 
     config = training.TrainConfig(hidden_dim=3, epochs=1, seed=0)
-    model, fit_result = evpi.train(sets, sets, table, config)
+    model, fit_result = training.train("evpi", sets, sets, table, config)
     rankings = baselines.random_rankings(sets)
     return {
         "_read": ((DUMP / "posts.jsonl",), posts),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evpirank.embeddings import EmbeddingTable
-from evpirank.evpi import EvpiModel, init_evpi_params
+from evpirank.evpi import EvpiModel, NeuralParams
 from evpirank.neural import save_checkpoint
 from evpirank.retrieval import CandidateSet
 from evpirank.training import TrainConfig, fit, original_mode_map
@@ -32,7 +32,7 @@ def toy_sets(rng, n=6):
 def fresh_model(seed=0):
     rng = np.random.default_rng(seed)
     table = toy_table(rng)
-    params = init_evpi_params(5, 4, rng)
+    params = NeuralParams.init("evpi", 5, 4, rng)
     return EvpiModel(params, table), toy_sets(rng)
 
 
