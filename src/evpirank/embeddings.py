@@ -72,8 +72,36 @@ def load_embeddings(reader: Iterable[str]) -> EmbeddingTable:
 
 
 def load_embeddings_file(path: str | Path) -> EmbeddingTable:
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_embeddings(handle)
+    """load_embeddings over a file, with the values parsed by one np.loadtxt pass.
+
+    A generator strips each line's word before loadtxt reads the rest, so
+    loadtxt's column-count check is the dimension check. Any line loadtxt
+    rejects, and any line without a value (loadtxt skips blank lines), sends
+    the whole file through load_embeddings, which alone words the error or
+    accepts what float() accepts and loadtxt does not (such as "1_0").
+    """
+    words: list[str] = []
+
+    def values(handle):
+        for line in handle:
+            parts = line.split(None, 1)
+            if len(parts) < 2:
+                raise ValueError("a line without values")
+            words.append(parts[0])
+            yield parts[1]
+        if not words:
+            raise ValueError("no lines")
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            matrix = np.loadtxt(values(handle), dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        with open(path, "r", encoding="utf-8") as handle:
+            return load_embeddings(handle)
+    vectors: dict[str, np.ndarray] = {}
+    for word, row in zip(words, matrix):
+        vectors.setdefault(word, row)
+    return EmbeddingTable(dim=matrix.shape[1], vectors=vectors)
 
 
 def avg_vector(table: EmbeddingTable, tokens: Iterable[str]) -> AvgVector:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .evpi import RankedList
-from .retrieval import CandidateSet, read_jsonl
+from .retrieval import CandidateSet, list_field, read_jsonl, typed_field
 from .rng import substream
 
 MODES = ("best_union", "valid_intersection", "original", "exclude_original")
@@ -332,10 +332,10 @@ def read_annotations(path: str | Path) -> list[Annotation]:
     return read_jsonl(
         path,
         lambda raw: Annotation(
-            post_id=raw["post_id"],
-            annotator_id=raw["annotator_id"],
-            best=int(raw["best"]),
-            valid={int(v) for v in raw["valid"]},
+            post_id=typed_field(raw, "post_id", str),
+            annotator_id=typed_field(raw, "annotator_id", str),
+            best=typed_field(raw, "best", int),
+            valid=set(list_field(raw, "valid", int)),
         ),
         EvaluationError,
     )

@@ -32,7 +32,7 @@ from .neural import (
     sigmoid,
     zeros_like_tensors,
 )
-from .retrieval import CandidateSet, read_jsonl, tokenize
+from .retrieval import CandidateSet, list_field, read_jsonl, tokenize, typed_field
 
 BCE_CLAMP = 1e-12
 
@@ -434,9 +434,9 @@ def read_rankings(path: str | Path) -> list[RankedList]:
 
     def build(raw: dict) -> RankedList:
         rl = RankedList(
-            post_id=raw["post_id"],
-            order=[int(v) for v in raw["order"]],
-            scores=[float(v) for v in raw["scores"]],
+            post_id=typed_field(raw, "post_id", str),
+            order=list_field(raw, "order", int),
+            scores=[float(v) for v in list_field(raw, "scores", (int, float))],
         )
         where, n = f"post {rl.post_id!r}", len(rl.order)
         if sorted(rl.order) != list(range(n)):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .embeddings import EmbeddingTable, avg_vector, cos_sim
-from .retrieval import read_jsonl, tokenize
+from .retrieval import json_isinstance, read_jsonl, tokenize, typed_field
 
 ANSWER_SOURCE_EDIT = "edit"
 ANSWER_SOURCE_COMMENT = "comment"
@@ -118,20 +118,8 @@ def _load_records(path, fields: dict[str, type], build):
             if not isinstance(raw, dict):
                 malformed += 1
                 continue
-            values = {}
-            ok = True
-            for name, typ in fields.items():
-                value = raw.get(name)
-                if typ is int:
-                    # bool is an int subclass; timestamps must be real integers
-                    if not isinstance(value, int) or isinstance(value, bool):
-                        ok = False
-                        break
-                elif not isinstance(value, typ):
-                    ok = False
-                    break
-                values[name] = value
-            if not ok:
+            values = {name: raw.get(name) for name in fields}
+            if not all(json_isinstance(values[name], typ) for name, typ in fields.items()):
                 malformed += 1
                 continue
             records.append(build(values))
@@ -358,15 +346,15 @@ def read_triples(path) -> list[Triple]:
         path,
         lambda raw: Triple(
             post=PostRecord(
-                post_id=raw["post_id"],
+                post_id=typed_field(raw, "post_id", str),
                 author_id="",
-                title=raw["post_title"],
-                body=raw["post_body"],
+                title=typed_field(raw, "post_title", str),
+                body=typed_field(raw, "post_body", str),
                 created_at=0,
             ),
-            question=raw["question"],
-            question_time=int(raw["question_time"]),
-            answer=raw["answer"],
-            answer_source=raw["answer_source"],
+            question=typed_field(raw, "question", str),
+            question_time=typed_field(raw, "question_time", int),
+            answer=typed_field(raw, "answer", str),
+            answer_source=typed_field(raw, "answer_source", str),
         ),
     )

@@ -10,9 +10,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 INDEX_HEADER = "EVPIRANK-IDX v1"
 
@@ -36,39 +38,75 @@ def tokenize(text: str) -> list[str]:
 class Index:
     """Immutable inverted index over post documents.
 
-    postings lists are sorted by doc_id; doc_lengths counts tokens per doc.
+    Documents are numbered by their position in ascending doc_id order:
+    doc_ids[pos] is the id and doc_lengths[pos] the token count. For each
+    term id, postings[term_id] holds the positions of the documents that
+    contain the term (ascending), tfs[term_id] the term's count in each, and
+    contributions[term_id] the term's share of each document's score,
+    sqrt(tf) * idf(t)^2 / sqrt(len(d)).
     """
 
-    vocabulary: dict[str, int] = field(default_factory=dict)
-    postings: dict[int, list[tuple[str, int]]] = field(default_factory=dict)
-    doc_lengths: dict[str, int] = field(default_factory=dict)
-    doc_count: int = 0
+    vocabulary: dict[str, int]
+    doc_ids: list[str]
+    doc_lengths: np.ndarray
+    postings: list[np.ndarray]
+    tfs: list[np.ndarray]
+    contributions: list[np.ndarray]
+
+    @property
+    def doc_count(self) -> int:
+        return len(self.doc_ids)
 
 
 def build_index(docs: Iterable[tuple[str, str]]) -> Index:
-    """Index (doc_id, text) pairs. Duplicate doc ids are an error."""
-    index = Index()
-    counts_by_term: dict[int, dict[str, int]] = {}
+    """Index (doc_id, text) pairs. Duplicate doc ids are an error.
+
+    Term ids number the terms in order of first appearance in the input.
+    """
+    vocabulary: dict[str, int] = {}
+    counts_by_doc: dict[str, dict[int, int]] = {}
+    lengths: dict[str, int] = {}
     for doc_id, text in docs:
-        if doc_id in index.doc_lengths:
+        if doc_id in counts_by_doc:
             raise RetrievalError(f"duplicate doc_id: {doc_id!r}")
         if "\n" in doc_id or "\t" in doc_id:
             raise RetrievalError(f"doc_id may not contain tabs or newlines: {doc_id!r}")
         tokens = tokenize(text)
-        index.doc_lengths[doc_id] = len(tokens)
-        index.doc_count += 1
+        lengths[doc_id] = len(tokens)
+        counts = counts_by_doc[doc_id] = {}
         for tok in tokens:
-            term_id = index.vocabulary.setdefault(tok, len(index.vocabulary))
-            per_doc = counts_by_term.setdefault(term_id, {})
-            per_doc[doc_id] = per_doc.get(doc_id, 0) + 1
-    for term_id, per_doc in counts_by_term.items():
-        index.postings[term_id] = sorted(per_doc.items())
-    return index
-
-
-def _idf(index: Index, term_id: int) -> float:
-    df = len(index.postings.get(term_id, ()))
-    return 1.0 + math.log(index.doc_count / (df + 1))
+            term_id = vocabulary.setdefault(tok, len(vocabulary))
+            counts[term_id] = counts.get(term_id, 0) + 1
+    doc_ids = sorted(counts_by_doc)
+    terms: list[int] = []
+    positions: list[int] = []
+    tfs: list[int] = []
+    for pos, doc_id in enumerate(doc_ids):
+        counts = counts_by_doc[doc_id]
+        terms.extend(counts)
+        positions.extend([pos] * len(counts))
+        tfs.extend(counts.values())
+    # A stable sort by term keeps each term's postings in ascending doc order.
+    term_of = np.array(terms, dtype=np.int64)
+    by_term = np.argsort(term_of, kind="stable")
+    term_of = term_of[by_term]
+    pos_of = np.array(positions, dtype=np.int64)[by_term]
+    tf_of = np.array(tfs, dtype=np.int64)[by_term]
+    doc_lengths = np.array([lengths[d] for d in doc_ids], dtype=np.int64)
+    dfs = np.bincount(term_of, minlength=len(vocabulary))
+    n = len(doc_ids)
+    idf_squared = np.array([(1.0 + math.log(n / (df + 1))) ** 2 for df in dfs.tolist()])
+    contrib_of = np.sqrt(tf_of) * idf_squared[term_of] / np.sqrt(doc_lengths[pos_of])
+    ends = np.cumsum(dfs).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    return Index(
+        vocabulary=vocabulary,
+        doc_ids=doc_ids,
+        doc_lengths=doc_lengths,
+        postings=[pos_of[a:b] for a, b in spans],
+        tfs=[tf_of[a:b] for a, b in spans],
+        contributions=[contrib_of[a:b] for a, b in spans],
+    )
 
 
 def top_k(index: Index, query_tokens: Sequence[str], k: int = 10) -> list[tuple[str, float]]:
@@ -76,28 +114,31 @@ def top_k(index: Index, query_tokens: Sequence[str], k: int = 10) -> list[tuple[
 
     score(d) = sum over distinct query terms t of
         sqrt(tf(t, d)) * idf(t)^2 / sqrt(len(d))
-    with idf(t) = 1 + ln(N / (df(t) + 1)). Ties break by ascending doc_id.
-    If fewer than k documents score above zero, the remainder is padded with
-    zero-score documents in ascending doc_id order; zero scores therefore
+    with idf(t) = 1 + ln(N / (df(t) + 1)). Term-at-a-time: the terms'
+    precomputed contributions are added into one accumulator per document in
+    sorted-term order. Ties break by ascending doc_id. If fewer than k
+    documents contain a query term, the remainder is padded with the other
+    documents in ascending doc_id order at score 0.0; zero scores therefore
     mark padding.
     """
     if k < 1:
         raise RetrievalError("k must be >= 1")
-    accum: dict[str, float] = {}
-    for term in sorted(set(query_tokens)):
-        term_id = index.vocabulary.get(term)
-        if term_id is None:
-            continue
-        weight = _idf(index, term_id) ** 2
-        for doc_id, tf in index.postings[term_id]:
-            length = index.doc_lengths[doc_id]
-            contrib = math.sqrt(tf) * weight / math.sqrt(length)
-            accum[doc_id] = accum.get(doc_id, 0.0) + contrib
-    ranked = sorted(accum.items(), key=lambda item: (-item[1], item[0]))
-    if len(ranked) < k:
-        pads = sorted(d for d in index.doc_lengths if d not in accum)
-        ranked.extend((d, 0.0) for d in pads)
-    return ranked[:k]
+    term_ids = [index.vocabulary[t] for t in sorted(set(query_tokens)) if t in index.vocabulary]
+    n = index.doc_count
+    if term_ids:
+        docs = np.concatenate([index.postings[t] for t in term_ids])
+        contributions = np.concatenate([index.contributions[t] for t in term_ids])
+    else:
+        docs, contributions = np.zeros(0, dtype=np.int64), np.zeros(0)
+    scores = np.bincount(docs, weights=contributions, minlength=n)
+    touched = np.zeros(n, dtype=bool)
+    touched[docs] = True
+    hit = np.flatnonzero(touched)
+    ranked = hit[np.lexsort((hit, -scores[hit]))][:k]
+    pads = np.flatnonzero(~touched)[: k - len(ranked)]
+    return [(index.doc_ids[p], float(scores[p])) for p in ranked.tolist()] + [
+        (index.doc_ids[p], 0.0) for p in pads.tolist()
+    ]
 
 
 @dataclass
@@ -158,18 +199,15 @@ def generate_candidates(
 
 def save_index(index: Index, path: str | Path) -> None:
     """Write the index as EVPIRANK-IDX v1 text: doc lengths, terms, postings."""
-    doc_ids = sorted(index.doc_lengths)
-    doc_pos = {d: i for i, d in enumerate(doc_ids)}
-    lines = [INDEX_HEADER, f"doc_count\t{index.doc_count}", f"docs\t{len(doc_ids)}"]
-    for d in doc_ids:
-        lines.append(f"{index.doc_lengths[d]}\t{d}")
-    terms = sorted(index.vocabulary.items(), key=lambda item: item[1])
-    lines.append(f"terms\t{len(terms)}")
-    for term, term_id in terms:
+    lines = [INDEX_HEADER, f"doc_count\t{index.doc_count}", f"docs\t{index.doc_count}"]
+    for length, d in zip(index.doc_lengths.tolist(), index.doc_ids):
+        lines.append(f"{length}\t{d}")
+    lines.append(f"terms\t{len(index.vocabulary)}")
+    for term, term_id in sorted(index.vocabulary.items(), key=lambda item: item[1]):
         lines.append(f"{term_id}\t{term}")
     lines.append(f"postings\t{len(index.postings)}")
-    for term_id in sorted(index.postings):
-        pairs = ",".join(f"{doc_pos[d]}:{tf}" for d, tf in index.postings[term_id])
+    for term_id, (docs, tfs) in enumerate(zip(index.postings, index.tfs)):
+        pairs = ",".join(f"{d}:{tf}" for d, tf in zip(docs.tolist(), tfs.tolist()))
         lines.append(f"{term_id}\t{pairs}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -212,17 +250,48 @@ def read_jsonl(path: str | Path, build: Callable[[dict], Any], error=ValueError)
     return out
 
 
+def json_isinstance(value: Any, kinds: type | tuple[type, ...]) -> bool:
+    """isinstance for parsed JSON: true and false are not numbers.
+
+    They load as bools, which Python counts as ints.
+    """
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+# The JSON types a reader asks for, named for its errors: (a value, a list's items).
+JSON_TYPE_NAMES = {
+    str: ("a string", "strings"),
+    int: ("an integer", "integers"),
+    (int, float): ("a number", "numbers"),
+}
+
+
+def typed_field(record: dict, key: str, kinds: type | tuple[type, ...]) -> Any:
+    """record[key], which must be of one of the JSON_TYPE_NAMES kinds."""
+    if not json_isinstance(record[key], kinds):
+        raise TypeError(f"{key} must be {JSON_TYPE_NAMES[kinds][0]}")
+    return record[key]
+
+
+def list_field(record: dict, key: str, kinds: type | tuple[type, ...]) -> list:
+    """record[key], which must be a JSON list of one of the JSON_TYPE_NAMES kinds."""
+    value = record[key]
+    if not isinstance(value, list) or not all(json_isinstance(v, kinds) for v in value):
+        raise TypeError(f"{key} must be a list of {JSON_TYPE_NAMES[kinds][1]}")
+    return value
+
+
 def read_candidates(path: str | Path) -> list[CandidateSet]:
     """Load candidates.jsonl; a set's three lists must be equally long and hold original_index."""
 
     def build(record: dict) -> CandidateSet:
         cs = CandidateSet(
-            post_id=record["post_id"],
-            post_body=record["post_body"],
-            questions=list(record["questions"]),
-            answers=list(record["answers"]),
-            source_post_ids=list(record["source_post_ids"]),
-            original_index=int(record["original_index"]),
+            post_id=typed_field(record, "post_id", str),
+            post_body=typed_field(record, "post_body", str),
+            questions=list_field(record, "questions", str),
+            answers=list_field(record, "answers", str),
+            source_post_ids=list_field(record, "source_post_ids", str),
+            original_index=typed_field(record, "original_index", int),
         )
         where, n = f"post {cs.post_id!r}", len(cs)
         if not n == len(cs.answers) == len(cs.source_post_ids):

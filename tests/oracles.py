@@ -73,6 +73,57 @@ def brute_top_k(docs: dict[str, str], query_tokens: list[str], k: int) -> list[t
     return ranked[:k]
 
 
+# ---------------------------------------------------------------------------
+# Posting-at-a-time TF-IDF reference: the tuple-postings index and dict
+# accumulator that retrieval.top_k replaced. top_k must return exactly its
+# list, doc ids and float bits alike.
+
+
+class DictIndex:
+    """The tuple-postings inverted index: per term a (doc_id, tf) list sorted by doc_id."""
+
+    def __init__(self, docs: Iterable[tuple[str, str]]):
+        self.vocabulary: dict[str, int] = {}
+        self.postings: dict[int, list[tuple[str, int]]] = {}
+        self.doc_lengths: dict[str, int] = {}
+        self.doc_count = 0
+        counts_by_term: dict[int, dict[str, int]] = {}
+        for doc_id, text in docs:
+            tokens = brute_tokenize(text)
+            self.doc_lengths[doc_id] = len(tokens)
+            self.doc_count += 1
+            for tok in tokens:
+                term_id = self.vocabulary.setdefault(tok, len(self.vocabulary))
+                per_doc = counts_by_term.setdefault(term_id, {})
+                per_doc[doc_id] = per_doc.get(doc_id, 0) + 1
+        for term_id, per_doc in counts_by_term.items():
+            self.postings[term_id] = sorted(per_doc.items())
+
+
+def _idf(index: DictIndex, term_id: int) -> float:
+    df = len(index.postings.get(term_id, ()))
+    return 1.0 + math.log(index.doc_count / (df + 1))
+
+
+def dict_top_k(index: DictIndex, query_tokens: list[str], k: int = 10) -> list[tuple[str, float]]:
+    """top_k with one dict accumulator, adding each posting's contribution in turn."""
+    accum: dict[str, float] = {}
+    for term in sorted(set(query_tokens)):
+        term_id = index.vocabulary.get(term)
+        if term_id is None:
+            continue
+        weight = _idf(index, term_id) ** 2
+        for doc_id, tf in index.postings[term_id]:
+            length = index.doc_lengths[doc_id]
+            contrib = math.sqrt(tf) * weight / math.sqrt(length)
+            accum[doc_id] = accum.get(doc_id, 0.0) + contrib
+    ranked = sorted(accum.items(), key=lambda item: (-item[1], item[0]))
+    if len(ranked) < k:
+        pads = sorted(d for d in index.doc_lengths if d not in accum)
+        ranked.extend((d, 0.0) for d in pads)
+    return ranked[:k]
+
+
 def brute_precision_at_k(order: list[int], relevant: set[int], k: int) -> float:
     hits = 0
     for candidate in order[:k]:

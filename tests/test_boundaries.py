@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evpirank.evpi import MODEL_PARTS, NeuralParams, rank_from_scores, read_rankings, write_rankings
+from evpirank.ingest import PostRecord, Triple, read_triples, write_triples
 from evpirank.neural import load_checkpoint, save_checkpoint
 from evpirank.retrieval import CandidateSet, read_candidates, write_candidates
 from evpirank.rng import substream
@@ -67,6 +68,21 @@ LAYOUTS = {
 MODELS = list(PARTS)
 
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@st.composite
+def triples(draw) -> Triple:
+    # The file holds no author or creation time; they read back as "" and 0.
+    post = PostRecord(
+        post_id=draw(TEXT), author_id="", title=draw(TEXT), body=draw(TEXT), created_at=0
+    )
+    return Triple(
+        post=post,
+        question=draw(TEXT),
+        question_time=draw(st.integers(-(2**63), 2**63)),
+        answer=draw(TEXT),
+        answer_source=draw(st.sampled_from(["comment", "edit"])),
+    )
 
 
 @st.composite
@@ -159,6 +175,14 @@ class TestRoundTrips:
             path = Path(tmp) / "candidates.jsonl"
             write_candidates(path, sets)
             assert read_candidates(path) == sets
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(triples(), max_size=4))
+    def test_triples_file(self, written):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "triples.jsonl"
+            write_triples(path, written)
+            assert read_triples(path) == written
 
     @settings(max_examples=50, deadline=None)
     @given(

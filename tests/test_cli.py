@@ -552,6 +552,87 @@ class TestMalformedInputFiles:
             assert "Traceback" not in err and stdout == ""
             assert not out.exists()
 
+    @staticmethod
+    def edited_copy(source: Path, bad: Path, **fields) -> None:
+        """bad is source with fields set on its second line."""
+        lines = source.read_text(encoding="utf-8").splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), **fields})
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            # Strings as long as the lists they replace: list() used to split them.
+            (
+                {"questions": "abcdefg", "answers": "hijklmn", "source_post_ids": "opqrstu"},
+                "questions must be a list of strings",
+            ),
+            ({"answers": "hijklmn"}, "answers must be a list of strings"),
+            ({"source_post_ids": list(range(7))}, "source_post_ids must be a list of strings"),
+            ({"original_index": True}, "original_index must be an integer"),
+            ({"original_index": 1.0}, "original_index must be an integer"),
+            ({"original_index": "1"}, "original_index must be an integer"),
+            ({"post_id": 2}, "post_id must be a string"),
+            ({"post_body": None}, "post_body must be a string"),
+        ],
+    )
+    def test_wrong_json_type_in_candidates_is_usage_error(
+        self, pipeline, capsys, tmp_path, fields, message
+    ):
+        bad = tmp_path / "typed.jsonl"
+        self.edited_copy(FIXTURES / "golden" / "candidates.jsonl", bad, **fields)
+        self.assert_usage_error(pipeline, capsys, tmp_path, "candidates", bad, f"line 2: {message}")
+        code, _, err = run(capsys, "train", "--candidates", str(bad), "--model", "ngrams",
+                           "--no-split", "--out", str(tmp_path / "model"))
+        assert code == 2 and f"line 2: {message}" in err
+
+    @pytest.mark.parametrize(
+        "reader, fields, message",
+        [
+            ("triples", {"question_time": "12"}, "question_time must be an integer"),
+            ("triples", {"post_id": 7}, "post_id must be a string"),
+            ("triples", {"answer": ["a"]}, "answer must be a string"),
+            ("annotations", {"valid": "12"}, "valid must be a list of integers"),
+            ("annotations", {"valid": [True]}, "valid must be a list of integers"),
+            ("annotations", {"best": 1.0}, "best must be an integer"),
+            ("annotations", {"annotator_id": 2}, "annotator_id must be a string"),
+        ],
+    )
+    def test_wrong_json_type_in_triples_and_annotations_is_usage_error(
+        self, pipeline, capsys, tmp_path, reader, fields, message
+    ):
+        source = tmp_path / "valid.jsonl"
+        if reader == "triples":
+            source = FIXTURES / "golden" / "triples.jsonl"
+        else:
+            record = {"post_id": "p01", "annotator_id": "a1", "best": 1, "valid": [1, 2]}
+            lines = [json.dumps(record), json.dumps({**record, "annotator_id": "a2"})]
+            source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        bad = tmp_path / "typed.jsonl"
+        self.edited_copy(source, bad, **fields)
+        self.assert_usage_error(pipeline, capsys, tmp_path, reader, bad, f"line 2: {message}")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"order": "1023456"}, "order must be a list of integers"),
+            ({"order": [1.0, 0, 2, 3, 4, 5, 6]}, "order must be a list of integers"),
+            ({"order": [True, False, 2, 3, 4, 5, 6]}, "order must be a list of integers"),
+            ({"scores": [True] * 7}, "scores must be a list of numbers"),
+            ({"scores": "0.50.40.3"}, "scores must be a list of numbers"),
+            ({"post_id": 2}, "post_id must be a string"),
+        ],
+    )
+    def test_wrong_json_type_in_rankings_is_usage_error(
+        self, pipeline, capsys, tmp_path, fields, message
+    ):
+        rankings = tmp_path / "ranked.jsonl"
+        cands = str(FIXTURES / "golden" / "candidates.jsonl")
+        assert main(["rank", "--candidates", cands, "--model", "random", "--out", str(rankings)]) == 0
+        bad = tmp_path / "typed.jsonl"
+        self.edited_copy(rankings, bad, **fields)
+        self.assert_usage_error(pipeline, capsys, tmp_path, "rankings", bad, f"line 2: {message}")
+
     @pytest.mark.parametrize(
         "record, message",
         [

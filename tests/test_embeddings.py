@@ -2,9 +2,13 @@
 
 import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evpirank.embeddings import (
     AvgVector,
@@ -13,6 +17,7 @@ from evpirank.embeddings import (
     avg_vector,
     cos_sim,
     load_embeddings,
+    load_embeddings_file,
 )
 
 
@@ -42,6 +47,84 @@ class TestLoadEmbeddings:
     def test_empty_input_is_error(self):
         with pytest.raises(EmbeddingFormatError):
             table_from("")
+
+
+def loaded(load):
+    """(dim, [(word, row bytes)] in table order), or the EmbeddingFormatError message."""
+    try:
+        table = load()
+    except EmbeddingFormatError as exc:
+        return str(exc)
+    return table.dim, [(word, row.tobytes()) for word, row in table.vectors.items()]
+
+
+# Numbers both parsers read, and characters that make tokens only one of them
+# reads (or neither): "_", fullwidth and Arabic-Indic digits, NUL, "#".
+NUMBER = st.sampled_from(["1", "-2.5", "1e3", "+.5", "nan", "-Infinity", "1e999"])
+TOKEN = NUMBER | st.text(
+    st.sampled_from(list("0123456789.-+eEnaifINF_#x\uff11\u0663\x00")), min_size=1, max_size=5
+)
+
+
+def line(dim: int):
+    """A `word v1 ... vd` line, d mostly dim, joined by one of several whitespaces."""
+    values = (
+        st.lists(NUMBER, min_size=dim, max_size=dim)
+        | st.lists(TOKEN, min_size=dim, max_size=dim)
+        | st.lists(TOKEN, max_size=4)
+    )
+    word = st.sampled_from(["cat", "dog", "#x", "cat"])  # "cat" twice: duplicates are common
+    sep = st.sampled_from([" ", "\t", "\x1c", "  ", "\u3000", "\xa0"])
+    return st.builds(lambda w, vs, s: s.join([w, *vs]), word, values, sep)
+
+
+def assert_same_as_per_line_parser(path: Path) -> None:
+    def per_line():
+        with open(path, "r", encoding="utf-8") as handle:
+            return load_embeddings(handle)
+
+    assert loaded(lambda: load_embeddings_file(path)) == loaded(per_line)
+
+
+class TestLoadEmbeddingsFile:
+    """The one-pass file loader gives exactly what the per-line parser gives."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "cat 1 2 3\ndog 4 5 6\n",
+            "cat 1_0 2\n",  # float() reads underscores; np.loadtxt does not
+            "cat \uff11 2\n",  # fullwidth digit one
+            "cat \u0663 2\n",  # Arabic-Indic digit three
+            "cat nan -Infinity\ndog -nan 1e999\n",
+            "#cat 1 2\ndog 3 4\n",  # a word starting with '#' is not a comment
+            "cat 1 2\ndog #3 4\n",
+            "cat\t1\t2\ndog\x1c3\x1c4\n",  # tab and file-separator whitespace
+            "  cat   1  2  \ndog 3 4",  # padding and no final newline
+            "cat 1 2\ncat 9 9\ndog 3 4\ncat 7 7\n",  # duplicates keep the first row
+            "cat 1 2\n\ndog 3 4\n",  # blank line mid-file
+            "cat 1 2\ndog 3 4\n\n",  # blank line at the end
+            "cat 1 2\n \t\n",  # whitespace-only line
+            "cat 1 2\ndog\n",  # word-only line
+            "cat 1 2\ndog 3 4 5\n",  # dimension grows
+            "cat 1 2 3\ndog 3 4\n",  # dimension shrinks
+            "cat 1 2\ndog x y\n",
+            "",
+        ],
+    )
+    def test_matches_per_line_parser(self, tmp_path, text):
+        path = tmp_path / "vectors.txt"
+        path.write_text(text, encoding="utf-8")
+        assert_same_as_per_line_parser(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda dim: st.lists(line(dim), max_size=6)))
+    def test_matches_per_line_parser_on_generated_lines(self, lines):
+        text = "".join(row + "\n" for row in lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vectors.txt"
+            path.write_text(text, encoding="utf-8")
+            assert_same_as_per_line_parser(path)
 
 
 class TestAvgVector:

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evpirank.evaluation import (
     Annotation,
     EvaluationError,
     LabelSet,
+    average_precision,
     build_labelsets,
     bootstrap_test,
     cohen_kappa,
@@ -85,6 +88,29 @@ class TestAveragePrecision:
             assert mean_average_precision([order], [relevant]) == pytest.approx(
                 brute_average_precision(order, relevant), abs=1e-12
             )
+
+
+@st.composite
+def ranked_with_relevant(draw):
+    """(order, relevant): a permutation of range(n) and a non-empty subset of it."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n)))
+    relevant = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return order, relevant
+
+
+class TestMetricsAgainstBruteForce:
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_with_relevant(), st.integers(1, 14))
+    def test_precision_at_k(self, ranked, k):
+        order, relevant = ranked
+        assert precision_at_k(order, relevant, k) == brute_precision_at_k(order, relevant, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_with_relevant())
+    def test_average_precision(self, ranked):
+        order, relevant = ranked
+        assert average_precision(order, relevant) == brute_average_precision(order, relevant)
 
 
 class TestBuildLabelsets:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evpirank.ingest import PostRecord, Triple
 from evpirank.retrieval import (
@@ -16,7 +18,7 @@ from evpirank.retrieval import (
     tokenize,
     top_k,
 )
-from tests.oracles import brute_tfidf_scores, brute_top_k
+from tests.oracles import DictIndex, brute_tfidf_scores, brute_top_k, dict_top_k
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
@@ -68,15 +70,21 @@ class TestBuildIndex:
 
     def test_postings_sorted_by_doc_id(self):
         index = build_index([("z", "apple pie"), ("a", "apple tart"), ("m", "apple")])
-        for plist in index.postings.values():
-            assert plist == sorted(plist)
+        assert index.doc_ids == ["a", "m", "z"]
+        for docs in index.postings:
+            ids = [index.doc_ids[p] for p in docs.tolist()]
+            assert ids == sorted(ids) and len(set(ids)) == len(ids)
+        assert [index.doc_ids[p] for p in index.postings[index.vocabulary["apple"]]] == ["a", "m", "z"]
 
     def test_deterministic_rebuild(self):
         docs = [("d1", "one two two"), ("d2", "two three")]
         a, b = build_index(docs), build_index(docs)
         assert a.vocabulary == b.vocabulary
-        assert a.postings == b.postings
-        assert a.doc_lengths == b.doc_lengths
+        assert a.doc_ids == b.doc_ids
+        assert a.doc_lengths.tobytes() == b.doc_lengths.tobytes()
+        for field in ("postings", "tfs", "contributions"):
+            arrays_a, arrays_b = getattr(a, field), getattr(b, field)
+            assert [x.tobytes() for x in arrays_a] == [x.tobytes() for x in arrays_b], field
 
 
 class TestScore:
@@ -140,6 +148,21 @@ class TestTopK:
             got = top_k(index, query, k=10)
             scores = [s for _, s in got]
             assert scores == sorted(scores, reverse=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_identical_to_dict_accumulator(self, data):
+        # Few words and short texts: empty docs, equal scores and identical
+        # docs come up often. "oov" is in no document.
+        words = ["a", "b", "c", "d", "e"]
+        texts = st.lists(st.sampled_from(words), max_size=6).map(" ".join)
+        ids = data.draw(st.lists(st.text("xyz", max_size=3), max_size=12, unique=True))
+        docs = [(doc_id, data.draw(texts)) for doc_id in ids]
+        query = data.draw(st.lists(st.sampled_from(words + ["oov"]), max_size=8))
+        k = data.draw(st.integers(1, len(docs) + 3))
+        got = top_k(build_index(docs), query, k)
+        want = dict_top_k(DictIndex(docs), query, k)
+        assert [(d, s.hex()) for d, s in got] == [(d, s.hex()) for d, s in want]
 
     def test_agreement_with_brute_force_oracle(self):
         rng = np.random.default_rng(6)

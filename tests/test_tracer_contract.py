@@ -100,7 +100,7 @@ def test_counter_values(fixture_run):
 
     assert counts("_words") == {"words": 4}
     assert counts("_build_index")["docs"] == 7
-    assert counts("_top_k")["slots"] == 7  # 7 posts < k = 10
+    assert counts("_top_k") == {"postings": 15, "pads": 3, "slots": 7}  # 7 posts < k = 10
     assert counts("_avg_vector")["found"] >= 2  # "cpu" and "ram" are in the table
     assert counts("_lstm_forward")["tokens"] == 5
     assert counts("_lstm_backward") == {"tokens": 5}
