@@ -274,9 +274,9 @@ def cqa_train(
 # Neural baselines
 
 
-def _scorer_losses(params: NeuralParams, enc: SetEncoding, prep, grads) -> float:
+def _scorer_losses(params: NeuralParams, enc: SetEncoding, preps, grads) -> float:
     """The baselines' only head: bce_losses of ff over the model's encodings."""
-    return bce_losses(params.ff, "ff/", enc, prep.cs.original_index, grads)
+    return bce_losses(params.ff, "ff/", enc, grads)
 
 
 class NeuralBaselineModel(NeuralModel):
@@ -291,6 +291,9 @@ class NeuralBaselineModel(NeuralModel):
     ) -> tuple[float, dict[str, np.ndarray]]:
         return batch_loss_and_grads(self.params, batch, (_scorer_losses,))
 
-    def rank_prepared(self, prep: PreparedCandidates) -> RankedList:
-        scores = bce_scores(self.params.ff, SetEncoding(self.params, prep))
-        return rank_from_scores(prep.cs.post_id, scores)
+    def rank_prepared(self, preps: Sequence[PreparedCandidates]) -> list[RankedList]:
+        enc = SetEncoding(self.params, preps)
+        return [
+            rank_from_scores(prep.cs.post_id, scores)
+            for prep, scores in zip(preps, enc.per_set(bce_scores(self.params.ff, enc)))
+        ]

@@ -7,6 +7,7 @@ resolved configuration before running.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -25,7 +26,9 @@ VALID_KEYS: dict[str, type] = {f.name: _TYPES[f.name] for f in fields(TrainConfi
 DEFAULTS: dict[str, object] = {f.name: f.default for f in fields(TrainConfig)}
 
 # Smallest legal value of the keys that have one.
-_MINIMUMS: dict[str, float] = {"hidden_dim": 1, "batch_size": 1, "epochs": 1, "lr": 0.0}
+_MINIMUMS: dict[str, float] = {
+    "hidden_dim": 1, "batch_size": 1, "epochs": 1, "patience": 0, "lr": 0.0,
+}
 
 
 def _check_key(key: str) -> None:
@@ -39,6 +42,8 @@ def _parse(key: str, raw: str):
         value = VALID_KEYS[key](raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: must be finite, got {raw}")
     if key in _MINIMUMS and not value >= _MINIMUMS[key]:
         raise ConfigError(f"config key {key!r}: must be >= {_MINIMUMS[key]}, got {raw}")
     return value

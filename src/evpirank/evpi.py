@@ -195,38 +195,49 @@ class PreparedCandidates:
 def _distinct(mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     """The distinct matrices of mats, and for each of mats the index of its copy."""
     index: dict[tuple, int] = {}
-    inverse = [index.setdefault((m.shape, m.tobytes()), len(index)) for m in mats]
-    return [mats[inverse.index(k)] for k in range(len(index))], np.array(inverse)
+    inverse = np.array([index.setdefault((m.shape, m.tobytes()), len(index)) for m in mats])
+    # ids count up in order of first appearance; return_index gives each id's first matrix
+    return [mats[i] for i in np.unique(inverse, return_index=True)[1]], inverse
 
 
 class SetEncoding:
-    """Every text of a prepared set run through its LSTM encoder once.
+    """Every text of a batch of prepared sets run through its LSTM encoder once.
 
-    params is a NeuralParams; the encoders it lacks are skipped. Each
-    encoder it has makes one packed lstm_forward over the distinct token
-    matrices of its texts (equal matrices share one encoding, so they stay
-    bit-equal whatever rows a product rounds differently). The encodings are
-    the column blocks of the heads' (n, k*H) input: the post's encoding on
-    every row, then the question encodings, then the answer encodings, one
-    row per candidate. With for_backward, each block keeps its LSTM cache
-    and an (n, H) accumulator of d(loss)/d(block) that backprop_head adds
-    into, and backward() runs one lstm_backward per encoder. Without it the
-    pass is forward-only and keeps neither.
+    params is a NeuralParams; the encoders it lacks are skipped. The rows
+    are every set's candidates, concatenated: set s owns rows
+    offsets[s]:offsets[s + 1], and originals[s] is the row of its original
+    question. Each encoder present makes one packed lstm_forward over the
+    distinct token matrices of the whole batch (equal matrices share one
+    encoding, so they stay bit-equal within a set and across sets whatever
+    rows a product rounds differently). The encodings are the column blocks
+    of the heads' (n, k*H) input: a set's post encoding on each of its rows,
+    then the question encodings, then the answer encodings, one row per
+    candidate. With for_backward, each block keeps its LSTM cache and an
+    (n, H) accumulator of d(loss)/d(block) that backprop_head adds into, and
+    backward() runs one lstm_backward per encoder. Without it the pass is
+    forward-only and keeps neither.
     """
 
-    def __init__(self, params: NeuralParams, prep: PreparedCandidates, for_backward: bool = False):
-        self.n = len(prep.cs)
+    def __init__(
+        self, params: NeuralParams, preps: Sequence[PreparedCandidates], for_backward: bool = False
+    ):
+        sizes = [len(prep.cs) for prep in preps]
+        self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        self.originals = self.offsets[:-1] + [prep.cs.original_index for prep in preps]
+        self.n = int(self.offsets[-1])
         self.lstms, self.blocks, self.text_ids, self.caches = [], [], [], []
-        for prefix, lstm, texts in (
-            ("lstm_post/", params.lstm_post, [prep.post_tokens]),
-            ("lstm_question/", params.lstm_question, prep.question_tokens),
-            ("lstm_answer/", params.lstm_answer, prep.answer_tokens),
+        for prefix, lstm, texts, rows_per_text in (
+            ("lstm_post/", params.lstm_post, [prep.post_tokens for prep in preps], sizes),
+            ("lstm_question/", params.lstm_question,
+             [m for prep in preps for m in prep.question_tokens], 1),
+            ("lstm_answer/", params.lstm_answer,
+             [m for prep in preps for m in prep.answer_tokens], 1),
         ):
             if lstm is None:
                 continue
             distinct, inverse = _distinct(texts)
             means, cache = lstm_forward(lstm, np.concatenate(distinct), [len(m) for m in distinct])
-            text_ids = np.broadcast_to(inverse, self.n)  # the post's one text serves every row
+            text_ids = np.repeat(inverse, rows_per_text)  # a set's post serves each of its rows
             self.lstms.append((prefix, lstm))
             self.blocks.append(means[text_ids])
             self.text_ids.append(text_ids)
@@ -238,6 +249,10 @@ class SetEncoding:
     def inputs(self) -> np.ndarray:
         """The (n, k*H) rows [p; q_j; a_j] over the encoders present."""
         return np.hstack(self.blocks)
+
+    def per_set(self, rows: np.ndarray) -> list[np.ndarray]:
+        """rows, one per encoded row, cut into one view per set."""
+        return np.split(rows, self.offsets[1:-1])
 
     def backprop_head(self, ff, prefix: str, acts, d_out, grads, rows=slice(None)) -> None:
         """Backpropagate head ff, run on inputs()[rows, :m], from d(loss)/d(output).
@@ -263,7 +278,7 @@ class SetEncoding:
 
 
 def bce_scores(ff: FeedForwardParams, enc: SetEncoding) -> np.ndarray:
-    """sigma(ff([p; q_j; a_j])) for every candidate j: utility or baseline scores."""
+    """sigma(ff([p; q_j; a_j])) for every encoded row: utility or baseline scores."""
     return sigmoid(feedforward_forward(ff, enc.inputs())[0][:, 0])
 
 
@@ -271,10 +286,9 @@ def bce_losses(
     ff: FeedForwardParams,
     prefix: str,
     enc: SetEncoding,
-    original_index: int,
     grads: dict[str, np.ndarray],
 ) -> float:
-    """Summed BCE of bce_scores against the one-positive labels.
+    """Summed BCE of bce_scores against the labels: 1 on enc.originals, 0 elsewhere.
 
     The probability is clamped away from 0 and 1. Backpropagates through
     enc.backprop_head.
@@ -282,7 +296,7 @@ def bce_losses(
     out, acts = feedforward_forward(ff, enc.inputs())
     u = sigmoid(out[:, 0])
     y = np.zeros(enc.n)
-    y[original_index] = 1.0
+    y[enc.originals] = 1.0
     u_c = np.clip(u, BCE_CLAMP, 1.0 - BCE_CLAMP)
     losses = -(y * np.log(u_c) + (1.0 - y) * np.log(1.0 - u_c))
     # Where the clamp is active the loss is locally flat in s.
@@ -291,40 +305,54 @@ def bce_losses(
     return float(losses.sum())
 
 
-# A head is head(params, enc, prep, grads) -> loss: it scores one encoded
-# set, backpropagates through enc.backprop_head, and returns its summed loss.
+# A head is head(params, enc, preps, grads) -> loss: it scores the sets
+# preps encoded in enc, backpropagates through enc.backprop_head, and
+# returns its loss summed over the sets.
 
 
 def utility_losses(
-    params: NeuralParams, enc: SetEncoding, prep: PreparedCandidates, grads: dict[str, np.ndarray]
+    params: NeuralParams,
+    enc: SetEncoding,
+    preps: Sequence[PreparedCandidates],
+    grads: dict[str, np.ndarray],
 ) -> float:
     """The utility head: bce_losses of ff_util over [p; q_j; a_j]."""
-    return bce_losses(params.ff_util, "ff_util/", enc, prep.cs.original_index, grads)
+    return bce_losses(params.ff_util, "ff_util/", enc, grads)
 
 
 def answer_losses(
-    params: NeuralParams, enc: SetEncoding, prep: PreparedCandidates, grads: dict[str, np.ndarray]
+    params: NeuralParams,
+    enc: SetEncoding,
+    preps: Sequence[PreparedCandidates],
+    grads: dict[str, np.ndarray],
 ) -> float:
     """The answer head: one loss term per post.
 
     Distance 1 - cos of F_ans(p, q_o) to the original answer, plus the
     distances to the other candidates' answers weighted by how similar their
-    questions are to the original question. The cosine and its gradient are
-    0 where either vector has zero norm.
+    questions are to the original question. F_ans runs once over the
+    original rows of all sets; only the cosines against each set's own
+    answers are per set. The cosine and its gradient are 0 where either
+    vector has zero norm.
     """
-    o = prep.cs.original_index
-    # [p; q_o]: the first two column blocks of row o
-    rep, acts = feedforward_forward(params.ff_ans, enc.inputs()[o, : 2 * params.hidden_dim])
-    weights = prep.sim_weights.copy()
-    weights[o] = 1.0
-    unit = unit_rows(rep)
-    cos = prep.a_units @ unit
-    norm = np.linalg.norm(rep)
-    # d(1 - cos_j)/d(rep) = (cos_j unit - a_units_j) / |rep|, and 0 where rep = 0
-    d_rep = (weights @ cos) * unit - weights @ prep.a_units
-    d_rep = d_rep / norm if norm > 0.0 else np.zeros_like(rep)
-    enc.backprop_head(params.ff_ans, "ff_ans/", acts, d_rep, grads, rows=o)
-    return float(weights @ (1.0 - cos))
+    # [p; q_o]: the first two column blocks of each set's original row
+    reps, acts = feedforward_forward(
+        params.ff_ans, enc.inputs()[enc.originals, : 2 * params.hidden_dim]
+    )
+    units = unit_rows(reps)
+    norms = np.linalg.norm(reps, axis=1)
+    d_reps = np.zeros_like(reps)
+    total = 0.0
+    for s, prep in enumerate(preps):
+        weights = prep.sim_weights.copy()
+        weights[prep.cs.original_index] = 1.0
+        cos = prep.a_units @ units[s]
+        # d(1 - cos_j)/d(rep) = (cos_j unit - a_units_j) / |rep|, and 0 where rep = 0
+        if norms[s] > 0.0:
+            d_reps[s] = ((weights @ cos) * units[s] - weights @ prep.a_units) / norms[s]
+        total += float(weights @ (1.0 - cos))
+    enc.backprop_head(params.ff_ans, "ff_ans/", acts, d_reps, grads, rows=enc.originals)
+    return total
 
 
 def batch_loss_and_grads(
@@ -332,25 +360,25 @@ def batch_loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean over the batch of the heads' summed losses, with its gradient.
 
-    Each set is encoded once and backpropagated once, whatever the heads.
+    The whole batch is one SetEncoding: one packed forward and one backward
+    pass per encoder, whatever the heads, and each head's feedforward runs
+    once over the stacked rows.
     """
     grads = zeros_like_tensors(params.tensors())
-    total = 0.0
-    for prep in batch:
-        enc = SetEncoding(params, prep, for_backward=True)
-        for head in heads:
-            total += head(params, enc, prep, grads)
-        enc.backward(grads)
-    n = max(1, len(batch))
+    enc = SetEncoding(params, batch, for_backward=True)
+    total = sum(head(params, enc, batch, grads) for head in heads)
+    enc.backward(grads)
     for name in grads:
-        grads[name] /= n
-    return total / n, grads
+        grads[name] /= len(batch)
+    return total / len(batch), grads
 
 
 class NeuralModel:
     """A NeuralParams model over an embedding table, named by its MODEL_PARTS entry.
 
-    Subclasses supply prepare, loss_and_grads and rank_prepared.
+    Subclasses supply prepare, loss_and_grads and rank_prepared; rank_prepared
+    takes a list of prepared sets, encodes them as one batch and returns one
+    RankedList per set. A set's scores depend only on that set.
     """
 
     def __init__(self, params: NeuralParams, table: EmbeddingTable):
@@ -376,7 +404,7 @@ class NeuralModel:
         )
 
     def rank(self, cs: CandidateSet) -> RankedList:
-        return self.rank_prepared(self.prepare(cs))
+        return self.rank_prepared([self.prepare(cs)])[0]
 
 
 class EvpiModel(NeuralModel):
@@ -398,19 +426,25 @@ class EvpiModel(NeuralModel):
         """Mean per-post joint loss (answer plus utility) and its gradient."""
         return batch_loss_and_grads(self.params, batch, (answer_losses, utility_losses))
 
-    def rank_prepared(self, prep: PreparedCandidates) -> RankedList:
+    def rank_prepared(self, preps: Sequence[PreparedCandidates]) -> list[RankedList]:
         """score_i = sum_j exp(-(1 - cos(F_ans(p, q_i), a_hat_j))) * q_sims[i, j] * U_j.
 
-        Every product whose rows become per-candidate scores is an einsum, so
-        identical candidates get bit-identical scores.
+        F_ans and the utilities run once over the rows of all sets; the n x n
+        answer probabilities are per set. Every product whose rows become
+        per-candidate scores is an einsum, so identical candidates get
+        bit-identical scores.
         """
         params = self.params
-        enc = SetEncoding(params, prep)
+        enc = SetEncoding(params, preps)
         # [p; q_i]: the first two column blocks
         reps = feedforward_forward(params.ff_ans, enc.inputs()[:, : 2 * params.hidden_dim])[0]
-        probs = np.exp(np.einsum("ik,jk->ij", unit_rows(reps), prep.a_units) - 1.0) * prep.q_sims
-        scores = expected_value(probs, bce_scores(params.ff_util, enc))
-        return rank_from_scores(prep.cs.post_id, scores)
+        ranked = []
+        for prep, units, utils in zip(
+            preps, enc.per_set(unit_rows(reps)), enc.per_set(bce_scores(params.ff_util, enc))
+        ):
+            probs = np.exp(np.einsum("ik,jk->ij", units, prep.a_units) - 1.0) * prep.q_sims
+            ranked.append(rank_from_scores(prep.cs.post_id, expected_value(probs, utils)))
+        return ranked
 
 
 # ---------------------------------------------------------------------------

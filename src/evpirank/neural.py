@@ -272,6 +272,10 @@ def lstm_backward(
     )
     dc_dh = o * (1.0 - tanh_c**2)
     dpre = np.empty_like(cache.gates)
+    # (token, gate, hidden) views of local and dpre, to fill dpre block by block in place
+    local_gates = local.reshape(len(local), len(GATES), hidden)
+    dpre_gates = dpre.reshape(local_gates.shape)
+    o_gate = GATES.index("o")
     d_mean = np.asarray(d_mean, dtype=np.float64).reshape(len(cache.order), hidden)
     dh_shared = d_mean[cache.order] / np.maximum(cache.lengths[cache.order], 1)[:, None]
     dh_next = np.zeros_like(dh_shared)
@@ -281,7 +285,9 @@ def lstm_backward(
         lo = hi - live
         dh = dh_shared[:live] + dh_next[:live]
         dc = dh * dc_dh[lo:hi] + dc_next[:live]
-        dpre[lo:hi] = local[lo:hi] * np.hstack((dc, dc, dh, dc))
+        # the i, f and g blocks scale dc, the o block dh
+        np.multiply(local_gates[lo:hi], dc[:, None, :], out=dpre_gates[lo:hi])
+        np.multiply(local_gates[lo:hi, o_gate], dh, out=dpre_gates[lo:hi, o_gate])
         dh_next[:live] = dpre[lo:hi] @ params.U
         dc_next[:live] = dc * f[lo:hi]
         hi = lo

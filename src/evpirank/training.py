@@ -1,9 +1,10 @@
 """Shared mini-batch training loop with early stopping on tune-set MAP.
 
 fit works for any model object exposing tensors()/load_tensors(), prepare(),
-loss_and_grads(batch), and rank_prepared(). It keeps the checkpoint with the
-best tune MAP (evaluated against the original question) and restores it at
-the end. train draws a neural model's initial parameters and fits them.
+loss_and_grads(batch), and rank_prepared(batch). It keeps the checkpoint
+with the best tune MAP (evaluated against the original question) and
+restores it at the end. train draws a neural model's initial parameters
+and fits them.
 """
 
 from __future__ import annotations
@@ -53,15 +54,20 @@ class FitResult:
     best_tune_map: float = 0.0
 
 
-def original_mode_map(model, prepared: Sequence) -> float:
-    """Mean average precision with only the original question relevant."""
+def original_mode_map(model, prepared: Sequence, batch_size: int) -> float:
+    """Mean average precision with only the original question relevant.
+
+    The sets are ranked batch_size at a time, one rank_prepared call per
+    chunk, so evaluation holds no more encoding buffers than one training
+    batch.
+    """
     if not prepared:
         return 0.0
     total = 0.0
-    for prep in prepared:
-        ranked = model.rank_prepared(prep)
-        rank_of_original = ranked.order.index(prep.cs.original_index) + 1
-        total += 1.0 / rank_of_original
+    for start in range(0, len(prepared), batch_size):
+        chunk = prepared[start : start + batch_size]
+        for prep, ranked in zip(chunk, model.rank_prepared(chunk)):
+            total += 1.0 / (ranked.order.index(prep.cs.original_index) + 1)
     return total / len(prepared)
 
 
@@ -96,7 +102,7 @@ def fit(
             adam_step(tensors, grads, state, config.lr)
             epoch_loss += loss
             n_batches += 1
-        tune_map = original_mode_map(model, tune_prepared)
+        tune_map = original_mode_map(model, tune_prepared, config.batch_size)
         result.log.append(EpochLog(epoch=epoch, train_loss=epoch_loss / n_batches, tune_map=tune_map))
         if tune_map > result.best_tune_map or result.best_epoch < 0:
             result.best_tune_map = tune_map

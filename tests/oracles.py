@@ -221,6 +221,58 @@ def sequence_lstm_backward(params: LstmParams, cache, d_mean: np.ndarray) -> dic
     return grads.tensors()
 
 
+def hstack_lstm_backward(params: LstmParams, cache, d_mean: np.ndarray) -> dict[str, np.ndarray]:
+    """lstm_backward as it was before it filled dpre in place: one hstack per step.
+
+    lstm_backward must return its gradients bit for bit.
+    """
+    hidden = params.hidden_dim
+    sizes = cache.batch_sizes
+    i, f, o, g = np.hsplit(cache.gates, 4)
+    tanh_c = np.tanh(cache.c)
+    first = sizes[0] if len(sizes) else 0
+    prev = np.arange(first, len(cache.h)) - np.repeat(sizes[:-1], sizes[1:])
+    c_prev = np.zeros_like(cache.c)
+    c_prev[first:] = cache.c[prev]
+    local = np.hstack(
+        [g * i * (1.0 - i), c_prev * f * (1.0 - f), tanh_c * o * (1.0 - o), i * (1.0 - g**2)]
+    )
+    dc_dh = o * (1.0 - tanh_c**2)
+    dpre = np.empty_like(cache.gates)
+    d_mean = np.asarray(d_mean, dtype=np.float64).reshape(len(cache.order), hidden)
+    dh_shared = d_mean[cache.order] / np.maximum(cache.lengths[cache.order], 1)[:, None]
+    dh_next = np.zeros_like(dh_shared)
+    dc_next = np.zeros_like(dh_shared)
+    hi = len(dpre)
+    for live in sizes[::-1]:
+        lo = hi - live
+        dh = dh_shared[:live] + dh_next[:live]
+        dc = dh * dc_dh[lo:hi] + dc_next[:live]
+        dpre[lo:hi] = local[lo:hi] * np.hstack((dc, dc, dh, dc))
+        dh_next[:live] = dpre[lo:hi] @ params.U
+        dc_next[:live] = dc * f[lo:hi]
+        hi = lo
+    grads = LstmParams(W=dpre.T @ cache.xs, U=dpre[first:].T @ cache.h[prev], b=dpre.sum(axis=0))
+    return grads.tensors()
+
+
+# ---------------------------------------------------------------------------
+# Per-set training reference: every set of a batch encoded, scored and
+# backpropagated on its own, as training ran before a batch became one
+# packed encoding. The packed loss_and_grads is checked against it.
+
+
+def per_set_loss_and_grads(model, batch) -> tuple[float, dict[str, np.ndarray]]:
+    """The mean over the batch of model.loss_and_grads on each set alone."""
+    results = [model.loss_and_grads([prep]) for prep in batch]
+    loss = sum(set_loss for set_loss, _ in results) / len(batch)
+    grads = {
+        name: sum(set_grads[name] for _, set_grads in results) / len(batch)
+        for name in results[0][1]
+    }
+    return loss, grads
+
+
 # ---------------------------------------------------------------------------
 # Scalar EVPI reference path: every text encoded on its own, straight from
 # the paper's formulas. The model path (EvpiModel) is tested against it.

@@ -15,7 +15,7 @@ from evpirank.neural import feedforward_forward, sigmoid
 from evpirank.retrieval import CandidateSet
 from evpirank.rng import substream
 
-from tests.oracles import encode_text, evpi_score
+from tests.oracles import encode_text, evpi_score, per_set_loss_and_grads
 
 N_WORDS = 10
 
@@ -35,9 +35,9 @@ def perturbed(tensors, rng, scale):
         tensor += rng.normal(scale=scale, size=tensor.shape)
 
 
-def candidate_set(questions, answers, post="w0 w1 w2", original=0) -> CandidateSet:
+def candidate_set(questions, answers, post="w0 w1 w2", original=0, post_id="t") -> CandidateSet:
     return CandidateSet(
-        post_id="t",
+        post_id=post_id,
         post_body=post,
         questions=list(questions),
         answers=list(answers),
@@ -75,25 +75,25 @@ class TestOnePassPerHead:
         words = [f"w{k} w{(k + 3) % N_WORDS}" for k in range(n)]
         return [candidate_set(words, words[::-1], original=o) for o in (0, n - 1)]
 
-    def test_evpi_two_passes_per_set_in_training_and_ranking(self, ff_calls):
+    def test_evpi_two_passes_per_batch_in_training_and_ranking(self, ff_calls):
         rng = substream(0, "test/one-pass/evpi")
         model, _ = evpi_and_pqa(rng, 5, 3)
         preps = [model.prepare(cs) for cs in self.sets(6)]
         model.loss_and_grads(preps)
-        assert ff_calls == {"forward": 4, "backward": 4}
-        model.rank_prepared(preps[0])
-        assert ff_calls == {"forward": 6, "backward": 4}
+        assert ff_calls == {"forward": 2, "backward": 2}
+        model.rank_prepared(preps)
+        assert ff_calls == {"forward": 4, "backward": 2}
 
     @pytest.mark.parametrize("variant", ["pq", "pa", "pqa"])
-    def test_neural_baseline_one_pass_per_set(self, ff_calls, variant):
+    def test_neural_baseline_one_pass_per_batch(self, ff_calls, variant):
         rng = substream(0, f"test/one-pass/{variant}")
         params = NeuralParams.init(f"neural-{variant}", 5, 3, rng)
         model = NeuralBaselineModel(params, toy_table(rng, 5))
         preps = [model.prepare(cs) for cs in self.sets(6)]
         model.loss_and_grads(preps)
-        assert ff_calls == {"forward": 2, "backward": 2}
-        model.rank_prepared(preps[0])
-        assert ff_calls == {"forward": 3, "backward": 2}
+        assert ff_calls == {"forward": 1, "backward": 1}
+        model.rank_prepared(preps)
+        assert ff_calls == {"forward": 2, "backward": 1}
 
 
 class TestTiesSurviveBatching:
@@ -198,3 +198,62 @@ class TestBatchedAgainstOracle:
             loss, grads = model.loss_and_grads([model.prepare(cs)])
             assert math.isfinite(loss)
             assert all(np.all(np.isfinite(grad)) for grad in grads.values())
+
+
+# ---------------------------------------------------------------------------
+# A batch as one packed encoding against each set on its own
+
+
+@st.composite
+def batches(draw):
+    """1 to 5 candidate sets whose posts, questions and answers share one small pool."""
+    pick = st.sampled_from(draw(st.lists(_text, min_size=1, max_size=6)))
+    sets = []
+    for k in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 8))
+        sets.append(candidate_set(
+            [draw(pick) for _ in range(n)], [draw(pick) for _ in range(n)], post=draw(pick),
+            original=draw(st.integers(0, n - 1)), post_id=f"t{k}",
+        ))
+    return sets
+
+
+@pytest.fixture(scope="module")
+def every_neural_model():
+    rng = substream(0, "test/packed-batch")
+    table = toy_table(rng, 4)
+    models = []
+    for name in ("evpi", "neural-pq", "neural-pa", "neural-pqa"):
+        params = NeuralParams.init(name, 4, 3, rng)
+        perturbed(params.tensors(), rng, 0.3)
+        models.append((EvpiModel if name == "evpi" else NeuralBaselineModel)(params, table))
+    return models
+
+
+class TestPackedBatchAgainstPerSet:
+    @_settings
+    @given(sets=batches())
+    def test_loss_and_gradients_match_the_per_set_mean(self, every_neural_model, sets):
+        for model in every_neural_model:
+            preps = [model.prepare(cs) for cs in sets]
+            loss, grads = model.loss_and_grads(preps)
+            expected_loss, expected_grads = per_set_loss_and_grads(model, preps)
+            assert abs(loss - expected_loss) <= 1e-12, model.name
+            assert grads.keys() == expected_grads.keys()
+            for name, grad in grads.items():
+                np.testing.assert_allclose(
+                    grad, expected_grads[name], rtol=0, atol=1e-12, err_msg=f"{model.name} {name}"
+                )
+
+    @_settings
+    @given(sets=batches())
+    def test_ranking_a_list_matches_ranking_each_set(self, every_neural_model, sets):
+        for model in every_neural_model:
+            preps = [model.prepare(cs) for cs in sets]
+            ranked = model.rank_prepared(preps)
+            assert len(ranked) == len(preps)
+            for prep, together in zip(preps, ranked):
+                alone = model.rank_prepared([prep])[0]
+                assert together.post_id == alone.post_id == prep.cs.post_id
+                assert together.order == alone.order, model.name
+                np.testing.assert_allclose(together.scores, alone.scores, rtol=0, atol=1e-12)

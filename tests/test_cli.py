@@ -346,6 +346,41 @@ class TestTrainRankEvaluate:
         assert f"config key {assignment.split('=')[0]!r}: must be >=" in err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ("lr=inf", "config key 'lr': must be finite, got inf"),
+            ("lr=-inf", "config key 'lr': must be finite, got -inf"),
+            ("lr=nan", "config key 'lr': must be finite, got nan"),
+            ("patience=-3", "config key 'patience': must be >= 0, got -3"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["--set", "--config"])
+    def test_unusable_config_value_is_usage_error(
+        self, pipeline, capsys, tmp_path, assignment, message, source
+    ):
+        ckpt = tmp_path / "unusable.ckpt"
+        if source == "--config":
+            config = tmp_path / "run.conf"
+            config.write_text(assignment.replace("=", " = ") + "\n", encoding="utf-8")
+            option = ["--config", str(config)]
+        else:
+            option = ["--set", assignment]
+        code, out, err = run(
+            capsys,
+            "train",
+            "--candidates", str(pipeline["candidates"]),
+            "--embeddings", str(FIXTURES / "embeddings_toy.txt"),
+            "--model", "evpi",
+            "--no-split",
+            *option,
+            "--out", str(ckpt),
+        )
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not ckpt.exists()
+
     def test_random_rank_is_seeded_and_deterministic(self, pipeline, capsys):
         root = pipeline["root"]
         a = root / "rand_a.jsonl"

@@ -399,7 +399,7 @@ class TestGradientsAndDescent:
 
     @staticmethod
     def count_lstm_calls(monkeypatch, model) -> dict[str, int]:
-        """LSTM forward and backward calls in one training step on a 4-candidate set."""
+        """LSTM forward and backward calls in one training step on three 4-candidate sets."""
         import evpirank.evpi as evpi_module
 
         calls = {"forward": 0, "backward": 0}
@@ -413,12 +413,15 @@ class TestGradientsAndDescent:
 
         monkeypatch.setattr(evpi_module, "lstm_forward", counted("forward", evpi_module.lstm_forward))
         monkeypatch.setattr(evpi_module, "lstm_backward", counted("backward", evpi_module.lstm_backward))
-        model.loss_and_grads([model.prepare(toy_candidate_set(n=4, original=2))])
+        model.loss_and_grads([
+            model.prepare(toy_candidate_set(n=4, original=k, post_id=f"p{k}")) for k in range(3)
+        ])
         return calls
 
     def test_training_step_encodes_each_text_once(self, monkeypatch):
-        # The answer and utility heads share one packed encoding of the post,
-        # of all questions and of all answers, and one backward pass per encoder.
+        # The answer and utility heads share one packed encoding of the batch's
+        # posts, of all its questions and of all its answers, and one backward
+        # pass per encoder.
         rng = substream(0, "test/encode-once")
         model = EvpiModel(NeuralParams.init("evpi", 5, 3, rng), toy_table(rng))
         assert self.count_lstm_calls(monkeypatch, model) == {"forward": 3, "backward": 3}

@@ -9,7 +9,7 @@ from evpirank.evpi import NeuralParams, PreparedCandidates, SetEncoding
 from evpirank.neural import LstmParams, lstm_backward, lstm_forward
 from evpirank.retrieval import CandidateSet
 
-from tests.oracles import sequence_lstm_backward, sequence_lstm_forward
+from tests.oracles import hstack_lstm_backward, sequence_lstm_backward, sequence_lstm_forward
 
 EMBED_DIM = 4
 HIDDEN_DIM = 5
@@ -88,6 +88,20 @@ class TestPackedAgainstPerSequenceLoop:
         for name in one:
             np.testing.assert_array_equal(one[name], rows[name])
 
+    def test_gradients_are_bit_identical_to_the_hstack_recurrence(self):
+        # Filling each step's dpre blocks in place is the same elementwise
+        # product as multiplying by the hstacked (dc, dc, dh, dc).
+        rng = np.random.default_rng(10)
+        params = random_lstm(rng)
+        seqs = [rng.normal(size=(length, EMBED_DIM)) for length in (4, 0, 7, 1, 7, 3)]
+        _, cache = packed(params, seqs)
+        d_means = rng.normal(size=(len(seqs), HIDDEN_DIM))
+        expected = hstack_lstm_backward(params, cache, d_means)
+        grads = lstm_backward(params, cache, d_means)
+        assert grads.keys() == expected.keys()
+        for name, grad in grads.items():
+            assert grad.tobytes() == expected[name].tobytes(), name
+
     @pytest.mark.parametrize("lengths", [[2, 1], [5], [-1, 5], [3, 3]])
     def test_lengths_must_split_the_rows(self, lengths):
         params = random_lstm(np.random.default_rng(9))
@@ -95,35 +109,46 @@ class TestPackedAgainstPerSequenceLoop:
             lstm_forward(params, np.ones((4, EMBED_DIM)), lengths)
 
 
-class TestEqualTextsInOneSet:
+class TestEqualTextsInOneBatch:
     @settings(max_examples=30, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
         st.lists(st.integers(0, 3), min_size=1, max_size=12),
+        st.integers(0, 12),
         st.sampled_from([(4, 5), (8, 27), (32, 4)]),
     )
-    def test_equal_token_matrices_get_bit_equal_encodings(self, seed, picks, dims):
-        # Candidate j's question and answer are copies of pool[picks[j]].
+    def test_equal_token_matrices_get_bit_equal_encodings(self, seed, picks, cut, dims):
+        # Row j's question and answer are copies of pool[picks[j]] and
+        # pool[picks[-1 - j]]; the rows are cut into two sets at cut, and
+        # each set's post is a copy of one of two posts.
         embed_dim, hidden_dim = dims
         rng = np.random.default_rng(seed)
         pool = [rng.normal(size=(int(rng.integers(0, 9)), embed_dim)) for _ in range(4)]
+        posts = [rng.normal(size=(5, embed_dim)) for _ in range(2)]
         params = NeuralParams(
             lstm_post=random_lstm(rng, embed_dim, hidden_dim),
             lstm_question=random_lstm(rng, embed_dim, hidden_dim),
             lstm_answer=random_lstm(rng, embed_dim, hidden_dim),
         )
         n = len(picks)
-        prep = PreparedCandidates(
-            cs=CandidateSet("t", "", [""] * n, [""] * n, [""] * n, 0),
-            post_tokens=rng.normal(size=(5, embed_dim)),
-            question_tokens=[pool[p].copy() for p in picks],
-            answer_tokens=[pool[p].copy() for p in reversed(picks)],
-        )
-        inputs = SetEncoding(params, prep).inputs()
-        blocks = np.hsplit(inputs, 3)
-        for block, picked in ((blocks[1], picks), (blocks[2], picks[::-1])):
+        answer_picks = picks[::-1]
+        bounds = [(0, min(cut, n)), (min(cut, n), n)]
+        preps, post_picks = [], []
+        for lo, hi in bounds:
+            if lo == hi:
+                continue
+            post_picks += [int(rng.integers(0, 2))] * (hi - lo)
+            preps.append(PreparedCandidates(
+                cs=CandidateSet("t", "", [""] * (hi - lo), [""] * (hi - lo), [""] * (hi - lo), 0),
+                post_tokens=posts[post_picks[-1]].copy(),
+                question_tokens=[pool[p].copy() for p in picks[lo:hi]],
+                answer_tokens=[pool[p].copy() for p in answer_picks[lo:hi]],
+            ))
+        enc = SetEncoding(params, preps)
+        assert list(enc.offsets) == [0] + [hi for lo, hi in bounds if lo < hi]
+        blocks = np.hsplit(enc.inputs(), 3)
+        for block, picked in zip(blocks, (post_picks, picks, answer_picks)):
             for j in range(n):
                 for k in range(n):
                     if picked[j] == picked[k]:
                         assert block[j].tobytes() == block[k].tobytes()
-        np.testing.assert_array_equal(blocks[0], np.broadcast_to(blocks[0][0], blocks[0].shape))

@@ -52,6 +52,14 @@ class TestTokenize:
             once = tokenize(text)
             assert tokenize(" ".join(once)) == once
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_idempotent_on_any_unicode_text(self, text):
+        # Case folding can change a character's class (İ lowers to i plus a
+        # combining dot); the tokens must still be a fixed point.
+        once = tokenize(text)
+        assert tokenize(" ".join(once)) == once
+
 
 class TestBuildIndex:
     def test_three_one_word_docs(self):

@@ -70,7 +70,7 @@ class TestFit:
         model, sets = fresh_model()
         config = TrainConfig(hidden_dim=4, lr=1e-3, batch_size=3, epochs=4, patience=10, seed=0)
         result = fit(model, sets, sets, config)
-        restored_map = original_mode_map(model, [model.prepare(cs) for cs in sets])
+        restored_map = original_mode_map(model, [model.prepare(cs) for cs in sets], 3)
         assert restored_map == pytest.approx(result.best_tune_map, abs=1e-12)
 
     def test_empty_train_set_is_error(self):
@@ -81,12 +81,14 @@ class TestFit:
 
 
 class TestOriginalModeMap:
-    def test_reciprocal_rank_of_original(self):
+    @pytest.mark.parametrize("batch_size", [1, 4, 6, 32])
+    def test_reciprocal_rank_of_original(self, batch_size):
+        # 6 sets: one per chunk, a ragged last chunk, one chunk, fewer sets than a chunk
         model, sets = fresh_model()
         preps = [model.prepare(cs) for cs in sets]
-        value = original_mode_map(model, preps)
+        value = original_mode_map(model, preps, batch_size)
         manual = []
         for prep in preps:
-            order = model.rank_prepared(prep).order
+            order = model.rank_prepared([prep])[0].order
             manual.append(1.0 / (order.index(prep.cs.original_index) + 1))
         assert value == pytest.approx(sum(manual) / len(manual), abs=1e-12)
