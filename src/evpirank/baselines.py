@@ -159,7 +159,7 @@ def _sparse_dot(weights: np.ndarray, features: dict[int, float]) -> float:
     return float(sum(weights[fid] * value for fid, value in features.items()))
 
 
-def ngram_train(sets: Sequence[CandidateSet], epochs: int = 10, lr: float = 0.1) -> np.ndarray:
+def ngram_train(sets: Sequence[CandidateSet], epochs: int, lr: float) -> np.ndarray:
     """Sub-gradient descent on the hinge loss max(0, 1 - y w.x), y = +/-1, over n-gram features.
 
     The labeled_examples of sets are visited in their given order each
@@ -247,8 +247,8 @@ class CqaModel:
 def cqa_train(
     sets: Sequence[CandidateSet],
     table: EmbeddingTable,
-    epochs: int = 500,
-    lr: float = 0.5,
+    epochs: int,
+    lr: float,
 ) -> CqaModel:
     """Batch gradient descent for logistic regression on CQA features of labeled_examples(sets)."""
     examples = list(labeled_examples(sets))

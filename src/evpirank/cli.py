@@ -10,16 +10,17 @@ for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import baselines, evaluation, evpi, ingest, retrieval, training
-from .config import Config, ConfigError
+from .config import ConfigError, load_config, resolved_json
 from .embeddings import EmbeddingTable, load_embeddings_file
 from .gradsuite import GRAD_TOLERANCE, run_gradient_suite
 from .neural import load_checkpoint, save_checkpoint
-from .training import TrainingDivergedError
+from .training import TrainConfig, TrainingDivergedError
 
 MODEL_NAMES = ("random", "ngrams", "cqa", "neural-pq", "neural-pa", "neural-pqa", "evpi")
 SPLIT_NAMES = ("train", "tune", "test", "all")
@@ -49,13 +50,10 @@ def _read(reader, path: str, what: str):
         raise UsageError(f"malformed {what} file {path}: {exc}") from None
 
 
-def _load_config(args) -> Config:
-    config = Config.from_file(_require_file(args.config, "config")) if args.config else Config()
-    for assignment in args.set or []:
-        config.set_override(assignment)
-    if args.seed is not None:
-        config.values["seed"] = args.seed
-    _log(config.resolved_json())
+def _load_config(args) -> TrainConfig:
+    path = _require_file(args.config, "config") if args.config else None
+    config = load_config(path, args.set or (), args.seed)
+    _log(resolved_json(config))
     return config
 
 
@@ -72,8 +70,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_ingest(args) -> int:
-    config = _load_config(args)
-    del config  # ingest has no tunables; logged for reproducibility anyway
+    _load_config(args)  # ingest has no tunables; logged for reproducibility anyway
     posts, bad_posts = ingest.read_posts(_require_file(args.posts, "posts"))
     comments, bad_comments = ingest.read_comments(_require_file(args.comments, "comments"))
     edits, bad_edits = ingest.read_edits(_require_file(args.history, "history"))
@@ -90,8 +87,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_candidates(args) -> int:
-    config = _load_config(args)
-    del config
+    _load_config(args)
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     triples = _read(ingest.read_triples, args.triples, "triples")
@@ -157,44 +153,28 @@ def cmd_train(args) -> int:
 
     log_entries = []
     if args.model in evpi.MODEL_PARTS:
-        model, result = training.train(
-            args.model, train_sets, tune_sets, table, config.train_config()
-        )
+        model, result = training.train(args.model, train_sets, tune_sets, table, config)
         tensors = model.tensors()
         log_entries = result.log
     elif args.model == "ngrams":
-        weights = baselines.ngram_train(
-            train_sets, epochs=config.get("epochs"), lr=config.get("lr")
-        )
+        weights = baselines.ngram_train(train_sets, epochs=config.epochs, lr=config.lr)
         tensors = baselines.NgramModel(weights).tensors()
     else:  # cqa
-        model = baselines.cqa_train(
-            train_sets, table, epochs=config.get("epochs"), lr=config.get("lr")
-        )
+        model = baselines.cqa_train(train_sets, table, epochs=config.epochs, lr=config.lr)
         tensors = model.tensors()
     save_checkpoint(args.out, tensors)
     if args.log:
         with open(args.log, "w", encoding="utf-8", newline="\n") as handle:
             for entry in log_entries:
-                handle.write(
-                    json.dumps(
-                        {
-                            "epoch": entry.epoch,
-                            "train_loss": entry.train_loss,
-                            "tune_map": entry.tune_map,
-                        }
-                    )
-                    + "\n"
-                )
+                handle.write(json.dumps(dataclasses.asdict(entry)) + "\n")
     _log(json.dumps({"model": args.model, "checkpoint": args.out, "epochs_run": len(log_entries)}))
     return 0
 
 
-def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, config: Config):
+def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, config: TrainConfig):
     """Build a rank(cs) callable for the requested model."""
     if model_name == "random":
-        seed = config.get("seed")
-        return lambda cs: baselines.random_rankings([cs], seed=seed)[0]
+        return lambda cs: baselines.random_rankings([cs], seed=config.seed)[0]
     if checkpoint is None:
         raise UsageError(f"model {model_name!r} requires --checkpoint")
     tensors = _read(load_checkpoint, checkpoint, "checkpoint")
@@ -239,8 +219,7 @@ def _check_mode(mode: str) -> None:
 
 def cmd_evaluate(args) -> int:
     _check_mode(args.mode)
-    config = _load_config(args)
-    del config
+    _load_config(args)
     rankings = _read(evpi.read_rankings, args.rankings, "rankings")
     candidate_sets = _read(retrieval.read_candidates, args.candidates, "candidates")
     annotations = None
@@ -292,7 +271,7 @@ def cmd_significance(args) -> int:
     post_ids = sorted(per_a)
     scores_a = [per_a[p][metric_key] for p in post_ids]
     scores_b = [per_b[p][metric_key] for p in post_ids]
-    p_value = evaluation.bootstrap_test(scores_a, scores_b, n=args.n, seed=config.get("seed"))
+    p_value = evaluation.bootstrap_test(scores_a, scores_b, n=args.n, seed=config.seed)
     result = {
         "metric": args.metric,
         "mode": args.mode,
@@ -309,7 +288,7 @@ def cmd_gradcheck(args) -> int:
     if args.draws < 1:
         raise UsageError(f"--draws must be >= 1, got {args.draws}")
     config = _load_config(args)
-    results = run_gradient_suite(seed=config.get("seed"), draws=args.draws)
+    results = run_gradient_suite(seed=config.seed, draws=args.draws)
     failed = 0
     for result in results:
         status = "PASS" if result.passed(args.threshold) else "FAIL"

@@ -1,4 +1,4 @@
-"""Plain `key = value` run configuration with typed accessors.
+"""Plain `key = value` run configuration, read into a TrainConfig.
 
 Unknown keys are rejected so typos fail fast. Every command logs its fully
 resolved configuration before running.
@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict
 from pathlib import Path
-from typing import get_type_hints
+from typing import Iterable, get_type_hints
 
 from .training import TrainConfig
 
@@ -19,11 +19,8 @@ class ConfigError(ValueError):
     pass
 
 
-# The keys, types and defaults are TrainConfig's fields.
-_TYPES = get_type_hints(TrainConfig)
-VALID_KEYS: dict[str, type] = {f.name: _TYPES[f.name] for f in fields(TrainConfig)}
-
-DEFAULTS: dict[str, object] = {f.name: f.default for f in fields(TrainConfig)}
+# The keys and their types are TrainConfig's fields; its defaults are the defaults.
+_TYPES: dict[str, type] = get_type_hints(TrainConfig)
 
 # Smallest legal value of the keys that have one.
 _MINIMUMS: dict[str, float] = {
@@ -31,31 +28,29 @@ _MINIMUMS: dict[str, float] = {
 }
 
 
-def _check_key(key: str) -> None:
-    if key not in VALID_KEYS:
-        valid = ", ".join(sorted(VALID_KEYS))
+def _assign(values: dict[str, object], key: str, raw: str) -> None:
+    """values[key] = raw read as key's type, if key is known and the value legal."""
+    key, raw = key.strip(), raw.strip()
+    if key not in _TYPES:
+        valid = ", ".join(sorted(_TYPES))
         raise ConfigError(f"unknown config key {key!r}; valid keys: {valid}")
-
-
-def _parse(key: str, raw: str):
     try:
-        value = VALID_KEYS[key](raw)
+        value = _TYPES[key](raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"config key {key!r}: must be finite, got {raw}")
     if key in _MINIMUMS and not value >= _MINIMUMS[key]:
         raise ConfigError(f"config key {key!r}: must be >= {_MINIMUMS[key]}, got {raw}")
-    return value
+    values[key] = value
 
 
-@dataclass
-class Config:
-    values: dict[str, object] = field(default_factory=dict)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "Config":
-        config = cls()
+def load_config(
+    path: str | Path | None = None, overrides: Iterable[str] = (), seed: int | None = None
+) -> TrainConfig:
+    """TrainConfig's defaults, then the file's lines, then each `key=value` override, then seed."""
+    values: dict[str, object] = {}
+    if path is not None:
         text = Path(path).read_text(encoding="utf-8")
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
@@ -64,29 +59,17 @@ class Config:
             key, sep, raw = stripped.partition("=")
             if not sep:
                 raise ConfigError(f"{path}: line {lineno}: expected `key = value`")
-            key = key.strip()
-            _check_key(key)
-            config.values[key] = _parse(key, raw.strip())
-        return config
-
-    def set_override(self, assignment: str) -> None:
-        """Apply one `key=value` override from the command line."""
+            _assign(values, key, raw)
+    for assignment in overrides:
         key, sep, raw = assignment.partition("=")
         if not sep:
             raise ConfigError(f"override must look like key=value, got {assignment!r}")
-        key = key.strip()
-        _check_key(key)
-        self.values[key] = _parse(key, raw.strip())
+        _assign(values, key, raw)
+    if seed is not None:
+        values["seed"] = seed
+    return TrainConfig(**values)
 
-    def get(self, key: str):
-        _check_key(key)
-        return self.values.get(key, DEFAULTS[key])
 
-    def resolved(self) -> dict[str, object]:
-        return {key: self.get(key) for key in sorted(VALID_KEYS)}
-
-    def resolved_json(self) -> str:
-        return json.dumps({"config": self.resolved()}, ensure_ascii=False)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(**self.resolved())
+def resolved_json(config: TrainConfig) -> str:
+    """The `{"config": {...}}` line every command logs, keys sorted."""
+    return json.dumps({"config": asdict(config)}, ensure_ascii=False, sort_keys=True)

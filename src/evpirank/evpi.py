@@ -464,7 +464,11 @@ def write_rankings(path: str | Path, model_name: str, ranked: Iterable[RankedLis
 
 
 def read_rankings(path: str | Path) -> list[RankedList]:
-    """Load rankings.jsonl; each order must be a permutation with one score per entry."""
+    """Load rankings.jsonl; each order must be a permutation with one score per entry.
+
+    A post id may appear on one line only.
+    """
+    seen: set[str] = set()
 
     def build(raw: dict) -> RankedList:
         rl = RankedList(
@@ -473,6 +477,9 @@ def read_rankings(path: str | Path) -> list[RankedList]:
             scores=[float(v) for v in list_field(raw, "scores", (int, float))],
         )
         where, n = f"post {rl.post_id!r}", len(rl.order)
+        if rl.post_id in seen:
+            raise ValueError(f"{where}: already appears on an earlier line")
+        seen.add(rl.post_id)
         if sorted(rl.order) != list(range(n)):
             raise ValueError(f"{where}: order {rl.order} is not a permutation of range({n})")
         if len(rl.scores) != n:

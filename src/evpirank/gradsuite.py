@@ -81,23 +81,9 @@ def _model(rng: np.random.Generator, table: EmbeddingTable, name: str):
     return neural_model(params, table)
 
 
-def _check_lstm(rng: np.random.Generator, n_probes: int) -> float:
+def _check_lstm(rng: np.random.Generator, n_probes: int, lengths: list[int]) -> float:
+    """One packed pass over sequences of the given lengths."""
     params = LstmParams.init(EMBED_DIM, HIDDEN_DIM, rng, scale=0.4)
-    xs = rng.normal(size=(4, EMBED_DIM))
-    direction = rng.normal(size=HIDDEN_DIM)
-
-    def loss_fn(tensors):
-        p = LstmParams.from_tensors(tensors)
-        mean, cache = lstm_forward(p, xs)
-        return float(direction @ mean), lstm_backward(p, cache, direction)
-
-    return grad_check(loss_fn, params.tensors(), n_probes=n_probes, rng=rng)
-
-
-def _check_lstm_ragged(rng: np.random.Generator, n_probes: int) -> float:
-    """One packed pass over sequences of lengths 5, 0, 1 and 3."""
-    params = LstmParams.init(EMBED_DIM, HIDDEN_DIM, rng, scale=0.4)
-    lengths = [5, 0, 1, 3]
     xs = rng.normal(size=(sum(lengths), EMBED_DIM))
     direction = rng.normal(size=(len(lengths), HIDDEN_DIM))
 
@@ -153,8 +139,8 @@ def _check_model_loss(rng: np.random.Generator, n_probes: int, name: str) -> flo
 def run_gradient_suite(seed: int = 0, draws: int = 10, n_probes: int = 8) -> list[CheckResult]:
     """Run every gradient check `draws` times; report the worst error of each."""
     checks = [
-        ("lstm_encoder", _check_lstm),
-        ("lstm_ragged_batch", _check_lstm_ragged),
+        ("lstm_encoder", lambda rng, probes: _check_lstm(rng, probes, [4])),
+        ("lstm_ragged_batch", lambda rng, probes: _check_lstm(rng, probes, [5, 0, 1, 3])),
         ("feedforward_5_hidden", lambda rng, probes: _check_feedforward(rng, probes, 5)),
         ("feedforward_10_hidden", lambda rng, probes: _check_feedforward(rng, probes, 10)),
         ("answer_loss", lambda rng, probes: _check_evpi_head(rng, probes, "gc-ans", answer_losses)),

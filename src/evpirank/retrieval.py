@@ -282,7 +282,11 @@ def list_field(record: dict, key: str, kinds: type | tuple[type, ...]) -> list:
 
 
 def read_candidates(path: str | Path) -> list[CandidateSet]:
-    """Load candidates.jsonl; a set's three lists must be equally long and hold original_index."""
+    """Load candidates.jsonl; a set's three lists must be equally long and hold original_index.
+
+    A post id may appear on one line only.
+    """
+    seen: set[str] = set()
 
     def build(record: dict) -> CandidateSet:
         cs = CandidateSet(
@@ -294,6 +298,9 @@ def read_candidates(path: str | Path) -> list[CandidateSet]:
             original_index=typed_field(record, "original_index", int),
         )
         where, n = f"post {cs.post_id!r}", len(cs)
+        if cs.post_id in seen:
+            raise ValueError(f"{where}: already appears on an earlier line")
+        seen.add(cs.post_id)
         if not n == len(cs.answers) == len(cs.source_post_ids):
             raise ValueError(
                 f"{where}: {n} questions, {len(cs.answers)} answers and "

@@ -84,7 +84,9 @@ def fit(
         raise ValueError("tune set is empty")
     rng = substream(config.seed, f"train/{model.name}")
     train_prepared = [model.prepare(cs) for cs in train_sets]
-    tune_prepared = [model.prepare(cs) for cs in tune_sets]
+    tune_prepared = (
+        train_prepared if tune_sets is train_sets else [model.prepare(cs) for cs in tune_sets]
+    )
 
     tensors = model.tensors()
     state = AdamState.fresh(tensors)

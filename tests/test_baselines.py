@@ -137,7 +137,7 @@ class TestNgramTraining:
 
     def test_single_class_is_error(self):
         with pytest.raises(ValueError):
-            ngram_train([labeled_set("p", ["q?"], ["a"])], epochs=1)
+            ngram_train([labeled_set("p", ["q?"], ["a"])], epochs=1, lr=0.1)
 
 
 class TestCqa:
@@ -176,7 +176,7 @@ class TestCqa:
         table = toy_table(rng)
         sets = [labeled_set("w0", ["w1?", "w1?"], ["", ""])]
         with pytest.warns(UserWarning, match="constant"):
-            cqa_train(sets, table, epochs=1)
+            cqa_train(sets, table, epochs=1, lr=0.5)
 
     def test_contains_you_flag(self):
         rng = np.random.default_rng(56)

@@ -169,7 +169,7 @@ class TestRoundTrips:
             assert again[name].tobytes() == tensor.tobytes(), name
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(candidate_sets(), max_size=4))
+    @given(st.lists(candidate_sets(), max_size=4, unique_by=lambda cs: cs.post_id))
     def test_candidates_file(self, sets):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "candidates.jsonl"
@@ -189,6 +189,7 @@ class TestRoundTrips:
         st.lists(
             st.tuples(TEXT, st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6)),
             max_size=4,
+            unique_by=lambda post: post[0],
         )
     )
     def test_rankings_file(self, posts):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from evpirank.cli import main
-from evpirank.config import Config, ConfigError
+from evpirank.config import ConfigError, load_config, resolved_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DUMP = FIXTURES / "dump"
@@ -171,7 +171,7 @@ class TestTrainRankEvaluate:
         assert ckpt_a.read_bytes() == ckpt_b.read_bytes()
         log_lines = [json.loads(line) for line in log_a.read_text().splitlines()]
         assert len(log_lines) == 2
-        assert {"epoch", "train_loss", "tune_map"} <= set(log_lines[0])
+        assert list(log_lines[0]) == ["epoch", "train_loss", "tune_map"]
 
         rankings_a = root / "rankings_a.jsonl"
         rankings_b = root / "rankings_b.jsonl"
@@ -587,6 +587,54 @@ class TestMalformedInputFiles:
             assert "Traceback" not in err and stdout == ""
             assert not out.exists()
 
+    REPEATED = "line 8: post 'p01': already appears on an earlier line"
+
+    def test_repeated_post_id_in_rankings_is_usage_error(self, pipeline, capsys, tmp_path):
+        # A second p01 line ranking the original question first used to replace the first.
+        cands = str(pipeline["candidates"])
+        rankings = tmp_path / "rankings.jsonl"
+        assert main(["rank", "--candidates", cands, "--model", "random", "--out", str(rankings)]) == 0
+        lines = rankings.read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        assert first["post_id"] == "p01" and len(lines) == 7
+        bad = tmp_path / "repeated.jsonl"
+        # p01's original_index is 0.
+        bad.write_text("\n".join([*lines, json.dumps({**first, "order": list(range(7))})]) + "\n",
+                       encoding="utf-8")
+        self.assert_usage_error(pipeline, capsys, tmp_path, "rankings", bad, self.REPEATED)
+        code, stdout, err = run(
+            capsys, "significance", "--rankings-a", str(rankings), "--rankings-b", str(bad),
+            "--candidates", cands, "--mode", "original", "--n", "10",
+        )
+        assert code == 2 and stdout == ""
+        assert f"malformed rankings-b file {bad}: {self.REPEATED}" in err
+
+    def test_repeated_post_id_in_candidates_is_usage_error(self, pipeline, capsys, tmp_path):
+        lines = pipeline["candidates"].read_text(encoding="utf-8").splitlines()
+        assert json.loads(lines[0])["post_id"] == "p01" and len(lines) == 7
+        bad = tmp_path / "repeated.jsonl"
+        bad.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
+        self.assert_usage_error(pipeline, capsys, tmp_path, "candidates", bad, self.REPEATED)
+        rankings = str(tmp_path / "rankings.jsonl")  # written by assert_usage_error
+        path, out = str(bad), tmp_path / "out"
+        for argv in (
+            ["train", "--candidates", path, "--model", "ngrams", "--no-split", "--out", str(out)],
+            [
+                "train", "--candidates", path, "--model", "evpi", "--no-split",
+                "--embeddings", str(FIXTURES / "embeddings_toy.txt"), "--out", str(out),
+            ],
+            ["evaluate", "--rankings", rankings, "--candidates", path, "--mode", "original"],
+            [
+                "significance", "--rankings-a", rankings, "--rankings-b", rankings,
+                "--candidates", path, "--mode", "original", "--n", "10",
+            ],
+        ):
+            code, stdout, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert f"malformed candidates file {bad}: {self.REPEATED}" in err
+            assert "Traceback" not in err and stdout == ""
+            assert not out.exists()
+
     @staticmethod
     def edited_copy(source: Path, bad: Path, **fields) -> None:
         """bad is source with fields set on its second line."""
@@ -786,24 +834,43 @@ class TestConfig:
         path = tmp_path / "run.conf"
         path.write_text("hiden_dim = 12\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="valid keys"):
-            Config.from_file(path)
+            load_config(path)
 
     def test_file_and_override_precedence(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("# comment\nhidden_dim = 12\nlr = 0.5\n", encoding="utf-8")
-        config = Config.from_file(path)
-        config.set_override("lr=0.25")
-        assert config.get("hidden_dim") == 12
-        assert config.get("lr") == 0.25
-        assert config.get("batch_size") == 32  # documented default
+        config = load_config(path, ["lr=0.25"])
+        assert config.hidden_dim == 12
+        assert config.lr == 0.25
+        assert config.batch_size == 32  # documented default
 
     def test_malformed_override(self):
-        config = Config()
         with pytest.raises(ConfigError):
-            config.set_override("hidden_dim")
+            load_config(overrides=["hidden_dim"])
 
     def test_resolved_lists_every_key(self):
-        resolved = Config().resolved()
+        resolved = json.loads(resolved_json(load_config()))["config"]
         assert set(resolved) == {
             "hidden_dim", "lr", "batch_size", "epochs", "patience", "seed",
         }
+
+    def test_resolved_line_is_pinned(self, tmp_path, capsys):
+        # The file sets seed and lr; --set overrides lr, --seed overrides seed.
+        path = tmp_path / "run.conf"
+        path.write_text("hidden_dim = 12\nlr = 0.5\nseed = 9\n", encoding="utf-8")
+        code, _, err = run(
+            capsys,
+            "rank",
+            "--candidates", str(FIXTURES / "golden" / "candidates.jsonl"),
+            "--model", "random",
+            "--config", str(path),
+            "--set", "lr=1e-5",
+            "--set", "epochs=7",
+            "--seed", "4",
+            "--out", str(tmp_path / "rankings.jsonl"),
+        )
+        assert code == 0
+        assert err.splitlines()[0] == (
+            '{"config": {"batch_size": 32, "epochs": 7, "hidden_dim": 12, "lr": 1e-05, '
+            '"patience": 5, "seed": 4}}'
+        )

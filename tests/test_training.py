@@ -73,6 +73,23 @@ class TestFit:
         restored_map = original_mode_map(model, [model.prepare(cs) for cs in sets], 3)
         assert restored_map == pytest.approx(result.best_tune_map, abs=1e-12)
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_prepares_each_set_once(self, monkeypatch, shared):
+        model, sets = fresh_model()
+        train_sets, tune_sets = (sets, sets) if shared else (sets[:4], sets[4:])
+        calls = []
+        prepare = model.prepare
+
+        def counting_prepare(cs):
+            calls.append(cs.post_id)
+            return prepare(cs)
+
+        monkeypatch.setattr(model, "prepare", counting_prepare)
+        config = TrainConfig(hidden_dim=4, lr=1e-3, batch_size=3, epochs=2, patience=10, seed=0)
+        fit(model, train_sets, tune_sets, config)
+        # One call per set: a shared list is not prepared again for tuning.
+        assert calls == [cs.post_id for cs in sets]
+
     def test_empty_train_set_is_error(self):
         model, sets = fresh_model()
         config = TrainConfig()
