@@ -284,7 +284,7 @@ class NeuralBaselineModel(NeuralModel):
 
     def prepare(self, cs: CandidateSet) -> PreparedCandidates:
         # Texts of an unused encoder are tokenized but never encoded.
-        return self._prepared(cs)
+        return self._prepared(cs, map(tokenize, cs.questions), map(tokenize, cs.answers))
 
     def loss_and_grads(
         self, batch: Sequence[PreparedCandidates]

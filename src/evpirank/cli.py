@@ -15,6 +15,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import baselines, evaluation, evpi, ingest, retrieval, training
 from .config import ConfigError, load_config, resolved_json
 from .embeddings import EmbeddingTable, load_embeddings_file
@@ -151,7 +153,7 @@ def cmd_train(args) -> int:
             "empty train or tune split; use --no-split for corpora too small to split"
         )
 
-    log_entries = []
+    log_entries = []  # ngrams and cqa log no epochs but run every configured one
     if args.model in evpi.MODEL_PARTS:
         model, result = training.train(args.model, train_sets, tune_sets, table, config)
         tensors = model.tensors()
@@ -167,7 +169,8 @@ def cmd_train(args) -> int:
         with open(args.log, "w", encoding="utf-8", newline="\n") as handle:
             for entry in log_entries:
                 handle.write(json.dumps(dataclasses.asdict(entry)) + "\n")
-    _log(json.dumps({"model": args.model, "checkpoint": args.out, "epochs_run": len(log_entries)}))
+    epochs_run = len(log_entries) if args.model in evpi.MODEL_PARTS else config.epochs
+    _log(json.dumps({"model": args.model, "checkpoint": args.out, "epochs_run": epochs_run}))
     return 0
 
 
@@ -178,6 +181,9 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, conf
     if checkpoint is None:
         raise UsageError(f"model {model_name!r} requires --checkpoint")
     tensors = _read(load_checkpoint, checkpoint, "checkpoint")
+    for name, tensor in tensors.items():
+        if not np.isfinite(tensor).all():
+            raise UsageError(f"malformed checkpoint file {checkpoint}: {name!r} holds nan or inf")
     try:
         if model_name == "ngrams":
             return baselines.NgramModel.from_tensors(tensors).rank
@@ -189,7 +195,7 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, conf
         raise UsageError(f"checkpoint {checkpoint} is not a {model_name} model: {exc}") from None
     input_dim = params.lstm_post.input_dim
     if table.dim != input_dim:
-        source = "" if table.vectors else " (no --embeddings given)"
+        source = "" if len(table) else " (no --embeddings given)"
         raise UsageError(
             f"embeddings have dimension {table.dim}{source}, checkpoint {checkpoint} expects "
             f"{input_dim}; pass the --embeddings file it was trained with"
@@ -219,6 +225,8 @@ def _check_mode(mode: str) -> None:
 
 def cmd_evaluate(args) -> int:
     _check_mode(args.mode)
+    if args.valid_histogram and not args.annotations:
+        raise UsageError("--valid-histogram requires --annotations")
     _load_config(args)
     rankings = _read(evpi.read_rankings, args.rankings, "rankings")
     candidate_sets = _read(retrieval.read_candidates, args.candidates, "candidates")
@@ -240,8 +248,6 @@ def cmd_evaluate(args) -> int:
     print(text)
     print(report.format_table(model=model_name, mode=args.mode))
     if args.valid_histogram:
-        if annotations is None:
-            raise UsageError("--valid-histogram requires --annotations")
         histogram = evaluation.valid_intersection_histogram(annotations)
         print(json.dumps({"valid_intersection_histogram": histogram}))
     return 0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -15,18 +15,40 @@ class EmbeddingFormatError(ValueError):
 
 @dataclass
 class EmbeddingTable:
-    """Word to dense-vector map with a single fixed dimension."""
+    """Word vectors: one (lines, dim) matrix, and each word's row in it.
 
-    dim: int
-    vectors: dict[str, np.ndarray]
+    Only this module reads that layout. Elsewhere a table is used through
+    len() (the number of distinct words), dim, token_rows and avg_vector.
+    """
+
+    rows: dict[str, int]
+    matrix: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
+
+    @classmethod
+    def of(cls, words: Sequence[str], matrix: np.ndarray) -> "EmbeddingTable":
+        """words[i] -> matrix[i]; a word that repeats keeps its first row."""
+        if matrix.ndim != 2 or len(matrix) != len(words):
+            raise ValueError(f"{len(words)} words for a matrix of shape {matrix.shape}")
+        rows: dict[str, int] = {}
+        for i, word in enumerate(words):
+            rows.setdefault(word, i)
+        return cls(rows=rows, matrix=matrix)
 
     @classmethod
     def empty(cls) -> "EmbeddingTable":
         """No words, dimension 1."""
-        return cls(dim=1, vectors={})
+        return cls.of([], np.zeros((0, 1)))
+
+    def token_rows(self, tokens: Iterable[str]) -> np.ndarray:
+        """The vectors of the in-vocabulary tokens, in order: shape (found, dim)."""
+        return self.matrix[[self.rows[tok] for tok in tokens if tok in self.rows]]
 
 
 @dataclass
@@ -41,34 +63,33 @@ def load_embeddings(reader: Iterable[str]) -> EmbeddingTable:
     """Parse `word v1 ... vd` lines into an EmbeddingTable.
 
     The dimension is inferred from the first line; later lines must match it.
-    Duplicate words keep their first occurrence. Malformed lines raise
-    EmbeddingFormatError naming the offending line number (1-based).
+    Duplicate words keep their first occurrence. A malformed line, or one with
+    nan, inf or an overflowing value (1e999), raises EmbeddingFormatError naming
+    its 1-based line number.
     """
-    vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
+    words: list[str] = []
+    rows: list[np.ndarray] = []
     for lineno, line in enumerate(reader, start=1):
-        line = line.rstrip("\n")
         if not line.strip():
             raise EmbeddingFormatError(f"line {lineno}: empty line")
         parts = line.split()
         if len(parts) < 2:
             raise EmbeddingFormatError(f"line {lineno}: expected a word and at least one value")
-        word = parts[0]
         try:
             values = np.array([float(p) for p in parts[1:]], dtype=np.float64)
         except ValueError as exc:
             raise EmbeddingFormatError(f"line {lineno}: non-numeric entry ({exc})") from None
-        if dim is None:
-            dim = values.shape[0]
-        elif values.shape[0] != dim:
+        if rows and values.shape[0] != rows[0].shape[0]:
             raise EmbeddingFormatError(
-                f"line {lineno}: dimension {values.shape[0]} does not match {dim}"
+                f"line {lineno}: dimension {values.shape[0]} does not match {rows[0].shape[0]}"
             )
-        if word not in vectors:
-            vectors[word] = values
-    if dim is None:
+        if not np.isfinite(values).all():
+            raise EmbeddingFormatError(f"line {lineno}: non-finite value")
+        words.append(parts[0])
+        rows.append(values)
+    if not rows:
         raise EmbeddingFormatError("embedding input is empty")
-    return EmbeddingTable(dim=dim, vectors=vectors)
+    return EmbeddingTable.of(words, np.array(rows))
 
 
 def load_embeddings_file(path: str | Path) -> EmbeddingTable:
@@ -76,9 +97,10 @@ def load_embeddings_file(path: str | Path) -> EmbeddingTable:
 
     A generator strips each line's word before loadtxt reads the rest, so
     loadtxt's column-count check is the dimension check. Any line loadtxt
-    rejects, and any line without a value (loadtxt skips blank lines), sends
-    the whole file through load_embeddings, which alone words the error or
-    accepts what float() accepts and loadtxt does not (such as "1_0").
+    rejects, any line without a value (loadtxt skips blank lines) and any
+    non-finite value send the whole file through load_embeddings, which
+    alone words the error or accepts what float() accepts and loadtxt does
+    not (such as "1_0").
     """
     words: list[str] = []
 
@@ -95,13 +117,12 @@ def load_embeddings_file(path: str | Path) -> EmbeddingTable:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             matrix = np.loadtxt(values(handle), dtype=np.float64, comments=None, ndmin=2)
+        if not np.isfinite(matrix).all():
+            raise ValueError("a non-finite value")
     except ValueError:
         with open(path, "r", encoding="utf-8") as handle:
             return load_embeddings(handle)
-    vectors: dict[str, np.ndarray] = {}
-    for word, row in zip(words, matrix):
-        vectors.setdefault(word, row)
-    return EmbeddingTable(dim=matrix.shape[1], vectors=vectors)
+    return EmbeddingTable.of(words, matrix)
 
 
 def avg_vector(table: EmbeddingTable, tokens: Iterable[str]) -> AvgVector:
@@ -112,12 +133,10 @@ def avg_vector(table: EmbeddingTable, tokens: Iterable[str]) -> AvgVector:
     order so the value is exactly invariant to the input token order.
     """
     tokens = list(tokens)
-    found = [tok for tok in sorted(tokens) if tok in table.vectors]
-    if not found:
+    rows = table.token_rows(sorted(tokens))
+    if not len(rows):
         return AvgVector(values=np.zeros(table.dim, dtype=np.float64), coverage=0.0)
-    stacked = np.stack([table.vectors[tok] for tok in found])
-    mean = np.sum(stacked, axis=0) / len(found)
-    return AvgVector(values=mean, coverage=len(found) / len(tokens))
+    return AvgVector(values=np.sum(rows, axis=0) / len(rows), coverage=len(rows) / len(tokens))
 
 
 def cos_sim(u: np.ndarray, v: np.ndarray) -> float:

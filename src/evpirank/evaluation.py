@@ -104,26 +104,6 @@ def average_precision(order: Sequence[int], relevant: set[int]) -> float:
     return total / len(relevant)
 
 
-def mean_average_precision(
-    orders: Sequence[Sequence[int]], relevants: Sequence[set[int]]
-) -> float:
-    """Mean AP over posts; posts with no relevant labels are skipped."""
-    if len(orders) != len(relevants):
-        raise EvaluationError("orders and label sets must align")
-    values = []
-    skipped = 0
-    for order, relevant in zip(orders, relevants):
-        if not relevant:
-            skipped += 1
-            continue
-        values.append(average_precision(order, relevant))
-    if skipped:
-        warnings.warn(f"skipped {skipped} posts with empty relevant sets", stacklevel=2)
-    if not values:
-        raise EvaluationError("no posts with relevant labels")
-    return float(np.mean(values))
-
-
 def _annotation_pairs(
     annotations: Iterable[Annotation],
 ) -> dict[str, tuple[Annotation, Annotation]]:

@@ -144,18 +144,6 @@ def rank_from_scores(post_id: str, scores: Sequence[float]) -> RankedList:
 
 
 # ---------------------------------------------------------------------------
-# Text encoding helpers
-
-
-def token_matrix(table: EmbeddingTable, text: str) -> np.ndarray:
-    """Embedding rows for the in-vocabulary tokens of text, in order."""
-    vectors = [table.vectors[tok] for tok in tokenize(text) if tok in table.vectors]
-    if not vectors:
-        return np.zeros((0, table.dim))
-    return np.asarray(vectors, dtype=np.float64)
-
-
-# ---------------------------------------------------------------------------
 # Scoring primitives
 
 
@@ -376,9 +364,10 @@ def batch_loss_and_grads(
 class NeuralModel:
     """A NeuralParams model over an embedding table, named by its MODEL_PARTS entry.
 
-    Subclasses supply prepare, loss_and_grads and rank_prepared; rank_prepared
-    takes a list of prepared sets, encodes them as one batch and returns one
-    RankedList per set. A set's scores depend only on that set.
+    Subclasses supply prepare, loss_and_grads and rank_prepared, which encodes
+    a list of prepared sets as one batch and returns one RankedList per set.
+    A set's scores depend on its batch only in their last bits: a product over
+    more rows may round differently, which can reorder near-ties only.
     """
 
     def __init__(self, params: NeuralParams, table: EmbeddingTable):
@@ -394,12 +383,13 @@ class NeuralModel:
             self.name, {k: v.copy() for k, v in tensors.items()}
         )
 
-    def _prepared(self, cs: CandidateSet, **head_inputs) -> PreparedCandidates:
+    def _prepared(self, cs: CandidateSet, questions, answers, **head_inputs) -> PreparedCandidates:
+        """cs with the LSTM inputs of its post and of the token lists questions and answers."""
         return PreparedCandidates(
             cs=cs,
-            post_tokens=token_matrix(self.table, cs.post_body),
-            question_tokens=[token_matrix(self.table, q) for q in cs.questions],
-            answer_tokens=[token_matrix(self.table, a) for a in cs.answers],
+            post_tokens=self.table.token_rows(tokenize(cs.post_body)),
+            question_tokens=[self.table.token_rows(tokens) for tokens in questions],
+            answer_tokens=[self.table.token_rows(tokens) for tokens in answers],
             **head_inputs,
         )
 
@@ -411,13 +401,17 @@ class EvpiModel(NeuralModel):
     """The joint answer and utility model: its loss with gradients, and prepared ranking."""
 
     def prepare(self, cs: CandidateSet) -> PreparedCandidates:
-        def units(texts):  # average vectors scaled to unit norm, one row per text
-            return unit_rows(np.stack([avg_vector(self.table, tokenize(t)).values for t in texts]))
+        questions = [tokenize(q) for q in cs.questions]
+        answers = [tokenize(a) for a in cs.answers]
 
-        q_units = units(cs.questions)
+        def units(texts):  # average vectors scaled to unit norm, one row per text
+            return unit_rows(np.stack([avg_vector(self.table, tokens).values for tokens in texts]))
+
+        q_units = units(questions)
         q_sims = np.maximum(np.einsum("ik,jk->ij", q_units, q_units), 0.0)
         return self._prepared(
-            cs, a_units=units(cs.answers), q_sims=q_sims, sim_weights=q_sims[cs.original_index]
+            cs, questions, answers,
+            a_units=units(answers), q_sims=q_sims, sim_weights=q_sims[cs.original_index],
         )
 
     def loss_and_grads(
@@ -452,19 +446,18 @@ class EvpiModel(NeuralModel):
 
 
 def write_rankings(path: str | Path, model_name: str, ranked: Iterable[RankedList]) -> None:
+    """One JSON line per list; a non-finite score raises ValueError before path is opened."""
+    records = (
+        {"post_id": rl.post_id, "model": model_name, "order": rl.order, "scores": rl.scores}
+        for rl in ranked
+    )
+    lines = [json.dumps(record, ensure_ascii=False, allow_nan=False) + "\n" for record in records]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for rl in ranked:
-            record = {
-                "post_id": rl.post_id,
-                "model": model_name,
-                "order": rl.order,
-                "scores": rl.scores,
-            }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        handle.writelines(lines)
 
 
 def read_rankings(path: str | Path) -> list[RankedList]:
-    """Load rankings.jsonl; each order must be a permutation with one score per entry.
+    """Load rankings.jsonl; each order must be a permutation with one finite score per entry.
 
     A post id may appear on one line only.
     """
@@ -484,6 +477,8 @@ def read_rankings(path: str | Path) -> list[RankedList]:
             raise ValueError(f"{where}: order {rl.order} is not a permutation of range({n})")
         if len(rl.scores) != n:
             raise ValueError(f"{where}: {len(rl.scores)} scores for {n} entries")
+        if not np.isfinite(rl.scores).all():
+            raise ValueError(f"{where}: scores hold a non-finite value")
         return rl
 
     return read_jsonl(path, build)

@@ -44,8 +44,8 @@ class CheckResult:
 
 
 def _toy_table(rng: np.random.Generator, n_words: int = 30) -> EmbeddingTable:
-    vectors = {f"w{k}": rng.normal(size=EMBED_DIM) for k in range(n_words)}
-    return EmbeddingTable(dim=EMBED_DIM, vectors=vectors)
+    words = [f"w{k}" for k in range(n_words)]
+    return EmbeddingTable.of(words, rng.normal(size=(n_words, EMBED_DIM)))
 
 
 def _toy_text(rng: np.random.Generator, length: int) -> str:

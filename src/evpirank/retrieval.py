@@ -245,7 +245,7 @@ def read_jsonl(path: str | Path, build: Callable[[dict], Any], error=ValueError)
                 out.append(build(record))
             except KeyError as exc:
                 raise error(f"line {lineno}: missing field {exc}") from None
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise error(f"line {lineno}: {exc}") from None
     return out
 

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from evpirank.embeddings import AvgVector, EmbeddingTable, avg_vector, cos_sim
-from evpirank.evpi import BCE_CLAMP, NeuralParams, expected_value, token_matrix
+from evpirank.evpi import BCE_CLAMP, NeuralParams, expected_value
 from evpirank.neural import LstmParams, feedforward_forward, sigmoid
 from evpirank.retrieval import CandidateSet, tokenize
 
@@ -290,7 +290,9 @@ def similarity_weight(q_hat_i: np.ndarray, q_hat_j: np.ndarray) -> float:
 
 
 def encode_text(lstm: LstmParams, table: EmbeddingTable, text: str) -> np.ndarray:
-    return sequence_lstm_forward(lstm, token_matrix(table, text))[0]
+    """Mean LSTM state over the vectors of text's in-vocabulary tokens, one at a time."""
+    xs = [table.matrix[table.rows[tok]] for tok in brute_tokenize(text) if tok in table.rows]
+    return sequence_lstm_forward(lstm, np.array(xs))[0]
 
 
 def f_ans(params: NeuralParams, post_text: str, question_text: str, table: EmbeddingTable) -> np.ndarray:

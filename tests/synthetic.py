@@ -9,9 +9,13 @@ from evpirank.ingest import PostRecord, Triple
 from evpirank.retrieval import CandidateSet, build_index, doc_text, generate_candidates
 
 
+def table_of(vectors: dict) -> EmbeddingTable:
+    """The table of a word -> vector dict, in its order; vectors may be lists."""
+    return EmbeddingTable.of(list(vectors), np.array(list(vectors.values()), dtype=np.float64))
+
+
 def make_embedding_table(words: list[str], dim: int, rng: np.random.Generator) -> EmbeddingTable:
-    vectors = {word: rng.normal(size=dim) for word in words}
-    return EmbeddingTable(dim=dim, vectors=vectors)
+    return table_of({word: rng.normal(size=dim) for word in words})
 
 
 def make_retrieval_corpus(n_posts: int, rng: np.random.Generator) -> dict[str, str]:
@@ -55,8 +59,7 @@ def make_clustered_corpus(
     words += ["which", "value", "runs"]
     # Large embeddings keep token identity loud in the mean-pooled encodings.
     table = make_embedding_table(words, dim, rng)
-    for word in table.vectors:
-        table.vectors[word] *= 4.0
+    table.matrix *= 4.0
 
     triples = {}
     for i in range(n_posts):

@@ -14,13 +14,12 @@ import pytest
 
 from evpirank.baselines import random_rank_metrics
 from evpirank.cli import main
-from evpirank.embeddings import EmbeddingTable
 from evpirank.evaluation import (
     LabelSet,
+    average_precision,
     bootstrap_test,
     cohen_kappa,
     evaluate,
-    mean_average_precision,
     precision_at_k,
 )
 from evpirank.evpi import NeuralParams, expected_value
@@ -33,6 +32,7 @@ from tests.synthetic import (
     make_clustered_corpus,
     make_random_rankings_fixture,
     make_retrieval_corpus,
+    table_of,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -93,10 +93,7 @@ class TestCriterion3MetricOracleEquivalence:
                 )
             worst = max(
                 worst,
-                abs(
-                    mean_average_precision([order], [relevant])
-                    - brute_average_precision(order, relevant)
-                ),
+                abs(average_precision(order, relevant) - brute_average_precision(order, relevant)),
             )
         report(3, "metric-oracle-equivalence", worst <= 1e-12, f"max |diff| = {worst:.2e}")
 
@@ -339,9 +336,7 @@ class TestCriterion9EvpiFormulaInvariants:
         probs = np.exp(-(1.0 - cos_rows(rep, a_hat))) * np.maximum(0.0, cos_rows(q_i, q_j))
         core_ok = bool(np.all(probs >= 0.0) and np.all(probs <= 1.0))
 
-        table = EmbeddingTable(
-            dim=5, vectors={f"w{k}": rng.normal(size=5) for k in range(12)}
-        )
+        table = table_of({f"w{k}": rng.normal(size=5) for k in range(12)})
         params = NeuralParams.init("evpi", 5, 3, rng)
         for tensor in params.tensors().values():
             tensor += rng.normal(scale=0.4, size=tensor.shape)

@@ -17,7 +17,6 @@ from evpirank.baselines import (
     random_rankings,
     NGRAM_FEATURE_SPACE,
 )
-from evpirank.embeddings import EmbeddingTable
 from evpirank.evpi import NeuralParams
 from evpirank.evaluation import LabelSet
 from evpirank.neural import grad_check
@@ -25,7 +24,7 @@ from evpirank.retrieval import CandidateSet
 from evpirank.rng import substream
 from evpirank.training import TrainConfig, train
 
-from tests.synthetic import make_random_rankings_fixture
+from tests.synthetic import make_random_rankings_fixture, table_of
 
 
 def labeled_set(post, questions, answers, post_id="t", original=0):
@@ -41,7 +40,7 @@ def labeled_set(post, questions, answers, post_id="t", original=0):
 
 
 def toy_table(rng, n_words=12, dim=6):
-    return EmbeddingTable(dim=dim, vectors={f"w{k}": rng.normal(size=dim) for k in range(n_words)})
+    return table_of({f"w{k}": rng.normal(size=dim) for k in range(n_words)})
 
 
 def toy_candidate_set(rng, post_id="b1", n=4, original=0):

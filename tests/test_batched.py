@@ -16,6 +16,7 @@ from evpirank.retrieval import CandidateSet
 from evpirank.rng import substream
 
 from tests.oracles import encode_text, evpi_score, per_set_loss_and_grads
+from tests.synthetic import table_of
 
 N_WORDS = 10
 
@@ -27,7 +28,7 @@ N_WORDS = 10
 TIE_SHAPES = [(9, 8, 27), (9, 32, 4), (12, 32, 27)]
 
 def toy_table(rng, dim) -> EmbeddingTable:
-    return EmbeddingTable(dim=dim, vectors={f"w{k}": rng.normal(size=dim) for k in range(N_WORDS)})
+    return table_of({f"w{k}": rng.normal(size=dim) for k in range(N_WORDS)})
 
 
 def perturbed(tensors, rng, scale):

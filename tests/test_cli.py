@@ -249,6 +249,15 @@ class TestTrainRankEvaluate:
             assert code == 0
             assert len(rankings.read_text().splitlines()) == 7
 
+    @pytest.mark.parametrize("model", ["ngrams", "cqa"])
+    def test_ngrams_and_cqa_report_the_epochs_run(self, pipeline, capsys, tmp_path, model):
+        code, _, err = run(
+            capsys, "train", "--candidates", str(pipeline["candidates"]), "--model", model,
+            "--no-split", "--set", "epochs=3", "--out", str(tmp_path / "model.ckpt"),
+        )
+        assert code == 0
+        assert json.loads(err.strip().splitlines()[-1])["epochs_run"] == 3
+
     def train_small(self, pipeline, model) -> Path:
         ckpt = pipeline["root"] / f"small_{model}.ckpt"
         assert main([
@@ -734,6 +743,92 @@ class TestMalformedInputFiles:
         assert message in str(info.value)
 
 
+class TestNonFiniteNumbers:
+    """nan, inf and overflowing numbers are refused where they enter and where they leave."""
+
+    @staticmethod
+    def non_finite_embeddings(tmp_path) -> Path:
+        path = tmp_path / "nan.embeddings"
+        lines = (FIXTURES / "embeddings_toy.txt").read_text(encoding="utf-8").splitlines()
+        lines[1] = "ram nan 1 0 0"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", ["ingest", "train", "rank"])
+    def test_non_finite_embedding_is_usage_error(self, pipeline, capsys, tmp_path, command):
+        bad = self.non_finite_embeddings(tmp_path)
+        cands = str(pipeline["candidates"])
+        out = tmp_path / "out"
+        argv = {
+            "ingest": ingest_args(out, embeddings=False),
+            "train": ["train", "--candidates", cands, "--model", "cqa", "--no-split",
+                      "--out", str(out)],
+            "rank": ["rank", "--candidates", cands, "--model", "random", "--out", str(out)],
+        }[command]
+        code, stdout, err = run(capsys, *argv, "--embeddings", str(bad))
+        assert code == 2
+        assert f"malformed embeddings file {bad}: line 2: non-finite value" in err
+        assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "model, tensor", [("evpi", "ff_ans/W0"), ("neural-pq", "lstm_post/b_f"), ("cqa", "cqa/b")]
+    )
+    def test_non_finite_checkpoint_tensor_is_usage_error(
+        self, pipeline, capsys, tmp_path, model, tensor
+    ):
+        from evpirank.neural import load_checkpoint, save_checkpoint
+
+        ckpt = tmp_path / "trained.ckpt"
+        embeddings = str(FIXTURES / "embeddings_toy.txt")
+        cands = str(pipeline["candidates"])
+        assert main([
+            "train", "--candidates", cands, "--embeddings", embeddings, "--model", model,
+            "--no-split", "--set", "hidden_dim=3", "--set", "epochs=1", "--out", str(ckpt),
+        ]) == 0
+        tensors = load_checkpoint(ckpt)
+        tensors[tensor].flat[0] = float("inf")
+        save_checkpoint(ckpt, tensors)
+        rankings = tmp_path / "rankings.jsonl"
+        code, stdout, err = run(
+            capsys, "rank", "--candidates", cands, "--embeddings", embeddings, "--model", model,
+            "--checkpoint", str(ckpt), "--out", str(rankings),
+        )
+        assert code == 2
+        assert f"malformed checkpoint file {ckpt}: {tensor!r} holds nan or inf" in err
+        assert "Traceback" not in err and stdout == ""
+        assert not rankings.exists()
+
+    @pytest.mark.parametrize(
+        "score, message",
+        [
+            (float("nan"), "scores hold a non-finite value"),
+            (float("inf"), "scores hold a non-finite value"),
+            (float("-inf"), "scores hold a non-finite value"),
+            (10**400, "int too large to convert to float"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["evaluate", "significance"])
+    def test_non_finite_score_is_usage_error(
+        self, pipeline, capsys, tmp_path, score, message, command
+    ):
+        # A file of NaN scores used to evaluate to MAP 1.0.
+        rankings = tmp_path / "ranked.jsonl"
+        cands = str(pipeline["candidates"])
+        assert main(["rank", "--candidates", cands, "--model", "random", "--out", str(rankings)]) == 0
+        bad = tmp_path / "nan.jsonl"
+        TestMalformedInputFiles.edited_copy(rankings, bad, scores=[score] * 7)
+        argv = {
+            "evaluate": ["evaluate", "--rankings", str(bad)],
+            "significance": ["significance", "--rankings-a", str(rankings),
+                             "--rankings-b", str(bad), "--n", "10"],
+        }[command]
+        code, stdout, err = run(capsys, *argv, "--candidates", cands, "--mode", "original")
+        assert code == 2
+        assert f"{bad}: line 2: " in err and message in err
+        assert "Traceback" not in err and stdout == ""
+
+
 class TestEvaluateWithAnnotations:
     def write_annotations(self, root) -> Path:
         path = root / "annotations.jsonl"
@@ -776,6 +871,22 @@ class TestEvaluateWithAnnotations:
         assert body["n_posts"] == 7
         histogram = json.loads(lines[-1])["valid_intersection_histogram"]
         assert histogram == {"2": 7}  # |{0,1,2} & {0,1}| = 2 for every post
+
+    def test_valid_histogram_without_annotations_fails_before_any_output(
+        self, pipeline, capsys, tmp_path
+    ):
+        rankings = tmp_path / "ranked.jsonl"
+        cands = str(pipeline["candidates"])
+        assert main(["rank", "--candidates", cands, "--model", "random", "--out", str(rankings)]) == 0
+        report = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "evaluate", "--rankings", str(rankings), "--candidates", cands,
+            "--mode", "original", "--valid-histogram", "--out", str(report),
+        )
+        assert code == 2
+        assert "--valid-histogram requires --annotations" in err
+        assert out == ""
+        assert not report.exists()
 
     def test_annotation_mode_requires_annotations(self, pipeline, capsys):
         rankings = pipeline["root"] / "ann_rankings.jsonl"

@@ -30,11 +30,12 @@ class TestLoadEmbeddings:
         table = table_from("cat 1 2 3\ndog 4 5 6\n")
         assert table.dim == 3
         assert len(table) == 2
-        np.testing.assert_array_equal(table.vectors["dog"], [4.0, 5.0, 6.0])
+        np.testing.assert_array_equal(table.token_rows(["dog"]), [[4.0, 5.0, 6.0]])
 
     def test_duplicate_word_keeps_first(self):
         table = table_from("cat 1 2\ncat 9 9\n")
-        np.testing.assert_array_equal(table.vectors["cat"], [1.0, 2.0])
+        assert len(table) == 1
+        np.testing.assert_array_equal(table.token_rows(["cat"]), [[1.0, 2.0]])
 
     def test_dimension_mismatch_names_line(self):
         with pytest.raises(EmbeddingFormatError, match="line 2"):
@@ -48,14 +49,41 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingFormatError):
             table_from("")
 
+    @pytest.mark.parametrize("value", ["nan", "-nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        text = f"cat 1 2\ndog 3 {value}\n"
+        with pytest.raises(EmbeddingFormatError, match="line 2: non-finite value"):
+            table_from(text)
+        path = tmp_path / "vectors.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="line 2: non-finite value"):
+            load_embeddings_file(path)
+
+
+class TestEmbeddingTable:
+    def test_token_rows_keep_order_and_repeats_and_skip_oov(self):
+        table = table_from("a 1 0\nb 0 1\n")
+        np.testing.assert_array_equal(
+            table.token_rows(["b", "zzz", "a", "b"]), [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+        )
+
+    def test_no_token_in_vocabulary_gives_zero_rows(self):
+        rows = table_from("a 1 0 0\n").token_rows(["x"])
+        assert rows.shape == (0, 3)
+        assert EmbeddingTable.empty().token_rows(["x"]).shape == (0, 1)
+
+    def test_word_count_must_match_the_matrix(self):
+        with pytest.raises(ValueError, match="2 words for a matrix of shape"):
+            EmbeddingTable.of(["a", "b"], np.zeros((3, 2)))
+
 
 def loaded(load):
-    """(dim, [(word, row bytes)] in table order), or the EmbeddingFormatError message."""
+    """(shape, [(word, row)] in table order, matrix bytes), or the EmbeddingFormatError text."""
     try:
         table = load()
     except EmbeddingFormatError as exc:
         return str(exc)
-    return table.dim, [(word, row.tobytes()) for word, row in table.vectors.items()]
+    return table.matrix.shape, list(table.rows.items()), table.matrix.tobytes()
 
 
 # Numbers both parsers read, and characters that make tokens only one of them

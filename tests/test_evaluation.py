@@ -14,7 +14,6 @@ from evpirank.evaluation import (
     bootstrap_test,
     cohen_kappa,
     evaluate,
-    mean_average_precision,
     per_post_metrics,
     precision_at_k,
     read_annotations,
@@ -60,19 +59,18 @@ class TestPrecisionAtK:
 
 class TestAveragePrecision:
     def test_relevant_at_rank_one(self):
-        assert mean_average_precision([[2, 0, 1]], [{2}]) == 1.0
+        assert average_precision([2, 0, 1], {2}) == 1.0
 
     def test_relevant_at_rank_two(self):
-        assert mean_average_precision([[0, 2, 1]], [{2}]) == 0.5
+        assert average_precision([0, 2, 1], {2}) == 0.5
 
     def test_two_relevant_at_ranks_one_and_three(self):
-        got = mean_average_precision([[4, 0, 7, 1]], [{4, 7}])
+        got = average_precision([4, 0, 7, 1], {4, 7})
         assert got == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-9)
 
-    def test_empty_relevant_skipped_with_warning(self):
-        with pytest.warns(UserWarning, match="skipped 1"):
-            got = mean_average_precision([[0, 1], [1, 0]], [set(), {1}])
-        assert got == 1.0
+    def test_empty_relevant_set_is_error(self):
+        with pytest.raises(EvaluationError, match="relevant set is empty"):
+            average_precision([0, 1], set())
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(70)
@@ -85,7 +83,7 @@ class TestAveragePrecision:
                 assert precision_at_k(order, relevant, k) == pytest.approx(
                     brute_precision_at_k(order, relevant, k), abs=1e-12
                 )
-            assert mean_average_precision([order], [relevant]) == pytest.approx(
+            assert average_precision(order, relevant) == pytest.approx(
                 brute_average_precision(order, relevant), abs=1e-12
             )
 

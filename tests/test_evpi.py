@@ -10,6 +10,7 @@ from evpirank.embeddings import EmbeddingTable
 from evpirank.evpi import (
     EvpiModel,
     NeuralParams,
+    RankedList,
     expected_value,
     rank_from_scores,
     read_rankings,
@@ -36,11 +37,7 @@ from tests.oracles import (
     loss_util,
     utility,
 )
-
-
-def make_table(vectors: dict[str, list[float]]) -> EmbeddingTable:
-    dim = len(next(iter(vectors.values())))
-    return EmbeddingTable(dim=dim, vectors={w: np.array(v, dtype=float) for w, v in vectors.items()})
+from tests.synthetic import table_of
 
 
 def toy_candidate_set(n=3, original=0, post_id="t1") -> CandidateSet:
@@ -55,7 +52,7 @@ def toy_candidate_set(n=3, original=0, post_id="t1") -> CandidateSet:
 
 
 def toy_table(rng, n_words=10, dim=5) -> EmbeddingTable:
-    return EmbeddingTable(dim=dim, vectors={f"w{k}": rng.normal(size=dim) for k in range(n_words)})
+    return table_of({f"w{k}": rng.normal(size=dim) for k in range(n_words)})
 
 
 def zeroed_evpi(embed_dim=2, hidden_dim=2) -> NeuralParams:
@@ -79,7 +76,7 @@ class TestDist:
 
 class TestAnswerProb:
     def table(self):
-        return make_table(
+        return table_of(
             {"qa": [1.0, 0.0], "qb": [0.0, 1.0], "ansx": [1.0, 0.0], "ansy": [0.0, 1.0]}
         )
 
@@ -138,7 +135,7 @@ class TestLossAns:
         assert loss_ans(params, cs, table) == pytest.approx(2.0 * base, abs=1e-9)
 
     def test_orthogonal_candidate_questions_leave_first_term(self):
-        table = make_table(
+        table = table_of(
             {"qa": [1.0, 0.0], "qb": [0.0, 1.0], "ax": [1.0, 1.0], "ay": [0.5, -0.5]}
         )
         params = zeroed_evpi()
@@ -158,7 +155,7 @@ class TestLossAns:
     def test_two_candidate_hand_sum(self):
         # rep = [1, 0]; answers at cosines 1/sqrt(2) and 0; question weights 1
         # and cos(qa, qm) = 1/sqrt(2).
-        table = make_table(
+        table = table_of(
             {
                 "qa": [1.0, 0.0],
                 "qm": [1.0, 1.0],
@@ -185,14 +182,14 @@ class TestFAns:
     def test_all_zero_params_output_final_bias(self):
         params = zeroed_evpi()
         params.ff_ans.biases[-1][...] = [0.25, -0.5]
-        table = make_table({"w": [1.0, 0.0]})
+        table = table_of({"w": [1.0, 0.0]})
         np.testing.assert_allclose(f_ans(params, "w", "w?", table), [0.25, -0.5], atol=1e-15)
 
     def test_one_dim_hand_composition(self):
         # Hand-chain the scalar recurrence through both encoders and a
         # two-layer answer net: encoders open their input/output gates
         # (b_i = b_o = 50) with W_g = 1; the net computes 2 * tanh(sum) + 1.
-        table = make_table({"px": [0.5], "qx": [0.25]})
+        table = table_of({"px": [0.5], "qx": [0.25]})
         rng = np.random.default_rng(0)
         params = NeuralParams.init("evpi", embed_dim=1, hidden_dim=1, rng=rng)
         for tensor in params.tensors().values():
@@ -225,11 +222,11 @@ class TestFAns:
 class TestUtility:
     def test_all_zero_params_give_half(self):
         params = zeroed_evpi()
-        table = make_table({"w": [1.0, 0.0]})
+        table = table_of({"w": [1.0, 0.0]})
         assert utility(params, "w", "w?", "w", table) == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_in_final_bias(self):
-        table = make_table({"w": [1.0, 0.0]})
+        table = table_of({"w": [1.0, 0.0]})
         values = []
         for bias in (-1.0, 0.0, 1.0):
             params = zeroed_evpi()
@@ -256,7 +253,7 @@ class TestLossUtil:
 class TestJointLoss:
     def test_empty_batch_is_zero(self):
         params = zeroed_evpi()
-        table = make_table({"w": [1.0, 0.0]})
+        table = table_of({"w": [1.0, 0.0]})
         assert joint_loss(params, [], table) == 0.0
 
     def test_additive_over_posts(self):
@@ -319,7 +316,7 @@ class TestEvpiScoreDegenerate:
     def test_suppressed_utilities_give_near_zero_score(self):
         params = zeroed_evpi()
         params.ff_util.biases[-1][...] = -50.0  # sigma(-50) ~ 2e-22
-        table = make_table({"qa": [1.0, 0.0], "ax": [1.0, 0.0]})
+        table = table_of({"qa": [1.0, 0.0], "ax": [1.0, 0.0]})
         cs = CandidateSet(
             post_id="t", post_body="qa",
             questions=["qa?", "qa?"], answers=["ax", "ax"],
@@ -447,6 +444,21 @@ class TestGradientsAndDescent:
         assert loss < loss0
 
 
+class TestPrepare:
+    def test_each_text_is_tokenized_once(self, monkeypatch):
+        # One token list per question and answer feeds both its average vector
+        # and its LSTM input: 1 + 2n tokenize calls for n candidates.
+        import evpirank.evpi as evpi_module
+
+        texts = []
+        tokenize = evpi_module.tokenize
+        monkeypatch.setattr(evpi_module, "tokenize", lambda text: texts.append(text) or tokenize(text))
+        rng = substream(0, "test/tokenize-once")
+        model = EvpiModel(NeuralParams.init("evpi", 5, 3, rng), toy_table(rng))
+        model.prepare(toy_candidate_set(n=4))
+        assert len(texts) == 1 + 2 * 4
+
+
 class TestPerGateCheckpoint:
     def test_hand_written_v1_checkpoint_loads_and_resaves_byte_identically(self, tmp_path):
         # A v1 checkpoint stores each LSTM gate as its own tensor, in the
@@ -489,6 +501,18 @@ class TestRankingsFile:
         assert [rl.post_id for rl in loaded] == ["p1", "p2"]
         assert loaded[0].order == [1, 0, 2]
         assert loaded[1].order == [0, 1, 2]
+
+    def test_non_finite_score_is_not_written(self, tmp_path):
+        # Once the inputs are checked a non-finite score is a bug: refuse to
+        # write it as the invalid JSON token NaN, and leave no partial file.
+        ranked = [
+            rank_from_scores("p1", [0.3, 0.9]),
+            RankedList(post_id="p2", order=[0, 1], scores=[float("nan"), 0.5]),
+        ]
+        path = tmp_path / "rankings.jsonl"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_rankings(path, "evpi", ranked)
+        assert not path.exists()
 
     def test_malformed_line_names_position(self, tmp_path):
         path = tmp_path / "rankings.jsonl"

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evpirank.embeddings import EmbeddingTable, load_embeddings_file
+from evpirank.embeddings import load_embeddings_file
 from evpirank.ingest import (
     CommentRecord,
     EditRecord,
@@ -24,6 +24,8 @@ from evpirank.ingest import (
     split_name,
     write_triples,
 )
+
+from tests.synthetic import table_of
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -136,9 +138,7 @@ class TestExtractAnswerComment:
 
 class TestSelectAnswer:
     def table(self):
-        return EmbeddingTable(
-            dim=2, vectors={"ram": np.array([1.0, 0.0]), "cpu": np.array([0.0, 1.0])}
-        )
+        return table_of({"ram": [1.0, 0.0], "cpu": [0.0, 1.0]})
 
     def test_single_edit_candidate(self):
         assert select_answer("edit text", None, "q?", self.table()) == ("edit text", "edit")

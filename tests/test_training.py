@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from evpirank.embeddings import EmbeddingTable
 from evpirank.evpi import EvpiModel, NeuralParams
 from evpirank.neural import save_checkpoint
 from evpirank.retrieval import CandidateSet
 from evpirank.training import TrainConfig, fit, original_mode_map
 
+from tests.synthetic import table_of
+
 
 def toy_table(rng, dim=5):
-    return EmbeddingTable(dim=dim, vectors={f"w{k}": rng.normal(size=dim) for k in range(10)})
+    return table_of({f"w{k}": rng.normal(size=dim) for k in range(10)})
 
 
 def toy_sets(rng, n=6):
