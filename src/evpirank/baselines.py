@@ -289,10 +289,10 @@ class NeuralBaselineModel(NeuralModel):
     def loss_and_grads(
         self, batch: Sequence[PreparedCandidates]
     ) -> tuple[float, dict[str, np.ndarray]]:
-        return batch_loss_and_grads(self.params, batch, (_scorer_losses,))
+        return batch_loss_and_grads(self.params, self.table, batch, (_scorer_losses,))
 
     def rank_prepared(self, preps: Sequence[PreparedCandidates]) -> list[RankedList]:
-        enc = SetEncoding(self.params, preps)
+        enc = SetEncoding(self.params, self.table, preps)
         return [
             rank_from_scores(prep.cs.post_id, scores)
             for prep, scores in zip(preps, enc.per_set(bce_scores(self.params.ff, enc)))

@@ -175,9 +175,12 @@ def cmd_train(args) -> int:
 
 
 def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, config: TrainConfig):
-    """Build a rank(cs) callable for the requested model."""
+    """Build a callable that ranks a list of candidate sets, one RankedList per set in order.
+
+    A neural model ranks config.batch_size sets per rank_prepared call.
+    """
     if model_name == "random":
-        return lambda cs: baselines.random_rankings([cs], seed=config.seed)[0]
+        return lambda sets: baselines.random_rankings(sets, seed=config.seed)
     if checkpoint is None:
         raise UsageError(f"model {model_name!r} requires --checkpoint")
     tensors = _read(load_checkpoint, checkpoint, "checkpoint")
@@ -186,10 +189,11 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, conf
             raise UsageError(f"malformed checkpoint file {checkpoint}: {name!r} holds nan or inf")
     try:
         if model_name == "ngrams":
-            return baselines.NgramModel.from_tensors(tensors).rank
+            ngrams = baselines.NgramModel.from_tensors(tensors)
+            return lambda sets: map(ngrams.rank, sets)
         if model_name == "cqa":
             model = baselines.CqaModel.from_tensors(tensors)
-            return lambda cs: model.rank(cs, table)
+            return lambda sets: (model.rank(cs, table) for cs in sets)
         params = evpi.NeuralParams.from_tensors(model_name, tensors)
     except (KeyError, ValueError) as exc:
         raise UsageError(f"checkpoint {checkpoint} is not a {model_name} model: {exc}") from None
@@ -200,7 +204,10 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, conf
             f"embeddings have dimension {table.dim}{source}, checkpoint {checkpoint} expects "
             f"{input_dim}; pass the --embeddings file it was trained with"
         )
-    return training.neural_model(params, table).rank
+    neural = training.neural_model(params, table)
+    return lambda sets: training.ranked_in_chunks(
+        neural, map(neural.prepare, sets), config.batch_size
+    )
 
 
 def cmd_rank(args) -> int:
@@ -212,7 +219,7 @@ def cmd_rank(args) -> int:
         raise UsageError(f"no posts in split {args.split!r}")
     table = _load_table(args.embeddings)
     rank = _ranker(args.model, args.checkpoint, table, config)
-    ranked = [rank(cs) for cs in sorted(selected, key=lambda cs: cs.post_id)]
+    ranked = list(rank(sorted(selected, key=lambda cs: cs.post_id)))
     evpi.write_rankings(args.out, args.model, ranked)
     _log(json.dumps({"model": args.model, "ranked_posts": len(ranked), "split": args.split}))
     return 0

@@ -18,7 +18,8 @@ class EmbeddingTable:
     """Word vectors: one (lines, dim) matrix, and each word's row in it.
 
     Only this module reads that layout. Elsewhere a table is used through
-    len() (the number of distinct words), dim, token_rows and avg_vector.
+    len() (the number of distinct words), dim, token_ids, gather and
+    avg_vector.
     """
 
     rows: dict[str, int]
@@ -46,9 +47,13 @@ class EmbeddingTable:
         """No words, dimension 1."""
         return cls.of([], np.zeros((0, 1)))
 
-    def token_rows(self, tokens: Iterable[str]) -> np.ndarray:
-        """The vectors of the in-vocabulary tokens, in order: shape (found, dim)."""
-        return self.matrix[[self.rows[tok] for tok in tokens if tok in self.rows]]
+    def token_ids(self, tokens: Iterable[str]) -> np.ndarray:
+        """The rows of the in-vocabulary tokens, in order: an int64 array of shape (found,)."""
+        return np.array([self.rows[tok] for tok in tokens if tok in self.rows], dtype=np.int64)
+
+    def gather(self, ids: np.ndarray) -> np.ndarray:
+        """The vectors of token_ids output, in order: shape (len(ids), dim)."""
+        return self.matrix[ids]
 
 
 @dataclass
@@ -133,7 +138,7 @@ def avg_vector(table: EmbeddingTable, tokens: Iterable[str]) -> AvgVector:
     order so the value is exactly invariant to the input token order.
     """
     tokens = list(tokens)
-    rows = table.token_rows(sorted(tokens))
+    rows = table.gather(table.token_ids(sorted(tokens)))
     if not len(rows):
         return AvgVector(values=np.zeros(table.dim, dtype=np.float64), coverage=0.0)
     return AvgVector(values=np.sum(rows, axis=0) / len(rows), coverage=len(rows) / len(tokens))

@@ -162,8 +162,10 @@ def expected_value(answer_probs, utilities):
 
 @dataclass
 class PreparedCandidates:
-    """Token matrices of one candidate set, cached once.
+    """The token ids of one candidate set's texts, cached once.
 
+    Each text is its in-vocabulary tokens as an int64 array of embedding
+    table rows (EmbeddingTable.token_ids); its LSTM input is one gather.
     Only the answer model reads a_units (the average answer vectors scaled
     to unit norm, n x d), q_sims (the n x n cosines of the average question
     vectors, negatives clamped to 0) and sim_weights (the original
@@ -180,34 +182,71 @@ class PreparedCandidates:
     sim_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def _distinct(mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
-    """The distinct matrices of mats, and for each of mats the index of its copy."""
-    index: dict[tuple, int] = {}
-    inverse = np.array([index.setdefault((m.shape, m.tobytes()), len(index)) for m in mats])
-    # ids count up in order of first appearance; return_index gives each id's first matrix
-    return [mats[i] for i in np.unique(inverse, return_index=True)[1]], inverse
+# Forward-only encoding sorts an encoder's distinct texts longest first and
+# runs them in groups: the texts whose first token falls in the same
+# GROUP_TOKENS-token window of that order. A group's LSTM input is gathered
+# for its call only, so ranking holds the token vectors of at most
+# GROUP_TOKENS tokens plus one text (3.3 MB at 200-d) however many sets a
+# chunk holds, while each step still runs one product over about
+# GROUP_TOKENS / length texts.
+GROUP_TOKENS = 2048
+
+
+def _distinct(texts: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """The distinct token-id arrays of texts, and for each of texts the index of its copy."""
+    index: dict[bytes, int] = {}
+    inverse = np.array([index.setdefault(ids.tobytes(), len(index)) for ids in texts])
+    # inverse counts up in order of first appearance; return_index gives each value's first text
+    return [texts[i] for i in np.unique(inverse, return_index=True)[1]], inverse
+
+
+def _encode(
+    lstm: LstmParams, table: EmbeddingTable, texts: Sequence[np.ndarray], for_backward: bool
+):
+    """(means of texts' distinct token-id arrays, LSTM cache or None, each text's mean row)."""
+    distinct, inverse = _distinct(texts)
+    lengths = np.array([len(ids) for ids in distinct], dtype=np.int64)
+    if for_backward:
+        means, cache = lstm_forward(lstm, table.gather(np.concatenate(distinct)), lengths)
+        return means, cache, inverse
+    means = np.empty((len(distinct), lstm.hidden_dim))
+    order = np.argsort(-lengths, kind="stable")
+    window = (np.cumsum(lengths[order]) - lengths[order]) // GROUP_TOKENS
+    for group in np.split(order, np.flatnonzero(np.diff(window)) + 1):
+        xs = table.gather(np.concatenate([distinct[k] for k in group]))
+        means[group] = lstm_forward(lstm, xs, lengths[group], for_backward=False)[0]
+    return means, None, inverse
 
 
 class SetEncoding:
     """Every text of a batch of prepared sets run through its LSTM encoder once.
 
-    params is a NeuralParams; the encoders it lacks are skipped. The rows
-    are every set's candidates, concatenated: set s owns rows
-    offsets[s]:offsets[s + 1], and originals[s] is the row of its original
-    question. Each encoder present makes one packed lstm_forward over the
-    distinct token matrices of the whole batch (equal matrices share one
-    encoding, so they stay bit-equal within a set and across sets whatever
-    rows a product rounds differently). The encodings are the column blocks
-    of the heads' (n, k*H) input: a set's post encoding on each of its rows,
-    then the question encodings, then the answer encodings, one row per
-    candidate. With for_backward, each block keeps its LSTM cache and an
-    (n, H) accumulator of d(loss)/d(block) that backprop_head adds into, and
-    backward() runs one lstm_backward per encoder. Without it the pass is
-    forward-only and keeps neither.
+    params is a NeuralParams and table the EmbeddingTable the sets' token
+    ids index; the encoders params lacks are skipped. The rows are every
+    set's candidates, concatenated: set s owns rows offsets[s]:offsets[s + 1],
+    and originals[s] is the row of its original question. Each encoder
+    present encodes the distinct texts of the whole batch once (equal token
+    ids share one encoding). The encodings are the column blocks of the
+    heads' (n, k*H) input: a set's post encoding on each of its rows, then
+    the question encodings, then the answer encodings, one row per
+    candidate.
+
+    A text's encoding has the same bits whatever batch it is in (see
+    neural.PRODUCT_COLUMNS), so a set ranks bit-equal alone or in any chunk.
+    With for_backward, each encoder makes one packed lstm_forward over all
+    its texts, each block keeps its LSTM cache and an (n, H) accumulator of
+    d(loss)/d(block) that backprop_head adds into, and backward() runs one
+    lstm_backward per encoder. Without it the pass is forward-only: texts run
+    in GROUP_TOKENS-token windows through the cache-free lstm_forward, and no
+    buffer has a float row per token beyond one window's LSTM input.
     """
 
     def __init__(
-        self, params: NeuralParams, preps: Sequence[PreparedCandidates], for_backward: bool = False
+        self,
+        params: NeuralParams,
+        table: EmbeddingTable,
+        preps: Sequence[PreparedCandidates],
+        for_backward: bool = False,
     ):
         sizes = [len(prep.cs) for prep in preps]
         self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
@@ -217,20 +256,18 @@ class SetEncoding:
         for prefix, lstm, texts, rows_per_text in (
             ("lstm_post/", params.lstm_post, [prep.post_tokens for prep in preps], sizes),
             ("lstm_question/", params.lstm_question,
-             [m for prep in preps for m in prep.question_tokens], 1),
+             [ids for prep in preps for ids in prep.question_tokens], 1),
             ("lstm_answer/", params.lstm_answer,
-             [m for prep in preps for m in prep.answer_tokens], 1),
+             [ids for prep in preps for ids in prep.answer_tokens], 1),
         ):
             if lstm is None:
                 continue
-            distinct, inverse = _distinct(texts)
-            means, cache = lstm_forward(lstm, np.concatenate(distinct), [len(m) for m in distinct])
+            means, cache, inverse = _encode(lstm, table, texts, for_backward)
             text_ids = np.repeat(inverse, rows_per_text)  # a set's post serves each of its rows
             self.lstms.append((prefix, lstm))
             self.blocks.append(means[text_ids])
             self.text_ids.append(text_ids)
-            if for_backward:
-                self.caches.append(cache)
+            self.caches.append(cache)
         if for_backward:
             self.d_blocks = [np.zeros(block.shape) for block in self.blocks]
 
@@ -344,7 +381,10 @@ def answer_losses(
 
 
 def batch_loss_and_grads(
-    params: NeuralParams, batch: Sequence[PreparedCandidates], heads: Sequence[Callable]
+    params: NeuralParams,
+    table: EmbeddingTable,
+    batch: Sequence[PreparedCandidates],
+    heads: Sequence[Callable],
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean over the batch of the heads' summed losses, with its gradient.
 
@@ -353,7 +393,7 @@ def batch_loss_and_grads(
     once over the stacked rows.
     """
     grads = zeros_like_tensors(params.tensors())
-    enc = SetEncoding(params, batch, for_backward=True)
+    enc = SetEncoding(params, table, batch, for_backward=True)
     total = sum(head(params, enc, batch, grads) for head in heads)
     enc.backward(grads)
     for name in grads:
@@ -365,9 +405,11 @@ class NeuralModel:
     """A NeuralParams model over an embedding table, named by its MODEL_PARTS entry.
 
     Subclasses supply prepare, loss_and_grads and rank_prepared, which encodes
-    a list of prepared sets as one batch and returns one RankedList per set.
-    A set's scores depend on its batch only in their last bits: a product over
-    more rows may round differently, which can reorder near-ties only.
+    a list of prepared sets as one forward-only batch and returns one
+    RankedList per set. A set's RankedList is bit-equal whatever batch it is
+    ranked in (SetEncoding), so callers rank in chunks of batch_size sets
+    (training.ranked_in_chunks) only to bound memory: one chunk holds its sets'
+    token ids and per-candidate rows, and one GROUP_TOKENS window's LSTM input.
     """
 
     def __init__(self, params: NeuralParams, table: EmbeddingTable):
@@ -384,12 +426,12 @@ class NeuralModel:
         )
 
     def _prepared(self, cs: CandidateSet, questions, answers, **head_inputs) -> PreparedCandidates:
-        """cs with the LSTM inputs of its post and of the token lists questions and answers."""
+        """cs with the token ids of its post and of the token lists questions and answers."""
         return PreparedCandidates(
             cs=cs,
-            post_tokens=self.table.token_rows(tokenize(cs.post_body)),
-            question_tokens=[self.table.token_rows(tokens) for tokens in questions],
-            answer_tokens=[self.table.token_rows(tokens) for tokens in answers],
+            post_tokens=self.table.token_ids(tokenize(cs.post_body)),
+            question_tokens=[self.table.token_ids(tokens) for tokens in questions],
+            answer_tokens=[self.table.token_ids(tokens) for tokens in answers],
             **head_inputs,
         )
 
@@ -418,7 +460,9 @@ class EvpiModel(NeuralModel):
         self, batch: Sequence[PreparedCandidates]
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean per-post joint loss (answer plus utility) and its gradient."""
-        return batch_loss_and_grads(self.params, batch, (answer_losses, utility_losses))
+        return batch_loss_and_grads(
+            self.params, self.table, batch, (answer_losses, utility_losses)
+        )
 
     def rank_prepared(self, preps: Sequence[PreparedCandidates]) -> list[RankedList]:
         """score_i = sum_j exp(-(1 - cos(F_ans(p, q_i), a_hat_j))) * q_sims[i, j] * U_j.
@@ -429,7 +473,7 @@ class EvpiModel(NeuralModel):
         bit-identical scores.
         """
         params = self.params
-        enc = SetEncoding(params, preps)
+        enc = SetEncoding(params, self.table, preps)
         # [p; q_i]: the first two column blocks
         reps = feedforward_forward(params.ff_ans, enc.inputs()[:, : 2 * params.hidden_dim])[0]
         ranked = []

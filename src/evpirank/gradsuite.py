@@ -118,7 +118,9 @@ def _check_evpi_head(rng: np.random.Generator, n_probes: int, post_id: str, head
     prep = model.prepare(_toy_candidate_set(rng, post_id))
 
     def loss_fn(tensors):
-        return batch_loss_and_grads(NeuralParams.from_tensors("evpi", tensors), [prep], [head])
+        return batch_loss_and_grads(
+            NeuralParams.from_tensors("evpi", tensors), table, [prep], [head]
+        )
 
     return grad_check(loss_fn, model.tensors(), n_probes=n_probes, rng=rng)
 

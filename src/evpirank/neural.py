@@ -190,9 +190,39 @@ class LstmCache:
     batch_sizes: np.ndarray # (T,) sequences still running at each step
 
 
+# Batch invariance of the LSTM's products. On OpenBLAS a row of a product
+# of two or more rows gets the same bits in every such product, whatever its
+# other rows, when the column count is a multiple of 8; a one-row product (a
+# GEMV) and other column counts can round it differently (probed on OpenBLAS
+# 0.3.31, Haswell kernels, 1 and 2 threads: 2 to 4,000 rows, inner
+# dimensions 3 to 300). So the LSTM pads its weight columns to a multiple of
+# PRODUCT_COLUMNS and runs a one-row product as two rows, and a text encodes
+# to the same bits alone, in any batch and in any window ("Defeating
+# Nondeterminism in LLM Inference",
+# https://thinkingmachines.ai/blog/defeating-nondeterminism-in-llm-inference/).
+PRODUCT_COLUMNS = 8
+
+
+def _padded_columns(w_t: np.ndarray) -> np.ndarray:
+    """w_t (K, N) as a contiguous (K, N') with zero columns up to a multiple of PRODUCT_COLUMNS."""
+    out = np.zeros((w_t.shape[0], -(-w_t.shape[1] // PRODUCT_COLUMNS) * PRODUCT_COLUMNS))
+    out[:, : w_t.shape[1]] = w_t
+    return out
+
+
+def _rows_times(x: np.ndarray, w: np.ndarray, cols: int) -> np.ndarray:
+    """(x @ w)[:, :cols], a one-row x run as a two-row product (see PRODUCT_COLUMNS)."""
+    if len(x) == 1:
+        return (np.concatenate([x, x]) @ w)[:1, :cols]
+    return (x @ w)[:, :cols]
+
+
 def lstm_forward(
-    params: LstmParams, xs: np.ndarray, lengths: Sequence[int] | None = None
-) -> tuple[np.ndarray, LstmCache]:
+    params: LstmParams,
+    xs: np.ndarray,
+    lengths: Sequence[int] | None = None,
+    for_backward: bool = True,
+) -> tuple[np.ndarray, LstmCache | None]:
     """Run the LSTM over a batch of sequences; returns (mean hidden states, cache).
 
     xs holds the token rows (N, input_dim) of every sequence, concatenated,
@@ -200,8 +230,13 @@ def lstm_forward(
     Without lengths xs is one sequence and its mean is (hidden,). Sorted
     longest first, the sequences still running at step t are a prefix of the
     batch, so each step is one U product over them with no padding or mask.
-    The input projection of every token is one product outside the
-    recurrence. An empty sequence encodes to the zero vector.
+    An empty sequence encodes to the zero vector.
+
+    With for_backward the input projection of every token is one product
+    outside the recurrence, and the cache keeps it with every token's cell
+    and hidden state for lstm_backward. Without it the cache is None: each
+    step projects its own rows and no array but xs has a row per token.
+    Both give the same bits.
     """
     xs = np.asarray(xs, dtype=np.float64)
     hidden = params.hidden_dim
@@ -216,34 +251,45 @@ def lstm_forward(
     sorted_lens = lens[order]
     steps = np.arange(sorted_lens.max(initial=0))
     batch_sizes = np.count_nonzero(sorted_lens[:, None] > steps, axis=0)
-    # Packed row r at step t, slot k, is token t of sequence order[k].
-    slot = np.arange(len(xs)) - np.repeat(np.cumsum(batch_sizes) - batch_sizes, batch_sizes)
-    xs = xs[(np.cumsum(lens) - lens)[order][slot] + np.repeat(steps, batch_sizes)]
-    gates = xs @ params.W.T + params.b
-    u_t = np.ascontiguousarray(params.U.T)  # small products run faster on contiguous rows
+    sorted_starts = (np.cumsum(lens) - lens)[order]
+    width = len(GATES) * hidden
+    w_t = _padded_columns(params.W.T)
+    u_t = _padded_columns(params.U.T)
+    if for_backward:
+        # Packed row r at step t, slot k, is token t of sequence order[k].
+        slot = np.arange(len(xs)) - np.repeat(np.cumsum(batch_sizes) - batch_sizes, batch_sizes)
+        xs = xs[sorted_starts[slot] + np.repeat(steps, batch_sizes)]
+        gates = _rows_times(xs, w_t, width) + params.b
+        c_s = np.empty((len(xs), hidden))
+        h_s = np.empty((len(xs), hidden))
     i_, f_, o_, g_ = (slice(k * hidden, (k + 1) * hidden) for k in range(len(GATES)))
     ifo = slice(0, 3 * hidden)
-    c_s = np.empty((len(xs), hidden))
-    h_s = np.empty((len(xs), hidden))
     h_prev = c_prev = np.zeros((len(lens), hidden))
     total = np.zeros((len(lens), hidden))
     lo = 0
-    for live in batch_sizes:
+    for t, live in enumerate(batch_sizes):
         hi = lo + live
-        z = gates[lo:hi]
-        z += h_prev[:live] @ u_t
+        if for_backward:
+            z = gates[lo:hi]
+        else:
+            z = _rows_times(xs[sorted_starts[:live] + t], w_t, width)
+            z += params.b
+        z += _rows_times(h_prev[:live], u_t, width)
         # sigma(x) = (1 + tanh(x / 2)) / 2, so one tanh serves all four gates
         z[:, ifo] *= 0.5
         np.tanh(z, out=z)
         z[:, ifo] += 1.0
         z[:, ifo] *= 0.5
-        c_prev = c_s[lo:hi] = z[:, f_] * c_prev[:live] + z[:, i_] * z[:, g_]
-        h_prev = h_s[lo:hi] = z[:, o_] * np.tanh(c_prev)
+        c_prev = z[:, f_] * c_prev[:live] + z[:, i_] * z[:, g_]
+        h_prev = z[:, o_] * np.tanh(c_prev)
+        if for_backward:
+            c_s[lo:hi] = c_prev
+            h_s[lo:hi] = h_prev
         total[:live] += h_prev
         lo = hi
     means = np.zeros((len(lens), hidden))
     means[order] = total / np.maximum(sorted_lens, 1)[:, None]
-    cache = LstmCache(xs, gates, c_s, h_s, lens, order, batch_sizes)
+    cache = LstmCache(xs, gates, c_s, h_s, lens, order, batch_sizes) if for_backward else None
     return (means[0] if lengths is None else means), cache
 
 
@@ -453,6 +499,7 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a save_checkpoint file; each tensor is one owned copy of its bytes in the file."""
     with open(path, "rb") as handle:
         blob = handle.read()
     marker = b"\ndata\n"
@@ -471,18 +518,15 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             manifest.append((name, tuple(int(v) for v in dims)))
     except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed checkpoint manifest: {exc}") from None
-    body = blob[head_end + len(marker) :]
     tensors: dict[str, np.ndarray] = {}
-    offset = 0
+    offset = head_end + len(marker)
     for name, shape in manifest:
         count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        chunk = body[offset : offset + nbytes]
-        if len(chunk) != nbytes:
+        if offset + count * 8 > len(blob):
             raise ValueError(f"checkpoint truncated while reading tensor {name!r}")
-        arr = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(shape)
-        tensors[name] = arr
-        offset += nbytes
-    if offset != len(body):
+        data = np.frombuffer(blob, "<f8", count, offset)
+        tensors[name] = data.reshape(shape).astype(np.float64)
+        offset += count * 8
+    if offset != len(blob):
         raise ValueError("checkpoint has trailing bytes after the last tensor")
     return tensors

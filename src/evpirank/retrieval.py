@@ -251,10 +251,17 @@ def read_jsonl(path: str | Path, build: Callable[[dict], Any], error=ValueError)
 
 
 def json_isinstance(value: Any, kinds: type | tuple[type, ...]) -> bool:
-    """isinstance for parsed JSON: true and false are not numbers.
+    """isinstance for parsed JSON, where a bool is no number and a lone surrogate no string.
 
-    They load as bools, which Python counts as ints.
+    true and false load as bools, which Python counts as ints. A \\ud800 to
+    \\udfff escape without its pair loads as a str that no UTF-8 file can
+    hold, so a command would fail when it writes or hashes it.
     """
+    if isinstance(value, str) and not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 

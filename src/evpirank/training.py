@@ -9,13 +9,14 @@ and fits them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .baselines import NeuralBaselineModel
 from .embeddings import EmbeddingTable
-from .evpi import EvpiModel, NeuralModel, NeuralParams
+from .evpi import EvpiModel, NeuralModel, NeuralParams, RankedList
 from .neural import AdamState, adam_step, copy_tensors
 from .retrieval import CandidateSet
 from .rng import substream
@@ -54,20 +55,28 @@ class FitResult:
     best_tune_map: float = 0.0
 
 
+def ranked_in_chunks(model, prepared: Iterable, batch_size: int) -> Iterator[RankedList]:
+    """model.rank_prepared over prepared, batch_size sets per call: one RankedList per set.
+
+    prepared may be lazy; only one chunk of it is held at a time. A set's
+    RankedList does not depend on its chunk, so batch_size bounds memory only.
+    """
+    sets = iter(prepared)
+    while chunk := list(itertools.islice(sets, batch_size)):
+        yield from model.rank_prepared(chunk)
+
+
 def original_mode_map(model, prepared: Sequence, batch_size: int) -> float:
     """Mean average precision with only the original question relevant.
 
-    The sets are ranked batch_size at a time, one rank_prepared call per
-    chunk, so evaluation holds no more encoding buffers than one training
-    batch.
+    The sets are ranked batch_size at a time (ranked_in_chunks).
     """
     if not prepared:
         return 0.0
-    total = 0.0
-    for start in range(0, len(prepared), batch_size):
-        chunk = prepared[start : start + batch_size]
-        for prep, ranked in zip(chunk, model.rank_prepared(chunk)):
-            total += 1.0 / (ranked.order.index(prep.cs.original_index) + 1)
+    total = sum(
+        1.0 / (ranked.order.index(prep.cs.original_index) + 1)
+        for prep, ranked in zip(prepared, ranked_in_chunks(model, prepared, batch_size))
+    )
     return total / len(prepared)
 
 

@@ -14,6 +14,7 @@ from evpirank.evpi import EvpiModel, NeuralParams
 from evpirank.neural import feedforward_forward, sigmoid
 from evpirank.retrieval import CandidateSet
 from evpirank.rng import substream
+from evpirank.training import ranked_in_chunks
 
 from tests.oracles import encode_text, evpi_score, per_set_loss_and_grads
 from tests.synthetic import table_of
@@ -257,4 +258,20 @@ class TestPackedBatchAgainstPerSet:
                 alone = model.rank_prepared([prep])[0]
                 assert together.post_id == alone.post_id == prep.cs.post_id
                 assert together.order == alone.order, model.name
-                np.testing.assert_allclose(together.scores, alone.scores, rtol=0, atol=1e-12)
+                assert together.scores == alone.scores, model.name
+
+
+class TestBatchInvariance:
+    """A set's RankedList has the same bits alone, in any chunk and in any encoding groups."""
+
+    @_settings
+    @given(sets=batches(), group_tokens=st.integers(1, 30))
+    def test_a_set_ranks_bit_equal_alone_and_in_chunks_of_any_size(
+        self, every_neural_model, monkeypatch, sets, group_tokens
+    ):
+        monkeypatch.setattr(evpi_module, "GROUP_TOKENS", group_tokens)
+        for model in every_neural_model:
+            preps = [model.prepare(cs) for cs in sets]
+            alone = [model.rank_prepared([prep])[0] for prep in preps]
+            for size in range(1, len(preps) + 1):
+                assert list(ranked_in_chunks(model, preps, size)) == alone, (model.name, size)

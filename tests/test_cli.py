@@ -3,10 +3,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evpirank.cli import main
 from evpirank.config import ConfigError, load_config, resolved_json
+from evpirank.ingest import split_name
+from evpirank.retrieval import read_candidates, tokenize
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DUMP = FIXTURES / "dump"
@@ -389,6 +392,46 @@ class TestTrainRankEvaluate:
         assert message in err
         assert "Traceback" not in err and "Warning" not in err
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("model", ["evpi", "neural-pqa"])
+    def test_rank_output_does_not_depend_on_chunk_or_split(
+        self, pipeline, capsys, tmp_path, model
+    ):
+        # One set per rank_prepared call writes the bytes of the default
+        # chunk (the whole fixture), and --split tune writes exactly the tune
+        # lines of --split all. The toy table holds 4 words, so most fixture
+        # texts would encode no token; here every word has an 8-d vector.
+        words = sorted({
+            token
+            for cs in read_candidates(pipeline["candidates"])
+            for text in [cs.post_body, *cs.questions, *cs.answers]
+            for token in tokenize(text)
+        })
+        rng = np.random.default_rng(12)
+        embeddings = tmp_path / "fixture_words.txt"
+        embeddings.write_text(
+            "".join(f"{w} {' '.join(map(repr, rng.normal(size=8).tolist()))}\n" for w in words),
+            encoding="utf-8",
+        )
+        ckpt = tmp_path / "model.ckpt"
+        assert main([
+            "train", "--candidates", str(pipeline["candidates"]), "--embeddings", str(embeddings),
+            "--model", model, "--no-split", "--set", "hidden_dim=8", "--set", "epochs=1",
+            "--out", str(ckpt),
+        ]) == 0
+        written = {}
+        for name, extra in (
+            ("all", []), ("one_per_call", ["--set", "batch_size=1"]), ("tune", ["--split", "tune"])
+        ):
+            path = tmp_path / f"{name}.rank"
+            assert main(self.rank_args(pipeline, model, ckpt, path, embeddings) + extra) == 0
+            written[name] = path.read_text(encoding="utf-8")
+        assert written["one_per_call"] == written["all"]
+        tune_lines = [
+            line for line in written["all"].splitlines(keepends=True)
+            if split_name(json.loads(line)["post_id"]) == "tune"
+        ]
+        assert tune_lines and written["tune"] == "".join(tune_lines)
 
     def test_random_rank_is_seeded_and_deterministic(self, pipeline, capsys):
         root = pipeline["root"]

@@ -30,12 +30,12 @@ class TestLoadEmbeddings:
         table = table_from("cat 1 2 3\ndog 4 5 6\n")
         assert table.dim == 3
         assert len(table) == 2
-        np.testing.assert_array_equal(table.token_rows(["dog"]), [[4.0, 5.0, 6.0]])
+        np.testing.assert_array_equal(table.gather(table.token_ids(["dog"])), [[4.0, 5.0, 6.0]])
 
     def test_duplicate_word_keeps_first(self):
         table = table_from("cat 1 2\ncat 9 9\n")
         assert len(table) == 1
-        np.testing.assert_array_equal(table.token_rows(["cat"]), [[1.0, 2.0]])
+        np.testing.assert_array_equal(table.gather(table.token_ids(["cat"])), [[1.0, 2.0]])
 
     def test_dimension_mismatch_names_line(self):
         with pytest.raises(EmbeddingFormatError, match="line 2"):
@@ -61,16 +61,17 @@ class TestLoadEmbeddings:
 
 
 class TestEmbeddingTable:
-    def test_token_rows_keep_order_and_repeats_and_skip_oov(self):
+    def test_token_ids_keep_order_and_repeats_and_skip_oov(self):
         table = table_from("a 1 0\nb 0 1\n")
-        np.testing.assert_array_equal(
-            table.token_rows(["b", "zzz", "a", "b"]), [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
-        )
+        ids = table.token_ids(["b", "zzz", "a", "b"])
+        assert ids.dtype == np.int64 and list(ids) == [1, 0, 1]
+        np.testing.assert_array_equal(table.gather(ids), [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
     def test_no_token_in_vocabulary_gives_zero_rows(self):
-        rows = table_from("a 1 0 0\n").token_rows(["x"])
-        assert rows.shape == (0, 3)
-        assert EmbeddingTable.empty().token_rows(["x"]).shape == (0, 1)
+        table = table_from("a 1 0 0\n")
+        assert table.gather(table.token_ids(["x"])).shape == (0, 3)
+        empty = EmbeddingTable.empty()
+        assert empty.gather(empty.token_ids(["x"])).shape == (0, 1)
 
     def test_word_count_must_match_the_matrix(self):
         with pytest.raises(ValueError, match="2 words for a matrix of shape"):

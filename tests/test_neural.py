@@ -1,6 +1,7 @@
 """LSTM encoder, feedforward stacks, Adam, gradient checking, checkpoints."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,38 @@ class TestCheckpoints:
         path.write_bytes(blob[:-8])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+
+    def test_trailing_bytes_and_bad_manifest_are_errors(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.ones((2, 2))})
+        blob = path.read_bytes()
+        path.write_bytes(blob + b"\0" * 8)
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_checkpoint(path)
+        path.write_bytes(blob.replace(b"w 2 2 2", b"w 3 2 2"))
+        with pytest.raises(ValueError, match="malformed checkpoint manifest"):
+            load_checkpoint(path)
+        path.write_bytes(blob.replace(b"\ndata\n", b"\nDATA\n"))
+        with pytest.raises(ValueError, match="no data section"):
+            load_checkpoint(path)
+
+    def test_each_tensor_is_one_owned_copy(self, tmp_path):
+        # 4 MB of tensors: the load holds the file's bytes and one copy of
+        # each tensor, with no slice of the data section or of a tensor.
+        rng = np.random.default_rng(31)
+        tensors = {f"t{k}/W": rng.normal(size=(250, 250)) for k in range(8)}
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, tensors)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(arr.flags.owndata and arr.flags.writeable for arr in loaded.values())
+        assert peak < 2.1 * size, (peak, size)
+        assert all(np.array_equal(loaded[name], tensors[name]) for name in tensors)
 
     def test_whitespace_in_name_rejected(self, tmp_path):
         with pytest.raises(ValueError):

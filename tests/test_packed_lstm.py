@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import evpirank.evpi as evpi_module
+from evpirank.embeddings import EmbeddingTable
 from evpirank.evpi import NeuralParams, PreparedCandidates, SetEncoding
 from evpirank.neural import LstmParams, lstm_backward, lstm_forward
 from evpirank.retrieval import CandidateSet
@@ -116,15 +118,26 @@ class TestEqualTextsInOneBatch:
         st.lists(st.integers(0, 3), min_size=1, max_size=12),
         st.integers(0, 12),
         st.sampled_from([(4, 5), (8, 27), (32, 4)]),
+        st.booleans(),
     )
-    def test_equal_token_matrices_get_bit_equal_encodings(self, seed, picks, cut, dims):
-        # Row j's question and answer are copies of pool[picks[j]] and
+    def test_equal_texts_get_bit_equal_encodings(self, seed, picks, cut, dims, for_backward):
+        # The table holds every vector twice, under word k and word k + V, so
+        # a text spelled with either copy of each word has the same LSTM
+        # input but other token ids, and is encoded apart from its twin.
+        # Row j's question and answer are spellings of pool[picks[j]] and
         # pool[picks[-1 - j]]; the rows are cut into two sets at cut, and
-        # each set's post is a copy of one of two posts.
+        # each set's post is a spelling of one of two posts.
         embed_dim, hidden_dim = dims
         rng = np.random.default_rng(seed)
-        pool = [rng.normal(size=(int(rng.integers(0, 9)), embed_dim)) for _ in range(4)]
-        posts = [rng.normal(size=(5, embed_dim)) for _ in range(2)]
+        vocab = 6
+        vectors = rng.normal(size=(vocab, embed_dim))
+        table = EmbeddingTable.of([f"w{k}" for k in range(2 * vocab)], np.vstack([vectors] * 2))
+
+        def spelling(ids):
+            return ids + vocab * rng.integers(0, 2, size=len(ids))
+
+        pool = [rng.integers(0, vocab, size=int(rng.integers(0, 9))) for _ in range(4)]
+        posts = [rng.integers(0, vocab, size=5) for _ in range(2)]
         params = NeuralParams(
             lstm_post=random_lstm(rng, embed_dim, hidden_dim),
             lstm_question=random_lstm(rng, embed_dim, hidden_dim),
@@ -140,11 +153,11 @@ class TestEqualTextsInOneBatch:
             post_picks += [int(rng.integers(0, 2))] * (hi - lo)
             preps.append(PreparedCandidates(
                 cs=CandidateSet("t", "", [""] * (hi - lo), [""] * (hi - lo), [""] * (hi - lo), 0),
-                post_tokens=posts[post_picks[-1]].copy(),
-                question_tokens=[pool[p].copy() for p in picks[lo:hi]],
-                answer_tokens=[pool[p].copy() for p in answer_picks[lo:hi]],
+                post_tokens=spelling(posts[post_picks[-1]]),
+                question_tokens=[spelling(pool[p]) for p in picks[lo:hi]],
+                answer_tokens=[spelling(pool[p]) for p in answer_picks[lo:hi]],
             ))
-        enc = SetEncoding(params, preps)
+        enc = SetEncoding(params, table, preps, for_backward=for_backward)
         assert list(enc.offsets) == [0] + [hi for lo, hi in bounds if lo < hi]
         blocks = np.hsplit(enc.inputs(), 3)
         for block, picked in zip(blocks, (post_picks, picks, answer_picks)):
@@ -152,3 +165,44 @@ class TestEqualTextsInOneBatch:
                 for k in range(n):
                     if picked[j] == picked[k]:
                         assert block[j].tobytes() == block[k].tobytes()
+
+
+class TestGroupedForwardOnly:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(0, 40), min_size=1, max_size=40),
+        st.integers(1, 300),
+        st.sampled_from([(4, 3), (32, 27)]),
+    )
+    # About 1,200 tokens at (32, 27): the one-pass input projection is large
+    # enough for OpenBLAS to take another kernel than the per-step products,
+    # which agree only because neural.py pads 4 * 27 = 108 columns to 112.
+    @example(seed=0, lengths=[30] * 40, group_tokens=100, dims=(32, 27))
+    def test_grouped_means_equal_one_packed_pass(self, seed, lengths, group_tokens, dims):
+        # Forward-only SetEncoding runs the texts in GROUP_TOKENS groups
+        # through the cache-free lstm_forward; with for_backward it makes one
+        # packed lstm_forward over all of them. Every encoding has the same bits.
+        embed_dim, hidden_dim = dims
+        rng = np.random.default_rng(seed)
+        vocab = 50
+        words = [f"w{k}" for k in range(vocab)]
+        table = EmbeddingTable.of(words, rng.normal(size=(vocab, embed_dim)))
+        texts = [rng.integers(0, vocab, size=length) for length in lengths]
+        params = NeuralParams(
+            lstm_post=random_lstm(rng, embed_dim, hidden_dim),
+            lstm_question=random_lstm(rng, embed_dim, hidden_dim),
+            lstm_answer=random_lstm(rng, embed_dim, hidden_dim),
+        )
+        n = len(texts)
+        prep = PreparedCandidates(
+            cs=CandidateSet("t", "", [""] * n, [""] * n, [""] * n, 0),
+            post_tokens=texts[0],
+            question_tokens=texts,
+            answer_tokens=texts[::-1],
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evpi_module, "GROUP_TOKENS", group_tokens)
+            grouped = SetEncoding(params, table, [prep]).inputs()
+        packed = SetEncoding(params, table, [prep], for_backward=True).inputs()
+        assert grouped.tobytes() == packed.tobytes()
