@@ -28,7 +28,6 @@ from .evpi import (
     bce_scores,
     rank_from_scores,
 )
-from .evaluation import LabelSet, MetricReport
 from .neural import sigmoid
 from .retrieval import CandidateSet, tokenize
 from .rng import substream
@@ -44,52 +43,6 @@ QUESTION_WORDS = frozenset(
 
 # ---------------------------------------------------------------------------
 # Random baseline
-
-
-def random_rank_metrics(
-    candidate_sets: Sequence[CandidateSet],
-    labelsets: Sequence[LabelSet],
-    n_perm: int = 1000,
-    seed: int = 0,
-) -> MetricReport:
-    """Metrics of a uniformly random ranker, averaged over n_perm draws.
-
-    Permutations are drawn per post from a substream keyed by post id, so
-    the report does not depend on input ordering.
-    """
-    if n_perm < 1:
-        raise ValueError("n_perm must be >= 1")
-    relevant_by_post = {ls.post_id: ls.relevant for ls in labelsets}
-    per_post: dict[str, tuple[float, float, float, float]] = {}
-    for cs in candidate_sets:
-        relevant = relevant_by_post.get(cs.post_id)
-        if not relevant:
-            continue
-        n = len(cs)
-        rng = substream(seed, f"random-rank/{cs.post_id}")
-        perms = np.argsort(rng.random((n_perm, n)), axis=1)
-        hits = np.isin(perms, sorted(relevant))
-        ranks = np.arange(1, n + 1)
-        precisions = np.cumsum(hits, axis=1) / ranks
-        per_post[cs.post_id] = (
-            float(hits[:, :1].mean()),
-            float(hits[:, : min(3, n)].sum(axis=1).mean()) / 3,
-            float(hits[:, : min(5, n)].sum(axis=1).mean()) / 5,
-            float((precisions * hits).sum(axis=1).mean()) / len(relevant),
-        )
-    if not per_post:
-        raise ValueError("no posts with relevant labels")
-    # Sum in post_id order so the report is independent of input ordering.
-    ordered = [per_post[post_id] for post_id in sorted(per_post)]
-    totals = [sum(values[k] for values in ordered) for k in range(4)]
-    n_posts = len(ordered)
-    return MetricReport(
-        p_at_1=totals[0] / n_posts,
-        p_at_3=totals[1] / n_posts,
-        p_at_5=totals[2] / n_posts,
-        map=totals[3] / n_posts,
-        n_posts=n_posts,
-    )
 
 
 def random_rankings(

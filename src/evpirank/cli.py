@@ -1,8 +1,10 @@
 """Command-line entry point wiring the pipeline stages together.
 
 Subcommands: ingest, candidates, train, rank, evaluate, significance,
-gradcheck. Exit codes: 0 success, 1 runtime failure, 2 usage error. Every
-command logs its fully resolved configuration to stderr, and re-running a
+gradcheck. Exit codes: 0 success, 1 runtime failure, 2 usage error. The
+commands that read the run configuration (train, rank, significance and
+gradcheck) take --config, --set and --seed and log the fully resolved
+configuration to stderr; the others refuse those options. Re-running a
 command with the same inputs, config and seed reproduces its outputs byte
 for byte.
 """
@@ -72,7 +74,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_ingest(args) -> int:
-    _load_config(args)  # ingest has no tunables; logged for reproducibility anyway
     posts, bad_posts = ingest.read_posts(_require_file(args.posts, "posts"))
     comments, bad_comments = ingest.read_comments(_require_file(args.comments, "comments"))
     edits, bad_edits = ingest.read_edits(_require_file(args.history, "history"))
@@ -89,7 +90,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_candidates(args) -> int:
-    _load_config(args)
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     triples = _read(ingest.read_triples, args.triples, "triples")
@@ -140,6 +140,8 @@ def cmd_train(args) -> int:
     _check_model_name(args.model)
     if args.model == "random":
         raise UsageError("model 'random' has no parameters to train")
+    if args.log and args.model not in evpi.MODEL_PARTS:
+        raise UsageError(f"--log: model {args.model!r} logs no epochs")
     config = _load_config(args)
     candidate_sets = _read(retrieval.read_candidates, args.candidates, "candidates")
     table = _load_table(args.embeddings)
@@ -153,23 +155,21 @@ def cmd_train(args) -> int:
             "empty train or tune split; use --no-split for corpora too small to split"
         )
 
-    log_entries = []  # ngrams and cqa log no epochs but run every configured one
+    epochs_run = config.epochs  # ngrams and cqa log no epochs but run every configured one
     if args.model in evpi.MODEL_PARTS:
         model, result = training.train(args.model, train_sets, tune_sets, table, config)
-        tensors = model.tensors()
-        log_entries = result.log
+        epochs_run = len(result.log)
     elif args.model == "ngrams":
-        weights = baselines.ngram_train(train_sets, epochs=config.epochs, lr=config.lr)
-        tensors = baselines.NgramModel(weights).tensors()
+        model = baselines.NgramModel(
+            baselines.ngram_train(train_sets, epochs=config.epochs, lr=config.lr)
+        )
     else:  # cqa
         model = baselines.cqa_train(train_sets, table, epochs=config.epochs, lr=config.lr)
-        tensors = model.tensors()
-    save_checkpoint(args.out, tensors)
-    if args.log:
+    save_checkpoint(args.out, model.tensors())
+    if args.log:  # so the model is neural: ngrams and cqa refuse --log
         with open(args.log, "w", encoding="utf-8", newline="\n") as handle:
-            for entry in log_entries:
+            for entry in result.log:
                 handle.write(json.dumps(dataclasses.asdict(entry)) + "\n")
-    epochs_run = len(log_entries) if args.model in evpi.MODEL_PARTS else config.epochs
     _log(json.dumps({"model": args.model, "checkpoint": args.out, "epochs_run": epochs_run}))
     return 0
 
@@ -225,25 +225,32 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in evaluation.MODES:
-        raise UsageError(f"unknown mode {mode!r}; valid modes: {', '.join(evaluation.MODES)}")
+def _check_mode(args) -> None:
+    if args.mode not in evaluation.MODES:
+        valid = ", ".join(evaluation.MODES)
+        raise UsageError(f"unknown mode {args.mode!r}; valid modes: {valid}")
+    if args.exclude_base and args.mode != "exclude_original":
+        raise UsageError("--exclude-base applies only to --mode exclude_original")
 
 
-def cmd_evaluate(args) -> int:
-    _check_mode(args.mode)
-    if args.valid_histogram and not args.annotations:
-        raise UsageError("--valid-histogram requires --annotations")
-    _load_config(args)
-    rankings = _read(evpi.read_rankings, args.rankings, "rankings")
+def _labeled_posts(args, *rankings: list):
+    """The candidate sets of the posts every rankings list ranks, and the annotations."""
     candidate_sets = _read(retrieval.read_candidates, args.candidates, "candidates")
     annotations = None
     if args.annotations:
         annotations = _read(evaluation.read_annotations, args.annotations, "annotations")
     elif args.mode != "original":
         raise UsageError(f"mode {args.mode!r} requires --annotations")
-    ranked_ids = {rl.post_id for rl in rankings}
-    candidate_sets = [cs for cs in candidate_sets if cs.post_id in ranked_ids]
+    ranked = set.intersection(*({rl.post_id for rl in each} for each in rankings))
+    return [cs for cs in candidate_sets if cs.post_id in ranked], annotations
+
+
+def cmd_evaluate(args) -> int:
+    _check_mode(args)
+    if args.valid_histogram and not args.annotations:
+        raise UsageError("--valid-histogram requires --annotations")
+    rankings = _read(evpi.read_rankings, args.rankings, "rankings")
+    candidate_sets, annotations = _labeled_posts(args, rankings)
     report = evaluation.evaluate(
         rankings, annotations, candidate_sets, args.mode, args.exclude_base
     )
@@ -261,20 +268,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_significance(args) -> int:
-    _check_mode(args.mode)
+    _check_mode(args)
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     config = _load_config(args)
     rankings_a = _read(evpi.read_rankings, args.rankings_a, "rankings-a")
     rankings_b = _read(evpi.read_rankings, args.rankings_b, "rankings-b")
-    candidate_sets = _read(retrieval.read_candidates, args.candidates, "candidates")
-    annotations = None
-    if args.annotations:
-        annotations = _read(evaluation.read_annotations, args.annotations, "annotations")
-    elif args.mode != "original":
-        raise UsageError(f"mode {args.mode!r} requires --annotations")
-    common = {rl.post_id for rl in rankings_a} & {rl.post_id for rl in rankings_b}
-    candidate_sets = [cs for cs in candidate_sets if cs.post_id in common]
+    candidate_sets, annotations = _labeled_posts(args, rankings_a, rankings_b)
     labelsets = evaluation.build_labelsets(
         annotations, candidate_sets, args.mode, args.exclude_base
     )
@@ -289,8 +289,8 @@ def cmd_significance(args) -> int:
         "metric": args.metric,
         "mode": args.mode,
         "n_posts": len(post_ids),
-        "mean_a": sum(scores_a) / len(scores_a),
-        "mean_b": sum(scores_b) / len(scores_b),
+        "mean_a": getattr(evaluation.mean_metrics(per_a), args.metric),
+        "mean_b": getattr(evaluation.mean_metrics(per_b), args.metric),
         "p_value": p_value,
     }
     print(json.dumps(result, ensure_ascii=False))
@@ -304,12 +304,12 @@ def cmd_gradcheck(args) -> int:
     results = run_gradient_suite(seed=config.seed, draws=args.draws)
     failed = 0
     for result in results:
-        status = "PASS" if result.passed(args.threshold) else "FAIL"
+        status = "PASS" if result.passed() else "FAIL"
         if status == "FAIL":
             failed += 1
         print(f"{status} {result.name} max_rel_error={result.max_rel_error:.3e}")
     if failed:
-        _log(f"{failed} gradient checks exceeded {args.threshold}")
+        _log(f"{failed} gradient checks exceeded {GRAD_TOLERANCE}")
         return 1
     return 0
 
@@ -327,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--embeddings", help="word vectors for the edit-vs-comment similarity choice")
-    _add_common(p)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("candidates", help="build the TF-IDF index and candidate sets")
@@ -335,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--index-out", help="also persist the index to this path")
-    _add_common(p)
     p.set_defaults(func=cmd_candidates)
 
     p = sub.add_parser("train", help="train a ranking model")
@@ -367,11 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", required=True)
     p.add_argument("--annotations")
     p.add_argument("--mode", required=True)
-    p.add_argument("--exclude-base", choices=evaluation.EXCLUDE_BASES, default="best_union")
+    p.add_argument("--exclude-base", choices=evaluation.EXCLUDE_BASES)
     p.add_argument("--model", help="model name for the report")
     p.add_argument("--out", help="also write the JSON report here")
     p.add_argument("--valid-histogram", action="store_true")
-    _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("significance", help="paired bootstrap test between two rankings files")
@@ -380,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", required=True)
     p.add_argument("--annotations")
     p.add_argument("--mode", required=True)
-    p.add_argument("--exclude-base", choices=evaluation.EXCLUDE_BASES, default="best_union")
+    p.add_argument("--exclude-base", choices=evaluation.EXCLUDE_BASES)
     p.add_argument("--metric", choices=("p_at_1", "p_at_3", "p_at_5", "map"), default="map")
     p.add_argument("--n", type=int, default=10000)
     _add_common(p)
@@ -388,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     p.add_argument("--draws", type=int, default=10)
-    p.add_argument("--threshold", type=float, default=GRAD_TOLERANCE)
     _add_common(p)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -1,7 +1,7 @@
 """Plain `key = value` run configuration, read into a TrainConfig.
 
-Unknown keys are rejected so typos fail fast. Every command logs its fully
-resolved configuration before running.
+Unknown keys are rejected so typos fail fast. Every command that reads the
+configuration logs it, fully resolved, before running.
 """
 
 from __future__ import annotations
@@ -71,5 +71,5 @@ def load_config(
 
 
 def resolved_json(config: TrainConfig) -> str:
-    """The `{"config": {...}}` line every command logs, keys sorted."""
+    """The `{"config": {...}}` line a command that reads the configuration logs, keys sorted."""
     return json.dumps({"config": asdict(config)}, ensure_ascii=False, sort_keys=True)

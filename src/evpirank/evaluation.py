@@ -124,7 +124,7 @@ def build_labelsets(
     annotations: Iterable[Annotation] | None,
     candidate_sets: Sequence[CandidateSet],
     mode: str,
-    exclude_base: str = "best_union",
+    exclude_base: str | None = None,
 ) -> list[LabelSet]:
     """Relevant-candidate sets per post for the requested regime.
 
@@ -132,8 +132,8 @@ def build_labelsets(
     intersection of the valid sets (posts with an empty intersection are
     dropped with a warning). original marks only the post's own question.
     exclude_original removes the original index from the exclude_base labels
-    and evaluates over the nine remaining candidates; posts left with no
-    labels are dropped with a warning.
+    (best_union if None) and evaluates over the nine remaining candidates;
+    posts left with no labels are dropped with a warning.
     """
     if mode not in MODES:
         raise EvaluationError(f"unknown mode {mode!r}; valid modes: {', '.join(MODES)}")
@@ -145,7 +145,8 @@ def build_labelsets(
         ]
     if annotations is None:
         raise EvaluationError(f"mode {mode!r} requires annotations")
-    if mode == "exclude_original" and exclude_base not in EXCLUDE_BASES:
+    base = (exclude_base or "best_union") if mode == "exclude_original" else mode
+    if base not in EXCLUDE_BASES:
         raise EvaluationError(
             f"unknown exclude base {exclude_base!r}; valid: {', '.join(EXCLUDE_BASES)}"
         )
@@ -163,16 +164,12 @@ def build_labelsets(
                     f"post {post_id}: candidate index {idx} out of range for "
                     f"{n_candidates} candidates"
                 )
-        if mode == "best_union":
+        if base == "best_union":
             relevant = {first.best, second.best}
-        elif mode == "valid_intersection":
+        else:
             relevant = first.valid & second.valid
-        else:  # exclude_original
-            if exclude_base == "best_union":
-                relevant = {first.best, second.best}
-            else:
-                relevant = first.valid & second.valid
-            relevant = relevant - {by_post[post_id].original_index}
+        if mode == "exclude_original":
+            relevant -= {by_post[post_id].original_index}
         if not relevant:
             dropped += 1
             continue
@@ -280,11 +277,15 @@ def evaluate(
     annotations: Iterable[Annotation] | None,
     candidate_sets: Sequence[CandidateSet],
     mode: str,
-    exclude_base: str = "best_union",
+    exclude_base: str | None = None,
 ) -> MetricReport:
     """Aggregate p@k (k = 1, 3, 5) and MAP over the labeled posts."""
     labelsets = build_labelsets(annotations, candidate_sets, mode, exclude_base)
-    per_post = per_post_metrics(rankings, labelsets, candidate_sets, mode)
+    return mean_metrics(per_post_metrics(rankings, labelsets, candidate_sets, mode))
+
+
+def mean_metrics(per_post: dict[str, dict[str, float]]) -> MetricReport:
+    """The mean of each per_post_metrics value, AP's as MAP."""
     if not per_post:
         raise EvaluationError("no posts to evaluate")
     values = list(per_post.values())

@@ -89,6 +89,18 @@ def make_clustered_corpus(
     return table, sets
 
 
+def random_p_at_1(sets: list[CandidateSet], n_seeds: int) -> float:
+    """Mean original-mode p@1 of random_rankings over seeds 0..n_seeds-1, as `evaluate` scores it."""
+    from evpirank.baselines import random_rankings
+    from evpirank.evaluation import evaluate
+
+    total = sum(
+        evaluate(random_rankings(sets, seed=seed), None, sets, "original").p_at_1
+        for seed in range(n_seeds)
+    )
+    return total / n_seeds
+
+
 def make_random_rankings_fixture(
     n_posts: int, n_candidates: int = 10
 ) -> tuple[list[CandidateSet], list]:

@@ -13,12 +13,11 @@ from evpirank.baselines import (
     labeled_examples,
     ngram_features,
     ngram_train,
-    random_rank_metrics,
     random_rankings,
     NGRAM_FEATURE_SPACE,
 )
 from evpirank.evpi import NeuralParams
-from evpirank.evaluation import LabelSet
+from evpirank.evaluation import LabelSet, per_post_metrics
 from evpirank.neural import grad_check
 from evpirank.retrieval import CandidateSet
 from evpirank.rng import substream
@@ -53,52 +52,6 @@ def toy_candidate_set(rng, post_id="b1", n=4, original=0):
         source_post_ids=[f"s{j}" for j in range(n)],
         original_index=original,
     )
-
-
-class TestRandomRankMetrics:
-    def test_original_only_labels_approach_one_tenth(self):
-        sets, labels = make_random_rankings_fixture(n_posts=200)
-        report = random_rank_metrics(sets, labels, n_perm=1000, seed=0)
-        assert report.p_at_1 == pytest.approx(0.10, abs=0.015)
-        assert report.p_at_3 == pytest.approx(0.10, abs=0.015)
-        assert report.p_at_5 == pytest.approx(0.10, abs=0.015)
-        assert report.n_posts == 200
-
-    def test_all_relevant_gives_perfect_metrics(self):
-        sets, _ = make_random_rankings_fixture(n_posts=10)
-        labels = [LabelSet(post_id=cs.post_id, relevant=set(range(10)), mode="original") for cs in sets]
-        report = random_rank_metrics(sets, labels, n_perm=10, seed=1)
-        assert report.p_at_1 == 1.0
-        assert report.p_at_3 == 1.0
-        assert report.p_at_5 == 1.0
-        assert report.map == 1.0
-
-    def test_single_permutation_deterministic(self):
-        sets, labels = make_random_rankings_fixture(n_posts=20)
-        a = random_rank_metrics(sets, labels, n_perm=1, seed=7)
-        b = random_rank_metrics(sets, labels, n_perm=1, seed=7)
-        assert a == b
-
-    def test_m_of_ten_relevant_converges_to_m_tenths(self):
-        rng = np.random.default_rng(50)
-        for m in (2, 5):
-            sets, _ = make_random_rankings_fixture(n_posts=150)
-            labels = [
-                LabelSet(
-                    post_id=cs.post_id,
-                    relevant=set(int(v) for v in rng.choice(10, size=m, replace=False)),
-                    mode="original",
-                )
-                for cs in sets
-            ]
-            report = random_rank_metrics(sets, labels, n_perm=1000, seed=3)
-            assert report.p_at_1 == pytest.approx(m / 10.0, abs=0.015)
-
-    def test_input_order_invariance(self):
-        sets, labels = make_random_rankings_fixture(n_posts=30)
-        forward = random_rank_metrics(sets, labels, n_perm=50, seed=9)
-        backward = random_rank_metrics(sets[::-1], labels[::-1], n_perm=50, seed=9)
-        assert forward == backward
 
 
 class TestNgramFeatures:
@@ -263,6 +216,46 @@ class TestRandomRankings:
         sets = [toy_candidate_set(rng, post_id=f"r{i}", n=10) for i in range(10)]
         for rl in random_rankings(sets, seed=0):
             assert sorted(rl.order) == list(range(10))
+
+    def test_same_seed_same_rankings_and_metrics(self):
+        sets, labels = make_random_rankings_fixture(n_posts=20)
+        a, b = random_rankings(sets, seed=7), random_rankings(sets, seed=7)
+        assert a == b
+        assert per_post_metrics(a, labels, sets, "original") == per_post_metrics(
+            b, labels, sets, "original"
+        )
+
+    def test_all_relevant_gives_perfect_metrics(self):
+        sets, _ = make_random_rankings_fixture(n_posts=10)
+        labels = [LabelSet(post_id=cs.post_id, relevant=set(range(10)), mode="original") for cs in sets]
+        for seed in range(5):
+            per_post = per_post_metrics(random_rankings(sets, seed=seed), labels, sets, "original")
+            assert all(value == 1.0 for values in per_post.values() for value in values.values())
+
+    def test_m_of_ten_relevant_converges_to_m_tenths(self):
+        sets, _ = make_random_rankings_fixture(n_posts=150)
+        rng = np.random.default_rng(50)
+        labels = {
+            m: [
+                LabelSet(
+                    post_id=cs.post_id,
+                    relevant=set(int(v) for v in rng.choice(10, size=m, replace=False)),
+                    mode="original",
+                )
+                for cs in sets
+            ]
+            for m in (1, 2, 5)
+        }
+        n_seeds = 100
+        totals = {m: np.zeros(3) for m in labels}
+        for seed in range(n_seeds):
+            rankings = random_rankings(sets, seed=seed)
+            for m, labelsets in labels.items():
+                for values in per_post_metrics(rankings, labelsets, sets, "original").values():
+                    totals[m] += [values["p_at_1"], values["p_at_3"], values["p_at_5"]]
+        for m, total in totals.items():
+            means = total / (n_seeds * len(sets))
+            assert means == pytest.approx([m / 10.0] * 3, abs=0.015), m
 
 
 class TestBuildLabeledExamples:

@@ -1,15 +1,20 @@
 """End-to-end CLI behavior over the shipped fixture dump."""
 
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from evpirank import cli
 from evpirank.cli import main
 from evpirank.config import ConfigError, load_config, resolved_json
+from evpirank.gradsuite import GRAD_TOLERANCE, CheckResult
 from evpirank.ingest import split_name
-from evpirank.retrieval import read_candidates, tokenize
+from evpirank.retrieval import read_candidates, tokenize, write_candidates
+
+from tests.synthetic import make_random_rankings_fixture
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DUMP = FIXTURES / "dump"
@@ -260,6 +265,17 @@ class TestTrainRankEvaluate:
         )
         assert code == 0
         assert json.loads(err.strip().splitlines()[-1])["epochs_run"] == 3
+
+    @pytest.mark.parametrize("model", ["ngrams", "cqa"])
+    def test_ngrams_and_cqa_refuse_log(self, pipeline, capsys, tmp_path, model):
+        ckpt, log = tmp_path / "model.ckpt", tmp_path / "log.jsonl"
+        code, _, err = run(
+            capsys, "train", "--candidates", str(pipeline["candidates"]), "--model", model,
+            "--no-split", "--out", str(ckpt), "--log", str(log),
+        )
+        assert code == 2
+        assert f"--log: model {model!r} logs no epochs" in err
+        assert not ckpt.exists() and not log.exists()
 
     def train_small(self, pipeline, model) -> Path:
         ckpt = pipeline["root"] / f"small_{model}.ckpt"
@@ -872,27 +888,25 @@ class TestNonFiniteNumbers:
         assert "Traceback" not in err and stdout == ""
 
 
-class TestEvaluateWithAnnotations:
-    def write_annotations(self, root) -> Path:
-        path = root / "annotations.jsonl"
-        lines = []
-        for post_id in ("p01", "p02", "p06", "p07", "p08", "p09", "p10"):
-            lines.append(
-                json.dumps(
-                    {"post_id": post_id, "annotator_id": "a1", "best": 0, "valid": [0, 1, 2]}
-                )
-            )
-            lines.append(
-                json.dumps(
-                    {"post_id": post_id, "annotator_id": "a2", "best": 1, "valid": [0, 1]}
-                )
-            )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return path
+def write_annotations(root) -> Path:
+    """Two annotators for each of the fixture's seven posts: bests 0 and 1, valid {0, 1, 2} and {0, 1}."""
+    path = root / "annotations.jsonl"
+    lines = []
+    for post_id in ("p01", "p02", "p06", "p07", "p08", "p09", "p10"):
+        lines.append(
+            json.dumps({"post_id": post_id, "annotator_id": "a1", "best": 0, "valid": [0, 1, 2]})
+        )
+        lines.append(
+            json.dumps({"post_id": post_id, "annotator_id": "a2", "best": 1, "valid": [0, 1]})
+        )
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
+
+class TestEvaluateWithAnnotations:
     def test_best_union_and_histogram(self, pipeline, capsys):
         root = pipeline["root"]
-        annotations = self.write_annotations(root)
+        annotations = write_annotations(root)
         rankings = root / "ann_rankings.jsonl"
         assert main([
             "rank", "--candidates", str(pipeline["candidates"]),
@@ -945,7 +959,7 @@ class TestEvaluateWithAnnotations:
 
     def test_exclude_original_mode(self, pipeline, capsys):
         root = pipeline["root"]
-        annotations = self.write_annotations(root)
+        annotations = write_annotations(root)
         rankings = root / "ann_rankings.jsonl"
         code, out, _ = run(
             capsys,
@@ -977,10 +991,16 @@ class TestGradcheckCommand:
         assert out == ""
         assert f"--draws must be >= 1, got {draws}" in err
 
-    def test_impossible_threshold_exits_nonzero(self, capsys):
-        code, out, _ = run(capsys, "gradcheck", "--draws", "1", "--threshold", "1e-15")
+    def test_failing_check_exits_nonzero(self, capsys, monkeypatch):
+        failing = [CheckResult("lstm_encoder", 1e-9), CheckResult("ff_util", GRAD_TOLERANCE)]
+        monkeypatch.setattr(cli, "run_gradient_suite", lambda seed, draws: failing)
+        code, out, err = run(capsys, "gradcheck", "--draws", "1")
         assert code == 1
-        assert any(line.startswith("FAIL") for line in out.splitlines())
+        assert out.splitlines() == [
+            "PASS lstm_encoder max_rel_error=1.000e-09",
+            "FAIL ff_util max_rel_error=1.000e-04",
+        ]
+        assert f"1 gradient checks exceeded {GRAD_TOLERANCE}" in err
 
 
 class TestConfig:
@@ -1028,3 +1048,120 @@ class TestConfig:
             '{"config": {"batch_size": 32, "epochs": 7, "hidden_dim": 12, "lr": 1e-05, '
             '"patience": 5, "seed": 4}}'
         )
+
+
+class TestOptionsEachCommandReads:
+    """A command refuses an option it would not read, instead of ignoring it."""
+
+    @pytest.mark.parametrize("command", ["ingest", "candidates", "evaluate"])
+    @pytest.mark.parametrize("option", ["--seed", "--set", "--config"])
+    def test_commands_without_config_refuse_config_options(
+        self, pipeline, capsys, tmp_path, command, option
+    ):
+        config = tmp_path / "run.conf"
+        config.write_text("seed = 5\n", encoding="utf-8")
+        value = {"--seed": "5", "--set": "epochs=0", "--config": str(config)}[option]
+        out = tmp_path / "out"
+        argv = {
+            "ingest": ingest_args(out),
+            "candidates": ["candidates", "--triples", str(pipeline["triples"]), "--out", str(out)],
+            "evaluate": [
+                "evaluate", "--rankings", self.random_rankings(pipeline, tmp_path),
+                "--candidates", str(pipeline["candidates"]), "--mode", "original",
+                "--out", str(out),
+            ],
+        }[command]
+        code, stdout, err = run(capsys, *argv, option, value)
+        assert code == 2
+        assert f"unrecognized arguments: {option}" in err
+        assert stdout == "" and not out.exists()
+
+    def test_gradcheck_has_no_threshold(self, capsys):
+        code, out, err = run(capsys, "gradcheck", "--draws", "1", "--threshold", "1e-15")
+        assert code == 2
+        assert out == "" and "unrecognized arguments: --threshold" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "significance"])
+    @pytest.mark.parametrize("mode", ["original", "best_union", "valid_intersection"])
+    def test_exclude_base_needs_exclude_original(self, pipeline, capsys, tmp_path, command, mode):
+        rankings = self.random_rankings(pipeline, tmp_path)
+        argv = {
+            "evaluate": ["evaluate", "--rankings", rankings],
+            "significance": ["significance", "--rankings-a", rankings, "--rankings-b", rankings],
+        }[command]
+        code, stdout, err = run(
+            capsys, *argv, "--candidates", str(pipeline["candidates"]),
+            "--annotations", str(write_annotations(tmp_path)), "--mode", mode,
+            "--exclude-base", "valid_intersection",
+        )
+        assert code == 2
+        assert "--exclude-base applies only to --mode exclude_original" in err
+        assert stdout == ""
+
+    @staticmethod
+    def random_rankings(pipeline, tmp_path) -> str:
+        rankings = str(tmp_path / "random.jsonl")
+        cands = str(pipeline["candidates"])
+        assert main(["rank", "--candidates", cands, "--model", "random", "--out", rankings]) == 0
+        return rankings
+
+
+class TestSharedMetricsPath:
+    @pytest.mark.parametrize(
+        "mode, posts", [("original", "fixture"), ("best_union", "fixture"), ("original", "synthetic")]
+    )
+    def test_significance_means_are_evaluate_values(self, pipeline, capsys, tmp_path, mode, posts):
+        cands = str(pipeline["candidates"])
+        if posts == "synthetic":
+            # From 8 posts on, a mean taken in another summation order can move the last bit.
+            cands = str(tmp_path / "candidates.jsonl")
+            write_candidates(cands, make_random_rankings_fixture(n_posts=60)[0])
+        ranked = []
+        for seed in ("1", "2"):
+            ranked.append(str(tmp_path / f"random_{seed}.jsonl"))
+            assert main([
+                "rank", "--candidates", cands, "--model", "random", "--seed", seed,
+                "--out", ranked[-1],
+            ]) == 0
+        labels = ["--candidates", cands, "--mode", mode]
+        if mode != "original":
+            labels += ["--annotations", str(write_annotations(tmp_path))]
+        code, out, _ = run(capsys, "evaluate", "--rankings", ranked[0], *labels)
+        assert code == 0
+        report = json.loads(out.splitlines()[0])
+        for metric in ("p_at_1", "p_at_3", "p_at_5", "map"):
+            code, out, _ = run(
+                capsys, "significance", "--rankings-a", ranked[0], "--rankings-b", ranked[1],
+                *labels, "--metric", metric, "--n", "10",
+            )
+            assert code == 0
+            result = json.loads(out)
+            assert result["n_posts"] == report["n_posts"]
+            assert result["mean_a"] == report[metric], metric
+
+
+def readme_quickstart() -> list[list[str]]:
+    """The argv of each `evpirank` command in the README's fixture walk, in order."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    walk = text.split("A full walk over the shipped", 1)[1]
+    block = walk.split("```sh\n", 1)[1].split("```", 1)[0]
+    assert block.startswith("cd tests/fixtures\n")
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:1] == ["evpirank"]:
+            commands.append(argv[1:])
+    return commands
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
+    commands = readme_quickstart()
+    assert [argv[0] for argv in commands] == [
+        "ingest", "candidates", "train", "rank", "evaluate", "rank", "significance", "gradcheck",
+    ]
+    monkeypatch.chdir(FIXTURES)
+    for argv in commands:
+        if argv[0] == "gradcheck":
+            continue  # about 4 s; CI runs it as its own step
+        argv = [arg.replace("/tmp/", f"{tmp_path}/") for arg in argv]
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
