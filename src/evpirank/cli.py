@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -174,10 +176,31 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _layout(model_name: str, tensors: dict, table: EmbeddingTable) -> tuple[dict, str]:
+    """The {name: shape} of a model_name checkpoint over table, and how to describe that model."""
+    if model_name == "ngrams":
+        return {"ngrams/w": (baselines.NGRAM_FEATURE_SPACE,)}, ""
+    if model_name == "cqa":
+        features = len(baselines.cqa_features("", "", table))
+        return {"cqa/w": (features,), "cqa/b": (1,)}, ""
+    # lstm_post/U_i is (hidden, hidden); any other U_i, or none, still gives a hidden size
+    hidden = max(1, math.isqrt(np.size(tensors.get("lstm_post/U_i", 1))))
+    # read-only zero views for random draws: init lays the model out with no memory per weight
+    draws = types.SimpleNamespace(uniform=lambda low, high, size: np.broadcast_to(0.0, size))
+    params = evpi.NeuralParams.init(model_name, table.dim, hidden, draws)
+    source = "" if len(table) else " (no --embeddings given)"
+    return (
+        {name: tensor.shape for name, tensor in params.tensors().items()},
+        f" of hidden size {hidden} over {table.dim}-d embeddings{source}",
+    )
+
+
 def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, config: TrainConfig):
     """Build a callable that ranks a list of candidate sets, one RankedList per set in order.
 
-    A neural model ranks config.batch_size sets per rank_prepared call.
+    The checkpoint must hold exactly the tensor names and shapes of the
+    model over table. A neural model ranks config.batch_size sets per
+    rank_prepared call.
     """
     if model_name == "random":
         return lambda sets: baselines.random_rankings(sets, seed=config.seed)
@@ -187,24 +210,22 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, conf
     for name, tensor in tensors.items():
         if not np.isfinite(tensor).all():
             raise UsageError(f"malformed checkpoint file {checkpoint}: {name!r} holds nan or inf")
-    try:
-        if model_name == "ngrams":
-            ngrams = baselines.NgramModel.from_tensors(tensors)
-            return lambda sets: map(ngrams.rank, sets)
-        if model_name == "cqa":
-            model = baselines.CqaModel.from_tensors(tensors)
-            return lambda sets: (model.rank(cs, table) for cs in sets)
-        params = evpi.NeuralParams.from_tensors(model_name, tensors)
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"checkpoint {checkpoint} is not a {model_name} model: {exc}") from None
-    input_dim = params.lstm_post.input_dim
-    if table.dim != input_dim:
-        source = "" if len(table) else " (no --embeddings given)"
-        raise UsageError(
-            f"embeddings have dimension {table.dim}{source}, checkpoint {checkpoint} expects "
-            f"{input_dim}; pass the --embeddings file it was trained with"
-        )
-    neural = training.neural_model(params, table)
+    layout, described = _layout(model_name, tensors, table)
+    shapes = {name: tensor.shape for name, tensor in tensors.items()}
+    for name in [*layout, *shapes]:  # the model's tensors in order, then the checkpoint's others
+        have, want = str(shapes.get(name, "absent")), str(layout.get(name, "absent"))
+        if have != want:
+            raise UsageError(
+                f"checkpoint {checkpoint} is not a {model_name} model{described}: tensor "
+                f"{name!r} is {have} in the checkpoint but {want} in the model"
+            )
+    if model_name == "ngrams":
+        ngrams = baselines.NgramModel.from_tensors(tensors)
+        return lambda sets: map(ngrams.rank, sets)
+    if model_name == "cqa":
+        model = baselines.CqaModel.from_tensors(tensors)
+        return lambda sets: (model.rank(cs, table) for cs in sets)
+    neural = training.neural_model(evpi.NeuralParams.from_tensors(model_name, tensors), table)
     return lambda sets: training.ranked_in_chunks(
         neural, map(neural.prepare, sets), config.batch_size
     )

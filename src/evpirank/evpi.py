@@ -111,17 +111,16 @@ class NeuralParams:
 
     @classmethod
     def from_tensors(cls, model: str, tensors: dict[str, np.ndarray]) -> "NeuralParams":
-        """model's parts from checkpoint tensors; a missing or unused tensor is a ValueError."""
-        params = cls(**{
+        """model's parts from tensors with the names and shapes of model's tensors().
+
+        The rank command checks a checkpoint's names and shapes before this.
+        """
+        return cls(**{
             part: (LstmParams if part.startswith("lstm_") else FeedForwardParams).from_tensors(
                 tensors, f"{part}/"
             )
             for part in _parts(model)
         })
-        unused = sorted(set(tensors) - set(params.tensors()))
-        if unused:
-            raise ValueError(f"unused tensor {unused[0]!r}")
-        return params
 
 
 @dataclass
@@ -165,7 +164,7 @@ class PreparedCandidates:
     """The token ids of one candidate set's texts, cached once.
 
     Each text is its in-vocabulary tokens as an int64 array of embedding
-    table rows (EmbeddingTable.token_ids); its LSTM input is one gather.
+    table rows (EmbeddingTable.token_ids); lstm_forward gathers its vectors.
     Only the answer model reads a_units (the average answer vectors scaled
     to unit norm, n x d), q_sims (the n x n cosines of the average question
     vectors, negatives clamped to 0) and sim_weights (the original
@@ -182,40 +181,12 @@ class PreparedCandidates:
     sim_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-# Forward-only encoding sorts an encoder's distinct texts longest first and
-# runs them in groups: the texts whose first token falls in the same
-# GROUP_TOKENS-token window of that order. A group's LSTM input is gathered
-# for its call only, so ranking holds the token vectors of at most
-# GROUP_TOKENS tokens plus one text (3.3 MB at 200-d) however many sets a
-# chunk holds, while each step still runs one product over about
-# GROUP_TOKENS / length texts.
-GROUP_TOKENS = 2048
-
-
 def _distinct(texts: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     """The distinct token-id arrays of texts, and for each of texts the index of its copy."""
     index: dict[bytes, int] = {}
     inverse = np.array([index.setdefault(ids.tobytes(), len(index)) for ids in texts])
     # inverse counts up in order of first appearance; return_index gives each value's first text
     return [texts[i] for i in np.unique(inverse, return_index=True)[1]], inverse
-
-
-def _encode(
-    lstm: LstmParams, table: EmbeddingTable, texts: Sequence[np.ndarray], for_backward: bool
-):
-    """(means of texts' distinct token-id arrays, LSTM cache or None, each text's mean row)."""
-    distinct, inverse = _distinct(texts)
-    lengths = np.array([len(ids) for ids in distinct], dtype=np.int64)
-    if for_backward:
-        means, cache = lstm_forward(lstm, table.gather(np.concatenate(distinct)), lengths)
-        return means, cache, inverse
-    means = np.empty((len(distinct), lstm.hidden_dim))
-    order = np.argsort(-lengths, kind="stable")
-    window = (np.cumsum(lengths[order]) - lengths[order]) // GROUP_TOKENS
-    for group in np.split(order, np.flatnonzero(np.diff(window)) + 1):
-        xs = table.gather(np.concatenate([distinct[k] for k in group]))
-        means[group] = lstm_forward(lstm, xs, lengths[group], for_backward=False)[0]
-    return means, None, inverse
 
 
 class SetEncoding:
@@ -231,14 +202,15 @@ class SetEncoding:
     the question encodings, then the answer encodings, one row per
     candidate.
 
-    A text's encoding has the same bits whatever batch it is in (see
-    neural.PRODUCT_COLUMNS), so a set ranks bit-equal alone or in any chunk.
-    With for_backward, each encoder makes one packed lstm_forward over all
-    its texts, each block keeps its LSTM cache and an (n, H) accumulator of
-    d(loss)/d(block) that backprop_head adds into, and backward() runs one
-    lstm_backward per encoder. Without it the pass is forward-only: texts run
-    in GROUP_TOKENS-token windows through the cache-free lstm_forward, and no
-    buffer has a float row per token beyond one window's LSTM input.
+    Each encoder makes one packed lstm_forward over its distinct texts that
+    gathers their vectors with table.gather. A text's encoding has the
+    same bits whatever batch it is in (see neural.PRODUCT_COLUMNS), so a set
+    ranks bit-equal alone or in any chunk. With for_backward each block keeps
+    its LSTM cache and an (n, H) accumulator of d(loss)/d(block) that
+    backprop_head adds into, and backward() runs one lstm_backward per
+    encoder. Without it the pass is forward-only: each step gathers the
+    vectors of its running texts only, so no buffer has a float row per
+    token.
     """
 
     def __init__(
@@ -262,7 +234,11 @@ class SetEncoding:
         ):
             if lstm is None:
                 continue
-            means, cache, inverse = _encode(lstm, table, texts, for_backward)
+            distinct, inverse = _distinct(texts)
+            means, cache = lstm_forward(
+                lstm, np.concatenate(distinct), [len(ids) for ids in distinct], table.gather,
+                for_backward,
+            )
             text_ids = np.repeat(inverse, rows_per_text)  # a set's post serves each of its rows
             self.lstms.append((prefix, lstm))
             self.blocks.append(means[text_ids])
@@ -409,7 +385,7 @@ class NeuralModel:
     RankedList per set. A set's RankedList is bit-equal whatever batch it is
     ranked in (SetEncoding), so callers rank in chunks of batch_size sets
     (training.ranked_in_chunks) only to bound memory: one chunk holds its sets'
-    token ids and per-candidate rows, and one GROUP_TOKENS window's LSTM input.
+    token ids and rows per text and per candidate, never a row per token.
     """
 
     def __init__(self, params: NeuralParams, table: EmbeddingTable):
@@ -434,9 +410,6 @@ class NeuralModel:
             answer_tokens=[self.table.token_ids(tokens) for tokens in answers],
             **head_inputs,
         )
-
-    def rank(self, cs: CandidateSet) -> RankedList:
-        return self.rank_prepared([self.prepare(cs)])[0]
 
 
 class EvpiModel(NeuralModel):

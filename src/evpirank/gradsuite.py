@@ -89,7 +89,7 @@ def _check_lstm(rng: np.random.Generator, n_probes: int, lengths: list[int]) -> 
 
     def loss_fn(tensors):
         p = LstmParams.from_tensors(tensors)
-        means, cache = lstm_forward(p, xs, lengths)
+        means, cache = lstm_forward(p, np.arange(len(xs)), lengths, xs.__getitem__)
         return float(np.sum(direction * means)), lstm_backward(p, cache, direction)
 
     return grad_check(loss_fn, params.tensors(), n_probes=n_probes, rng=rng)

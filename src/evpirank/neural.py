@@ -100,9 +100,6 @@ class LstmParams:
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray], prefix: str = "") -> "LstmParams":
         names = [[f"{prefix}{kind}_{gate}" for gate in GATES] for kind in ("W", "U", "b")]
-        missing = [name for row in names for name in row if name not in tensors]
-        if missing:
-            raise ValueError(f"missing LSTM tensor {missing[0]!r}")
         return cls(*(np.concatenate([tensors[name] for name in row]) for row in names))
 
 
@@ -158,8 +155,6 @@ class FeedForwardParams:
             weights.append(tensors[f"{prefix}W{layer}"])
             biases.append(tensors[f"{prefix}b{layer}"])
             layer += 1
-        if not weights:
-            raise ValueError(f"no layers found under prefix {prefix!r}")
         return cls(weights=weights, biases=biases)
 
 
@@ -197,7 +192,7 @@ class LstmCache:
 # 0.3.31, Haswell kernels, 1 and 2 threads: 2 to 4,000 rows, inner
 # dimensions 3 to 300). So the LSTM pads its weight columns to a multiple of
 # PRODUCT_COLUMNS and runs a one-row product as two rows, and a text encodes
-# to the same bits alone, in any batch and in any window ("Defeating
+# to the same bits alone and in any batch ("Defeating
 # Nondeterminism in LLM Inference",
 # https://thinkingmachines.ai/blog/defeating-nondeterminism-in-llm-inference/).
 PRODUCT_COLUMNS = 8
@@ -219,34 +214,34 @@ def _rows_times(x: np.ndarray, w: np.ndarray, cols: int) -> np.ndarray:
 
 def lstm_forward(
     params: LstmParams,
-    xs: np.ndarray,
-    lengths: Sequence[int] | None = None,
+    tokens: np.ndarray,
+    lengths: Sequence[int],
+    gather: Callable[[np.ndarray], np.ndarray],
     for_backward: bool = True,
 ) -> tuple[np.ndarray, LstmCache | None]:
     """Run the LSTM over a batch of sequences; returns (mean hidden states, cache).
 
-    xs holds the token rows (N, input_dim) of every sequence, concatenated,
-    and lengths the row count of each; the means come back as (B, hidden).
-    Without lengths xs is one sequence and its mean is (hidden,). Sorted
-    longest first, the sequences still running at step t are a prefix of the
-    batch, so each step is one U product over them with no padding or mask.
-    An empty sequence encodes to the zero vector.
+    tokens holds the token ids of every sequence, concatenated, and lengths
+    the id count of each; gather(ids) returns the (len(ids), input_dim) input
+    rows of ids. The means come back as (B, hidden). Sorted longest first,
+    the sequences still running at step t are a prefix of the batch, so each
+    step is one U product over them with no padding or mask. An empty
+    sequence encodes to the zero vector.
 
-    With for_backward the input projection of every token is one product
-    outside the recurrence, and the cache keeps it with every token's cell
-    and hidden state for lstm_backward. Without it the cache is None: each
-    step projects its own rows and no array but xs has a row per token.
-    Both give the same bits.
+    With for_backward every token's row is gathered once, in packed order,
+    its input projection is one product outside the recurrence, and the
+    cache keeps both with every token's cell and hidden state for
+    lstm_backward. Without it the cache is None: each step gathers and
+    projects the rows of its running sequences only, so no array has a row
+    per token. Both give the same bits.
     """
-    xs = np.asarray(xs, dtype=np.float64)
+    tokens = np.asarray(tokens, dtype=np.int64)
     hidden = params.hidden_dim
-    if xs.size == 0:
-        xs = xs.reshape(0, params.input_dim)
-    if xs.ndim != 2 or xs.shape[1] != params.input_dim:
-        raise ValueError(f"expected (T, {params.input_dim}) inputs, got {xs.shape}")
-    lens = np.array([len(xs)] if lengths is None else lengths, dtype=np.int64).reshape(-1)
-    if (lens < 0).any() or lens.sum() != len(xs):
-        raise ValueError(f"lengths {list(lens)} do not split {len(xs)} rows")
+    if gather(tokens[:0]).shape != (0, params.input_dim):
+        raise ValueError(f"gather does not return rows of length {params.input_dim}")
+    lens = np.array(lengths, dtype=np.int64).reshape(-1)
+    if (lens < 0).any() or lens.sum() != len(tokens):
+        raise ValueError(f"lengths {list(lens)} do not split {len(tokens)} tokens")
     order = np.argsort(-lens, kind="stable")
     sorted_lens = lens[order]
     steps = np.arange(sorted_lens.max(initial=0))
@@ -257,8 +252,8 @@ def lstm_forward(
     u_t = _padded_columns(params.U.T)
     if for_backward:
         # Packed row r at step t, slot k, is token t of sequence order[k].
-        slot = np.arange(len(xs)) - np.repeat(np.cumsum(batch_sizes) - batch_sizes, batch_sizes)
-        xs = xs[sorted_starts[slot] + np.repeat(steps, batch_sizes)]
+        slot = np.arange(len(tokens)) - np.repeat(np.cumsum(batch_sizes) - batch_sizes, batch_sizes)
+        xs = gather(tokens[sorted_starts[slot] + np.repeat(steps, batch_sizes)])
         gates = _rows_times(xs, w_t, width) + params.b
         c_s = np.empty((len(xs), hidden))
         h_s = np.empty((len(xs), hidden))
@@ -272,7 +267,7 @@ def lstm_forward(
         if for_backward:
             z = gates[lo:hi]
         else:
-            z = _rows_times(xs[sorted_starts[:live] + t], w_t, width)
+            z = _rows_times(gather(tokens[sorted_starts[:live] + t]), w_t, width)
             z += params.b
         z += _rows_times(h_prev[:live], u_t, width)
         # sigma(x) = (1 + tanh(x / 2)) / 2, so one tanh serves all four gates
@@ -290,7 +285,7 @@ def lstm_forward(
     means = np.zeros((len(lens), hidden))
     means[order] = total / np.maximum(sorted_lens, 1)[:, None]
     cache = LstmCache(xs, gates, c_s, h_s, lens, order, batch_sizes) if for_backward else None
-    return (means[0] if lengths is None else means), cache
+    return means, cache
 
 
 def lstm_backward(
@@ -298,10 +293,10 @@ def lstm_backward(
 ) -> dict[str, np.ndarray]:
     """Gradients of scalar loss wrt params, given d(loss)/d(mean hidden states).
 
-    d_mean has lstm_forward's shape: (B, hidden), or (hidden,) for one
-    sequence. The recurrence fills d(loss)/d(gate pre-activations) for every
-    token, step by step over the running sequences; each weight gradient is
-    then one contraction over all tokens.
+    d_mean has lstm_forward's shape, (B, hidden). The recurrence fills
+    d(loss)/d(gate pre-activations) for every token, step by step over the
+    running sequences; each weight gradient is then one contraction over all
+    tokens.
     """
     hidden = params.hidden_dim
     sizes = cache.batch_sizes

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .baselines import NeuralBaselineModel
 from .embeddings import EmbeddingTable
+from .evaluation import evaluate
 from .evpi import EvpiModel, NeuralModel, NeuralParams, RankedList
 from .neural import AdamState, adam_step, copy_tensors
 from .retrieval import CandidateSet
@@ -67,17 +68,12 @@ def ranked_in_chunks(model, prepared: Iterable, batch_size: int) -> Iterator[Ran
 
 
 def original_mode_map(model, prepared: Sequence, batch_size: int) -> float:
-    """Mean average precision with only the original question relevant.
+    """The MAP `evaluate --mode original` reports for model's rankings of prepared.
 
     The sets are ranked batch_size at a time (ranked_in_chunks).
     """
-    if not prepared:
-        return 0.0
-    total = sum(
-        1.0 / (ranked.order.index(prep.cs.original_index) + 1)
-        for prep, ranked in zip(prepared, ranked_in_chunks(model, prepared, batch_size))
-    )
-    return total / len(prepared)
+    ranked = list(ranked_in_chunks(model, prepared, batch_size))
+    return evaluate(ranked, None, [prep.cs for prep in prepared], "original").map
 
 
 def fit(

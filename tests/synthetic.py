@@ -1,4 +1,4 @@
-"""Seeded synthetic corpora for property and acceptance tests."""
+"""Seeded synthetic corpora for property and acceptance tests, and LSTM runs over float rows."""
 
 from __future__ import annotations
 
@@ -6,7 +6,14 @@ import numpy as np
 
 from evpirank.embeddings import EmbeddingTable
 from evpirank.ingest import PostRecord, Triple
+from evpirank.neural import LstmParams, lstm_forward
 from evpirank.retrieval import CandidateSet, build_index, doc_text, generate_candidates
+
+
+def forward_rows(params: LstmParams, xs, lengths, for_backward: bool = True):
+    """lstm_forward over the float rows xs (N, input_dim), which token ids 0..N-1 name."""
+    xs = np.asarray(xs, dtype=np.float64)
+    return lstm_forward(params, np.arange(len(xs)), lengths, xs.__getitem__, for_backward)
 
 
 def table_of(vectors: dict) -> EmbeddingTable:

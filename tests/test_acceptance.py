@@ -171,12 +171,14 @@ class TestCriterion5OverfitSeparation:
 
         evpi_model, evpi_log = train("evpi", sets, sets, table, config)
         evpi_p1 = sum(
-            1 for cs in sets if evpi_model.rank(cs).order[0] == cs.original_index
+            1 for cs in sets
+            if evpi_model.rank_prepared([evpi_model.prepare(cs)])[0].order[0] == cs.original_index
         ) / len(sets)
 
         pqa_model, pqa_log = train("neural-pqa", sets, sets, table, config)
         pqa_p1 = sum(
-            1 for cs in sets if pqa_model.rank(cs).order[0] == cs.original_index
+            1 for cs in sets
+            if pqa_model.rank_prepared([pqa_model.prepare(cs)])[0].order[0] == cs.original_index
         ) / len(sets)
 
         elapsed = time.monotonic() - started

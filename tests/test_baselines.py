@@ -155,7 +155,7 @@ class TestNeuralBaselines:
         params.ff.biases[-1][...] = 0.0
         model = NeuralBaselineModel(params, table)
         cs = toy_candidate_set(rng)
-        assert model.rank(cs).order == list(range(4))
+        assert model.rank_prepared([model.prepare(cs)])[0].order == list(range(4))
 
     def test_bce_gradients_pass_finite_differences(self):
         rng = substream(0, "test/baseline-grad")

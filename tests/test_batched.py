@@ -104,7 +104,7 @@ class TestTiesSurviveBatching:
         rng = substream(0, "test/ties")
         cs = candidate_set(["w3 w4 w7?"] * n, ["w5 w6 w8"] * n, original=n // 2)
         for model in evpi_and_pqa(rng, *TIE_SHAPES[0][1:]):
-            ranked = model.rank(cs)
+            ranked = model.rank_prepared([model.prepare(cs)])[0]
             assert ranked.order == list(range(n)), model.name
             assert len(set(ranked.scores)) == 1, (model.name, ranked.scores)
 
@@ -115,7 +115,7 @@ class TestTiesSurviveBatching:
         questions = [f"w{k} w{(2 * k + 1) % N_WORDS}?" for k in range(n)]
         questions[-1] = questions[1]  # the last row, where BLAS rounding differs
         answers = [f"w{(k + 4) % N_WORDS} w{(3 * k) % N_WORDS}" for k in range(n)]
-        ranked = model.rank(candidate_set(questions, answers))
+        ranked = model.rank_prepared([model.prepare(candidate_set(questions, answers))])[0]
         scores = dict(zip(ranked.order, ranked.scores))
         assert scores[1] == scores[n - 1]
         assert ranked.order.index(1) + 1 == ranked.order.index(n - 1)
@@ -170,7 +170,7 @@ class TestBatchedAgainstOracle:
     @given(cs=candidate_sets())
     def test_evpi_scores_match_the_scalar_reference(self, models, cs):
         model = models[0]
-        ranked = model.rank(cs)
+        ranked = model.rank_prepared([model.prepare(cs)])[0]
         assert_ranking_invariants(ranked)
         for i, score in enumerate(by_candidate(ranked)):
             expected = evpi_score(model.params, cs.post_body, cs.questions[i], cs, model.table)
@@ -181,7 +181,7 @@ class TestBatchedAgainstOracle:
     def test_neural_pqa_scores_match_per_candidate_feedforward(self, models, cs):
         model = models[1]
         params, table = model.params, model.table
-        ranked = model.rank(cs)
+        ranked = model.rank_prepared([model.prepare(cs)])[0]
         assert_ranking_invariants(ranked)
         p_bar = encode_text(params.lstm_post, table, cs.post_body)
         for j, score in enumerate(by_candidate(ranked)):
@@ -262,14 +262,11 @@ class TestPackedBatchAgainstPerSet:
 
 
 class TestBatchInvariance:
-    """A set's RankedList has the same bits alone, in any chunk and in any encoding groups."""
+    """A set's RankedList has the same bits alone and in any chunk."""
 
     @_settings
-    @given(sets=batches(), group_tokens=st.integers(1, 30))
-    def test_a_set_ranks_bit_equal_alone_and_in_chunks_of_any_size(
-        self, every_neural_model, monkeypatch, sets, group_tokens
-    ):
-        monkeypatch.setattr(evpi_module, "GROUP_TOKENS", group_tokens)
+    @given(sets=batches())
+    def test_a_set_ranks_bit_equal_alone_and_in_chunks_of_any_size(self, every_neural_model, sets):
         for model in every_neural_model:
             preps = [model.prepare(cs) for cs in sets]
             alone = [model.rank_prepared([prep])[0] for prep in preps]

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evpirank.cli import main
 from evpirank.evpi import MODEL_PARTS, NeuralParams, rank_from_scores, read_rankings, write_rankings
 from evpirank.ingest import PostRecord, Triple, read_triples, write_triples
 from evpirank.neural import load_checkpoint, save_checkpoint
@@ -142,10 +143,31 @@ class TestParameterLayout:
                 assert getattr(params, part) is None
         assert params.model == model
 
+    @staticmethod
+    def rank(tmp_path, capsys, saved, loaded) -> tuple[int, str, Path]:
+        """`rank --model loaded` of a fresh saved checkpoint over D-d embeddings."""
+        ckpt, candidates = tmp_path / "model.ckpt", tmp_path / "candidates.jsonl"
+        embeddings, rankings = tmp_path / "embeddings.txt", tmp_path / "rankings.jsonl"
+        save_checkpoint(ckpt, fresh(saved).tensors())
+        write_candidates(candidates, [CandidateSet("p", "w", ["w"] * 2, ["w"] * 2, ["q", "r"], 0)])
+        embeddings.write_text("w" + " 0.5" * D + "\n", encoding="utf-8")
+        code = main([
+            "rank", "--candidates", str(candidates), "--embeddings", str(embeddings),
+            "--model", loaded, "--checkpoint", str(ckpt), "--out", str(rankings),
+        ])
+        return code, capsys.readouterr().err, rankings
+
     @pytest.mark.parametrize("saved, loaded", list(itertools.permutations(MODELS, 2)))
-    def test_checkpoint_of_another_model_is_rejected(self, saved, loaded):
-        with pytest.raises(ValueError):
-            NeuralParams.from_tensors(loaded, fresh(saved).tensors())
+    def test_checkpoint_of_another_model_is_rejected(self, tmp_path, capsys, saved, loaded):
+        code, err, rankings = self.rank(tmp_path, capsys, saved, loaded)
+        assert code == 2
+        assert f"is not a {loaded} model of hidden size {H} over {D}-d embeddings" in err
+        assert not rankings.exists()
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_checkpoint_of_its_own_model_ranks(self, tmp_path, capsys, model):
+        code, _, rankings = self.rank(tmp_path, capsys, model, model)
+        assert code == 0 and rankings.exists()
 
 
 class TestRoundTrips:

@@ -14,7 +14,7 @@ from evpirank.gradsuite import GRAD_TOLERANCE, CheckResult
 from evpirank.ingest import split_name
 from evpirank.retrieval import read_candidates, tokenize, write_candidates
 
-from tests.synthetic import make_random_rankings_fixture
+from tests.synthetic import make_clustered_corpus, make_random_rankings_fixture
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DUMP = FIXTURES / "dump"
@@ -316,12 +316,31 @@ class TestTrainRankEvaluate:
         assert missing in err
         assert not rankings.exists()
 
-    def test_checkpoint_with_unused_tensors_is_usage_error(self, pipeline, capsys):
-        ckpt = self.train_small(pipeline, "neural-pqa")
-        rankings = pipeline["root"] / "unused_rankings.jsonl"
-        code, _, err = run(capsys, *self.rank_args(pipeline, "neural-pq", ckpt, rankings))
+    @pytest.mark.parametrize(
+        "model, name, shape, expected",
+        [
+            ("evpi", "ff_util/W0", (3, 8), "(3, 9)"),
+            ("evpi", "ff_ans/b5", (7,), "(4,)"),
+            ("cqa", "cqa/w", (5,), "(6,)"),
+            ("ngrams", "ngrams/w", (10,), "(1048576,)"),
+            ("ngrams", "ngrams/extra", (3,), "absent"),
+            ("neural-pq", "lstm_answer/W_i", (3, 4), "absent"),
+        ],
+    )
+    def test_checkpoint_tensor_of_another_shape_is_usage_error(
+        self, pipeline, capsys, tmp_path, model, name, shape, expected
+    ):
+        from evpirank.neural import load_checkpoint, save_checkpoint
+
+        tensors = load_checkpoint(self.train_small(pipeline, model))
+        tensors[name] = np.zeros(shape)
+        ckpt, rankings = tmp_path / "edited.ckpt", tmp_path / "rankings.jsonl"
+        save_checkpoint(ckpt, tensors)
+        code, stdout, err = run(capsys, *self.rank_args(pipeline, model, ckpt, rankings))
         assert code == 2
-        assert "unused tensor 'lstm_answer/" in err
+        assert f"checkpoint {ckpt} is not a {model} model" in err
+        assert f"tensor {name!r} is {shape} in the checkpoint but {expected} in the model" in err
+        assert "Traceback" not in err and stdout == ""
         assert not rankings.exists()
 
     def test_embedding_dimension_mismatch_is_usage_error(self, pipeline, capsys):
@@ -332,7 +351,8 @@ class TestTrainRankEvaluate:
         rankings = pipeline["root"] / "wide_rankings.jsonl"
         code, _, err = run(capsys, *self.rank_args(pipeline, "evpi", ckpt, rankings, wide))
         assert code == 2
-        assert "embeddings have dimension 5" in err and "expects 4" in err
+        assert "evpi model of hidden size 3 over 5-d embeddings:" in err
+        assert "'lstm_post/W_i' is (3, 4) in the checkpoint but (3, 5) in the model" in err
         assert not rankings.exists()
 
     def test_checkpoint_ranked_without_its_embeddings_is_usage_error(self, pipeline, capsys):
@@ -342,7 +362,8 @@ class TestTrainRankEvaluate:
         del argv[argv.index("--embeddings") : argv.index("--embeddings") + 2]
         code, _, err = run(capsys, *argv)
         assert code == 2
-        assert "embeddings have dimension 1 (no --embeddings given)" in err and "expects 4" in err
+        assert "over 1-d embeddings (no --embeddings given):" in err
+        assert "'lstm_post/W_i' is (3, 4) in the checkpoint but (3, 1) in the model" in err
         assert not rankings.exists()
 
     def test_checkpoint_trained_without_embeddings_ranks_without_them(self, pipeline, capsys):
@@ -1138,6 +1159,32 @@ class TestSharedMetricsPath:
             result = json.loads(out)
             assert result["n_posts"] == report["n_posts"]
             assert result["mean_a"] == report[metric], metric
+
+    @pytest.mark.parametrize("model", ["evpi", "neural-pqa"])
+    def test_best_tune_map_is_the_evaluated_map(self, capsys, tmp_path, model):
+        # train keeps the epoch of the best tune MAP; rank runs that checkpoint, and
+        # evaluate's MAP of its rankings must be the same number to the last bit.
+        table, sets = make_clustered_corpus(n_posts=40, seed=0)
+        cands, vectors = str(tmp_path / "candidates.jsonl"), tmp_path / "embeddings.txt"
+        write_candidates(cands, sets)
+        words = list(table.rows)
+        vectors.write_text("".join(
+            " ".join([word, *map(repr, row.tolist())]) + "\n"
+            for word, row in zip(words, table.gather(table.token_ids(words)))
+        ), encoding="utf-8")
+        ckpt, log, ranked = (str(tmp_path / name) for name in ("m.ckpt", "log.jsonl", "r.jsonl"))
+        common = ["--candidates", cands, "--embeddings", str(vectors), "--model", model]
+        assert main([
+            "train", *common, "--no-split", "--set", "hidden_dim=8", "--set", "epochs=4",
+            "--out", ckpt, "--log", log,
+        ]) == 0
+        assert main(["rank", *common, "--checkpoint", ckpt, "--out", ranked]) == 0
+        code, out, _ = run(
+            capsys, "evaluate", "--rankings", ranked, "--candidates", cands, "--mode", "original"
+        )
+        assert code == 0
+        tune_maps = [json.loads(line)["tune_map"] for line in Path(log).read_text().splitlines()]
+        assert json.loads(out.splitlines()[0])["map"] == max(tune_maps)
 
 
 def readme_quickstart() -> list[list[str]]:

@@ -341,7 +341,8 @@ class TestRanking:
             questions=["w3 w4?"] * 10, answers=["w5 w6"] * 10,
             source_post_ids=[f"s{j}" for j in range(10)], original_index=0,
         )
-        assert EvpiModel(params, table).rank(cs).order == list(range(10))
+        model = EvpiModel(params, table)
+        assert model.rank_prepared([model.prepare(cs)])[0].order == list(range(10))
 
     def test_distinct_scores_match_argsort_oracle(self):
         rng = np.random.default_rng(46)
@@ -359,7 +360,8 @@ class TestRanking:
         for tensor in params.tensors().values():
             tensor += rng.normal(scale=0.2, size=tensor.shape)
         cs = toy_candidate_set(n=4, original=2)
-        ranked = EvpiModel(params, table).rank(cs)
+        model = EvpiModel(params, table)
+        ranked = model.rank_prepared([model.prepare(cs)])[0]
         direct = [evpi_score(params, cs.post_body, cs.questions[i], cs, table) for i in range(4)]
         for rank_pos, candidate in enumerate(ranked.order):
             assert ranked.scores[rank_pos] == pytest.approx(direct[candidate], abs=1e-12)
@@ -370,8 +372,10 @@ class TestRanking:
         table = toy_table(rng)
         params = NeuralParams.init("evpi", 5, 3, rng)
         cs = toy_candidate_set(n=4, original=1)
-        a = EvpiModel(params, table).rank(cs)
-        b = EvpiModel(params, table).rank(cs)
+        a, b = (
+            model.rank_prepared([model.prepare(cs)])[0]
+            for model in (EvpiModel(params, table), EvpiModel(params, table))
+        )
         assert a.order == b.order and a.scores == b.scores
 
 

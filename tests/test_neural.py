@@ -16,13 +16,13 @@ from evpirank.neural import (
     grad_check,
     load_checkpoint,
     lstm_backward,
-    lstm_forward,
     save_checkpoint,
     sigmoid,
     zeros_like_tensors,
 )
 
 from tests.oracles import per_gate_lstm_mean
+from tests.synthetic import forward_rows
 
 
 def zero_lstm(input_dim=1, hidden_dim=1):
@@ -49,8 +49,8 @@ def hand_lstm_step(params, x, h_prev, c_prev):
 class TestEncodeSequence:
     def test_zero_params_give_zero_output(self):
         params = zero_lstm(input_dim=3, hidden_dim=4)
-        out = lstm_forward(params, np.ones((5, 3)))[0]
-        np.testing.assert_array_equal(out, np.zeros(4))
+        out = forward_rows(params, np.ones((5, 3)), [5])[0]
+        np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_single_step_hand_recurrence(self):
         # Open the input and output gates (b_i = b_o = 50), W_g = 1, x = 0.5:
@@ -60,7 +60,7 @@ class TestEncodeSequence:
         gates["b_i"][0] = 50.0
         gates["b_o"][0] = 50.0
         gates["W_g"][0, 0] = 1.0
-        got = lstm_forward(params, np.array([[0.5]]))[0][0]
+        got = forward_rows(params, [[0.5]], [1])[0][0, 0]
         s50 = 1.0 / (1.0 + math.exp(-50.0))
         expected = s50 * math.tanh(s50 * math.tanh(0.5))
         assert got == pytest.approx(expected, abs=1e-12)
@@ -74,8 +74,8 @@ class TestEncodeSequence:
         gates["b_i"][0] = 50.0
         gates["b_o"][0] = 50.0
         gates["W_g"][0, 0] = 1.0
-        once = lstm_forward(params, np.array([[0.5]]))[0][0]
-        twice = lstm_forward(params, np.array([[0.5], [0.5]]))[0][0]
+        once = forward_rows(params, [[0.5]], [1])[0][0, 0]
+        twice = forward_rows(params, [[0.5], [0.5]], [2])[0][0, 0]
         h1, c1 = hand_lstm_step(params, 0.5, 0.0, 0.0)
         h2, c2 = hand_lstm_step(params, 0.5, h1, c1)
         assert once == pytest.approx(h1, abs=1e-12)
@@ -96,7 +96,7 @@ class TestEncodeSequence:
         for x in xs:
             h, c = hand_lstm_step(params, float(x), h, c)
             hs.append(h)
-        got = lstm_forward(params, xs.reshape(-1, 1))[0][0]
+        got = forward_rows(params, xs.reshape(-1, 1), [len(xs)])[0][0, 0]
         assert got == pytest.approx(sum(hs) / len(hs), abs=1e-12)
 
     def test_wide_lstm_matches_per_gate_oracle(self):
@@ -106,7 +106,7 @@ class TestEncodeSequence:
             params = LstmParams.init(5, 4, rng, scale=0.7)
             params.b[...] = rng.normal(size=16)
             xs = rng.normal(size=(int(rng.integers(1, 9)), 5))
-            got = lstm_forward(params, xs)[0]
+            got = forward_rows(params, xs, [len(xs)])[0][0]
             expected = per_gate_lstm_mean(params.tensors(), xs)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -115,17 +115,18 @@ class TestEncodeSequence:
         for _ in range(10):
             params = LstmParams.init(4, 6, rng, scale=2.0)
             xs = rng.normal(scale=3.0, size=(int(rng.integers(1, 8)), 4))
-            out = lstm_forward(params, xs)[0]
+            out = forward_rows(params, xs, [len(xs)])[0]
             assert np.all(np.abs(out) < 1.0)
 
     def test_empty_sequence_encodes_to_zero(self):
         params = zero_lstm(input_dim=2, hidden_dim=3)
-        np.testing.assert_array_equal(lstm_forward(params, [])[0], np.zeros(3))
+        out = forward_rows(params, np.zeros((0, 2)), [0])[0]
+        np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
     def test_dimension_mismatch_is_error(self):
         params = zero_lstm(input_dim=3, hidden_dim=2)
         with pytest.raises(ValueError):
-            lstm_forward(params, np.ones((4, 5)))
+            forward_rows(params, np.ones((4, 5)), [4])
 
 
 class TestFeedForward:
@@ -239,12 +240,12 @@ class TestGradCheck:
         for draw in range(10):
             params = LstmParams.init(3, 4, rng, scale=0.5)
             xs = rng.normal(size=(4, 3))
-            direction = rng.normal(size=4)
+            direction = rng.normal(size=(1, 4))
 
             def loss_fn(tensors):
                 p = LstmParams.from_tensors(tensors)
-                mean, cache = lstm_forward(p, xs)
-                return float(direction @ mean), lstm_backward(p, cache, direction)
+                means, cache = forward_rows(p, xs, [4])
+                return float(np.sum(direction * means)), lstm_backward(p, cache, direction)
 
             assert grad_check(loss_fn, params.tensors(), n_probes=10, rng=rng) < 1e-4
 
@@ -369,14 +370,14 @@ class TestInit:
         for name, tensor in tensors.items():
             assert np.shares_memory(tensor, getattr(params, name[0]))
         xs = rng.normal(size=(4, 3))
-        before = lstm_forward(params, xs)[0]
+        before = forward_rows(params, xs, [4])[0]
         stacked_before = [params.W.copy(), params.U.copy(), params.b.copy()]
         grads = {name: np.ones_like(tensor) for name, tensor in tensors.items()}
         adam_step(tensors, grads, AdamState.fresh(tensors), lr=0.1)
         # a first Adam step with unit gradients moves every weight by -lr
         for after, start in zip((params.W, params.U, params.b), stacked_before):
             np.testing.assert_allclose(after, start - 0.1, atol=1e-8)
-        assert not np.allclose(lstm_forward(params, xs)[0], before)
+        assert not np.allclose(forward_rows(params, xs, [4])[0], before)
 
     def test_zeros_like_tensors(self):
         tensors = {"a": np.ones((2, 2))}

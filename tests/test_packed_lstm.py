@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import evpirank.evpi as evpi_module
 from evpirank.embeddings import EmbeddingTable
 from evpirank.evpi import NeuralParams, PreparedCandidates, SetEncoding
 from evpirank.neural import LstmParams, lstm_backward, lstm_forward
 from evpirank.retrieval import CandidateSet
 
 from tests.oracles import hstack_lstm_backward, sequence_lstm_backward, sequence_lstm_forward
+from tests.synthetic import forward_rows
 
 EMBED_DIM = 4
 HIDDEN_DIM = 5
@@ -39,7 +39,7 @@ def ragged_batches(draw):
 
 
 def packed(params, seqs):
-    return lstm_forward(params, np.concatenate(seqs), [len(s) for s in seqs])
+    return forward_rows(params, np.concatenate(seqs), [len(s) for s in seqs])
 
 
 class TestPackedAgainstPerSequenceLoop:
@@ -76,19 +76,17 @@ class TestPackedAgainstPerSequenceLoop:
         distances = np.abs(means[:, None, :] - expected[None, :, :]).max(axis=2)
         assert list(distances.argmin(axis=1)) == [0, 1, 2, 3, 4]
 
-    def test_one_sequence_is_the_default(self):
+    @pytest.mark.parametrize("for_backward", [True, False])
+    def test_token_ids_name_rows_of_the_gathered_matrix(self, for_backward):
+        # Ids out of order and repeated, over a matrix with rows no text uses.
         rng = np.random.default_rng(8)
         params = random_lstm(rng)
-        xs = rng.normal(size=(6, EMBED_DIM))
-        mean, cache = lstm_forward(params, xs)
-        batched, _ = lstm_forward(params, xs, [6])
-        assert mean.shape == (HIDDEN_DIM,)
-        np.testing.assert_array_equal(mean, batched[0])
-        direction = rng.normal(size=HIDDEN_DIM)
-        one = lstm_backward(params, cache, direction)
-        rows = lstm_backward(params, cache, direction[None, :])
-        for name in one:
-            np.testing.assert_array_equal(one[name], rows[name])
+        rows = rng.normal(size=(9, EMBED_DIM))
+        tokens = np.array([7, 2, 2, 0, 5, 7, 1])
+        lengths = [3, 0, 4]
+        means, _ = lstm_forward(params, tokens, lengths, rows.__getitem__, for_backward)
+        expected, _ = forward_rows(params, rows[tokens], lengths)
+        assert means.tobytes() == expected.tobytes()
 
     def test_gradients_are_bit_identical_to_the_hstack_recurrence(self):
         # Filling each step's dpre blocks in place is the same elementwise
@@ -107,8 +105,8 @@ class TestPackedAgainstPerSequenceLoop:
     @pytest.mark.parametrize("lengths", [[2, 1], [5], [-1, 5], [3, 3]])
     def test_lengths_must_split_the_rows(self, lengths):
         params = random_lstm(np.random.default_rng(9))
-        with pytest.raises(ValueError, match="do not split 4 rows"):
-            lstm_forward(params, np.ones((4, EMBED_DIM)), lengths)
+        with pytest.raises(ValueError, match="do not split 4 tokens"):
+            forward_rows(params, np.ones((4, EMBED_DIM)), lengths)
 
 
 class TestEqualTextsInOneBatch:
@@ -167,22 +165,21 @@ class TestEqualTextsInOneBatch:
                         assert block[j].tobytes() == block[k].tobytes()
 
 
-class TestGroupedForwardOnly:
+class TestForwardOnlyPass:
     @settings(max_examples=20, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
         st.lists(st.integers(0, 40), min_size=1, max_size=40),
-        st.integers(1, 300),
         st.sampled_from([(4, 3), (32, 27)]),
     )
     # About 1,200 tokens at (32, 27): the one-pass input projection is large
     # enough for OpenBLAS to take another kernel than the per-step products,
     # which agree only because neural.py pads 4 * 27 = 108 columns to 112.
-    @example(seed=0, lengths=[30] * 40, group_tokens=100, dims=(32, 27))
-    def test_grouped_means_equal_one_packed_pass(self, seed, lengths, group_tokens, dims):
-        # Forward-only SetEncoding runs the texts in GROUP_TOKENS groups
-        # through the cache-free lstm_forward; with for_backward it makes one
-        # packed lstm_forward over all of them. Every encoding has the same bits.
+    @example(seed=0, lengths=[30] * 40, dims=(32, 27))
+    def test_forward_only_encodings_equal_the_cached_pass(self, seed, lengths, dims):
+        # Forward-only SetEncoding gathers and projects each step's rows in
+        # the recurrence; with for_backward lstm_forward projects every token
+        # in one product and keeps the cache. Every encoding has the same bits.
         embed_dim, hidden_dim = dims
         rng = np.random.default_rng(seed)
         vocab = 50
@@ -201,8 +198,6 @@ class TestGroupedForwardOnly:
             question_tokens=texts,
             answer_tokens=texts[::-1],
         )
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(evpi_module, "GROUP_TOKENS", group_tokens)
-            grouped = SetEncoding(params, table, [prep]).inputs()
-        packed = SetEncoding(params, table, [prep], for_backward=True).inputs()
-        assert grouped.tobytes() == packed.tobytes()
+        forward_only = SetEncoding(params, table, [prep]).inputs()
+        cached = SetEncoding(params, table, [prep], for_backward=True).inputs()
+        assert forward_only.tobytes() == cached.tobytes()

@@ -5,8 +5,8 @@ sets of ten candidates, about 14,000 tokens, 200-d vectors, hidden 100) is
 ranked under tracemalloc. Per-token buffers of that chunk would take tens
 of MB: its LSTM inputs alone are 14,000 x 200 doubles (22 MB), its gate
 pre-activations 14,000 x 400 (45 MB). Forward-only encoding holds token ids,
-one GROUP_TOKENS group's LSTM input (3.3 MB at 200-d) and rows per text
-and per candidate, which BUDGET_MB bounds.
+one step's gathered vectors and rows per text and per candidate, which
+BUDGET_MB bounds.
 """
 
 import tracemalloc
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from evpirank.baselines import NeuralBaselineModel
-from evpirank.evpi import GROUP_TOKENS, EvpiModel, NeuralParams
+from evpirank.evpi import EvpiModel, NeuralParams
 from evpirank.retrieval import CandidateSet
 from evpirank.rng import substream
 
@@ -24,7 +24,7 @@ from tests.synthetic import make_embedding_table
 EMBED_DIM = 200
 HIDDEN_DIM = 100
 SETS = 28
-BUDGET_MB = 10.0
+BUDGET_MB = 6.0
 
 
 def chunk(rng, words):
@@ -58,7 +58,7 @@ def test_ranking_a_whole_file_chunk_stays_within_budget(model_name):
     params = NeuralParams.init(model_name, EMBED_DIM, HIDDEN_DIM, rng)
     model = (EvpiModel if model_name == "evpi" else NeuralBaselineModel)(params, table)
     sets, tokens = chunk(rng, np.array(words))
-    assert tokens > 5 * GROUP_TOKENS  # the chunk runs in several groups per encoder
+    assert tokens > 10_000
     preps = [model.prepare(cs) for cs in sets]
     tracemalloc.start()
     try:

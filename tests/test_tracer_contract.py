@@ -51,8 +51,8 @@ def fixture_run():
 
     rng = substream(0, "test/tracer-contract")
     lstm = neural.LstmParams.init(table.dim, 3, rng)
-    xs = rng.normal(size=(5, table.dim))
-    means, cache = neural.lstm_forward(lstm, xs, [3, 0, 2])
+    ids = table.token_ids(["cpu", "ram", "cpu", "ram", "ram"])
+    means, cache = neural.lstm_forward(lstm, ids, [3, 0, 2], table.gather)
     d_means = rng.normal(size=means.shape)
 
     config = training.TrainConfig(hidden_dim=3, epochs=1, seed=0)
@@ -65,7 +65,7 @@ def fixture_run():
         "_top_k": ((index, query), retrieval.top_k(index, query)),
         "_words": ((FIXTURES / "embeddings_toy.txt",), table),
         "_avg_vector": ((table, tokens), embeddings.avg_vector(table, tokens)),
-        "_lstm_forward": ((lstm, xs, [3, 0, 2]), (means, cache)),
+        "_lstm_forward": ((lstm, ids, [3, 0, 2], table.gather), (means, cache)),
         "_lstm_backward": ((lstm, cache, d_means), neural.lstm_backward(lstm, cache, d_means)),
         "_prepare": ((model, sets[0]), model.prepare(sets[0])),
         "_fit": ((), fit_result),
@@ -102,7 +102,7 @@ def test_counter_values(fixture_run):
     assert counts("_build_index")["docs"] == 7
     assert counts("_top_k") == {"postings": 15, "pads": 3, "slots": 7}  # 7 posts < k = 10
     assert counts("_avg_vector")["found"] >= 2  # "cpu" and "ram" are in the table
-    assert counts("_lstm_forward")["tokens"] == 5
+    assert counts("_lstm_forward")["tokens"] == 5  # the length of the id array
     assert counts("_lstm_backward") == {"tokens": 5}
     assert counts("_prepare")["others"] == len(fixture_run["_prepare"][0][1]) - 1
     assert counts("_fit") == {"epochs": 1}
