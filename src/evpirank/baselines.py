@@ -147,10 +147,6 @@ class NgramModel:
     def tensors(self) -> dict[str, np.ndarray]:
         return {"ngrams/w": self.weights}
 
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "NgramModel":
-        return cls(weights=tensors["ngrams/w"])
-
 
 # ---------------------------------------------------------------------------
 # Community QA baseline (logistic regression over string/embedding features)
@@ -180,21 +176,17 @@ def cqa_features(post: str, question: str, table: EmbeddingTable) -> np.ndarray:
 class CqaModel:
     name = "cqa"
     weights: np.ndarray
-    bias: float
+    bias: np.ndarray  # (1,), so tensors() hands out the model's own array
 
     def score(self, post: str, question: str, table: EmbeddingTable) -> float:
-        return float(sigmoid(self.weights @ cqa_features(post, question, table) + self.bias))
+        return float(sigmoid(self.weights @ cqa_features(post, question, table) + self.bias[0]))
 
     def rank(self, cs: CandidateSet, table: EmbeddingTable) -> RankedList:
         scores = [self.score(cs.post_body, cs.questions[j], table) for j in range(len(cs))]
         return rank_from_scores(cs.post_id, scores)
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {"cqa/w": self.weights, "cqa/b": np.array([self.bias])}
-
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "CqaModel":
-        return cls(weights=tensors["cqa/w"], bias=float(tensors["cqa/b"][0]))
+        return {"cqa/w": self.weights, "cqa/b": self.bias}
 
 
 def cqa_train(
@@ -220,7 +212,7 @@ def cqa_train(
         error = probs - y
         weights -= lr * (X.T @ error) / n
         bias -= lr * float(error.mean())
-    return CqaModel(weights=weights, bias=bias)
+    return CqaModel(weights=weights, bias=np.array([bias]))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from . import baselines, evaluation, evpi, ingest, retrieval, training
 from .config import ConfigError, load_config, resolved_json
 from .embeddings import EmbeddingTable, load_embeddings_file
 from .gradsuite import GRAD_TOLERANCE, run_gradient_suite
-from .neural import load_checkpoint, save_checkpoint
+from .neural import assign_tensors, load_checkpoint, save_checkpoint
 from .training import TrainConfig, TrainingDivergedError
 
 MODEL_NAMES = ("random", "ngrams", "cqa", "neural-pq", "neural-pa", "neural-pqa", "evpi")
@@ -176,21 +176,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _layout(model_name: str, tensors: dict, table: EmbeddingTable) -> tuple[dict, str]:
-    """The {name: shape} of a model_name checkpoint over table, and how to describe that model."""
+def _zero_model(model_name: str, tensors: dict, table: EmbeddingTable):
+    """A model_name model over table with zero weights, and how to describe that model."""
     if model_name == "ngrams":
-        return {"ngrams/w": (baselines.NGRAM_FEATURE_SPACE,)}, ""
+        return baselines.NgramModel(np.zeros(baselines.NGRAM_FEATURE_SPACE)), ""
     if model_name == "cqa":
         features = len(baselines.cqa_features("", "", table))
-        return {"cqa/w": (features,), "cqa/b": (1,)}, ""
+        return baselines.CqaModel(np.zeros(features), np.zeros(1)), ""
     # lstm_post/U_i is (hidden, hidden); any other U_i, or none, still gives a hidden size
     hidden = max(1, math.isqrt(np.size(tensors.get("lstm_post/U_i", 1))))
-    # read-only zero views for random draws: init lays the model out with no memory per weight
-    draws = types.SimpleNamespace(uniform=lambda low, high, size: np.broadcast_to(0.0, size))
-    params = evpi.NeuralParams.init(model_name, table.dim, hidden, draws)
+    # zeros for init's random draws: the checkpoint overwrites every weight
+    zeros = types.SimpleNamespace(uniform=lambda low, high, size: np.zeros(size))
+    params = evpi.NeuralParams.init(model_name, table.dim, hidden, zeros)
     source = "" if len(table) else " (no --embeddings given)"
     return (
-        {name: tensor.shape for name, tensor in params.tensors().items()},
+        training.neural_model(params, table),
         f" of hidden size {hidden} over {table.dim}-d embeddings{source}",
     )
 
@@ -199,8 +199,8 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, conf
     """Build a callable that ranks a list of candidate sets, one RankedList per set in order.
 
     The checkpoint must hold exactly the tensor names and shapes of the
-    model over table. A neural model ranks config.batch_size sets per
-    rank_prepared call.
+    model over table; it is written into a zero model's own tensors. A
+    neural model ranks config.batch_size sets per rank_prepared call.
     """
     if model_name == "random":
         return lambda sets: baselines.random_rankings(sets, seed=config.seed)
@@ -210,25 +210,18 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, conf
     for name, tensor in tensors.items():
         if not np.isfinite(tensor).all():
             raise UsageError(f"malformed checkpoint file {checkpoint}: {name!r} holds nan or inf")
-    layout, described = _layout(model_name, tensors, table)
-    shapes = {name: tensor.shape for name, tensor in tensors.items()}
-    for name in [*layout, *shapes]:  # the model's tensors in order, then the checkpoint's others
-        have, want = str(shapes.get(name, "absent")), str(layout.get(name, "absent"))
-        if have != want:
-            raise UsageError(
-                f"checkpoint {checkpoint} is not a {model_name} model{described}: tensor "
-                f"{name!r} is {have} in the checkpoint but {want} in the model"
-            )
+    model, described = _zero_model(model_name, tensors, table)
+    try:
+        assign_tensors(model.tensors(), tensors)
+    except ValueError as exc:
+        raise UsageError(
+            f"checkpoint {checkpoint} is not a {model_name} model{described}: {exc}"
+        ) from None
     if model_name == "ngrams":
-        ngrams = baselines.NgramModel.from_tensors(tensors)
-        return lambda sets: map(ngrams.rank, sets)
+        return lambda sets: map(model.rank, sets)
     if model_name == "cqa":
-        model = baselines.CqaModel.from_tensors(tensors)
         return lambda sets: (model.rank(cs, table) for cs in sets)
-    neural = training.neural_model(evpi.NeuralParams.from_tensors(model_name, tensors), table)
-    return lambda sets: training.ranked_in_chunks(
-        neural, map(neural.prepare, sets), config.batch_size
-    )
+    return lambda sets: training.ranked_in_chunks(model, map(model.prepare, sets), config.batch_size)
 
 
 def cmd_rank(args) -> int:

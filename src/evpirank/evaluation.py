@@ -47,7 +47,6 @@ class Annotation:
 class LabelSet:
     post_id: str
     relevant: set[int]
-    mode: str
 
 
 @dataclass
@@ -140,7 +139,7 @@ def build_labelsets(
     by_post = {cs.post_id: cs for cs in candidate_sets}
     if mode == "original":
         return [
-            LabelSet(post_id=cs.post_id, relevant={cs.original_index}, mode=mode)
+            LabelSet(post_id=cs.post_id, relevant={cs.original_index})
             for cs in candidate_sets
         ]
     if annotations is None:
@@ -173,7 +172,7 @@ def build_labelsets(
         if not relevant:
             dropped += 1
             continue
-        labelsets.append(LabelSet(post_id=post_id, relevant=relevant, mode=mode))
+        labelsets.append(LabelSet(post_id=post_id, relevant=relevant))
     if dropped:
         warnings.warn(f"dropped {dropped} posts with no relevant labels", stacklevel=2)
     return labelsets
@@ -309,14 +308,22 @@ def valid_intersection_histogram(annotations: Iterable[Annotation]) -> dict[int,
 
 
 def read_annotations(path: str | Path) -> list[Annotation]:
-    """Load annotations.jsonl: post_id, annotator_id, best, valid[]."""
-    return read_jsonl(
-        path,
-        lambda raw: Annotation(
+    """Load annotations.jsonl: post_id, annotator_id, best, valid[], once per post and annotator."""
+    seen: set[tuple[str, str]] = set()
+
+    def build(raw: dict) -> Annotation:
+        ann = Annotation(
             post_id=typed_field(raw, "post_id", str),
             annotator_id=typed_field(raw, "annotator_id", str),
             best=typed_field(raw, "best", int),
             valid=set(list_field(raw, "valid", int)),
-        ),
-        EvaluationError,
-    )
+        )
+        if (ann.post_id, ann.annotator_id) in seen:
+            raise EvaluationError(
+                f"post {ann.post_id!r}: annotator {ann.annotator_id!r} already appears on an "
+                "earlier line"
+            )
+        seen.add((ann.post_id, ann.annotator_id))
+        return ann
+
+    return read_jsonl(path, build, EvaluationError)

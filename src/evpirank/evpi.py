@@ -109,19 +109,6 @@ class NeuralParams:
             for part in parts
         })
 
-    @classmethod
-    def from_tensors(cls, model: str, tensors: dict[str, np.ndarray]) -> "NeuralParams":
-        """model's parts from tensors with the names and shapes of model's tensors().
-
-        The rank command checks a checkpoint's names and shapes before this.
-        """
-        return cls(**{
-            part: (LstmParams if part.startswith("lstm_") else FeedForwardParams).from_tensors(
-                tensors, f"{part}/"
-            )
-            for part in _parts(model)
-        })
-
 
 @dataclass
 class RankedList:
@@ -395,11 +382,6 @@ class NeuralModel:
 
     def tensors(self) -> dict[str, np.ndarray]:
         return self.params.tensors()
-
-    def load_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        self.params = NeuralParams.from_tensors(
-            self.name, {k: v.copy() for k, v in tensors.items()}
-        )
 
     def _prepared(self, cs: CandidateSet, questions, answers, **head_inputs) -> PreparedCandidates:
         """cs with the token ids of its post and of the token lists questions and answers."""

@@ -1,8 +1,10 @@
 """Standard gradient-fidelity suite over every trainable component.
 
 Each entry checks analytic gradients against central finite differences on
-freshly drawn random parameters and tiny random inputs. Used both by the
-`gradcheck` CLI command and the acceptance tests.
+freshly drawn random parameters and tiny random inputs. grad_check perturbs
+a component through its tensors(), which are views of its own arrays, so
+each loss function simply runs the component it closes over. Used both by
+the `gradcheck` CLI command and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -87,10 +89,9 @@ def _check_lstm(rng: np.random.Generator, n_probes: int, lengths: list[int]) -> 
     xs = rng.normal(size=(sum(lengths), EMBED_DIM))
     direction = rng.normal(size=(len(lengths), HIDDEN_DIM))
 
-    def loss_fn(tensors):
-        p = LstmParams.from_tensors(tensors)
-        means, cache = lstm_forward(p, np.arange(len(xs)), lengths, xs.__getitem__)
-        return float(np.sum(direction * means)), lstm_backward(p, cache, direction)
+    def loss_fn(_):
+        means, cache = lstm_forward(params, np.arange(len(xs)), lengths, xs.__getitem__)
+        return float(np.sum(direction * means)), lstm_backward(params, cache, direction)
 
     return grad_check(loss_fn, params.tensors(), n_probes=n_probes, rng=rng)
 
@@ -102,11 +103,9 @@ def _check_feedforward(rng: np.random.Generator, n_probes: int, n_hidden: int) -
     x = rng.normal(size=(3, EMBED_DIM))
     direction = rng.normal(size=(3, 3))
 
-    def loss_fn(tensors):
-        p = FeedForwardParams.from_tensors(tensors)
-        out, acts = feedforward_forward(p, x)
-        grads, _ = feedforward_backward(p, acts, direction)
-        return float(np.sum(direction * out)), grads
+    def loss_fn(_):
+        out, acts = feedforward_forward(params, x)
+        return float(np.sum(direction * out)), feedforward_backward(params, acts, direction)[0]
 
     return grad_check(loss_fn, params.tensors(), n_probes=n_probes, rng=rng)
 
@@ -117,10 +116,8 @@ def _check_evpi_head(rng: np.random.Generator, n_probes: int, post_id: str, head
     model = _model(rng, table, "evpi")
     prep = model.prepare(_toy_candidate_set(rng, post_id))
 
-    def loss_fn(tensors):
-        return batch_loss_and_grads(
-            NeuralParams.from_tensors("evpi", tensors), table, [prep], [head]
-        )
+    def loss_fn(_):
+        return batch_loss_and_grads(model.params, table, [prep], [head])
 
     return grad_check(loss_fn, model.tensors(), n_probes=n_probes, rng=rng)
 
@@ -132,8 +129,8 @@ def _check_model_loss(rng: np.random.Generator, n_probes: int, name: str) -> flo
     n_sets = 2 if name == "evpi" else 1
     preps = [model.prepare(_toy_candidate_set(rng, f"gc-{name}-{k}")) for k in range(n_sets)]
 
-    def loss_fn(tensors):
-        return neural_model(NeuralParams.from_tensors(name, tensors), table).loss_and_grads(preps)
+    def loss_fn(_):
+        return model.loss_and_grads(preps)
 
     return grad_check(loss_fn, model.tensors(), n_probes=n_probes, rng=rng)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 from .embeddings import EmbeddingTable, avg_vector, cos_sim
 from .retrieval import json_isinstance, read_jsonl, tokenize, typed_field
@@ -102,8 +102,9 @@ class IngestDiagnostics:
         )
 
 
-def _load_records(path, fields: dict[str, type], build):
-    """Read a JSONL file; malformed lines are skipped and counted."""
+def _load_records(path, record_type):
+    """Read a JSONL file of record_type's typed fields; malformed lines are skipped and counted."""
+    fields = get_type_hints(record_type)
     records = []
     malformed = 0
     with open(path, "r", encoding="utf-8") as handle:
@@ -122,26 +123,23 @@ def _load_records(path, fields: dict[str, type], build):
             if not all(json_isinstance(values[name], typ) for name, typ in fields.items()):
                 malformed += 1
                 continue
-            records.append(build(values))
+            records.append(record_type(**values))
     return records, malformed
 
 
 def read_posts(path) -> tuple[list[PostRecord], int]:
-    fields = {"post_id": str, "author_id": str, "title": str, "body": str, "created_at": int}
-    records, malformed = _load_records(path, fields, lambda v: PostRecord(**v))
+    records, malformed = _load_records(path, PostRecord)
     valid = [r for r in records if r.post_id and r.created_at > 0]
     malformed += len(records) - len(valid)
     return valid, malformed
 
 
 def read_comments(path) -> tuple[list[CommentRecord], int]:
-    fields = {"comment_id": str, "post_id": str, "author_id": str, "text": str, "created_at": int}
-    return _load_records(path, fields, lambda v: CommentRecord(**v))
+    return _load_records(path, CommentRecord)
 
 
 def read_edits(path) -> tuple[list[EditRecord], int]:
-    fields = {"edit_id": str, "post_id": str, "author_id": str, "new_body": str, "created_at": int}
-    return _load_records(path, fields, lambda v: EditRecord(**v))
+    return _load_records(path, EditRecord)
 
 
 def extract_question(
@@ -264,9 +262,7 @@ def build_triples(
     triples: list[Triple] = []
     for post in posts:
         diag.posts_in += 1
-        post_comments = sorted(
-            comments_by_post.get(post.post_id, []), key=lambda c: (c.created_at, c.comment_id)
-        )
+        post_comments = comments_by_post.get(post.post_id, [])
         extracted = extract_question(post, post_comments)
         if extracted is None:
             diag.no_question += 1

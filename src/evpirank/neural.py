@@ -6,8 +6,9 @@ feedforward networks with a linear final layer, the Adam optimizer, a
 central-difference gradient checker, and a bit-exact checkpoint format.
 
 The LSTM keeps its four gates stacked in one W, U and b; the per-gate
-names of checkpoints (W_i ... b_g) exist only in LstmParams.tensors() and
-from_tensors(). lstm_forward and lstm_backward run a batch of ragged
+names of checkpoints (W_i ... b_g) exist only in LstmParams.tensors(),
+whose views of the stacked rows assign_tensors writes a checkpoint into.
+lstm_forward and lstm_backward run a batch of ragged
 sequences as one packed pass, longest first, so each step is one product
 over the sequences still running (Appleyard, Kocisky & Blunsom 2016,
 arXiv:1604.01946).
@@ -57,8 +58,9 @@ class LstmParams:
     """Single-layer LSTM weights, the four gates stacked in GATES order.
 
     Rows [k*H, (k+1)*H) of W (4H x D), U (4H x H) and b (4H) belong to gate
-    GATES[k]. Checkpoints, gradients and Adam state use per-gate names:
-    tensors() returns them as views of these rows, from_tensors() joins them.
+    GATES[k]. Checkpoints, gradients and Adam state use per-gate names, and
+    only tensors() spells them: it returns views of these rows, so writes
+    through it (adam_step, assign_tensors) reach the model.
     """
 
     W: np.ndarray
@@ -96,11 +98,6 @@ class LstmParams:
             for kind, stacked in (("W", self.W), ("U", self.U), ("b", self.b))
             for k, gate in enumerate(GATES)
         }
-
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray], prefix: str = "") -> "LstmParams":
-        names = [[f"{prefix}{kind}_{gate}" for gate in GATES] for kind in ("W", "U", "b")]
-        return cls(*(np.concatenate([tensors[name] for name in row]) for row in names))
 
 
 @dataclass
@@ -146,17 +143,6 @@ class FeedForwardParams:
             out[f"{prefix}b{layer}"] = b
         return out
 
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray], prefix: str = "") -> "FeedForwardParams":
-        weights = []
-        biases = []
-        layer = 0
-        while f"{prefix}W{layer}" in tensors:
-            weights.append(tensors[f"{prefix}W{layer}"])
-            biases.append(tensors[f"{prefix}b{layer}"])
-            layer += 1
-        return cls(weights=weights, biases=biases)
-
 
 def zeros_like_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in tensors.items()}
@@ -164,6 +150,22 @@ def zeros_like_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 def copy_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {name: arr.copy() for name, arr in tensors.items()}
+
+
+def assign_tensors(tensors: dict[str, np.ndarray], values: dict[str, np.ndarray]) -> None:
+    """Copy each checkpoint tensor of values into the array of its name in a model's tensors().
+
+    The names and shapes must match exactly. The first difference, in the
+    model's order and then the checkpoint's other names, raises ValueError
+    naming that tensor before anything is written.
+    """
+    for name in [*tensors, *values]:
+        have = str(values[name].shape) if name in values else "absent"
+        want = str(tensors[name].shape) if name in tensors else "absent"
+        if have != want:
+            raise ValueError(f"tensor {name!r} is {have} in the checkpoint but {want} in the model")
+    for name, tensor in tensors.items():
+        tensor[...] = values[name]
 
 
 # ---------------------------------------------------------------------------

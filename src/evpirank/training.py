@@ -1,10 +1,10 @@
 """Shared mini-batch training loop with early stopping on tune-set MAP.
 
-fit works for any model object exposing tensors()/load_tensors(), prepare(),
-loss_and_grads(batch), and rank_prepared(batch). It keeps the checkpoint
-with the best tune MAP (evaluated against the original question) and
-restores it at the end. train draws a neural model's initial parameters
-and fits them.
+fit works for any model object exposing tensors(), its own arrays (not
+copies; there is no load method), prepare(), loss_and_grads(batch), and
+rank_prepared(batch). It keeps a copy of the tensors with the best tune MAP
+(evaluated against the original question) and assigns it back into them at
+the end. train draws a neural model's initial parameters and fits them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .baselines import NeuralBaselineModel
 from .embeddings import EmbeddingTable
 from .evaluation import evaluate
 from .evpi import EvpiModel, NeuralModel, NeuralParams, RankedList
-from .neural import AdamState, adam_step, copy_tensors
+from .neural import AdamState, adam_step, assign_tensors, copy_tensors
 from .retrieval import CandidateSet
 from .rng import substream
 
@@ -120,7 +120,7 @@ def fit(
             epochs_since_best += 1
             if epochs_since_best > config.patience:
                 break
-    model.load_tensors(result.tensors)
+    assign_tensors(tensors, result.tensors)
     return result
 
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+import types
+
 from evpirank.embeddings import EmbeddingTable
+from evpirank.evpi import NeuralParams
 from evpirank.ingest import PostRecord, Triple
 from evpirank.neural import LstmParams, lstm_forward
 from evpirank.retrieval import CandidateSet, build_index, doc_text, generate_candidates
@@ -14,6 +17,12 @@ def forward_rows(params: LstmParams, xs, lengths, for_backward: bool = True):
     """lstm_forward over the float rows xs (N, input_dim), which token ids 0..N-1 name."""
     xs = np.asarray(xs, dtype=np.float64)
     return lstm_forward(params, np.arange(len(xs)), lengths, xs.__getitem__, for_backward)
+
+
+def zero_params(model: str, embed_dim: int, hidden_dim: int) -> NeuralParams:
+    """model's parameters with every weight 0, for assign_tensors to load a checkpoint into."""
+    zeros = types.SimpleNamespace(uniform=lambda low, high, size: np.zeros(size))
+    return NeuralParams.init(model, embed_dim, hidden_dim, zeros)
 
 
 def table_of(vectors: dict) -> EmbeddingTable:
@@ -128,5 +137,5 @@ def make_random_rankings_fixture(
                 original_index=0,
             )
         )
-        labels.append(LabelSet(post_id=post_id, relevant={0}, mode="original"))
+        labels.append(LabelSet(post_id=post_id, relevant={0}))
     return sets, labels

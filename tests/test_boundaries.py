@@ -7,6 +7,7 @@ the init order fails here whatever platform the tests run on.
 
 import itertools
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -15,12 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evpirank.baselines import NGRAM_FEATURE_SPACE, CqaModel, NgramModel
 from evpirank.cli import main
 from evpirank.evpi import MODEL_PARTS, NeuralParams, rank_from_scores, read_rankings, write_rankings
 from evpirank.ingest import PostRecord, Triple, read_triples, write_triples
-from evpirank.neural import load_checkpoint, save_checkpoint
+from evpirank.neural import assign_tensors, load_checkpoint, save_checkpoint
 from evpirank.retrieval import CandidateSet, read_candidates, write_candidates
 from evpirank.rng import substream
+
+from tests.synthetic import zero_params
 
 D, H = 3, 2  # embedding and hidden dims of the hand-written layouts
 
@@ -170,6 +174,52 @@ class TestParameterLayout:
         assert code == 0 and rankings.exists()
 
 
+def zero_model(kind: str):
+    """A model of kind with every weight 0, the kind of model rank loads a checkpoint into."""
+    if kind == "ngrams":
+        return NgramModel(np.zeros(NGRAM_FEATURE_SPACE))
+    if kind == "cqa":
+        return CqaModel(np.zeros(6), np.zeros(1))
+    return zero_params(kind, D, H)
+
+
+class TestAssignTensors:
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"a": np.ones(2), "c": np.ones(3)}, "tensor 'b' is absent in the checkpoint but (3,)"),
+            ({"a": np.ones(2), "b": np.ones(4)}, "tensor 'b' is (4,) in the checkpoint but (3,)"),
+            ({"a": np.ones(1), "b": np.ones(4)}, "tensor 'a' is (1,) in the checkpoint but (2,)"),
+            (
+                {"a": np.ones(2), "b": np.ones(3), "z": np.ones((1, 1))},
+                "tensor 'z' is (1, 1) in the checkpoint but absent in the model",
+            ),
+        ],
+    )
+    def test_first_difference_is_named_and_nothing_is_written(self, values, message):
+        # The model's names in its order come first, then the checkpoint's others.
+        tensors = {"a": np.zeros(2), "b": np.zeros(3)}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            assign_tensors(tensors, values)
+        assert not any(tensor.any() for tensor in tensors.values())
+
+    @pytest.mark.parametrize("kind", MODELS + ["ngrams", "cqa"])
+    def test_tensors_read_back_the_assigned_bits(self, kind):
+        # A tensors() entry that is a copy, not the model's own array, would
+        # take the write and leave the model at zero, so a second call differs.
+        model = zero_model(kind)
+        rng = np.random.default_rng(7)
+        values = {
+            name: rng.integers(0, 2**64, size=tensor.shape, dtype=np.uint64).view(np.float64)
+            for name, tensor in model.tensors().items()
+        }
+        assign_tensors(model.tensors(), values)
+        again = model.tensors()
+        assert list(again) == list(values)
+        for name, value in values.items():
+            assert again[name].tobytes() == value.tobytes(), name
+
+
 class TestRoundTrips:
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(MODELS), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
@@ -184,7 +234,8 @@ class TestRoundTrips:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.ckpt"
             save_checkpoint(path, tensors)
-            again = NeuralParams.from_tensors(model, load_checkpoint(path)).tensors()
+            again = zero_params(model, embed_dim, hidden_dim).tensors()
+            assign_tensors(again, load_checkpoint(path))
         assert list(again) == list(tensors)
         for name, tensor in tensors.items():
             assert again[name].shape == tensor.shape

@@ -7,11 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evpirank import cli
+from evpirank import baselines, cli, training
 from evpirank.cli import main
 from evpirank.config import ConfigError, load_config, resolved_json
+from evpirank.embeddings import load_embeddings_file
+from evpirank.evpi import write_rankings
 from evpirank.gradsuite import GRAD_TOLERANCE, CheckResult
 from evpirank.ingest import split_name
+from evpirank.neural import save_checkpoint
 from evpirank.retrieval import read_candidates, tokenize, write_candidates
 
 from tests.synthetic import make_clustered_corpus, make_random_rankings_fixture
@@ -256,6 +259,41 @@ class TestTrainRankEvaluate:
             )
             assert code == 0
             assert len(rankings.read_text().splitlines()) == 7
+
+    @pytest.mark.parametrize(
+        "model", ["evpi", "neural-pq", "neural-pa", "neural-pqa", "ngrams", "cqa"]
+    )
+    def test_rank_of_a_saved_model_writes_its_own_rankings(
+        self, pipeline, capsys, tmp_path, model
+    ):
+        # rank loads the checkpoint into a zero model: every weight it misses,
+        # as a cqa bias that stayed 0, changes the scores written.
+        sets = read_candidates(pipeline["candidates"])
+        table = load_embeddings_file(FIXTURES / "embeddings_toy.txt")
+        config = training.TrainConfig(hidden_dim=4, epochs=2, seed=3)
+        if model == "ngrams":
+            trained = baselines.NgramModel(baselines.ngram_train(sets, config.epochs, config.lr))
+            ranked = [trained.rank(cs) for cs in sets]
+        elif model == "cqa":
+            trained = baselines.cqa_train(sets, table, config.epochs, config.lr)
+            ranked = [trained.rank(cs, table) for cs in sets]
+        else:
+            trained = training.train(model, sets, sets, table, config)[0]
+            ranked = trained.rank_prepared([trained.prepare(cs) for cs in sets])
+        ckpt, expected, rankings = (tmp_path / name for name in ("model.ckpt", "want", "got"))
+        save_checkpoint(ckpt, trained.tensors())
+        write_rankings(expected, model, ranked)
+        code, _, _ = run(
+            capsys,
+            "rank",
+            "--candidates", str(pipeline["candidates"]),
+            "--embeddings", str(FIXTURES / "embeddings_toy.txt"),
+            "--model", model,
+            "--checkpoint", str(ckpt),
+            "--out", str(rankings),
+        )
+        assert code == 0
+        assert rankings.read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("model", ["ngrams", "cqa"])
     def test_ngrams_and_cqa_report_the_epochs_run(self, pipeline, capsys, tmp_path, model):
@@ -949,6 +987,28 @@ class TestEvaluateWithAnnotations:
         assert body["n_posts"] == 7
         histogram = json.loads(lines[-1])["valid_intersection_histogram"]
         assert histogram == {"2": 7}  # |{0,1,2} & {0,1}| = 2 for every post
+
+    def test_an_annotator_repeated_on_a_post_is_usage_error(self, capsys, tmp_path):
+        # Two identical a1 lines per post once passed as two annotators who agree.
+        cands = FIXTURES / "golden" / "candidates.jsonl"
+        rankings, report = tmp_path / "ranked.jsonl", tmp_path / "report.json"
+        assert main(["rank", "--candidates", str(cands), "--model", "random",
+                     "--out", str(rankings)]) == 0
+        line = '{{"post_id": "{}", "annotator_id": "a1", "best": 0, "valid": [0, 1]}}\n'
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text(
+            "".join(2 * line.format(cs.post_id) for cs in read_candidates(cands)), encoding="utf-8"
+        )
+        code, out, err = run(
+            capsys, "evaluate", "--rankings", str(rankings), "--candidates", str(cands),
+            "--annotations", str(annotations), "--mode", "best_union", "--out", str(report),
+        )
+        assert code == 2
+        assert (
+            f"malformed annotations file {annotations}: line 2: post 'p01': annotator 'a1' "
+            "already appears on an earlier line"
+        ) in err
+        assert out == "" and not report.exists()
 
     def test_valid_histogram_without_annotations_fails_before_any_output(
         self, pipeline, capsys, tmp_path

@@ -310,7 +310,7 @@ class TestBestUnionMonotonicity:
 
 class TestPerPostMetrics:
     def test_keys_and_values(self):
-        labelsets = [LabelSet(post_id="p1", relevant={1}, mode="original")]
+        labelsets = [LabelSet(post_id="p1", relevant={1})]
         rankings = [ranking("p1", [1, 0] + list(range(2, 10)))]
         got = per_post_metrics(rankings, labelsets, [candidate_set("p1", original=1)], "original")
         assert got["p1"]["p_at_1"] == 1.0
@@ -319,7 +319,7 @@ class TestPerPostMetrics:
     @pytest.mark.parametrize("order", [[0, 0, 0], [0, 1], [0, 1, 2, 3], [2, 1, 3]])
     def test_order_must_be_a_permutation_of_the_candidates(self, order):
         # [0, 0, 0] would otherwise score AP 3.0 with the original relevant.
-        labelsets = [LabelSet(post_id="p1", relevant={0}, mode="original")]
+        labelsets = [LabelSet(post_id="p1", relevant={0})]
         rankings, sets = [ranking("p1", order)], [candidate_set("p1", n=3)]
         with pytest.raises(EvaluationError, match="'p1'.*not a permutation"):
             per_post_metrics(rankings, labelsets, sets, "original")

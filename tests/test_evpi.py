@@ -20,6 +20,7 @@ from evpirank.neural import (
     AdamState,
     FeedForwardParams,
     adam_step,
+    assign_tensors,
     grad_check,
     load_checkpoint,
     save_checkpoint,
@@ -37,7 +38,7 @@ from tests.oracles import (
     loss_util,
     utility,
 )
-from tests.synthetic import table_of
+from tests.synthetic import table_of, zero_params
 
 
 def toy_candidate_set(n=3, original=0, post_id="t1") -> CandidateSet:
@@ -392,9 +393,8 @@ class TestGradientsAndDescent:
             model.prepare(toy_candidate_set(n=3, original=0, post_id="b")),
         ]
 
-        def loss_fn(tensors):
-            probe = EvpiModel(NeuralParams.from_tensors("evpi", tensors), table)
-            return probe.loss_and_grads(preps)
+        def loss_fn(_):  # grad_check perturbs model through its tensors() views
+            return model.loss_and_grads(preps)
 
         assert grad_check(loss_fn, model.tensors(), n_probes=20, rng=rng) < 1e-4
 
@@ -487,7 +487,8 @@ class TestPerGateCheckpoint:
         path = tmp_path / "per_gate.ckpt"
         path.write_bytes(blob)
 
-        params = NeuralParams.from_tensors("evpi", load_checkpoint(path))
+        params = zero_params("evpi", d, h)
+        assign_tensors(params.tensors(), load_checkpoint(path))
         assert list(params.tensors()) == list(tensors)
         # gate f is the second row block of the stacked U
         np.testing.assert_array_equal(params.lstm_answer.U[h : 2 * h], tensors["lstm_answer/U_f"])

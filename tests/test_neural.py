@@ -26,11 +26,9 @@ from tests.synthetic import forward_rows
 
 
 def zero_lstm(input_dim=1, hidden_dim=1):
-    """All-zero LSTM, joined from per-gate blocks as a checkpoint stores them."""
-    shapes = {"W": (hidden_dim, input_dim), "U": (hidden_dim, hidden_dim), "b": (hidden_dim,)}
-    return LstmParams.from_tensors(
-        {f"{kind}_{gate}": np.zeros(shape) for kind, shape in shapes.items() for gate in "ifog"}
-    )
+    """All-zero LSTM; tests set its gate blocks through the per-gate views of tensors()."""
+    rows = 4 * hidden_dim
+    return LstmParams(np.zeros((rows, input_dim)), np.zeros((rows, hidden_dim)), np.zeros(rows))
 
 
 def hand_lstm_step(params, x, h_prev, c_prev):
@@ -242,10 +240,9 @@ class TestGradCheck:
             xs = rng.normal(size=(4, 3))
             direction = rng.normal(size=(1, 4))
 
-            def loss_fn(tensors):
-                p = LstmParams.from_tensors(tensors)
-                means, cache = forward_rows(p, xs, [4])
-                return float(np.sum(direction * means)), lstm_backward(p, cache, direction)
+            def loss_fn(_):  # grad_check perturbs params through its tensors() views
+                means, cache = forward_rows(params, xs, [4])
+                return float(np.sum(direction * means)), lstm_backward(params, cache, direction)
 
             assert grad_check(loss_fn, params.tensors(), n_probes=10, rng=rng) < 1e-4
 
@@ -256,11 +253,9 @@ class TestGradCheck:
             x = rng.normal(size=4)
             direction = rng.normal(size=2)
 
-            def loss_fn(tensors):
-                p = FeedForwardParams.from_tensors(tensors)
-                out, acts = feedforward_forward(p, x)
-                grads, _ = feedforward_backward(p, acts, direction)
-                return float(direction @ out), grads
+            def loss_fn(_):  # grad_check perturbs params through its tensors() views
+                out, acts = feedforward_forward(params, x)
+                return float(direction @ out), feedforward_backward(params, acts, direction)[0]
 
             assert grad_check(loss_fn, params.tensors(), n_probes=10, rng=rng) < 1e-4
 
