@@ -248,7 +248,12 @@ def _check_mode(args) -> None:
 
 
 def _labeled_posts(args, *rankings: list):
-    """The candidate sets of the posts every rankings list ranks, and the annotations."""
+    """The candidate sets of the posts every rankings list ranks, and their annotations.
+
+    Annotations of a post in the candidates file that some list does not rank
+    (another split) are dropped; those of a post missing from it are kept, and
+    evaluation refuses them.
+    """
     candidate_sets = _read(retrieval.read_candidates, args.candidates, "candidates")
     annotations = None
     if args.annotations:
@@ -256,6 +261,9 @@ def _labeled_posts(args, *rankings: list):
     elif args.mode != "original":
         raise UsageError(f"mode {args.mode!r} requires --annotations")
     ranked = set.intersection(*({rl.post_id for rl in each} for each in rankings))
+    if annotations is not None:
+        unranked = {cs.post_id for cs in candidate_sets} - ranked
+        annotations = [ann for ann in annotations if ann.post_id not in unranked]
     return [cs for cs in candidate_sets if cs.post_id in ranked], annotations
 
 

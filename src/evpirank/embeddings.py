@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -64,13 +67,13 @@ class AvgVector:
     coverage: float
 
 
-def load_embeddings(reader: Iterable[str]) -> EmbeddingTable:
-    """Parse `word v1 ... vd` lines into an EmbeddingTable.
+def parse_embeddings(reader: Iterable[str]) -> tuple[list[str], np.ndarray]:
+    """Parse `word v1 ... vd` lines into their words, repeats included, and a (lines, d) matrix.
 
-    The dimension is inferred from the first line; later lines must match it.
-    Duplicate words keep their first occurrence. A malformed line, or one with
-    nan, inf or an overflowing value (1e999), raises EmbeddingFormatError naming
-    its 1-based line number.
+    EmbeddingTable.of turns the two into a table, where a repeated word keeps
+    its first row. The dimension is inferred from the first line; later lines
+    must match it. A malformed line, or one with nan, inf or an overflowing
+    value (1e999), raises EmbeddingFormatError naming its 1-based line number.
     """
     words: list[str] = []
     rows: list[np.ndarray] = []
@@ -94,16 +97,16 @@ def load_embeddings(reader: Iterable[str]) -> EmbeddingTable:
         rows.append(values)
     if not rows:
         raise EmbeddingFormatError("embedding input is empty")
-    return EmbeddingTable.of(words, np.array(rows))
+    return words, np.array(rows)
 
 
-def load_embeddings_file(path: str | Path) -> EmbeddingTable:
-    """load_embeddings over a file, with the values parsed by one np.loadtxt pass.
+def _parse_file(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """parse_embeddings over a file, with the values parsed by one np.loadtxt pass.
 
     A generator strips each line's word before loadtxt reads the rest, so
     loadtxt's column-count check is the dimension check. Any line loadtxt
     rejects, any line without a value (loadtxt skips blank lines) and any
-    non-finite value send the whole file through load_embeddings, which
+    non-finite value send the whole file through parse_embeddings, which
     alone words the error or accepts what float() accepts and loadtxt does
     not (such as "1_0").
     """
@@ -126,8 +129,103 @@ def load_embeddings_file(path: str | Path) -> EmbeddingTable:
             raise ValueError("a non-finite value")
     except ValueError:
         with open(path, "r", encoding="utf-8") as handle:
-            return load_embeddings(handle)
-    return EmbeddingTable.of(words, matrix)
+            return parse_embeddings(handle)
+    return words, matrix
+
+
+# A vectors file of at least this many bytes keeps its parse in a cache file
+# beside it, <file name> + CACHE_SUFFIX. Below it a parse takes a few tens of ms.
+CACHE_MIN_BYTES = 1 << 20
+CACHE_SUFFIX = ".evpirank-cache"
+# The cache's first array: this format's version, then the SHA-256 of the
+# vectors file it was parsed from. Change the version with the layout.
+CACHE_VERSION = b"evpirank-cache 1\n"
+
+
+def load_embeddings_file(path: str | Path) -> EmbeddingTable:
+    """The EmbeddingTable of a vectors file, parsed once per content.
+
+    A regular file of at least CACHE_MIN_BYTES is hashed; a cache beside it
+    that holds the same hash gives the parse back without parsing the text.
+    Otherwise the text is parsed and the cache (re)written. Every line is
+    validated on that parse, so a file that fails to parse leaves no cache.
+    A cache that cannot be read or written is only a miss.
+    """
+    path = Path(path)
+    if not path.is_file() or path.stat().st_size < CACHE_MIN_BYTES:
+        return EmbeddingTable.of(*_parse_file(path))
+    stamp = _stamp(path)
+    key = CACHE_VERSION + _sha256(path)
+    cache = path.with_name(path.name + CACHE_SUFFIX)
+    parsed = _read_cache(cache, key)
+    if parsed is None:
+        parsed = _parse_file(path)
+        if _stamp(path) == stamp:  # else the parse may not be of the bytes hashed
+            _write_cache(cache, key, *parsed)
+    return EmbeddingTable.of(*parsed)
+
+
+def _stamp(path: Path) -> tuple[int, int, int]:
+    """What a rewrite of the file changes: its size, mtime and inode."""
+    st = path.stat()
+    return st.st_size, st.st_mtime_ns, st.st_ino
+
+
+def _sha256(path: Path) -> bytes:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _read_cache(cache: Path, key: bytes) -> tuple[list[str], np.ndarray] | None:
+    """The words and matrix _write_cache stored under key, or None for any other file."""
+    try:
+        with open(cache, "rb") as handle:
+            if _read_array(handle).tobytes() != key:
+                return None
+            words = _read_array(handle).tobytes().decode("utf-8").split("\n")
+            matrix = _read_array(handle)
+            trailing = handle.read(1)
+    except (OSError, ValueError, MemoryError):  # missing, truncated or not a cache at all
+        return None
+    if (
+        trailing
+        or matrix.dtype != np.float64
+        or matrix.ndim != 2
+        or matrix.shape[0] != len(words)
+        or matrix.shape[1] < 1
+        or not np.isfinite(matrix).all()
+    ):
+        return None
+    return words, matrix
+
+
+def _read_array(handle) -> np.ndarray:
+    return np.lib.format.read_array(handle, allow_pickle=False)
+
+
+def _write_cache(cache: Path, key: bytes, words: list[str], matrix: np.ndarray) -> None:
+    """Store key, the words joined by newlines and the matrix; a failure leaves no file.
+
+    The file is written under a temporary name and renamed into place, so a
+    reader sees a whole cache or none. np.save writes the matrix straight
+    from its buffer. No word holds a newline: a parse splits words at whitespace.
+    """
+    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            for array in (
+                np.frombuffer(key, dtype=np.uint8),
+                np.frombuffer("\n".join(words).encode("utf-8"), dtype=np.uint8),
+                matrix,
+            ):
+                np.save(handle, array, allow_pickle=False)
+        os.replace(tmp, cache)
+    except OSError:  # a read-only directory, a full disk
+        with contextlib.suppress(OSError):
+            tmp.unlink()
 
 
 def avg_vector(table: EmbeddingTable, tokens: Iterable[str]) -> AvgVector:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evpirank import baselines, cli, training
+from evpirank import baselines, cli, embeddings, training
 from evpirank.cli import main
 from evpirank.config import ConfigError, load_config, resolved_json
 from evpirank.embeddings import load_embeddings_file
@@ -523,6 +523,55 @@ class TestTrainRankEvaluate:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestCachedEmbeddings:
+    """rank over a vectors file cached beside it, as every file of CACHE_MIN_BYTES or more is."""
+
+    @pytest.fixture
+    def vectors(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "CACHE_MIN_BYTES", 1)
+        path = tmp_path / "vectors.txt"
+        path.write_bytes((FIXTURES / "embeddings_toy.txt").read_bytes())
+        return path
+
+    @pytest.mark.parametrize("model", ["evpi", "cqa"])
+    def test_rank_outputs_are_byte_identical_cold_and_warm(
+        self, pipeline, tmp_path, monkeypatch, vectors, model
+    ):
+        cands = str(pipeline["candidates"])
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["train", "--candidates", cands, "--embeddings", str(vectors), "--model",
+                     model, "--no-split", "--set", "hidden_dim=4", "--set", "epochs=1",
+                     "--out", ckpt]) == 0
+        cache = vectors.with_name(vectors.name + embeddings.CACHE_SUFFIX)
+        cache.unlink()
+        rank = ["rank", "--candidates", cands, "--embeddings", str(vectors), "--model", model,
+                "--checkpoint", ckpt, "--out"]
+        assert main(rank + [str(tmp_path / "cold.jsonl")]) == 0
+        assert cache.is_file()
+
+        def no_parse(path):
+            raise AssertionError(f"{path} was parsed, not read from its cache")
+
+        monkeypatch.setattr(embeddings, "_parse_file", no_parse)
+        assert main(rank + [str(tmp_path / "warm.jsonl")]) == 0
+        cold = (tmp_path / "cold.jsonl").read_bytes()
+        assert (tmp_path / "warm.jsonl").read_bytes() == cold
+
+    def test_a_malformed_file_exits_2_as_before_and_leaves_no_cache(
+        self, pipeline, capsys, tmp_path, monkeypatch, vectors
+    ):
+        vectors.write_text("cat 1 2\ndog 3\n", encoding="utf-8")
+        argv = ["rank", "--candidates", str(pipeline["candidates"]), "--embeddings",
+                str(vectors), "--model", "random", "--out", str(tmp_path / "out.jsonl")]
+        cached_code, _, cached_err = run(capsys, *argv)
+        monkeypatch.setattr(embeddings, "CACHE_MIN_BYTES", 1 << 20)
+        code, _, err = run(capsys, *argv)
+        assert cached_code == code == 2
+        assert cached_err == err
+        assert f"malformed embeddings file {vectors}: line 2: dimension 1 does not match 2" in err
+        assert sorted(tmp_path.iterdir()) == [vectors]
+
+
 class TestSignificanceCommand:
     def test_same_rankings_give_p_one(self, pipeline, capsys):
         root = pipeline["root"]
@@ -987,6 +1036,44 @@ class TestEvaluateWithAnnotations:
         assert body["n_posts"] == 7
         histogram = json.loads(lines[-1])["valid_intersection_histogram"]
         assert histogram == {"2": 7}  # |{0,1,2} & {0,1}| = 2 for every post
+
+    def test_one_split_is_scored_against_the_whole_annotations_file(
+        self, pipeline, capsys, tmp_path
+    ):
+        # Annotations of the posts another split holds once failed as unknown posts.
+        cands = str(pipeline["candidates"])
+        annotations = str(write_annotations(tmp_path))
+        ranked = {}
+        for split, seed in (("test", "1"), ("train", "1"), ("train", "2")):
+            ranked[split, seed] = str(tmp_path / f"{split}_{seed}.jsonl")
+            assert main(["rank", "--candidates", cands, "--model", "random", "--split", split,
+                         "--seed", seed, "--out", ranked[split, seed]]) == 0
+        labels = ["--candidates", cands, "--annotations", annotations, "--mode", "best_union"]
+        code, out, err = run(capsys, "evaluate", "--rankings", ranked["test", "1"], *labels)
+        assert code == 0, err
+        assert json.loads(out.splitlines()[0])["n_posts"] == 1  # p06
+        code, out, err = run(
+            capsys, "significance", "--rankings-a", ranked["train", "1"],
+            "--rankings-b", ranked["train", "2"], *labels, "--n", "10",
+        )
+        assert code == 0, err
+        assert json.loads(out)["n_posts"] == 5
+        # The train and test files share no post, so none is scored.
+        code, out, err = run(
+            capsys, "significance", "--rankings-a", ranked["train", "1"],
+            "--rankings-b", ranked["test", "1"], *labels, "--n", "10",
+        )
+        assert code == 2 and out == ""
+        assert "need at least two paired scores" in err
+        # A post missing from the candidates file is still refused.
+        with open(annotations, "a", encoding="utf-8") as handle:
+            for annotator in ("a1", "a2"):
+                handle.write(json.dumps(
+                    {"post_id": "p99", "annotator_id": annotator, "best": 0, "valid": [0]}
+                ) + "\n")
+        code, out, err = run(capsys, "evaluate", "--rankings", ranked["test", "1"], *labels)
+        assert code == 2 and out == ""
+        assert "annotations reference unknown post 'p99'" in err
 
     def test_an_annotator_repeated_on_a_post_is_usage_error(self, capsys, tmp_path):
         # Two identical a1 lines per post once passed as two annotators who agree.

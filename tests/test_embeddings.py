@@ -1,7 +1,9 @@
 """Embedding loading, average vectors, and cosine similarity."""
 
+import errno
 import io
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -10,19 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evpirank import embeddings
 from evpirank.embeddings import (
     AvgVector,
     EmbeddingFormatError,
     EmbeddingTable,
     avg_vector,
     cos_sim,
-    load_embeddings,
+    parse_embeddings,
     load_embeddings_file,
 )
 
 
 def table_from(text: str) -> EmbeddingTable:
-    return load_embeddings(io.StringIO(text))
+    return EmbeddingTable.of(*parse_embeddings(io.StringIO(text)))
 
 
 class TestLoadEmbeddings:
@@ -110,7 +113,7 @@ def line(dim: int):
 def assert_same_as_per_line_parser(path: Path) -> None:
     def per_line():
         with open(path, "r", encoding="utf-8") as handle:
-            return load_embeddings(handle)
+            return EmbeddingTable.of(*parse_embeddings(handle))
 
     assert loaded(lambda: load_embeddings_file(path)) == loaded(per_line)
 
@@ -141,10 +144,17 @@ class TestLoadEmbeddingsFile:
             "",
         ],
     )
-    def test_matches_per_line_parser(self, tmp_path, text):
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_matches_per_line_parser(self, tmp_path, monkeypatch, text, cached):
         path = tmp_path / "vectors.txt"
         path.write_text(text, encoding="utf-8")
-        assert_same_as_per_line_parser(path)
+        if cached:
+            monkeypatch.setattr(embeddings, "CACHE_MIN_BYTES", 0)
+        assert_same_as_per_line_parser(path)  # cold
+        assert_same_as_per_line_parser(path)  # warm, if the text parses
+        parses = not isinstance(loaded(lambda: load_embeddings_file(path)), str)
+        cache = [cache_of(path)] if cached and parses else []
+        assert sorted(tmp_path.iterdir()) == [path] + cache
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda dim: st.lists(line(dim), max_size=6)))
@@ -154,6 +164,128 @@ class TestLoadEmbeddingsFile:
             path = Path(tmp) / "vectors.txt"
             path.write_text(text, encoding="utf-8")
             assert_same_as_per_line_parser(path)
+
+
+def cache_of(path: Path) -> Path:
+    return path.with_name(path.name + embeddings.CACHE_SUFFIX)
+
+
+NAN_BYTES = np.array([np.nan]).tobytes()
+
+
+def no_parse(path):
+    raise AssertionError(f"{path} was parsed, not read from its cache")
+
+
+class TestEmbeddingCache:
+    """A vectors file is parsed once; later loads of the same bytes read the cache."""
+
+    TEXT = "cat 1.5 2\ndog 3 -4e-3\ncat 9 9\nfox 0.1 0.2\n"  # "cat" twice: the first row wins
+
+    @pytest.fixture
+    def vectors(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "CACHE_MIN_BYTES", 1)
+        path = tmp_path / "vectors.txt"
+        path.write_text(self.TEXT, encoding="utf-8")
+        return path
+
+    def parsed(self):
+        return loaded(lambda: table_from(self.TEXT))
+
+    def test_warm_load_equals_cold_load_bit_for_bit(self, vectors, monkeypatch):
+        cold = loaded(lambda: load_embeddings_file(vectors))
+        assert cache_of(vectors).is_file()
+        monkeypatch.setattr(embeddings, "_parse_file", no_parse)
+        assert loaded(lambda: load_embeddings_file(vectors)) == cold
+        assert cold == self.parsed()
+        assert cold[1] == [("cat", 0), ("dog", 1), ("fox", 3)]
+
+    def test_same_size_and_mtime_with_a_changed_value_is_a_miss(self, vectors):
+        load_embeddings_file(vectors)
+        stat = vectors.stat()
+        vectors.write_text(self.TEXT.replace("1.5", "2.5"), encoding="utf-8")
+        os.utime(vectors, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert vectors.stat().st_size == stat.st_size
+        table = load_embeddings_file(vectors)
+        np.testing.assert_array_equal(table.gather(table.token_ids(["cat"])), [[2.5, 2.0]])
+        assert load_embeddings_file(vectors).matrix.tobytes() == table.matrix.tobytes()
+
+    def test_a_file_rewritten_during_its_parse_is_not_cached(self, vectors, monkeypatch):
+        parse = embeddings._parse_file
+
+        def parse_then_rewrite(path):
+            parsed = parse(path)
+            vectors.write_text(self.TEXT.replace("dog", "dogs"), encoding="utf-8")
+            return parsed
+
+        monkeypatch.setattr(embeddings, "_parse_file", parse_then_rewrite)
+        load_embeddings_file(vectors)
+        assert not cache_of(vectors).exists()
+
+    def test_a_file_that_fails_to_parse_leaves_no_cache(self, vectors):
+        load_embeddings_file(vectors)
+        vectors.write_text(self.TEXT + "owl 1\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="line 5: dimension 1 does not match 2"):
+            load_embeddings_file(vectors)
+        # the cache of the earlier bytes stays, and is not taken for these
+        with pytest.raises(EmbeddingFormatError, match="line 5"):
+            load_embeddings_file(vectors)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda data: data[: len(data) // 2], id="truncated"),
+            pytest.param(lambda data: data[:-1], id="last-byte-missing"),
+            pytest.param(lambda data: data + b"\0", id="trailing-byte"),
+            pytest.param(lambda data: b"", id="empty"),
+            pytest.param(lambda data: b"garbage" * 40, id="garbage"),
+            pytest.param(lambda data: b"PK\x03\x04" + data[4:], id="bad-zip"),
+            pytest.param(
+                lambda data: data.replace(b"evpirank-cache 1", b"evpirank-cache 0"),
+                id="wrong-version",
+            ),
+            pytest.param(lambda data: data.replace(b"fox", b"f\nx"), id="a-word-too-many"),
+            pytest.param(lambda data: data[:-8] + NAN_BYTES, id="last-value-nan"),
+        ],
+    )
+    def test_a_bad_cache_is_ignored_and_rewritten(self, vectors, damage):
+        cold = loaded(lambda: load_embeddings_file(vectors))
+        good = cache_of(vectors).read_bytes()
+        cache_of(vectors).write_bytes(damage(good))
+        assert loaded(lambda: load_embeddings_file(vectors)) == cold
+        assert cache_of(vectors).read_bytes() == good
+
+    def test_a_read_only_directory_still_loads(self, vectors):
+        vectors.parent.chmod(0o555)
+        try:
+            assert loaded(lambda: load_embeddings_file(vectors)) == self.parsed()
+            if os.geteuid() != 0:  # root writes through the mode bits
+                assert sorted(vectors.parent.iterdir()) == [vectors]
+        finally:
+            vectors.parent.chmod(0o755)
+
+    def test_an_unwritable_cache_name_still_loads(self, vectors):
+        cache_of(vectors).mkdir()  # open() and os.replace() fail on it, even for root
+        assert loaded(lambda: load_embeddings_file(vectors)) == self.parsed()
+        assert sorted(vectors.parent.iterdir()) == [vectors, cache_of(vectors)]
+
+    def test_a_full_disk_leaves_no_partial_file(self, vectors, monkeypatch):
+        def save(handle, array, allow_pickle):
+            handle.write(b"\x93NUMPY")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(embeddings.np, "save", save)
+        assert loaded(lambda: load_embeddings_file(vectors)) == self.parsed()
+        assert sorted(vectors.parent.iterdir()) == [vectors]
+
+    def test_a_file_under_the_threshold_writes_nothing(self, vectors, monkeypatch):
+        monkeypatch.setattr(embeddings, "CACHE_MIN_BYTES", vectors.stat().st_size + 1)
+        load_embeddings_file(vectors)
+        assert sorted(vectors.parent.iterdir()) == [vectors]
+
+    def test_the_shipped_threshold_leaves_fixtures_uncached(self):
+        fixtures = Path(__file__).parent / "fixtures"
+        assert max(p.stat().st_size for p in fixtures.rglob("*")) < embeddings.CACHE_MIN_BYTES
 
 
 class TestAvgVector:
