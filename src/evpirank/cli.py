@@ -80,12 +80,10 @@ def cmd_ingest(args) -> int:
     comments, bad_comments = ingest.read_comments(_require_file(args.comments, "comments"))
     edits, bad_edits = ingest.read_edits(_require_file(args.history, "history"))
     table = _load_table(args.embeddings)
-    diagnostics = ingest.IngestDiagnostics(
-        malformed_lines={"posts": bad_posts, "comments": bad_comments, "history": bad_edits}
-    )
-    triples, diagnostics = ingest.build_triples(
-        posts, comments, edits, table=table, diagnostics=diagnostics
-    )
+    triples, diagnostics = ingest.build_triples(posts, comments, edits, table=table)
+    diagnostics.malformed_lines = {
+        "posts": bad_posts, "comments": bad_comments, "history": bad_edits
+    }
     ingest.write_triples(args.out, triples)
     _log(diagnostics.to_json())
     return 0
@@ -99,11 +97,11 @@ def cmd_candidates(args) -> int:
         Path(args.out).write_text("", encoding="utf-8")
         _log(json.dumps({"candidate_sets": 0, "warning": "no triples in input"}))
         return 0
-    by_post = {t.post.post_id: t for t in triples}
+    by_post = {t.post_id: t for t in triples}
     if len(by_post) != len(triples):
         raise UsageError("triples file contains duplicate post ids")
     docs = [
-        (post_id, retrieval.doc_text(t.post.title, t.post.body))
+        (post_id, retrieval.doc_text(t.post_title, t.post_body))
         for post_id, t in sorted(by_post.items())
     ]
     index = retrieval.build_index(docs)

@@ -51,7 +51,10 @@ def load_config(
     """TrainConfig's defaults, then the file's lines, then each `key=value` override, then seed."""
     values: dict[str, object] = {}
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8: {exc}") from None
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

@@ -1,4 +1,4 @@
-"""Ranking metrics, label regimes, agreement, and significance testing.
+"""Ranking metrics, label regimes, and significance testing.
 
 Rankings are scored with precision at k and mean average precision against
 one of four label regimes: the union of the two annotators' best picks, the
@@ -9,7 +9,7 @@ annotation labels restricted to the nine non-original candidates.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -51,28 +51,16 @@ class LabelSet:
 
 @dataclass
 class MetricReport:
+    """The mean metrics over n_posts scored posts, in report order."""
+
+    n_posts: int
     p_at_1: float
     p_at_3: float
     p_at_5: float
     map: float
-    n_posts: int
 
-    def to_dict(self, model: str = "", mode: str = "") -> dict:
-        out = {}
-        if model:
-            out["model"] = model
-        if mode:
-            out["mode"] = mode
-        out.update(
-            {
-                "n_posts": self.n_posts,
-                "p_at_1": self.p_at_1,
-                "p_at_3": self.p_at_3,
-                "p_at_5": self.p_at_5,
-                "map": self.map,
-            }
-        )
-        return out
+    def to_dict(self, model: str, mode: str) -> dict:
+        return {"model": model, "mode": mode, **asdict(self)}
 
     def format_table(self, model: str = "", mode: str = "") -> str:
         header = f"{'model':<14} {'mode':<20} {'n':>5} {'p@1':>7} {'p@3':>7} {'p@5':>7} {'MAP':>7}"
@@ -178,25 +166,6 @@ def build_labelsets(
     return labelsets
 
 
-def cohen_kappa(labels_a: Sequence, labels_b: Sequence) -> float:
-    """Chance-corrected agreement between two categorical label sequences."""
-    if len(labels_a) != len(labels_b):
-        raise EvaluationError("label sequences must have equal length")
-    if not labels_a:
-        raise EvaluationError("label sequences are empty")
-    n = len(labels_a)
-    observed = sum(1 for a, b in zip(labels_a, labels_b) if a == b) / n
-    categories = set(labels_a) | set(labels_b)
-    expected = 0.0
-    for cat in categories:
-        pa = sum(1 for a in labels_a if a == cat) / n
-        pb = sum(1 for b in labels_b if b == cat) / n
-        expected += pa * pb
-    if expected == 1.0:
-        return 1.0
-    return (observed - expected) / (1.0 - expected)
-
-
 def bootstrap_test(
     scores_a: Sequence[float],
     scores_b: Sequence[float],
@@ -289,11 +258,11 @@ def mean_metrics(per_post: dict[str, dict[str, float]]) -> MetricReport:
         raise EvaluationError("no posts to evaluate")
     values = list(per_post.values())
     return MetricReport(
+        n_posts=len(values),
         p_at_1=float(np.mean([v["p_at_1"] for v in values])),
         p_at_3=float(np.mean([v["p_at_3"] for v in values])),
         p_at_5=float(np.mean([v["p_at_5"] for v in values])),
         map=float(np.mean([v["ap"] for v in values])),
-        n_posts=len(values),
     )
 
 

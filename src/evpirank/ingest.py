@@ -11,11 +11,11 @@ of the post id.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence, get_type_hints
 
 from .embeddings import EmbeddingTable, avg_vector, cos_sim
-from .retrieval import json_isinstance, read_jsonl, tokenize, typed_field
+from .retrieval import read_jsonl, tokenize, typed_fields
 
 ANSWER_SOURCE_EDIT = "edit"
 ANSWER_SOURCE_COMMENT = "comment"
@@ -62,9 +62,11 @@ class EditRecord:
 
 @dataclass
 class Triple:
-    """One (post, question, answer) training record."""
+    """One (post, question, answer) training record: a line of triples.jsonl, in field order."""
 
-    post: PostRecord
+    post_id: str
+    post_title: str
+    post_body: str
     question: str
     question_time: int
     answer: str
@@ -72,58 +74,47 @@ class Triple:
 
 
 @dataclass
-class IngestDiagnostics:
-    """Counts of posts skipped per pipeline stage plus malformed input lines."""
+class Skips:
+    """Posts skipped at each pipeline stage, in stage order."""
 
-    posts_in: int = 0
-    triples_out: int = 0
     no_question: int = 0
     rhetorical: int = 0
     no_answer: int = 0
     invariant_violation: int = 0
+
+
+@dataclass
+class IngestDiagnostics:
+    """Counts of posts skipped per pipeline stage plus malformed input lines, in output order."""
+
+    posts_in: int = 0
+    triples_out: int = 0
+    skipped: Skips = field(default_factory=Skips)
     malformed_lines: dict[str, int] = field(default_factory=dict)
     orphan_records: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "posts_in": self.posts_in,
-                "triples_out": self.triples_out,
-                "skipped": {
-                    "no_question": self.no_question,
-                    "rhetorical": self.rhetorical,
-                    "no_answer": self.no_answer,
-                    "invariant_violation": self.invariant_violation,
-                },
-                "malformed_lines": self.malformed_lines,
-                "orphan_records": self.orphan_records,
-            },
-            ensure_ascii=False,
-        )
+        return json.dumps(asdict(self), ensure_ascii=False)
 
 
 def _load_records(path, record_type):
-    """Read a JSONL file of record_type's typed fields; malformed lines are skipped and counted."""
-    fields = get_type_hints(record_type)
+    """Read a JSONL file of record_type's typed fields; malformed lines are skipped and counted.
+
+    A line is malformed when it is not UTF-8, not JSON, not an object, or
+    lacks a field or holds one of the wrong type.
+    """
+    kinds = get_type_hints(record_type)
     records = []
     malformed = 0
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line in handle:
-            if not line.strip():
-                continue
             try:
-                raw = json.loads(line)
-            except json.JSONDecodeError:
+                text = line.decode("utf-8")
+                if not text.strip():
+                    continue
+                records.append(record_type(**typed_fields(json.loads(text), kinds)))
+            except (ValueError, KeyError, TypeError):  # a bad decode or JSON is a ValueError
                 malformed += 1
-                continue
-            if not isinstance(raw, dict):
-                malformed += 1
-                continue
-            values = {name: raw.get(name) for name in fields}
-            if not all(json_isinstance(values[name], typ) for name, typ in fields.items()):
-                malformed += 1
-                continue
-            records.append(record_type(**values))
     return records, malformed
 
 
@@ -216,10 +207,10 @@ def select_answer(
     return edit_answer, ANSWER_SOURCE_EDIT
 
 
-def _triple_valid(triple: Triple) -> bool:
+def _triple_valid(post: PostRecord, triple: Triple) -> bool:
     if not triple.question.endswith("?"):
         return False
-    if triple.question_time <= triple.post.created_at:
+    if triple.question_time <= post.created_at:
         return False
     if not triple.answer:
         return False
@@ -234,14 +225,13 @@ def build_triples(
     comments: Iterable[CommentRecord],
     edits: Iterable[EditRecord],
     table: EmbeddingTable | None = None,
-    diagnostics: IngestDiagnostics | None = None,
 ) -> tuple[list[Triple], IngestDiagnostics]:
     """Run the full extraction pipeline; output is ordered by post_id.
 
     Emits at most one triple per post. Posts failing any stage are skipped
     and counted in the diagnostics.
     """
-    diag = diagnostics if diagnostics is not None else IngestDiagnostics()
+    diag = IngestDiagnostics()
     if table is None:
         table = EmbeddingTable.empty()
     posts = sorted(posts, key=lambda p: p.post_id)
@@ -265,27 +255,29 @@ def build_triples(
         post_comments = comments_by_post.get(post.post_id, [])
         extracted = extract_question(post, post_comments)
         if extracted is None:
-            diag.no_question += 1
+            diag.skipped.no_question += 1
             continue
         question, question_time = extracted
         if is_rhetorical(question):
-            diag.rhetorical += 1
+            diag.skipped.rhetorical += 1
             continue
         edit_answer = extract_answer_edit(post, edits_by_post.get(post.post_id, []), question_time)
         comment_answer = extract_answer_comment(post, post_comments, question_time)
         if edit_answer is None and comment_answer is None:
-            diag.no_answer += 1
+            diag.skipped.no_answer += 1
             continue
         answer, source = select_answer(edit_answer, comment_answer, question, table)
         triple = Triple(
-            post=post,
+            post_id=post.post_id,
+            post_title=post.title,
+            post_body=post.body,
             question=question,
             question_time=question_time,
             answer=answer,
             answer_source=source,
         )
-        if not _triple_valid(triple):
-            diag.invariant_violation += 1
+        if not _triple_valid(post, triple):
+            diag.skipped.invariant_violation += 1
             continue
         triples.append(triple)
         diag.triples_out += 1
@@ -320,37 +312,10 @@ def write_triples(path, triples: Iterable[Triple]) -> None:
     """Write triples.jsonl, UTF-8 with LF line endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for triple in triples:
-            record = {
-                "post_id": triple.post.post_id,
-                "post_title": triple.post.title,
-                "post_body": triple.post.body,
-                "question": triple.question,
-                "question_time": triple.question_time,
-                "answer": triple.answer,
-                "answer_source": triple.answer_source,
-            }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            handle.write(json.dumps(vars(triple), ensure_ascii=False) + "\n")
 
 
 def read_triples(path) -> list[Triple]:
-    """Load triples.jsonl.
-
-    Author and creation time are not stored in the file; the reconstructed
-    PostRecord carries placeholders for them.
-    """
-    return read_jsonl(
-        path,
-        lambda raw: Triple(
-            post=PostRecord(
-                post_id=typed_field(raw, "post_id", str),
-                author_id="",
-                title=typed_field(raw, "post_title", str),
-                body=typed_field(raw, "post_body", str),
-                created_at=0,
-            ),
-            question=typed_field(raw, "question", str),
-            question_time=typed_field(raw, "question_time", int),
-            answer=typed_field(raw, "answer", str),
-            answer_source=typed_field(raw, "answer_source", str),
-        ),
-    )
+    """Load triples.jsonl."""
+    kinds = get_type_hints(Triple)
+    return read_jsonl(path, lambda raw: Triple(**typed_fields(raw, kinds)))

@@ -506,18 +506,20 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     header_lines = blob[:head_end].decode("utf-8").split("\n")
     if header_lines[0] != CHECKPOINT_HEADER:
         raise ValueError(f"not a checkpoint file (missing {CHECKPOINT_HEADER!r} header)")
-    manifest = []
+    manifest: dict[str, tuple[int, ...]] = {}
     try:
         for line in header_lines[2 : 2 + int(header_lines[1])]:
             name, ndim, *dims = line.split(" ")
             if len(dims) != int(ndim):
                 raise ValueError(f"tensor {name!r} has {len(dims)} dimensions, expected {ndim}")
-            manifest.append((name, tuple(int(v) for v in dims)))
+            if name in manifest:
+                raise ValueError(f"tensor {name!r} is listed twice")
+            manifest[name] = tuple(int(v) for v in dims)
     except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed checkpoint manifest: {exc}") from None
     tensors: dict[str, np.ndarray] = {}
     offset = head_end + len(marker)
-    for name, shape in manifest:
+    for name, shape in manifest.items():
         count = int(np.prod(shape)) if shape else 1
         if offset + count * 8 > len(blob):
             raise ValueError(f"checkpoint truncated while reading tensor {name!r}")

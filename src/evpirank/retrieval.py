@@ -180,8 +180,8 @@ def generate_candidates(
     triple = triples_by_post.get(post_id)
     if triple is None:
         raise RetrievalError(f"post has no triple: {post_id!r}")
-    query = tokenize(doc_text(triple.post.title, triple.post.body))
-    ranked = top_k(index, query, k)
+    text = doc_text(triple.post_title, triple.post_body)
+    ranked = top_k(index, tokenize(text), k)
     ids = [doc_id for doc_id, _ in ranked]
     if post_id not in ids:
         raise RetrievalError(f"post {post_id!r} is not among its own top-{k} matches")
@@ -189,7 +189,7 @@ def generate_candidates(
     answers = [triples_by_post[d].answer for d in ids]
     return CandidateSet(
         post_id=post_id,
-        post_body=doc_text(triple.post.title, triple.post.body),
+        post_body=text,
         questions=questions,
         answers=answers,
         source_post_ids=ids,
@@ -216,15 +216,8 @@ def write_candidates(path: str | Path, sets: Iterable[CandidateSet]) -> None:
     """Write candidates.jsonl: one JSON object per post, UTF-8, LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for cs in sets:
-            record = {
-                "post_id": cs.post_id,
-                "post_body": cs.post_body,
-                "questions": cs.questions,
-                "answers": cs.answers,
-                "source_post_ids": cs.source_post_ids,
-                "original_index": cs.original_index,
-            }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            # vars, not asdict: the fields in declared order, the lists uncopied
+            handle.write(json.dumps(vars(cs), ensure_ascii=False) + "\n")
 
 
 def read_jsonl(path: str | Path, build: Callable[[dict], Any], error=ValueError) -> list:
@@ -278,6 +271,11 @@ def typed_field(record: dict, key: str, kinds: type | tuple[type, ...]) -> Any:
     if not json_isinstance(record[key], kinds):
         raise TypeError(f"{key} must be {JSON_TYPE_NAMES[kinds][0]}")
     return record[key]
+
+
+def typed_fields(record: dict, kinds: Mapping[str, type]) -> dict:
+    """typed_field of each name in kinds, e.g. a record type's get_type_hints, in its order."""
+    return {name: typed_field(record, name, kind) for name, kind in kinds.items()}
 
 
 def list_field(record: dict, key: str, kinds: type | tuple[type, ...]) -> list:

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from evpirank.embeddings import AvgVector, EmbeddingTable, avg_vector, cos_sim
+from evpirank.evaluation import EvaluationError
 from evpirank.evpi import BCE_CLAMP, NeuralParams, expected_value
 from evpirank.neural import LstmParams, feedforward_forward, sigmoid
 from evpirank.retrieval import CandidateSet, tokenize
@@ -140,6 +141,25 @@ def brute_average_precision(order: list[int], relevant: set[int]) -> float:
             seen += 1
             running.append(seen / (position + 1))
     return sum(running) / len(relevant)
+
+
+def cohen_kappa(labels_a: Sequence, labels_b: Sequence) -> float:
+    """Chance-corrected agreement between two categorical label sequences."""
+    if len(labels_a) != len(labels_b):
+        raise EvaluationError("label sequences must have equal length")
+    if not labels_a:
+        raise EvaluationError("label sequences are empty")
+    n = len(labels_a)
+    observed = sum(1 for a, b in zip(labels_a, labels_b) if a == b) / n
+    categories = set(labels_a) | set(labels_b)
+    expected = 0.0
+    for cat in categories:
+        pa = sum(1 for a in labels_a if a == cat) / n
+        pb = sum(1 for b in labels_b if b == cat) / n
+        expected += pa * pb
+    if expected == 1.0:
+        return 1.0
+    return (observed - expected) / (1.0 - expected)
 
 
 # ---------------------------------------------------------------------------

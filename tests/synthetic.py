@@ -8,7 +8,7 @@ import types
 
 from evpirank.embeddings import EmbeddingTable
 from evpirank.evpi import NeuralParams
-from evpirank.ingest import PostRecord, Triple
+from evpirank.ingest import Triple
 from evpirank.neural import LstmParams, lstm_forward
 from evpirank.retrieval import CandidateSet, build_index, doc_text, generate_candidates
 
@@ -90,16 +90,13 @@ def make_clustered_corpus(
         body = " ".join(body_words[j] for j in perm)
         question = f"which {code_a} {code_b} {f'qword{family}'}?"
         answer = f"{code_a} {code_b} value {f'aword{family}'}"
-        post = PostRecord(
-            post_id=f"s{i:03d}", author_id=f"a{i}", title=f"topic{family}x0 issue",
-            body=body, created_at=1000,
-        )
-        triples[post.post_id] = Triple(
-            post=post, question=question, question_time=1010, answer=answer,
-            answer_source="comment",
+        post_id = f"s{i:03d}"
+        triples[post_id] = Triple(
+            post_id=post_id, post_title=f"topic{family}x0 issue", post_body=body,
+            question=question, question_time=1010, answer=answer, answer_source="comment",
         )
     index = build_index(
-        (post_id, doc_text(t.post.title, t.post.body)) for post_id, t in sorted(triples.items())
+        (post_id, doc_text(t.post_title, t.post_body)) for post_id, t in sorted(triples.items())
     )
     sets = [generate_candidates(index, triples, post_id, k=10) for post_id in sorted(triples)]
     return table, sets

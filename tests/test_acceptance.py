@@ -16,7 +16,6 @@ from evpirank.cli import main
 from evpirank.evaluation import (
     average_precision,
     bootstrap_test,
-    cohen_kappa,
     evaluate,
     precision_at_k,
 )
@@ -25,7 +24,13 @@ from evpirank.gradsuite import run_gradient_suite
 from evpirank.retrieval import build_index, tokenize, top_k
 from evpirank.training import TrainConfig, train
 
-from tests.oracles import BruteCorpus, answer_prob, brute_average_precision, brute_precision_at_k
+from tests.oracles import (
+    BruteCorpus,
+    answer_prob,
+    brute_average_precision,
+    brute_precision_at_k,
+    cohen_kappa,
+)
 from tests.synthetic import (
     make_clustered_corpus,
     make_random_rankings_fixture,
@@ -135,7 +140,7 @@ class TestCriterion3MetricOracleEquivalence:
             and got.p_at_5 == expected["p_at_5"]
             and got.map == expected["map"]
         )
-        report(3, "metric-hand-fixture", ok, f"report {got.to_dict()} == hand values")
+        report(3, "metric-hand-fixture", ok, f"report {got} == hand values")
 
 
 class TestCriterion4RetrievalCorrectness:

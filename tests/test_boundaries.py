@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from evpirank.baselines import NGRAM_FEATURE_SPACE, CqaModel, NgramModel
 from evpirank.cli import main
 from evpirank.evpi import MODEL_PARTS, NeuralParams, rank_from_scores, read_rankings, write_rankings
-from evpirank.ingest import PostRecord, Triple, read_triples, write_triples
+from evpirank.ingest import Triple, read_triples, write_triples
 from evpirank.neural import assign_tensors, load_checkpoint, save_checkpoint
 from evpirank.retrieval import CandidateSet, read_candidates, write_candidates
 from evpirank.rng import substream
@@ -77,12 +77,10 @@ TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 
 @st.composite
 def triples(draw) -> Triple:
-    # The file holds no author or creation time; they read back as "" and 0.
-    post = PostRecord(
-        post_id=draw(TEXT), author_id="", title=draw(TEXT), body=draw(TEXT), created_at=0
-    )
     return Triple(
-        post=post,
+        post_id=draw(TEXT),
+        post_title=draw(TEXT),
+        post_body=draw(TEXT),
         question=draw(TEXT),
         question_time=draw(st.integers(-(2**63), 2**63)),
         answer=draw(TEXT),

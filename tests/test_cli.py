@@ -1,6 +1,7 @@
 """End-to-end CLI behavior over the shipped fixture dump."""
 
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -51,6 +52,21 @@ class TestIngestCommand:
         diagnostics = json.loads(err.strip().splitlines()[-1])
         assert diagnostics["triples_out"] == 7
         assert diagnostics["skipped"]["rhetorical"] == 1
+
+    def test_non_utf8_line_is_skipped_and_counted(self, tmp_path, capsys):
+        posts = tmp_path / "posts.jsonl"
+        posts.write_bytes((DUMP / "posts.jsonl").read_bytes() + b'\xff\xfe{"bad": 1}\n')
+        out = tmp_path / "triples.jsonl"
+        argv = ingest_args(out)
+        argv[argv.index("--posts") + 1] = str(posts)
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "golden" / "triples.jsonl").read_bytes()
+        assert err.splitlines()[-1] == (
+            '{"posts_in": 10, "triples_out": 7, "skipped": {"no_question": 1, "rhetorical": 1, '
+            '"no_answer": 1, "invariant_violation": 0}, "malformed_lines": {"posts": 1, '
+            '"comments": 1, "history": 0}, "orphan_records": 0}'
+        )
 
     def test_missing_input_file_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -670,6 +686,12 @@ class TestMalformedInputFiles:
             bad.write_text(self.BAD_LINE, encoding="utf-8")
         self.assert_usage_error(pipeline, capsys, tmp_path, reader, bad, "")
 
+    def test_checkpoint_naming_a_tensor_twice_is_usage_error(self, pipeline, capsys, tmp_path):
+        bad = tmp_path / "twice.ckpt"
+        bad.write_bytes(b"EVPIRANK-CKPT v1\n2\nff/W0 1 1\nff/W0 1 1\ndata\n" + bytes(16))
+        message = "malformed checkpoint manifest: tensor 'ff/W0' is listed twice"
+        self.assert_usage_error(pipeline, capsys, tmp_path, "checkpoint", bad, message)
+
     @staticmethod
     def assert_usage_error(pipeline, capsys, tmp_path, reader, bad, message):
         """The command reading bad as its reader's input exits 2 with message."""
@@ -1189,6 +1211,16 @@ class TestConfig:
     def test_malformed_override(self):
         with pytest.raises(ConfigError):
             load_config(overrides=["hidden_dim"])
+
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "run.conf"
+        path.write_bytes(b"lr = \xff\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: not UTF-8")):
+            load_config(path)
+        code, out, err = run(capsys, "gradcheck", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"error: {path}: not UTF-8" in err
 
     def test_resolved_lists_every_key(self):
         resolved = json.loads(resolved_json(load_config()))["config"]

@@ -12,7 +12,6 @@ from evpirank.evaluation import (
     average_precision,
     build_labelsets,
     bootstrap_test,
-    cohen_kappa,
     evaluate,
     per_post_metrics,
     precision_at_k,
@@ -22,7 +21,7 @@ from evpirank.evaluation import (
 from evpirank.evpi import RankedList
 from evpirank.retrieval import CandidateSet
 
-from tests.oracles import brute_average_precision, brute_precision_at_k
+from tests.oracles import brute_average_precision, brute_precision_at_k, cohen_kappa
 
 
 def candidate_set(post_id: str, original: int = 0, n: int = 10) -> CandidateSet:

@@ -172,9 +172,9 @@ class TestBuildTriplesFixture:
         assert out.read_bytes() == (FIXTURES / "golden" / "triples.jsonl").read_bytes()
         assert diag.posts_in == 10
         assert diag.triples_out == 7
-        assert diag.no_question == 1
-        assert diag.rhetorical == 1
-        assert diag.no_answer == 1
+        assert diag.skipped.no_question == 1
+        assert diag.skipped.rhetorical == 1
+        assert diag.skipped.no_answer == 1
 
     def test_all_rhetorical_first_questions_gives_empty_output(self):
         posts = [post("p1"), post("p2", author="u2")]
@@ -184,14 +184,14 @@ class TestBuildTriplesFixture:
         ]
         triples, diag = build_triples(posts, comments, [])
         assert triples == []
-        assert diag.rhetorical == 2
+        assert diag.skipped.rhetorical == 2
 
     def test_post_without_answer_skipped(self):
         posts = [post("p1")]
         comments = [comment("c1", "p1", "u9", "what happened?", 5)]
         triples, diag = build_triples(posts, comments, [])
         assert triples == []
-        assert diag.no_answer == 1
+        assert diag.skipped.no_answer == 1
 
     def test_round_trip_through_file(self, tmp_path):
         posts, _ = read_posts(FIXTURES / "dump" / "posts.jsonl")
@@ -202,7 +202,7 @@ class TestBuildTriplesFixture:
         out = tmp_path / "triples.jsonl"
         write_triples(out, triples)
         loaded = read_triples(out)
-        assert [t.post.post_id for t in loaded] == [t.post.post_id for t in triples]
+        assert [t.post_id for t in loaded] == [t.post_id for t in triples]
         assert [t.answer for t in loaded] == [t.answer for t in triples]
 
 
@@ -241,24 +241,25 @@ class TestBuildTriplesProperties:
         for _ in range(20):
             posts, comments, edits = random_dump(rng)
             triples, _ = build_triples(posts, comments, edits)
+            created = {p.post_id: p.created_at for p in posts}
             seen = set()
             for t in triples:
                 assert t.question.endswith("?")
-                assert t.question_time > t.post.created_at
+                assert t.question_time > created[t.post_id]
                 assert t.answer
                 if t.answer_source == "edit":
                     assert len(t.answer.split()) >= 5
-                assert t.post.post_id not in seen  # at most one triple per post
-                seen.add(t.post.post_id)
-            assert [t.post.post_id for t in triples] == sorted(t.post.post_id for t in triples)
+                assert t.post_id not in seen  # at most one triple per post
+                seen.add(t.post_id)
+            assert [t.post_id for t in triples] == sorted(t.post_id for t in triples)
 
     def test_determinism(self):
         rng = np.random.default_rng(99)
         posts, comments, edits = random_dump(rng)
         first, _ = build_triples(posts, comments, edits)
         second, _ = build_triples(posts, comments, edits)
-        assert [(t.post.post_id, t.question, t.answer) for t in first] == [
-            (t.post.post_id, t.question, t.answer) for t in second
+        assert [(t.post_id, t.question, t.answer) for t in first] == [
+            (t.post_id, t.question, t.answer) for t in second
         ]
 
 

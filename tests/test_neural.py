@@ -306,6 +306,10 @@ class TestCheckpoints:
         path.write_bytes(blob.replace(b"\ndata\n", b"\nDATA\n"))
         with pytest.raises(ValueError, match="no data section"):
             load_checkpoint(path)
+        # Both copies' bytes are present, so only the repeated name is wrong.
+        path.write_bytes(b"EVPIRANK-CKPT v1\n2\nw 1 1\nw 1 1\ndata\n" + bytes(16))
+        with pytest.raises(ValueError, match="tensor 'w' is listed twice"):
+            load_checkpoint(path)
 
     def test_each_tensor_is_one_owned_copy(self, tmp_path):
         # 4 MB of tensors: the load holds the file's bytes and one copy of

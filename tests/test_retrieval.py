@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evpirank.ingest import PostRecord, Triple
+from evpirank.ingest import Triple
 from evpirank.retrieval import (
     RetrievalError,
     build_index,
@@ -25,7 +25,9 @@ GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
 def make_triple(post_id: str, title: str, body: str) -> Triple:
     return Triple(
-        post=PostRecord(post_id=post_id, author_id="a", title=title, body=body, created_at=1),
+        post_id=post_id,
+        post_title=title,
+        post_body=body,
         question=f"q about {post_id}?",
         question_time=10,
         answer=f"answer for {post_id}",
@@ -190,9 +192,9 @@ class TestTopK:
 
 class TestGenerateCandidates:
     def build(self, triples):
-        by_post = {t.post.post_id: t for t in triples}
+        by_post = {t.post_id: t for t in triples}
         index = build_index(
-            (pid, doc_text(t.post.title, t.post.body)) for pid, t in sorted(by_post.items())
+            (pid, doc_text(t.post_title, t.post_body)) for pid, t in sorted(by_post.items())
         )
         return index, by_post
 
@@ -224,7 +226,7 @@ class TestGenerateCandidates:
         assert set(cs_b.source_post_ids[:2]) == {"pa", "pb"}
         # byte-identical duplicates: ties resolve by doc id, self still present
         docs = {
-            pid: doc_text(t.post.title, t.post.body) for pid, t in by_post.items()
+            pid: doc_text(t.post_title, t.post_body) for pid, t in by_post.items()
         }
         brute = brute_top_k(docs, tokenize(docs["pb"]), 2)
         assert [d for d, _ in brute] == cs_b.source_post_ids[:2]

@@ -44,7 +44,7 @@ def fixture_run():
         table=table,
     )
     sets = retrieval.read_candidates(FIXTURES / "golden" / "candidates.jsonl")
-    docs = sorted((t.post.post_id, retrieval.doc_text(t.post.title, t.post.body)) for t in built[0])
+    docs = sorted((t.post_id, retrieval.doc_text(t.post_title, t.post_body)) for t in built[0])
     index = retrieval.build_index(docs)
     query = retrieval.tokenize(docs[0][1])
     tokens = retrieval.tokenize(sets[0].post_body) + ["cpu", "ram"]
