@@ -98,8 +98,6 @@ def cmd_candidates(args) -> int:
         _log(json.dumps({"candidate_sets": 0, "warning": "no triples in input"}))
         return 0
     by_post = {t.post_id: t for t in triples}
-    if len(by_post) != len(triples):
-        raise UsageError("triples file contains duplicate post ids")
     docs = [
         (post_id, retrieval.doc_text(t.post_title, t.post_body))
         for post_id, t in sorted(by_post.items())

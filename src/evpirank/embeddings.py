@@ -72,12 +72,18 @@ def parse_embeddings(reader: Iterable[str]) -> tuple[list[str], np.ndarray]:
 
     EmbeddingTable.of turns the two into a table, where a repeated word keeps
     its first row. The dimension is inferred from the first line; later lines
-    must match it. A malformed line, or one with nan, inf or an overflowing
-    value (1e999), raises EmbeddingFormatError naming its 1-based line number.
+    must match it. A malformed line, one with nan, inf or an overflowing value
+    (1e999), or one that is not UTF-8 (it holds a lone surrogate, as a bad
+    byte decodes under surrogateescape) raises EmbeddingFormatError naming
+    its 1-based line number.
     """
     words: list[str] = []
     rows: list[np.ndarray] = []
     for lineno, line in enumerate(reader, start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise EmbeddingFormatError(f"line {lineno}: not UTF-8") from None
         if not line.strip():
             raise EmbeddingFormatError(f"line {lineno}: empty line")
         parts = line.split()
@@ -127,8 +133,8 @@ def _parse_file(path: str | Path) -> tuple[list[str], np.ndarray]:
             matrix = np.loadtxt(values(handle), dtype=np.float64, comments=None, ndmin=2)
         if not np.isfinite(matrix).all():
             raise ValueError("a non-finite value")
-    except ValueError:
-        with open(path, "r", encoding="utf-8") as handle:
+    except ValueError:  # a bad byte too: a UnicodeDecodeError is a ValueError
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             return parse_embeddings(handle)
     return words, matrix
 

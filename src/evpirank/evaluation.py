@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .evpi import RankedList
-from .retrieval import CandidateSet, list_field, read_jsonl, typed_field
+from .retrieval import CandidateSet, read_jsonl
 from .rng import substream
 
 MODES = ("best_union", "valid_intersection", "original", "exclude_original")
@@ -278,21 +278,7 @@ def valid_intersection_histogram(annotations: Iterable[Annotation]) -> dict[int,
 
 def read_annotations(path: str | Path) -> list[Annotation]:
     """Load annotations.jsonl: post_id, annotator_id, best, valid[], once per post and annotator."""
-    seen: set[tuple[str, str]] = set()
-
-    def build(raw: dict) -> Annotation:
-        ann = Annotation(
-            post_id=typed_field(raw, "post_id", str),
-            annotator_id=typed_field(raw, "annotator_id", str),
-            best=typed_field(raw, "best", int),
-            valid=set(list_field(raw, "valid", int)),
-        )
-        if (ann.post_id, ann.annotator_id) in seen:
-            raise EvaluationError(
-                f"post {ann.post_id!r}: annotator {ann.annotator_id!r} already appears on an "
-                "earlier line"
-            )
-        seen.add((ann.post_id, ann.annotator_id))
-        return ann
-
-    return read_jsonl(path, build, EvaluationError)
+    return read_jsonl(
+        path, Annotation, key=lambda a: f"post {a.post_id!r}: annotator {a.annotator_id!r}",
+        error=EvaluationError,
+    )

@@ -32,7 +32,7 @@ from .neural import (
     sigmoid,
     zeros_like_tensors,
 )
-from .retrieval import CandidateSet, list_field, read_jsonl, tokenize, typed_field
+from .retrieval import CandidateSet, read_jsonl, tokenize
 
 BCE_CLAMP = 1e-12
 
@@ -446,38 +446,24 @@ class EvpiModel(NeuralModel):
 
 def write_rankings(path: str | Path, model_name: str, ranked: Iterable[RankedList]) -> None:
     """One JSON line per list; a non-finite score raises ValueError before path is opened."""
-    records = (
-        {"post_id": rl.post_id, "model": model_name, "order": rl.order, "scores": rl.scores}
-        for rl in ranked
-    )
+    # model follows post_id; vars(rl) then rewrites post_id in place and adds the other fields
+    records = ({"post_id": rl.post_id, "model": model_name, **vars(rl)} for rl in ranked)
     lines = [json.dumps(record, ensure_ascii=False, allow_nan=False) + "\n" for record in records]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.writelines(lines)
 
 
+def _check_ranking(rl: RankedList) -> None:
+    """An order must be a permutation with one finite score per entry."""
+    where, n = f"post {rl.post_id!r}", len(rl.order)
+    if sorted(rl.order) != list(range(n)):
+        raise ValueError(f"{where}: order {rl.order} is not a permutation of range({n})")
+    if len(rl.scores) != n:
+        raise ValueError(f"{where}: {len(rl.scores)} scores for {n} entries")
+    if not np.isfinite(rl.scores).all():
+        raise ValueError(f"{where}: scores hold a non-finite value")
+
+
 def read_rankings(path: str | Path) -> list[RankedList]:
-    """Load rankings.jsonl; each order must be a permutation with one finite score per entry.
-
-    A post id may appear on one line only.
-    """
-    seen: set[str] = set()
-
-    def build(raw: dict) -> RankedList:
-        rl = RankedList(
-            post_id=typed_field(raw, "post_id", str),
-            order=list_field(raw, "order", int),
-            scores=[float(v) for v in list_field(raw, "scores", (int, float))],
-        )
-        where, n = f"post {rl.post_id!r}", len(rl.order)
-        if rl.post_id in seen:
-            raise ValueError(f"{where}: already appears on an earlier line")
-        seen.add(rl.post_id)
-        if sorted(rl.order) != list(range(n)):
-            raise ValueError(f"{where}: order {rl.order} is not a permutation of range({n})")
-        if len(rl.scores) != n:
-            raise ValueError(f"{where}: {len(rl.scores)} scores for {n} entries")
-        if not np.isfinite(rl.scores).all():
-            raise ValueError(f"{where}: scores hold a non-finite value")
-        return rl
-
-    return read_jsonl(path, build)
+    """Load rankings.jsonl: one line per post, each ranking consistent (_check_ranking)."""
+    return read_jsonl(path, RankedList, _check_ranking)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence, get_type_hints
+from typing import Iterable, Sequence
 
 from .embeddings import EmbeddingTable, avg_vector, cos_sim
-from .retrieval import read_jsonl, tokenize, typed_fields
+from .retrieval import field_kinds, read_jsonl, tokenize, typed_fields
 
 ANSWER_SOURCE_EDIT = "edit"
 ANSWER_SOURCE_COMMENT = "comment"
@@ -103,7 +103,7 @@ def _load_records(path, record_type):
     A line is malformed when it is not UTF-8, not JSON, not an object, or
     lacks a field or holds one of the wrong type.
     """
-    kinds = get_type_hints(record_type)
+    fields = field_kinds(record_type)
     records = []
     malformed = 0
     with open(path, "rb") as handle:
@@ -112,17 +112,21 @@ def _load_records(path, record_type):
                 text = line.decode("utf-8")
                 if not text.strip():
                     continue
-                records.append(record_type(**typed_fields(json.loads(text), kinds)))
+                records.append(record_type(**typed_fields(json.loads(text), fields)))
             except (ValueError, KeyError, TypeError):  # a bad decode or JSON is a ValueError
                 malformed += 1
     return records, malformed
 
 
 def read_posts(path) -> tuple[list[PostRecord], int]:
+    """Posts with an id and a positive created_at, the first of each id; the rest are malformed."""
     records, malformed = _load_records(path, PostRecord)
-    valid = [r for r in records if r.post_id and r.created_at > 0]
+    valid: dict[str, PostRecord] = {}
+    for r in records:
+        if r.post_id and r.created_at > 0:
+            valid.setdefault(r.post_id, r)
     malformed += len(records) - len(valid)
-    return valid, malformed
+    return list(valid.values()), malformed
 
 
 def read_comments(path) -> tuple[list[CommentRecord], int]:
@@ -316,6 +320,5 @@ def write_triples(path, triples: Iterable[Triple]) -> None:
 
 
 def read_triples(path) -> list[Triple]:
-    """Load triples.jsonl."""
-    kinds = get_type_hints(Triple)
-    return read_jsonl(path, lambda raw: Triple(**typed_fields(raw, kinds)))
+    """Load triples.jsonl: one line per post."""
+    return read_jsonl(path, Triple)

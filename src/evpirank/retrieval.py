@@ -7,12 +7,13 @@ so its own question/answer pair is always among the candidates.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -220,22 +221,38 @@ def write_candidates(path: str | Path, sets: Iterable[CandidateSet]) -> None:
             handle.write(json.dumps(vars(cs), ensure_ascii=False) + "\n")
 
 
-def read_jsonl(path: str | Path, build: Callable[[dict], Any], error=ValueError) -> list:
-    """build(record) for each JSON object line of path; blank lines are skipped.
+def post_key(record) -> str:
+    """How errors name a record of a file that holds each post once."""
+    return f"post {record.post_id!r}:"
 
-    A line that is not JSON, not an object, lacks a field build reads, or
-    holds a value build rejects raises error naming the line.
+
+def read_jsonl(path, record_type: type, check=None, key=post_key, error=ValueError) -> list:
+    """record_type(**typed_fields(...)) of each JSON object line of path; blank lines are skipped.
+
+    No two records may share a key(record); check(record) raises ValueError
+    for fields that disagree. A line that is not UTF-8 or not JSON, lacks a
+    field, holds a value of the wrong type, or that key or check rejects
+    raises error naming the line. Lines end at LF; a CR before it is
+    whitespace.
     """
+    fields = field_kinds(record_type)
     out = []
-    with open(path, "r", encoding="utf-8") as handle:
+    keys: set[str] = set()
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
             try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise TypeError("expected a JSON object")
-                out.append(build(record))
+                text = line.decode("utf-8")
+                if not text.strip():
+                    continue
+                record = record_type(**typed_fields(json.loads(text), fields))
+                if (name := key(record)) in keys:
+                    raise ValueError(f"{name} already appears on an earlier line")
+                keys.add(name)
+                if check is not None:
+                    check(record)
+                out.append(record)
+            except UnicodeDecodeError:
+                raise error(f"line {lineno}: not UTF-8") from None
             except KeyError as exc:
                 raise error(f"line {lineno}: missing field {exc}") from None
             except (ValueError, TypeError, OverflowError) as exc:
@@ -243,76 +260,71 @@ def read_jsonl(path: str | Path, build: Callable[[dict], Any], error=ValueError)
     return out
 
 
-def json_isinstance(value: Any, kinds: type | tuple[type, ...]) -> bool:
-    """isinstance for parsed JSON, where a bool is no number and a lone surrogate no string.
-
-    true and false load as bools, which Python counts as ints. A \\ud800 to
-    \\udfff escape without its pair loads as a str that no UTF-8 file can
-    hold, so a command would fail when it writes or hashes it.
-    """
-    if isinstance(value, str) and not value.isascii():
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            return False
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
-# The JSON types a reader asks for, named for its errors: (a value, a list's items).
-JSON_TYPE_NAMES = {
-    str: ("a string", "strings"),
-    int: ("an integer", "integers"),
-    (int, float): ("a number", "numbers"),
+# The JSON value types a field's item type takes, named for its errors: (a
+# value, a list's items). Types match exactly, so true and false, which load
+# as bools, are no numbers.
+JSON_KINDS = {
+    str: (frozenset({str}), "a string", "strings"),
+    int: (frozenset({int}), "an integer", "integers"),
+    float: (frozenset({int, float}), "a number", "numbers"),
 }
 
 
-def typed_field(record: dict, key: str, kinds: type | tuple[type, ...]) -> Any:
-    """record[key], which must be of one of the JSON_TYPE_NAMES kinds."""
-    if not json_isinstance(record[key], kinds):
-        raise TypeError(f"{key} must be {JSON_TYPE_NAMES[kinds][0]}")
-    return record[key]
+@functools.cache
+def field_kinds(record_type: type) -> dict[str, tuple]:
+    """How typed_fields reads each field of record_type, from its type hint, once per type.
+
+    name -> (list, set or None; the JSON types of a value or item; the error
+    for any other value; float to convert a float value or item, or None).
+    """
+    fields = {}
+    for name, hint in get_type_hints(record_type).items():
+        container = get_origin(hint)
+        item = get_args(hint)[0] if container else hint
+        types, one, many = JSON_KINDS[item]
+        error = f"{name} must be a list of {many}" if container else f"{name} must be {one}"
+        fields[name] = (container, types, error, float if item is float else None)
+    return fields
 
 
-def typed_fields(record: dict, kinds: Mapping[str, type]) -> dict:
-    """typed_field of each name in kinds, e.g. a record type's get_type_hints, in its order."""
-    return {name: typed_field(record, name, kind) for name, kind in kinds.items()}
+def typed_fields(record: Any, fields: Mapping[str, tuple]) -> dict:
+    """Each field_kinds field of a parsed JSON object, as its type hint says.
+
+    A str or int field takes that JSON type; a float field takes a JSON int
+    or float and holds a float; a list or set field takes a JSON list of
+    its item type.
+    """
+    if type(record) is not dict:
+        raise TypeError("expected a JSON object")
+    out = {}
+    for name, (container, types, error, convert) in fields.items():
+        value = record[name]
+        items = value if container else [value]
+        if type(items) is not list or not types.issuperset(map(type, items)):
+            raise TypeError(error)
+        if str in types:
+            try:  # a \ud800 escape without its pair loads as a str no UTF-8 file holds
+                "".join(items).encode("utf-8")
+            except UnicodeEncodeError:
+                raise TypeError(error) from None
+        if convert is not None:
+            value = convert(value) if container is None else map(convert, value)
+        out[name] = container(value) if container else value
+    return out
 
 
-def list_field(record: dict, key: str, kinds: type | tuple[type, ...]) -> list:
-    """record[key], which must be a JSON list of one of the JSON_TYPE_NAMES kinds."""
-    value = record[key]
-    if not isinstance(value, list) or not all(json_isinstance(v, kinds) for v in value):
-        raise TypeError(f"{key} must be a list of {JSON_TYPE_NAMES[kinds][1]}")
-    return value
+def _check_candidates(cs: CandidateSet) -> None:
+    """A set's three lists must be equally long and hold original_index."""
+    where, n = f"post {cs.post_id!r}", len(cs)
+    if not n == len(cs.answers) == len(cs.source_post_ids):
+        raise ValueError(
+            f"{where}: {n} questions, {len(cs.answers)} answers and "
+            f"{len(cs.source_post_ids)} source_post_ids"
+        )
+    if cs.original_index not in range(n):
+        raise ValueError(f"{where}: original_index {cs.original_index} is not in range({n})")
 
 
 def read_candidates(path: str | Path) -> list[CandidateSet]:
-    """Load candidates.jsonl; a set's three lists must be equally long and hold original_index.
-
-    A post id may appear on one line only.
-    """
-    seen: set[str] = set()
-
-    def build(record: dict) -> CandidateSet:
-        cs = CandidateSet(
-            post_id=typed_field(record, "post_id", str),
-            post_body=typed_field(record, "post_body", str),
-            questions=list_field(record, "questions", str),
-            answers=list_field(record, "answers", str),
-            source_post_ids=list_field(record, "source_post_ids", str),
-            original_index=typed_field(record, "original_index", int),
-        )
-        where, n = f"post {cs.post_id!r}", len(cs)
-        if cs.post_id in seen:
-            raise ValueError(f"{where}: already appears on an earlier line")
-        seen.add(cs.post_id)
-        if not n == len(cs.answers) == len(cs.source_post_ids):
-            raise ValueError(
-                f"{where}: {n} questions, {len(cs.answers)} answers and "
-                f"{len(cs.source_post_ids)} source_post_ids"
-            )
-        if cs.original_index not in range(n):
-            raise ValueError(f"{where}: original_index {cs.original_index} is not in range({n})")
-        return cs
-
-    return read_jsonl(path, build, RetrievalError)
+    """Load candidates.jsonl: one line per post, each set consistent (_check_candidates)."""
+    return read_jsonl(path, CandidateSet, _check_candidates, error=RetrievalError)

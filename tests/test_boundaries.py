@@ -248,7 +248,7 @@ class TestRoundTrips:
             assert read_candidates(path) == sets
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(triples(), max_size=4))
+    @given(st.lists(triples(), max_size=4, unique_by=lambda t: t.post_id))
     def test_triples_file(self, written):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "triples.jsonl"

@@ -68,6 +68,23 @@ class TestIngestCommand:
             '"comments": 1, "history": 0}, "orphan_records": 0}'
         )
 
+    def test_repeated_post_id_keeps_the_first_post(self, tmp_path, capsys):
+        # A second p01 line used to give p01 two triples, which candidates then refused.
+        posts = tmp_path / "posts.jsonl"
+        lines = (DUMP / "posts.jsonl").read_bytes().splitlines(keepends=True)
+        posts.write_bytes(b"".join(lines + lines[:1]))
+        out = tmp_path / "triples.jsonl"
+        argv = ingest_args(out)
+        argv[argv.index("--posts") + 1] = str(posts)
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "golden" / "triples.jsonl").read_bytes()
+        assert err.splitlines()[-1] == (
+            '{"posts_in": 10, "triples_out": 7, "skipped": {"no_question": 1, "rhetorical": 1, '
+            '"no_answer": 1, "invariant_violation": 0}, "malformed_lines": {"posts": 1, '
+            '"comments": 1, "history": 0}, "orphan_records": 0}'
+        )
+
     def test_missing_input_file_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -196,7 +213,7 @@ class TestTrainRankEvaluate:
         assert main(base_train + ["--out", str(ckpt_a), "--log", str(log_a)]) == 0
         assert main(base_train + ["--out", str(ckpt_b)]) == 0
         assert ckpt_a.read_bytes() == ckpt_b.read_bytes()
-        log_lines = [json.loads(line) for line in log_a.read_text().splitlines()]
+        log_lines = [json.loads(line) for line in log_a.read_text(encoding="utf-8").splitlines()]
         assert len(log_lines) == 2
         assert list(log_lines[0]) == ["epoch", "train_loss", "tune_map"]
 
@@ -245,7 +262,8 @@ class TestTrainRankEvaluate:
             "--log", str(log),
         )
         assert code == 0
-        losses = [json.loads(line)["train_loss"] for line in log.read_text().splitlines()]
+        lines = log.read_text(encoding="utf-8").splitlines()
+        losses = [json.loads(line)["train_loss"] for line in lines]
         assert losses[0] == pytest.approx(losses[-1], abs=1e-12)
 
     def test_ngrams_and_cqa_train_and_rank(self, pipeline, capsys):
@@ -274,7 +292,7 @@ class TestTrainRankEvaluate:
                 "--out", str(rankings),
             )
             assert code == 0
-            assert len(rankings.read_text().splitlines()) == 7
+            assert len(rankings.read_text(encoding="utf-8").splitlines()) == 7
 
     @pytest.mark.parametrize(
         "model", ["evpi", "neural-pq", "neural-pa", "neural-pqa", "ngrams", "cqa"]
@@ -428,7 +446,7 @@ class TestTrainRankEvaluate:
         rankings = pipeline["root"] / "no_embeddings_rankings_ok.jsonl"
         code, _, _ = run(capsys, "rank", *common, "--checkpoint", str(ckpt), "--out", str(rankings))
         assert code == 0
-        assert len(rankings.read_text().splitlines()) == 7
+        assert len(rankings.read_text(encoding="utf-8").splitlines()) == 7
 
     @pytest.mark.parametrize(
         "assignment", ["batch_size=0", "hidden_dim=0", "lr=-1", "epochs=0", "epochs=-2"]
@@ -638,7 +656,7 @@ class TestRankingsValidation:
             "rank", "--candidates", str(pipeline["candidates"]),
             "--model", "random", "--seed", "4", "--out", str(rankings),
         ]) == 0
-        records = [json.loads(line) for line in rankings.read_text().splitlines()]
+        records = [json.loads(line) for line in rankings.read_text(encoding="utf-8").splitlines()]
         records[0]["order"], records[0]["scores"] = [0, 0, 0], [1.0, 1.0, 1.0]
         rankings.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         bad_post = records[0]["post_id"]
@@ -718,7 +736,7 @@ class TestMalformedInputFiles:
 
     @staticmethod
     def golden_record(name: str) -> dict:
-        return json.loads((FIXTURES / "golden" / name).read_text().splitlines()[0])
+        return json.loads((FIXTURES / "golden" / name).read_text(encoding="utf-8").splitlines()[0])
 
     # (reader, a valid record of its file, the field the test drops)
     JSONL_RECORDS = [
@@ -806,6 +824,36 @@ class TestMalformedInputFiles:
         )
         assert code == 2 and stdout == ""
         assert f"malformed rankings-b file {bad}: {self.REPEATED}" in err
+
+    def test_repeated_post_id_in_triples_is_usage_error(self, pipeline, capsys, tmp_path):
+        lines = (FIXTURES / "golden" / "triples.jsonl").read_text(encoding="utf-8").splitlines()
+        assert json.loads(lines[0])["post_id"] == "p01" and len(lines) == 7
+        bad = tmp_path / "repeated.jsonl"
+        bad.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
+        self.assert_usage_error(pipeline, capsys, tmp_path, "triples", bad, self.REPEATED)
+
+    # A stray byte, a multi-byte sequence cut short, and a UTF-16 byte order mark.
+    NOT_UTF8 = {"ff": b"\xff", "truncated": b"\xe2\x82", "utf16-bom": b"\xff\xfe"}
+
+    @pytest.mark.parametrize("bad_bytes", NOT_UTF8.values(), ids=NOT_UTF8.keys())
+    @pytest.mark.parametrize("reader", ["triples", "annotations", "embeddings"])
+    def test_a_line_that_is_not_utf8_is_named(
+        self, pipeline, capsys, tmp_path, monkeypatch, reader, bad_bytes
+    ):
+        if reader == "annotations":
+            record = {"post_id": "p01", "annotator_id": "a1", "best": 1, "valid": [1, 2]}
+            lines = [json.dumps(record), json.dumps({**record, "annotator_id": "a2"})]
+            text = "".join(line + "\n" for line in lines)
+        else:
+            name = "golden/triples.jsonl" if reader == "triples" else "embeddings_toy.txt"
+            text = (FIXTURES / name).read_text(encoding="utf-8")
+        lines = text.encode("utf-8").splitlines(keepends=True)
+        lines[1] = lines[1][:2] + bad_bytes + lines[1][2:]
+        bad = tmp_path / f"bad.{reader}"
+        bad.write_bytes(b"".join(lines))
+        monkeypatch.setattr(embeddings, "CACHE_MIN_BYTES", 1)  # a vectors file parsed for caching
+        self.assert_usage_error(pipeline, capsys, tmp_path, reader, bad, "line 2: not UTF-8")
+        assert not bad.with_name(bad.name + embeddings.CACHE_SUFFIX).exists()
 
     def test_repeated_post_id_in_candidates_is_usage_error(self, pipeline, capsys, tmp_path):
         lines = pipeline["candidates"].read_text(encoding="utf-8").splitlines()
@@ -1362,7 +1410,8 @@ class TestSharedMetricsPath:
             capsys, "evaluate", "--rankings", ranked, "--candidates", cands, "--mode", "original"
         )
         assert code == 0
-        tune_maps = [json.loads(line)["tune_map"] for line in Path(log).read_text().splitlines()]
+        lines = Path(log).read_text(encoding="utf-8").splitlines()
+        tune_maps = [json.loads(line)["tune_map"] for line in lines]
         assert json.loads(out.splitlines()[0])["map"] == max(tune_maps)
 
 

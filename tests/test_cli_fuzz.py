@@ -5,7 +5,8 @@ file written from it: it drops a field, swaps a value's JSON type, writes a
 non-finite or overflowing number, empties a list, or inserts odd Unicode.
 `rank` (evpi and random) and `evaluate` then read the result. Every run
 must exit 0 or 2 with no traceback; after exit 2 no output file exists, and
-every number any run writes is finite.
+every number any run writes is finite. A line given bytes that are not
+UTF-8 must exit 2 naming that line.
 """
 
 import contextlib
@@ -184,6 +185,42 @@ def test_mutated_rankings_line(inputs, data):
             ["evaluate", "--rankings", rankings, "--candidates", CANDIDATES, "--mode", "original"],
             tmp / "eval.json",
         )
+
+
+# Bytes that no UTF-8 text holds: a stray byte, a multi-byte sequence cut
+# short, and a UTF-16 byte order mark.
+NOT_UTF8 = [b"\xff", b"\xe2\x82", b"\xff\xfe"]
+
+
+@st.composite
+def non_utf8_line(draw, lines: list[str]) -> tuple[int, bytes]:
+    """(index, new bytes) of one of lines, with bytes that are not UTF-8 inserted anywhere."""
+    index = draw(st.integers(0, len(lines) - 1))
+    line = lines[index].encode("utf-8")
+    at = draw(st.integers(0, len(line)))
+    return index, line[:at] + draw(st.sampled_from(NOT_UTF8)) + line[at:]
+
+
+@_settings
+@given(data=st.data())
+@pytest.mark.parametrize("reader", ["candidates", "rankings"])
+def test_a_line_that_is_not_utf8_is_named(inputs, reader, data):
+    lines = (CANDIDATES if reader == "candidates" else inputs["rankings"]).read_text(
+        encoding="utf-8"
+    ).splitlines()
+    index, mutated = data.draw(non_utf8_line(lines))
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, out = Path(tmp) / f"bad.{reader}", Path(tmp) / "out"
+        edited = [line.encode("utf-8") for line in lines]
+        edited[index] = mutated
+        bad.write_bytes(b"".join(line + b"\n" for line in edited))
+        if reader == "candidates":
+            argv = ["rank", "--candidates", bad, "--model", "random"]
+        else:
+            argv = ["evaluate", "--rankings", bad, "--candidates", CANDIDATES, "--mode", "original"]
+        code, stdout, err = run(*argv, "--out", out)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert f"malformed {reader} file {bad}: line {index + 1}: not UTF-8" in err
 
 
 def test_surrogate_post_id_in_rankings(inputs, tmp_path):

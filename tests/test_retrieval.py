@@ -1,6 +1,8 @@
 """Tokenizer, inverted index, TF-IDF scoring, top-k, and candidate sets."""
 
+import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +15,13 @@ from evpirank.retrieval import (
     RetrievalError,
     build_index,
     doc_text,
+    field_kinds,
     generate_candidates,
+    read_jsonl,
     save_index,
     tokenize,
     top_k,
+    typed_fields,
 )
 from tests.oracles import DictIndex, brute_tfidf_scores, brute_top_k, dict_top_k
 
@@ -247,3 +252,77 @@ class TestIndexPersistence:
         path = tmp_path / "small.idx"
         save_index(build_index(docs), path)
         assert path.read_bytes() == (GOLDEN / "small.idx").read_bytes()
+
+
+@dataclass
+class EveryKind:
+    """A record with one field of each type hint typed_fields reads."""
+
+    name: str
+    count: int
+    weight: float
+    words: list[str]
+    ids: list[int]
+    scores: list[float]
+    labels: set[int]
+
+
+class TestTypedFields:
+    RECORD = {
+        "name": "x", "count": 2, "weight": 1, "words": ["a", "é"], "ids": [1, 2],
+        "scores": [1, 0.5], "labels": [3, 3], "unread": None,
+    }
+
+    def test_each_field_reads_as_its_type_hint(self):
+        fields = typed_fields(self.RECORD, field_kinds(EveryKind))
+        assert fields == {
+            "name": "x", "count": 2, "weight": 1.0, "words": ["a", "é"], "ids": [1, 2],
+            "scores": [1.0, 0.5], "labels": {3},
+        }
+        assert type(fields["weight"]) is float
+        assert [type(v) for v in fields["scores"]] == [float, float]
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("name", 1, "name must be a string"),
+            ("name", "\ud800", "name must be a string"),
+            ("count", True, "count must be an integer"),
+            ("count", 2.0, "count must be an integer"),
+            ("weight", False, "weight must be a number"),
+            ("weight", "1", "weight must be a number"),
+            ("words", "ab", "words must be a list of strings"),
+            ("words", ["a", "b\udfff"], "words must be a list of strings"),
+            ("ids", [1, True], "ids must be a list of integers"),
+            ("scores", [1, None], "scores must be a list of numbers"),
+            ("labels", {"3": 3}, "labels must be a list of integers"),
+        ],
+    )
+    def test_a_value_of_another_json_type_is_refused(self, field, value, message):
+        with pytest.raises(TypeError) as info:
+            typed_fields({**self.RECORD, field: value}, field_kinds(EveryKind))
+        assert str(info.value) == message
+
+    def test_a_missing_field_and_a_non_object(self):
+        without = {k: v for k, v in self.RECORD.items() if k != "ids"}
+        with pytest.raises(KeyError, match="ids"):
+            typed_fields(without, field_kinds(EveryKind))
+        with pytest.raises(TypeError, match="expected a JSON object"):
+            typed_fields(list(self.RECORD), field_kinds(EveryKind))
+
+    def test_lines_end_at_lf_only(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        x, y = json.dumps(self.RECORD), json.dumps({**self.RECORD, "name": "y"})
+        path.write_bytes(f"{x}\r\n\r\n{y}\n".encode("utf-8"))
+        records = read_jsonl(path, EveryKind, key=lambda r: r.name)
+        assert [r.name for r in records] == ["x", "y"]
+        path.write_bytes(f"{x}\r{y}\n".encode("utf-8"))
+        with pytest.raises(ValueError, match="^line 1: Extra data"):
+            read_jsonl(path, EveryKind, key=lambda r: r.name)
+
+    def test_a_repeated_key_is_named_with_its_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text(f"{json.dumps(self.RECORD)}\n\n{json.dumps(self.RECORD)}\n",
+                        encoding="utf-8")
+        with pytest.raises(RetrievalError, match="^line 3: 'x' already appears on an earlier"):
+            read_jsonl(path, EveryKind, key=lambda r: repr(r.name), error=RetrievalError)
