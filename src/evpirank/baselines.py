@@ -227,17 +227,21 @@ def _scorer_losses(params: NeuralParams, enc: SetEncoding, preps, grads) -> floa
 class NeuralBaselineModel(NeuralModel):
     """neural-pq, neural-pa or neural-pqa: sigma(ff(encodings)) scores, BCE training loss."""
 
-    def prepare(self, cs: CandidateSet) -> PreparedCandidates:
+    def prepare(self, cs: CandidateSet, memo: dict | None = None) -> PreparedCandidates:
         # Texts of an unused encoder are tokenized but never encoded.
-        return self._prepared(cs, map(tokenize, cs.questions), map(tokenize, cs.answers))
+        memo = {} if memo is None else memo
+        questions = [self._text(q, memo) for q in cs.questions]
+        return self._prepared(cs, memo, questions, [self._text(a, memo) for a in cs.answers])
 
     def loss_and_grads(
         self, batch: Sequence[PreparedCandidates]
     ) -> tuple[float, dict[str, np.ndarray]]:
         return batch_loss_and_grads(self.params, self.table, batch, (_scorer_losses,))
 
-    def rank_prepared(self, preps: Sequence[PreparedCandidates]) -> list[RankedList]:
-        enc = SetEncoding(self.params, self.table, preps)
+    def rank_prepared(
+        self, preps: Sequence[PreparedCandidates], memo: dict | None = None
+    ) -> list[RankedList]:
+        enc = SetEncoding(self.params, self.table, preps, memo=memo)
         return [
             rank_from_scores(prep.cs.post_id, scores)
             for prep, scores in zip(preps, enc.per_set(bce_scores(self.params.ff, enc)))

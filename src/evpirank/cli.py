@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -196,7 +197,9 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, conf
 
     The checkpoint must hold exactly the tensor names and shapes of the
     model over table; it is written into a zero model's own tensors. A
-    neural model ranks config.batch_size sets per rank_prepared call.
+    neural model prepares the sets lazily and ranks config.batch_size sets
+    per rank_prepared call; each distinct text is prepared and encoded once
+    (up to evpi.MEMO_TEXTS texts).
     """
     if model_name == "random":
         return lambda sets: baselines.random_rankings(sets, seed=config.seed)
@@ -217,7 +220,8 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, conf
         return lambda sets: map(model.rank, sets)
     if model_name == "cqa":
         return lambda sets: (model.rank(cs, table) for cs in sets)
-    return lambda sets: training.ranked_in_chunks(model, map(model.prepare, sets), config.batch_size)
+    prepare = functools.partial(model.prepare, memo={})  # one prepare memo for the file
+    return lambda sets: training.ranked_in_chunks(model, map(prepare, sets), config.batch_size)
 
 
 def cmd_rank(args) -> int:

@@ -168,12 +168,48 @@ class PreparedCandidates:
     sim_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def _distinct(texts: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
-    """The distinct token-id arrays of texts, and for each of texts the index of its copy."""
+# The most entries a memo keeps. A memo holds one pass's shared work: a prepare
+# memo a text's token ids and, for evpi, its average vector; an encoding memo
+# a text's encoding, for each encoder. Past this count a memo adds nothing and
+# the texts it lacks are prepared and encoded per call, as without one. At
+# H = 100 and d = 200 an entry takes 1,600 bytes (an average vector) or 800 (an
+# encoding) plus 8 bytes per token id, so a pass's two memos hold at most
+# 4,096 x (2,400 + 16 x tokens) bytes: under 32 MiB for texts of up to 300
+# tokens on average.
+MEMO_TEXTS = 4096
+
+
+def _remember(memo: dict, key, value):
+    """value, stored in memo under key while memo holds fewer than MEMO_TEXTS entries."""
+    if len(memo) < MEMO_TEXTS:
+        memo[key] = value
+    return value
+
+
+def _distinct(texts: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[bytes], np.ndarray]:
+    """The distinct token-id arrays of texts, their bytes, and each text's index among them."""
     index: dict[bytes, int] = {}
     inverse = np.array([index.setdefault(ids.tobytes(), len(index)) for ids in texts])
     # inverse counts up in order of first appearance; return_index gives each value's first text
-    return [texts[i] for i in np.unique(inverse, return_index=True)[1]], inverse
+    return [texts[i] for i in np.unique(inverse, return_index=True)[1]], list(index), inverse
+
+
+def _encoded(lstm, table, memo: dict, prefix: str, texts, keys) -> np.ndarray:
+    """Forward-only encodings of the distinct texts, whose token-id bytes are keys.
+
+    Only the texts memo holds no encoding of go through lstm_forward, in one
+    packed pass; their encodings are remembered under (prefix, bytes).
+    """
+    rows = [memo.get((prefix, key)) for key in keys]
+    missing = [i for i, row in enumerate(rows) if row is None]
+    if missing:
+        means, _ = lstm_forward(
+            lstm, np.concatenate([texts[i] for i in missing]), [len(texts[i]) for i in missing],
+            table.gather, False,
+        )
+        for i, row in zip(missing, means):
+            rows[i] = _remember(memo, (prefix, keys[i]), row)
+    return np.stack(rows)
 
 
 class SetEncoding:
@@ -197,7 +233,9 @@ class SetEncoding:
     backprop_head adds into, and backward() runs one lstm_backward per
     encoder. Without it the pass is forward-only: each step gathers the
     vectors of its running texts only, so no buffer has a float row per
-    token.
+    token. A forward-only encoding also reuses the encodings in memo, an
+    encoding memo of one model whose weights do not change while it is used
+    (one ranking pass), and remembers the ones it computes (MEMO_TEXTS).
     """
 
     def __init__(
@@ -206,7 +244,9 @@ class SetEncoding:
         table: EmbeddingTable,
         preps: Sequence[PreparedCandidates],
         for_backward: bool = False,
+        memo: dict | None = None,
     ):
+        memo = {} if memo is None else memo
         sizes = [len(prep.cs) for prep in preps]
         self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         self.originals = self.offsets[:-1] + [prep.cs.original_index for prep in preps]
@@ -221,11 +261,13 @@ class SetEncoding:
         ):
             if lstm is None:
                 continue
-            distinct, inverse = _distinct(texts)
-            means, cache = lstm_forward(
-                lstm, np.concatenate(distinct), [len(ids) for ids in distinct], table.gather,
-                for_backward,
-            )
+            distinct, keys, inverse = _distinct(texts)
+            if for_backward:
+                means, cache = lstm_forward(
+                    lstm, np.concatenate(distinct), [len(ids) for ids in distinct], table.gather,
+                )
+            else:
+                means, cache = _encoded(lstm, table, memo, prefix, distinct, keys), None
             text_ids = np.repeat(inverse, rows_per_text)  # a set's post serves each of its rows
             self.lstms.append((prefix, lstm))
             self.blocks.append(means[text_ids])
@@ -373,6 +415,11 @@ class NeuralModel:
     ranked in (SetEncoding), so callers rank in chunks of batch_size sets
     (training.ranked_in_chunks) only to bound memory: one chunk holds its sets'
     token ids and rows per text and per candidate, never a row per token.
+    rank_prepared(preps, memo) reuses and fills the encoding memo of a pass.
+
+    prepare(cs, memo) prepares one set; calls that share a prepare memo
+    tokenize, look up and average each distinct text once, and their sets
+    share the resulting arrays, which nothing writes to.
     """
 
     def __init__(self, params: NeuralParams, table: EmbeddingTable):
@@ -383,13 +430,24 @@ class NeuralModel:
     def tensors(self) -> dict[str, np.ndarray]:
         return self.params.tensors()
 
-    def _prepared(self, cs: CandidateSet, questions, answers, **head_inputs) -> PreparedCandidates:
-        """cs with the token ids of its post and of the token lists questions and answers."""
+    def _text(self, text: str, memo: dict, averaged: bool = False):
+        """(token ids, avg_vector values) of text, made once per memo; values only if averaged."""
+        key = (text, averaged)
+        if key in memo:
+            return memo[key]
+        tokens = tokenize(text)
+        avg = avg_vector(self.table, tokens).values if averaged else None
+        return _remember(memo, key, (self.table.token_ids(tokens), avg))
+
+    def _prepared(
+        self, cs: CandidateSet, memo: dict, questions, answers, **head_inputs
+    ) -> PreparedCandidates:
+        """cs with the token ids of its post and of the _text results questions and answers."""
         return PreparedCandidates(
             cs=cs,
-            post_tokens=self.table.token_ids(tokenize(cs.post_body)),
-            question_tokens=[self.table.token_ids(tokens) for tokens in questions],
-            answer_tokens=[self.table.token_ids(tokens) for tokens in answers],
+            post_tokens=self._text(cs.post_body, memo)[0],
+            question_tokens=[ids for ids, _ in questions],
+            answer_tokens=[ids for ids, _ in answers],
             **head_inputs,
         )
 
@@ -397,17 +455,18 @@ class NeuralModel:
 class EvpiModel(NeuralModel):
     """The joint answer and utility model: its loss with gradients, and prepared ranking."""
 
-    def prepare(self, cs: CandidateSet) -> PreparedCandidates:
-        questions = [tokenize(q) for q in cs.questions]
-        answers = [tokenize(a) for a in cs.answers]
+    def prepare(self, cs: CandidateSet, memo: dict | None = None) -> PreparedCandidates:
+        memo = {} if memo is None else memo
+        questions = [self._text(q, memo, averaged=True) for q in cs.questions]
+        answers = [self._text(a, memo, averaged=True) for a in cs.answers]
 
         def units(texts):  # average vectors scaled to unit norm, one row per text
-            return unit_rows(np.stack([avg_vector(self.table, tokens).values for tokens in texts]))
+            return unit_rows(np.stack([avg for _, avg in texts]))
 
         q_units = units(questions)
         q_sims = np.maximum(np.einsum("ik,jk->ij", q_units, q_units), 0.0)
         return self._prepared(
-            cs, questions, answers,
+            cs, memo, questions, answers,
             a_units=units(answers), q_sims=q_sims, sim_weights=q_sims[cs.original_index],
         )
 
@@ -419,7 +478,9 @@ class EvpiModel(NeuralModel):
             self.params, self.table, batch, (answer_losses, utility_losses)
         )
 
-    def rank_prepared(self, preps: Sequence[PreparedCandidates]) -> list[RankedList]:
+    def rank_prepared(
+        self, preps: Sequence[PreparedCandidates], memo: dict | None = None
+    ) -> list[RankedList]:
         """score_i = sum_j exp(-(1 - cos(F_ans(p, q_i), a_hat_j))) * q_sims[i, j] * U_j.
 
         F_ans and the utilities run once over the rows of all sets; the n x n
@@ -428,7 +489,7 @@ class EvpiModel(NeuralModel):
         bit-identical scores.
         """
         params = self.params
-        enc = SetEncoding(params, self.table, preps)
+        enc = SetEncoding(params, self.table, preps, memo=memo)
         # [p; q_i]: the first two column blocks
         reps = feedforward_forward(params.ff_ans, enc.inputs()[:, : 2 * params.hidden_dim])[0]
         ranked = []

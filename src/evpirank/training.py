@@ -1,10 +1,10 @@
 """Shared mini-batch training loop with early stopping on tune-set MAP.
 
 fit works for any model object exposing tensors(), its own arrays (not
-copies; there is no load method), prepare(), loss_and_grads(batch), and
-rank_prepared(batch). It keeps a copy of the tensors with the best tune MAP
-(evaluated against the original question) and assigns it back into them at
-the end. train draws a neural model's initial parameters and fits them.
+copies; there is no load method), prepare(cs, memo), loss_and_grads(batch),
+and rank_prepared(batch, memo). It keeps a copy of the tensors with the best
+tune MAP (evaluated against the original question) and assigns it back into
+them at the end. train draws a neural model's initial parameters and fits them.
 """
 
 from __future__ import annotations
@@ -61,10 +61,14 @@ def ranked_in_chunks(model, prepared: Iterable, batch_size: int) -> Iterator[Ran
 
     prepared may be lazy; only one chunk of it is held at a time. A set's
     RankedList does not depend on its chunk, so batch_size bounds memory only.
+    The calls share one encoding memo, so a text that several chunks hold is
+    encoded once per pass; memory is then the memo (evpi.MEMO_TEXTS) plus one
+    chunk.
     """
     sets = iter(prepared)
+    memo: dict = {}
     while chunk := list(itertools.islice(sets, batch_size)):
-        yield from model.rank_prepared(chunk)
+        yield from model.rank_prepared(chunk, memo)
 
 
 def original_mode_map(model, prepared: Sequence, batch_size: int) -> float:
@@ -88,9 +92,10 @@ def fit(
     if not tune_sets:
         raise ValueError("tune set is empty")
     rng = substream(config.seed, f"train/{model.name}")
-    train_prepared = [model.prepare(cs) for cs in train_sets]
+    memo: dict = {}  # both lists prepare a text they share once
+    train_prepared = [model.prepare(cs, memo) for cs in train_sets]
     tune_prepared = (
-        train_prepared if tune_sets is train_sets else [model.prepare(cs) for cs in tune_sets]
+        train_prepared if tune_sets is train_sets else [model.prepare(cs, memo) for cs in tune_sets]
     )
 
     tensors = model.tensors()

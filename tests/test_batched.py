@@ -1,6 +1,8 @@
 """A candidate set as one matrix: one feedforward pass per head, ties kept, oracle agreement."""
 
+import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -8,13 +10,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import evpirank.evpi as evpi_module
+from evpirank import cli
 from evpirank.baselines import NeuralBaselineModel
 from evpirank.embeddings import EmbeddingTable
-from evpirank.evpi import EvpiModel, NeuralParams
-from evpirank.neural import feedforward_forward, sigmoid
-from evpirank.retrieval import CandidateSet
+from evpirank.evaluation import evaluate
+from evpirank.evpi import EvpiModel, NeuralParams, read_rankings
+from evpirank.ingest import split_name
+from evpirank.neural import feedforward_forward, save_checkpoint, sigmoid
+from evpirank.retrieval import CandidateSet, write_candidates
 from evpirank.rng import substream
-from evpirank.training import ranked_in_chunks
+from evpirank.training import original_mode_map, ranked_in_chunks
 
 from tests.oracles import encode_text, evpi_score, per_set_loss_and_grads
 from tests.synthetic import table_of
@@ -261,14 +266,96 @@ class TestPackedBatchAgainstPerSet:
                 assert together.scores == alone.scores, model.name
 
 
+def ranked_alone(model, sets) -> list:
+    """Each set prepared and ranked on its own: no text is shared with another set."""
+    return [model.rank_prepared([model.prepare(cs)])[0] for cs in sets]
+
+
+def split_ids() -> list[str]:
+    """Five post ids, two of train, two of tune and one of test, in an order that mixes them."""
+    ids = {
+        split: [f"t{k}" for k in range(100) if split_name(f"t{k}") == split][:2]
+        for split in ("train", "tune", "test")
+    }
+    return [ids["train"][0], ids["tune"][0], ids["test"][0], ids["train"][1], ids["tune"][1]]
+
+
 class TestBatchInvariance:
-    """A set's RankedList has the same bits alone and in any chunk."""
+    """A set's RankedList has the same bits alone and in any chunk of a pass that shares texts."""
 
     @_settings
     @given(sets=batches())
     def test_a_set_ranks_bit_equal_alone_and_in_chunks_of_any_size(self, every_neural_model, sets):
+        # One prepare memo for the list and one encoding memo per pass, as
+        # training and `rank` run them, against each set prepared alone.
         for model in every_neural_model:
-            preps = [model.prepare(cs) for cs in sets]
-            alone = [model.rank_prepared([prep])[0] for prep in preps]
+            alone = ranked_alone(model, sets)
+            memo = {}
+            preps = [model.prepare(cs, memo) for cs in sets]
+            expected_map = evaluate(alone, None, sets, "original").map
             for size in range(1, len(preps) + 1):
                 assert list(ranked_in_chunks(model, preps, size)) == alone, (model.name, size)
+                assert original_mode_map(model, preps, size) == expected_map, (model.name, size)
+
+    @_settings
+    @given(sets=batches(), size=st.integers(1, 5))
+    def test_memos_past_their_bound_rank_bit_equal(self, every_neural_model, sets, size):
+        bound = 3
+        for model in every_neural_model:
+            alone = ranked_alone(model, sets)
+            held = []
+
+            def recording(chunk, memo, model=model):
+                ranked = model.rank_prepared(chunk, memo)
+                held.append(len(memo))
+                return ranked
+
+            recorder = types.SimpleNamespace(rank_prepared=recording)
+            unbounded = list(ranked_in_chunks(recorder, [model.prepare(cs) for cs in sets], size))
+            encodings = held[-1]  # every distinct text of each encoder
+            held.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evpi_module, "MEMO_TEXTS", bound)
+                memo = {}
+                preps = [model.prepare(cs, memo) for cs in sets]
+                assert len(memo) <= bound
+                assert list(ranked_in_chunks(recorder, preps, size)) == alone == unbounded
+            assert max(held) == min(bound, encodings), model.name
+
+    @settings(max_examples=15, deadline=None)
+    @given(sets=batches())
+    def test_rank_under_every_split_writes_each_set_ranked_alone(
+        self, every_neural_model, rank_inputs, sets
+    ):
+        sets = [dataclasses.replace(cs, post_id=post_id) for cs, post_id in zip(sets, split_ids())]
+        candidates = rank_inputs / "candidates.jsonl"
+        write_candidates(candidates, sets)
+        for model in every_neural_model:
+            alone = {rl.post_id: rl for rl in ranked_alone(model, sets)}
+            for split in ("all", "train", "tune", "test"):
+                out = rank_inputs / "out.rank"
+                code = cli.main([
+                    "rank", "--model", model.name, "--candidates", str(candidates),
+                    "--embeddings", str(rank_inputs / "embeddings.txt"),
+                    "--checkpoint", str(rank_inputs / f"{model.name}.ckpt"),
+                    "--out", str(out), "--split", split, "--set", "batch_size=2",
+                ])
+                wanted = [alone[p] for p in sorted(alone) if split in ("all", split_name(p))]
+                if not wanted:
+                    assert code == 2
+                    continue
+                assert code == 0 and read_rankings(out) == wanted, (model.name, split)
+
+
+@pytest.fixture(scope="module")
+def rank_inputs(every_neural_model, tmp_path_factory):
+    """A directory holding every_neural_model's table as a vectors file and each model's checkpoint."""
+    root = tmp_path_factory.mktemp("rank-inputs")
+    table = every_neural_model[0].table
+    with open(root / "embeddings.txt", "w", encoding="utf-8") as handle:
+        for word in (f"w{k}" for k in range(N_WORDS)):
+            vector = table.gather(table.token_ids([word]))[0]
+            handle.write(" ".join([word, *map(repr, vector.tolist())]) + "\n")
+    for model in every_neural_model:
+        save_checkpoint(root / f"{model.name}.ckpt", model.tensors())
+    return root

@@ -506,10 +506,14 @@ class TestTrainRankEvaluate:
     def test_rank_output_does_not_depend_on_chunk_or_split(
         self, pipeline, capsys, tmp_path, model
     ):
-        # One set per rank_prepared call writes the bytes of the default
-        # chunk (the whole fixture), and --split tune writes exactly the tune
-        # lines of --split all. The toy table holds 4 words, so most fixture
-        # texts would encode no token; here every word has an 8-d vector.
+        # One or three sets per rank_prepared call write the bytes of the
+        # default chunk (the whole fixture), and --split tune writes exactly the
+        # tune lines of --split all. The fixture is real `candidates` output:
+        # every set holds the questions of all 7 posts, so chunks share texts.
+        # The toy table holds 4 words, so most fixture texts would encode no
+        # token; here every word has an 8-d vector.
+        golden = FIXTURES / "golden" / "candidates.jsonl"
+        assert pipeline["candidates"].read_bytes() == golden.read_bytes()
         words = sorted({
             token
             for cs in read_candidates(pipeline["candidates"])
@@ -530,12 +534,13 @@ class TestTrainRankEvaluate:
         ]) == 0
         written = {}
         for name, extra in (
-            ("all", []), ("one_per_call", ["--set", "batch_size=1"]), ("tune", ["--split", "tune"])
+            ("all", []), ("one_per_call", ["--set", "batch_size=1"]),
+            ("three_per_call", ["--set", "batch_size=3"]), ("tune", ["--split", "tune"]),
         ):
             path = tmp_path / f"{name}.rank"
             assert main(self.rank_args(pipeline, model, ckpt, path, embeddings) + extra) == 0
             written[name] = path.read_text(encoding="utf-8")
-        assert written["one_per_call"] == written["all"]
+        assert written["one_per_call"] == written["three_per_call"] == written["all"]
         tune_lines = [
             line for line in written["all"].splitlines(keepends=True)
             if split_name(json.loads(line)["post_id"]) == "tune"

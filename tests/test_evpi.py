@@ -38,7 +38,7 @@ from tests.oracles import (
     loss_util,
     utility,
 )
-from tests.synthetic import table_of, zero_params
+from tests.synthetic import make_clustered_corpus, table_of, zero_params
 
 
 def toy_candidate_set(n=3, original=0, post_id="t1") -> CandidateSet:
@@ -451,16 +451,41 @@ class TestGradientsAndDescent:
 class TestPrepare:
     def test_each_text_is_tokenized_once(self, monkeypatch):
         # One token list per question and answer feeds both its average vector
-        # and its LSTM input: 1 + 2n tokenize calls for n candidates.
+        # and its LSTM input: 1 + 2n tokenize calls for n candidates. Sets
+        # prepared with one memo share a text they repeat: on the clustered
+        # corpus each set holds its family's ten questions and answers, and
+        # every distinct text is tokenized, and for evpi averaged, once.
         import evpirank.evpi as evpi_module
 
-        texts = []
-        tokenize = evpi_module.tokenize
+        texts, averaged = [], []
+        tokenize, avg_vector = evpi_module.tokenize, evpi_module.avg_vector
         monkeypatch.setattr(evpi_module, "tokenize", lambda text: texts.append(text) or tokenize(text))
+        monkeypatch.setattr(
+            evpi_module, "avg_vector",
+            lambda table, tokens: averaged.append(" ".join(tokens)) or avg_vector(table, tokens),
+        )
         rng = substream(0, "test/tokenize-once")
-        model = EvpiModel(NeuralParams.init("evpi", 5, 3, rng), toy_table(rng))
-        model.prepare(toy_candidate_set(n=4))
-        assert len(texts) == 1 + 2 * 4
+        corpus_table, sets = make_clustered_corpus()
+        shared = {text for cs in sets for text in [*cs.questions, *cs.answers]}
+        assert len(shared) == 2 * len(sets) and all(len(cs) == 10 for cs in sets)
+        for name, model_class in (("evpi", EvpiModel), ("neural-pqa", NeuralBaselineModel)):
+            texts.clear(), averaged.clear()
+            model = model_class(NeuralParams.init(name, 5, 3, rng), toy_table(rng))
+            model.prepare(toy_candidate_set(n=4))
+            assert len(texts) == 1 + 2 * 4, name
+            assert len(averaged) == (2 * 4 if name == "evpi" else 0), name
+
+            texts.clear(), averaged.clear()
+            model = model_class(NeuralParams.init(name, corpus_table.dim, 3, rng), corpus_table)
+            memo = {}
+            preps = [model.prepare(cs, memo) for cs in sets]
+            assert sorted(texts) == sorted(shared | {cs.post_body for cs in sets}), name
+            assert len(averaged) == len(set(averaged)) == (len(shared) if name == "evpi" else 0)
+            # a repeated text's sets share one token-id array
+            first = {}
+            for prep in preps:
+                for text, ids in zip(prep.cs.questions, prep.question_tokens):
+                    assert first.setdefault(text, ids) is ids, name
 
 
 class TestPerGateCheckpoint:

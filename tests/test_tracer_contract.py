@@ -13,12 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from evpirank import baselines, embeddings, evaluation, ingest, neural, retrieval, training
+from evpirank import baselines, cli, embeddings, evaluation, ingest, neural, retrieval, training
 from evpirank.rng import substream
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).parent / "fixtures"
 DUMP = FIXTURES / "dump"
+CANDIDATES = FIXTURES / "golden" / "candidates.jsonl"
 
 
 def _load_tracer() -> types.ModuleType:
@@ -33,8 +34,13 @@ TRACER = _load_tracer()
 
 
 @pytest.fixture(scope="module")
-def fixture_run():
-    """One real call of every counted function on the test fixture: name -> (args, result)."""
+def fixture_run(tmp_path_factory):
+    """One real call of every counted function on the test fixture: name -> (args, result).
+
+    Training and ranking run with the tracer's wrappers on the traced
+    methods, so prepare and rank_prepared take the arguments fit and `rank`
+    pass them; "spans" holds the names of the spans they recorded.
+    """
     table = embeddings.load_embeddings_file(FIXTURES / "embeddings_toy.txt")
     posts = ingest.read_posts(DUMP / "posts.jsonl")
     built = ingest.build_triples(
@@ -43,7 +49,7 @@ def fixture_run():
         ingest.read_edits(DUMP / "history.jsonl")[0],
         table=table,
     )
-    sets = retrieval.read_candidates(FIXTURES / "golden" / "candidates.jsonl")
+    sets = retrieval.read_candidates(CANDIDATES)
     docs = sorted((t.post_id, retrieval.doc_text(t.post_title, t.post_body)) for t in built[0])
     index = retrieval.build_index(docs)
     query = retrieval.tokenize(docs[0][1])
@@ -56,7 +62,23 @@ def fixture_run():
     d_means = rng.normal(size=means.shape)
 
     config = training.TrainConfig(hidden_dim=3, epochs=1, seed=0)
-    model, fit_result = training.train("evpi", sets, sets, table, config)
+    tracer = TRACER.Tracer()
+    root = tmp_path_factory.mktemp("traced")
+    with pytest.MonkeyPatch.context() as mp:
+        for name, module, cls_name, method, count in TRACER.METHODS:
+            cls = getattr(importlib.import_module(f"evpirank.{module}"), cls_name)
+            mp.setattr(cls, method, tracer.wrap(name, getattr(cls, method), count))
+        for model_name in ("neural-pqa", "evpi"):
+            model, fit_result = training.train(model_name, sets, sets, table, config)
+            neural.save_checkpoint(root / "model.ckpt", model.tensors())
+            assert cli.main([
+                "rank", "--model", model_name, "--candidates", str(CANDIDATES),
+                "--embeddings", str(FIXTURES / "embeddings_toy.txt"),
+                "--checkpoint", str(root / "model.ckpt"), "--out", str(root / "out.rank"),
+                "--set", "batch_size=3",
+            ]) == 0
+        memo = {}
+        prepared = model.prepare(sets[0], memo)
     rankings = baselines.random_rankings(sets)
     return {
         "_read": ((DUMP / "posts.jsonl",), posts),
@@ -67,9 +89,10 @@ def fixture_run():
         "_avg_vector": ((table, tokens), embeddings.avg_vector(table, tokens)),
         "_lstm_forward": ((lstm, ids, [3, 0, 2], table.gather), (means, cache)),
         "_lstm_backward": ((lstm, cache, d_means), neural.lstm_backward(lstm, cache, d_means)),
-        "_prepare": ((model, sets[0]), model.prepare(sets[0])),
+        "_prepare": ((model, sets[0], memo), prepared),
         "_fit": ((), fit_result),
         "_evaluate": ((), evaluation.evaluate(rankings, None, sets, "original")),
+        "spans": {span[0] for span in tracer.spans},
     }
 
 
@@ -86,7 +109,7 @@ def test_every_traced_method_resolves():
 
 def test_every_counter_runs_on_a_real_result(fixture_run):
     counters = {entry[-1] for entry in TRACER.FUNCTIONS + TRACER.METHODS} - {None}
-    assert {count.__name__ for count in counters} == set(fixture_run)
+    assert {count.__name__ for count in counters} == set(fixture_run) - {"spans"}
     for count in counters:
         args, result = fixture_run[count.__name__]
         counts = count(args, result)
@@ -107,3 +130,8 @@ def test_counter_values(fixture_run):
     assert counts("_prepare")["others"] == len(fixture_run["_prepare"][0][1]) - 1
     assert counts("_fit") == {"epochs": 1}
     assert counts("_evaluate") == {"posts": 7}
+
+
+def test_traced_methods_run_in_train_and_rank(fixture_run):
+    # Every traced method ran through its wrapper in fit and in `rank`.
+    assert {name for name, *_ in TRACER.METHODS} <= fixture_run["spans"]

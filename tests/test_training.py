@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+import evpirank.evpi as evpi_module
 from evpirank.evpi import EvpiModel, NeuralParams
 from evpirank.neural import save_checkpoint
 from evpirank.retrieval import CandidateSet
-from evpirank.training import TrainConfig, fit, original_mode_map
+from evpirank.training import TrainConfig, fit, neural_model, original_mode_map
 
-from tests.synthetic import table_of
+from tests.synthetic import make_clustered_corpus, table_of
 
 
 def toy_table(rng, dim=5):
@@ -78,18 +79,21 @@ class TestFit:
     def test_prepares_each_set_once(self, monkeypatch, shared):
         model, sets = fresh_model()
         train_sets, tune_sets = (sets, sets) if shared else (sets[:4], sets[4:])
-        calls = []
+        calls, memos = [], set()
         prepare = model.prepare
 
-        def counting_prepare(cs):
+        def counting_prepare(cs, memo):
             calls.append(cs.post_id)
-            return prepare(cs)
+            memos.add(id(memo))
+            return prepare(cs, memo)
 
         monkeypatch.setattr(model, "prepare", counting_prepare)
         config = TrainConfig(hidden_dim=4, lr=1e-3, batch_size=3, epochs=2, patience=10, seed=0)
         fit(model, train_sets, tune_sets, config)
         # One call per set: a shared list is not prepared again for tuning.
         assert calls == [cs.post_id for cs in sets]
+        # Train and tune sets share one prepare memo.
+        assert len(memos) == 1
 
     def test_empty_train_set_is_error(self):
         model, sets = fresh_model()
@@ -110,3 +114,32 @@ class TestOriginalModeMap:
             order = model.rank_prepared([prep])[0].order
             manual.append(1.0 / (order.index(prep.cs.original_index) + 1))
         assert value == pytest.approx(sum(manual) / len(manual), abs=1e-12)
+
+    @pytest.mark.parametrize("model_name", ["evpi", "neural-pqa"])
+    @pytest.mark.parametrize("batch_size", [1, 7, 50])
+    def test_encodes_each_distinct_text_once_per_encoder(self, monkeypatch, model_name, batch_size):
+        # The clustered corpus repeats each question and answer in the ten
+        # sets of its family; one tune evaluation encodes it once.
+        table, sets = make_clustered_corpus()
+        params = NeuralParams.init(model_name, table.dim, 3, np.random.default_rng(0))
+        model = neural_model(params, table)
+        memo = {}
+        preps = [model.prepare(cs, memo) for cs in sets]
+        encoded = {"lstm_post": [], "lstm_question": [], "lstm_answer": []}
+        lstm_forward = evpi_module.lstm_forward
+
+        def recording(lstm, tokens, lengths, *rest):
+            part = next(name for name in encoded if getattr(params, name) is lstm)
+            encoded[part] += [ids.tobytes() for ids in np.split(tokens, np.cumsum(lengths)[:-1])]
+            return lstm_forward(lstm, tokens, lengths, *rest)
+
+        monkeypatch.setattr(evpi_module, "lstm_forward", recording)
+        original_mode_map(model, preps, batch_size)
+        texts = {
+            "lstm_post": [prep.post_tokens for prep in preps],
+            "lstm_question": [ids for prep in preps for ids in prep.question_tokens],
+            "lstm_answer": [ids for prep in preps for ids in prep.answer_tokens],
+        }
+        for part, ids in texts.items():
+            assert sorted(encoded[part]) == sorted({t.tobytes() for t in ids}), part
+        assert len(encoded["lstm_question"]) == len(sets) < len(texts["lstm_question"])
