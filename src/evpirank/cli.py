@@ -4,9 +4,9 @@ Subcommands: ingest, candidates, train, rank, evaluate, significance,
 gradcheck. Exit codes: 0 success, 1 runtime failure, 2 usage error. The
 commands that read the run configuration (train, rank, significance and
 gradcheck) take --config, --set and --seed and log the fully resolved
-configuration to stderr; the others refuse those options. Re-running a
-command with the same inputs, config and seed reproduces its outputs byte
-for byte.
+configuration to stderr; the others refuse those options. A warning goes
+to stderr as one {"warning": ...} JSON line. Re-running a command with the
+same inputs, config and seed reproduces its outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,21 +113,11 @@ def cmd_candidates(args) -> int:
     ]
     retrieval.write_candidates(args.out, sets)
     if len(by_post) < args.k:
-        _log(
-            json.dumps(
-                {
-                    "warning": f"corpus has {len(by_post)} posts; candidate sets "
-                    f"are smaller than k={args.k}"
-                }
-            )
+        warnings.warn(
+            f"corpus has {len(by_post)} posts; candidate sets are smaller than k={args.k}"
         )
     _log(json.dumps({"candidate_sets": len(sets), "k": args.k}))
     return 0
-
-
-def _check_model_name(name: str) -> None:
-    if name not in MODEL_NAMES:
-        raise UsageError(f"unknown model {name!r}; valid models: {', '.join(MODEL_NAMES)}")
 
 
 def _split_sets(candidate_sets, split: str):
@@ -136,7 +127,6 @@ def _split_sets(candidate_sets, split: str):
 
 
 def cmd_train(args) -> int:
-    _check_model_name(args.model)
     if args.model == "random":
         raise UsageError("model 'random' has no parameters to train")
     if args.log and args.model not in evpi.MODEL_PARTS:
@@ -225,7 +215,6 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, conf
 
 
 def cmd_rank(args) -> int:
-    _check_model_name(args.model)
     config = _load_config(args)
     candidate_sets = _read(retrieval.read_candidates, args.candidates, "candidates")
     selected = _split_sets(candidate_sets, args.split)
@@ -239,10 +228,7 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def _check_mode(args) -> None:
-    if args.mode not in evaluation.MODES:
-        valid = ", ".join(evaluation.MODES)
-        raise UsageError(f"unknown mode {args.mode!r}; valid modes: {valid}")
+def _check_exclude_base(args) -> None:
     if args.exclude_base and args.mode != "exclude_original":
         raise UsageError("--exclude-base applies only to --mode exclude_original")
 
@@ -268,7 +254,7 @@ def _labeled_posts(args, *rankings: list):
 
 
 def cmd_evaluate(args) -> int:
-    _check_mode(args)
+    _check_exclude_base(args)
     if args.valid_histogram and not args.annotations:
         raise UsageError("--valid-histogram requires --annotations")
     rankings = _read(evpi.read_rankings, args.rankings, "rankings")
@@ -290,7 +276,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_significance(args) -> int:
-    _check_mode(args)
+    _check_exclude_base(args)
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     config = _load_config(args)
@@ -361,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a ranking model")
     p.add_argument("--candidates", required=True)
     p.add_argument("--embeddings")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, choices=MODEL_NAMES)
     p.add_argument("--out", required=True)
     p.add_argument("--log", help="write per-epoch loss and tune MAP to this file")
     p.add_argument(
@@ -375,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="rank candidate questions with a trained model")
     p.add_argument("--candidates", required=True)
     p.add_argument("--embeddings")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, choices=MODEL_NAMES)
     p.add_argument("--checkpoint")
     p.add_argument("--out", required=True)
     p.add_argument("--split", choices=SPLIT_NAMES, default="all")
@@ -386,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rankings", required=True)
     p.add_argument("--candidates", required=True)
     p.add_argument("--annotations")
-    p.add_argument("--mode", required=True)
+    p.add_argument("--mode", required=True, choices=evaluation.MODES)
     p.add_argument("--exclude-base", choices=evaluation.EXCLUDE_BASES)
     p.add_argument("--model", help="model name for the report")
     p.add_argument("--out", help="also write the JSON report here")
@@ -398,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rankings-b", required=True)
     p.add_argument("--candidates", required=True)
     p.add_argument("--annotations")
-    p.add_argument("--mode", required=True)
+    p.add_argument("--mode", required=True, choices=evaluation.MODES)
     p.add_argument("--exclude-base", choices=evaluation.EXCLUDE_BASES)
     p.add_argument("--metric", choices=("p_at_1", "p_at_3", "p_at_5", "map"), default="map")
     p.add_argument("--n", type=int, default=10000)
@@ -420,7 +406,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # A warning is one JSON line on stderr, whatever filters the caller set.
+            warnings.simplefilter("always", UserWarning)
+            warnings.showwarning = lambda message, *_: _log(json.dumps({"warning": str(message)}))
+            return args.func(args)
     except (UsageError, ConfigError, evaluation.EvaluationError) as exc:
         _log(f"error: {exc}")
         return 2

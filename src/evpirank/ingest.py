@@ -212,16 +212,12 @@ def select_answer(
 
 
 def _triple_valid(post: PostRecord, triple: Triple) -> bool:
-    if not triple.question.endswith("?"):
-        return False
-    if triple.question_time <= post.created_at:
-        return False
-    if not triple.answer:
-        return False
-    if triple.answer_source == ANSWER_SOURCE_EDIT:
-        if len(triple.answer.split()) < MIN_EDIT_ANSWER_TOKENS:
-            return False
-    return True
+    """The checks input can fail: the question comes after the post, and the answer is not empty.
+
+    extract_question always ends a question at its '?', and extract_answer_edit
+    returns only edits adding MIN_EDIT_ANSWER_TOKENS or more tokens.
+    """
+    return triple.question_time > post.created_at and bool(triple.answer)
 
 
 def build_triples(
@@ -239,24 +235,18 @@ def build_triples(
     if table is None:
         table = EmbeddingTable.empty()
     posts = sorted(posts, key=lambda p: p.post_id)
-    post_ids = {p.post_id for p in posts}
-    comments_by_post: dict[str, list[CommentRecord]] = {}
-    for comment in comments:
-        if comment.post_id not in post_ids:
-            diag.orphan_records += 1
-            continue
-        comments_by_post.setdefault(comment.post_id, []).append(comment)
-    edits_by_post: dict[str, list[EditRecord]] = {}
-    for edit in edits:
-        if edit.post_id not in post_ids:
-            diag.orphan_records += 1
-            continue
-        edits_by_post.setdefault(edit.post_id, []).append(edit)
+    records = {p.post_id: ([], []) for p in posts}  # post_id -> (comments, edits)
+    for kind, group in enumerate((comments, edits)):
+        for record in group:
+            if record.post_id in records:
+                records[record.post_id][kind].append(record)
+            else:
+                diag.orphan_records += 1
 
     triples: list[Triple] = []
     for post in posts:
         diag.posts_in += 1
-        post_comments = comments_by_post.get(post.post_id, [])
+        post_comments, post_edits = records[post.post_id]
         extracted = extract_question(post, post_comments)
         if extracted is None:
             diag.skipped.no_question += 1
@@ -265,7 +255,7 @@ def build_triples(
         if is_rhetorical(question):
             diag.skipped.rhetorical += 1
             continue
-        edit_answer = extract_answer_edit(post, edits_by_post.get(post.post_id, []), question_time)
+        edit_answer = extract_answer_edit(post, post_edits, question_time)
         comment_answer = extract_answer_comment(post, post_comments, question_time)
         if edit_answer is None and comment_answer is None:
             diag.skipped.no_answer += 1

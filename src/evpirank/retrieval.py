@@ -65,37 +65,22 @@ def build_index(docs: Iterable[tuple[str, str]]) -> Index:
     Term ids number the terms in order of first appearance in the input.
     """
     vocabulary: dict[str, int] = {}
-    counts_by_doc: dict[str, dict[int, int]] = {}
-    lengths: dict[str, int] = {}
+    term_ids: dict[str, list[int]] = {}
     for doc_id, text in docs:
-        if doc_id in counts_by_doc:
+        if doc_id in term_ids:
             raise RetrievalError(f"duplicate doc_id: {doc_id!r}")
         if "\n" in doc_id or "\t" in doc_id:
             raise RetrievalError(f"doc_id may not contain tabs or newlines: {doc_id!r}")
-        tokens = tokenize(text)
-        lengths[doc_id] = len(tokens)
-        counts = counts_by_doc[doc_id] = {}
-        for tok in tokens:
-            term_id = vocabulary.setdefault(tok, len(vocabulary))
-            counts[term_id] = counts.get(term_id, 0) + 1
-    doc_ids = sorted(counts_by_doc)
-    terms: list[int] = []
-    positions: list[int] = []
-    tfs: list[int] = []
-    for pos, doc_id in enumerate(doc_ids):
-        counts = counts_by_doc[doc_id]
-        terms.extend(counts)
-        positions.extend([pos] * len(counts))
-        tfs.extend(counts.values())
-    # A stable sort by term keeps each term's postings in ascending doc order.
-    term_of = np.array(terms, dtype=np.int64)
-    by_term = np.argsort(term_of, kind="stable")
-    term_of = term_of[by_term]
-    pos_of = np.array(positions, dtype=np.int64)[by_term]
-    tf_of = np.array(tfs, dtype=np.int64)[by_term]
-    doc_lengths = np.array([lengths[d] for d in doc_ids], dtype=np.int64)
-    dfs = np.bincount(term_of, minlength=len(vocabulary))
+        term_ids[doc_id] = [vocabulary.setdefault(tok, len(vocabulary)) for tok in tokenize(text)]
+    doc_ids = sorted(term_ids)
     n = len(doc_ids)
+    doc_lengths = np.array([len(term_ids[d]) for d in doc_ids], dtype=np.int64)
+    terms = np.array([t for d in doc_ids for t in term_ids[d]], dtype=np.int64)
+    # One key per token, term-major: the sorted distinct keys are the postings
+    # in term order, then doc order, and each key's count is its tf.
+    keys, tf_of = np.unique(terms * n + np.repeat(np.arange(n), doc_lengths), return_counts=True)
+    term_of, pos_of = np.divmod(keys, max(n, 1))
+    dfs = np.bincount(term_of, minlength=len(vocabulary))
     idf_squared = np.array([(1.0 + math.log(n / (df + 1))) ** 2 for df in dfs.tolist()])
     contrib_of = np.sqrt(tf_of) * idf_squared[term_of] / np.sqrt(doc_lengths[pos_of])
     ends = np.cumsum(dfs).tolist()

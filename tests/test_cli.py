@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evpirank import baselines, cli, embeddings, training
+from evpirank import baselines, cli, embeddings, evaluation, evpi, training
 from evpirank.cli import main
 from evpirank.config import ConfigError, load_config, resolved_json
 from evpirank.embeddings import load_embeddings_file
@@ -16,12 +16,13 @@ from evpirank.evpi import write_rankings
 from evpirank.gradsuite import GRAD_TOLERANCE, CheckResult
 from evpirank.ingest import split_name
 from evpirank.neural import save_checkpoint
-from evpirank.retrieval import read_candidates, tokenize, write_candidates
+from evpirank.retrieval import CandidateSet, read_candidates, tokenize, write_candidates
 
 from tests.synthetic import make_clustered_corpus, make_random_rankings_fixture
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DUMP = FIXTURES / "dump"
+GOLDEN_CANDIDATES = str(FIXTURES / "golden" / "candidates.jsonl")
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -124,7 +125,20 @@ class TestCandidatesCommand:
         )
         assert code == 0
         assert out.read_bytes() == (FIXTURES / "golden" / "candidates.jsonl").read_bytes()
-        assert "smaller than k" in err  # 7 posts < k = 10
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"warning": "corpus has 7 posts; candidate sets are smaller than k=10"},
+            {"candidate_sets": 7, "k": 10},
+        ]
+
+    def test_empty_triples_give_an_empty_file_and_a_warning(self, tmp_path, capsys):
+        triples, out = tmp_path / "triples.jsonl", tmp_path / "candidates.jsonl"
+        triples.write_text("", encoding="utf-8")
+        code, _, err = run(capsys, "candidates", "--triples", str(triples), "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == b""
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"candidate_sets": 0, "warning": "no triples in input"}
+        ]
 
     def test_index_out_golden_bytes(self, tmp_path, capsys):
         out = tmp_path / "candidates.jsonl"
@@ -172,16 +186,23 @@ def pipeline(tmp_path_factory):
 
 
 class TestTrainRankEvaluate:
-    def test_bad_model_name_lists_models(self, pipeline, capsys):
-        code, _, err = run(
-            capsys,
-            "train",
-            "--candidates", str(pipeline["candidates"]),
-            "--model", "mystery",
-            "--out", str(pipeline["root"] / "x.ckpt"),
-        )
+    @pytest.mark.parametrize("command", ["train", "rank", "evaluate", "significance"])
+    def test_unknown_model_or_mode_exits_2_naming_the_valid_ones(self, capsys, tmp_path, command):
+        cands, out = str(FIXTURES / "golden" / "candidates.jsonl"), tmp_path / "out"
+        rankings = str(tmp_path / "rankings.jsonl")  # argparse refuses before any file is read
+        argv, option, names = {
+            "train": (["--out", str(out)], "--model", cli.MODEL_NAMES),
+            "rank": (["--out", str(out)], "--model", cli.MODEL_NAMES),
+            "evaluate": (["--rankings", rankings, "--out", str(out)], "--mode", evaluation.MODES),
+            "significance": (
+                ["--rankings-a", rankings, "--rankings-b", rankings], "--mode", evaluation.MODES
+            ),
+        }[command]
+        code, stdout, err = run(capsys, command, "--candidates", cands, *argv, option, "mystery")
         assert code == 2
-        assert "valid models" in err and "evpi" in err
+        assert f"argument {option}: invalid choice: 'mystery'" in err
+        assert all(name in err for name in names)
+        assert stdout == "" and not out.exists()
 
     def test_random_model_cannot_train(self, pipeline, capsys):
         code, _, err = run(
@@ -1420,6 +1441,142 @@ class TestSharedMetricsPath:
         assert json.loads(out.splitlines()[0])["map"] == max(tune_maps)
 
 
+class TestSplitsAndRefusals:
+    """train on the hash splits, and the refusals of train and rank."""
+
+    def test_train_follows_the_hash_splits(self, capsys, tmp_path, monkeypatch):
+        seen = {}
+        real_train = training.train
+
+        def recording_train(model_name, train_sets, tune_sets, table, config):
+            seen["train"] = [cs.post_id for cs in train_sets]
+            seen["tune"] = [cs.post_id for cs in tune_sets]
+            return real_train(model_name, train_sets, tune_sets, table, config)
+
+        monkeypatch.setattr(training, "train", recording_train)
+        ckpt, log, ranked = (str(tmp_path / name) for name in ("m.ckpt", "log.jsonl", "r.jsonl"))
+        common = [
+            "--candidates", GOLDEN_CANDIDATES, "--embeddings", str(FIXTURES / "embeddings_toy.txt"),
+            "--model", "evpi",
+        ]
+        assert main([
+            "train", *common, "--set", "hidden_dim=4", "--set", "epochs=3",
+            "--out", ckpt, "--log", log,
+        ]) == 0
+        # p06 is the golden file's only test post
+        assert seen == {"train": ["p01", "p02", "p08", "p09", "p10"], "tune": ["p07"]}
+        assert main(["rank", *common, "--checkpoint", ckpt, "--split", "tune", "--out", ranked]) == 0
+        code, out, _ = run(
+            capsys, "evaluate", "--rankings", ranked, "--candidates", GOLDEN_CANDIDATES,
+            "--mode", "original",
+        )
+        assert code == 0
+        report = json.loads(out.splitlines()[0])
+        lines = Path(log).read_text(encoding="utf-8").splitlines()
+        assert report["n_posts"] == 1
+        assert report["map"] == max(json.loads(line)["tune_map"] for line in lines)
+
+    def test_a_file_without_a_tune_post_is_usage_error(self, capsys, tmp_path):
+        cands, ckpt = tmp_path / "candidates.jsonl", tmp_path / "m.ckpt"
+        sets = read_candidates(GOLDEN_CANDIDATES)
+        write_candidates(cands, [cs for cs in sets if split_name(cs.post_id) != "tune"])
+        code, _, err = run(
+            capsys, "train", "--candidates", str(cands), "--model", "ngrams", "--out", str(ckpt)
+        )
+        assert code == 2
+        assert "empty train or tune split" in err
+        assert not ckpt.exists()
+
+    def test_neural_rank_without_a_checkpoint_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "rankings.jsonl"
+        code, _, err = run(
+            capsys, "rank", "--candidates", GOLDEN_CANDIDATES, "--model", "neural-pqa",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "model 'neural-pqa' requires --checkpoint" in err
+        assert not out.exists()
+
+    def test_a_non_finite_loss_exits_1(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(evpi.EvpiModel, "loss_and_grads", lambda self, batch: (float("nan"), {}))
+        ckpt = tmp_path / "m.ckpt"
+        code, _, err = run(
+            capsys, "train", "--candidates", GOLDEN_CANDIDATES, "--model", "evpi", "--no-split",
+            "--set", "hidden_dim=2", "--out", str(ckpt),
+        )
+        assert code == 1
+        assert "training diverged: non-finite loss nan at epoch 0, batch 0" in err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("--config", "line 2: expected `key = value`"),
+            ("--set", "config key 'epochs': invalid literal for int()"),
+        ],
+    )
+    def test_an_unreadable_config_is_usage_error(self, capsys, tmp_path, source, message):
+        config = tmp_path / "run.conf"
+        config.write_text("seed = 1\nepochs 3\n", encoding="utf-8")
+        value = {"--config": str(config), "--set": "epochs=x"}[source]
+        out = tmp_path / "rankings.jsonl"
+        code, stdout, err = run(
+            capsys, "rank", "--candidates", GOLDEN_CANDIDATES, "--model", "random",
+            source, value, "--out", str(out),
+        )
+        assert code == 2
+        assert message in err
+        assert stdout == "" and not out.exists()
+
+
+class TestWarnings:
+    """A warning reaches stderr as one {"warning": ...} JSON line, like every other line there."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "significance"])
+    def test_a_post_with_disjoint_valid_sets_is_dropped_with_a_warning(
+        self, pipeline, capsys, tmp_path, command
+    ):
+        annotations = write_annotations(tmp_path)
+        lines = annotations.read_text(encoding="utf-8").splitlines()
+        lines[1] = json.dumps({"post_id": "p01", "annotator_id": "a2", "best": 3, "valid": [3]})
+        annotations.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rankings = TestOptionsEachCommandReads.random_rankings(pipeline, tmp_path)
+        argv = {
+            "evaluate": ["evaluate", "--rankings", rankings],
+            "significance": [
+                "significance", "--rankings-a", rankings, "--rankings-b", rankings, "--n", "10"
+            ],
+        }[command]
+        code, out, err = run(
+            capsys, *argv, "--candidates", str(pipeline["candidates"]),
+            "--annotations", str(annotations), "--mode", "valid_intersection",
+        )
+        assert code == 0, err
+        assert json.loads(out.splitlines()[0])["n_posts"] == 6
+        logged = [json.loads(line) for line in err.splitlines()]
+        assert all(type(entry) is dict for entry in logged)
+        assert logged.count({"warning": "dropped 1 posts with no relevant labels"}) == 1
+
+    def test_cqa_over_constant_features_trains_with_a_warning(self, capsys, tmp_path):
+        cands, ckpt = tmp_path / "candidates.jsonl", tmp_path / "cqa.ckpt"
+        write_candidates(cands, [
+            CandidateSet(
+                post_id=post_id, post_body="same post", questions=["why?", "why?"],
+                answers=["yes", "no"], source_post_ids=[post_id, "p9"], original_index=0,
+            )
+            for post_id in ("p1", "p2")
+        ])
+        code, _, err = run(
+            capsys, "train", "--candidates", str(cands), "--model", "cqa", "--no-split",
+            "--set", "epochs=1", "--out", str(ckpt),
+        )
+        assert code == 0, err
+        assert ckpt.exists()
+        logged = [json.loads(line) for line in err.splitlines()]
+        assert all(type(entry) is dict for entry in logged)
+        assert logged.count({"warning": "all CQA features are constant across examples"}) == 1
+
+
 def readme_quickstart() -> list[list[str]]:
     """The argv of each `evpirank` command in the README's fixture walk, in order."""
     text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
@@ -1444,4 +1601,8 @@ def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
         if argv[0] == "gradcheck":
             continue  # about 4 s; CI runs it as its own step
         argv = [arg.replace("/tmp/", f"{tmp_path}/") for arg in argv]
-        assert main(argv) == 0, (argv, capsys.readouterr().err)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 0, (argv, err)
+        for line in err.splitlines():
+            assert type(json.loads(line)) is dict, (argv, line)

@@ -9,7 +9,9 @@ from evpirank.embeddings import load_embeddings_file
 from evpirank.ingest import (
     CommentRecord,
     EditRecord,
+    IngestDiagnostics,
     PostRecord,
+    Skips,
     build_triples,
     extract_answer_comment,
     extract_answer_edit,
@@ -192,6 +194,30 @@ class TestBuildTriplesFixture:
         triples, diag = build_triples(posts, comments, [])
         assert triples == []
         assert diag.skipped.no_answer == 1
+
+    def test_orphans_and_invariant_violations_are_counted(self):
+        posts = [post("p1"), post("p2"), post("p3")]
+        comments = [
+            comment("c1", "p1", "u9", "which release?", 1000),  # asked when the post was
+            comment("c2", "p1", "u1", "the latest one", 1001),
+            comment("c3", "p2", "u9", "which adapter?", 1002),
+            comment("c4", "p2", "u1", "", 1003),  # an empty answer
+            comment("c5", "p3", "u9", "which kernel?", 1004),
+            comment("c6", "p3", "u1", "kernel 4.4", 1005),
+            comment("c7", "gone", "u9", "which one?", 1006),
+            comment("c8", "gone", "u1", "this one", 1007),
+        ]
+        edits = [
+            edit("e1", "gone", "u1", "b and five more added words", 1008),
+            edit("e2", "p3", "u1", "b running kernel 4.4 since monday", 1009),
+        ]
+        triples, diag = build_triples(posts, comments, edits)
+        assert [(t.post_id, t.answer, t.answer_source) for t in triples] == [
+            ("p3", "running kernel 4.4 since monday", "edit")
+        ]
+        assert diag == IngestDiagnostics(
+            posts_in=3, triples_out=1, skipped=Skips(invariant_violation=2), orphan_records=3
+        )
 
     def test_round_trip_through_file(self, tmp_path):
         posts, _ = read_posts(FIXTURES / "dump" / "posts.jsonl")

@@ -83,6 +83,19 @@ class TestBuildIndex:
         with pytest.raises(RetrievalError, match="duplicate"):
             build_index([("d1", "a"), ("d1", "b")])
 
+    @pytest.mark.parametrize("doc_id", ["d\t1", "d\n1"])
+    def test_doc_id_with_a_tab_or_newline_is_error(self, doc_id):
+        with pytest.raises(RetrievalError, match="may not contain tabs or newlines"):
+            build_index([("d0", "a"), (doc_id, "b")])
+
+    def test_document_without_tokens(self):
+        index = build_index([("d2", "a b a"), ("d1", " ,.- ")])
+        assert index.doc_ids == ["d1", "d2"]
+        assert index.doc_lengths.tolist() == [0, 3]
+        assert [p.tolist() for p in index.postings] == [[1], [1]]
+        assert [tf.tolist() for tf in index.tfs] == [[2], [1]]
+        assert top_k(index, ["b"], k=2)[1] == ("d1", 0.0)  # never scored, only padding
+
     def test_postings_sorted_by_doc_id(self):
         index = build_index([("z", "apple pie"), ("a", "apple tart"), ("m", "apple")])
         assert index.doc_ids == ["a", "m", "z"]
@@ -175,9 +188,17 @@ class TestTopK:
         docs = [(doc_id, data.draw(texts)) for doc_id in ids]
         query = data.draw(st.lists(st.sampled_from(words + ["oov"]), max_size=8))
         k = data.draw(st.integers(1, len(docs) + 3))
-        got = top_k(build_index(docs), query, k)
-        want = dict_top_k(DictIndex(docs), query, k)
+        index, oracle = build_index(docs), DictIndex(docs)
+        got = top_k(index, query, k)
+        want = dict_top_k(oracle, query, k)
         assert [(d, s.hex()) for d, s in got] == [(d, s.hex()) for d, s in want]
+        # The index itself: vocabulary order, lengths, and each term's postings and tfs.
+        assert list(index.vocabulary.items()) == list(oracle.vocabulary.items())
+        assert dict(zip(index.doc_ids, index.doc_lengths.tolist())) == oracle.doc_lengths
+        assert {
+            term_id: [(index.doc_ids[p], tf) for p, tf in zip(docs_of.tolist(), tfs.tolist())]
+            for term_id, (docs_of, tfs) in enumerate(zip(index.postings, index.tfs))
+        } == oracle.postings
 
     def test_agreement_with_brute_force_oracle(self):
         rng = np.random.default_rng(6)
