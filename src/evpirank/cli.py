@@ -1,10 +1,10 @@
 """Command-line entry point wiring the pipeline stages together.
 
-Subcommands: ingest, candidates, train, rank, evaluate, significance,
-gradcheck. Exit codes: 0 success, 1 runtime failure, 2 usage error. The
-commands that read the run configuration (train, rank, significance and
-gradcheck) take --config, --set and --seed and log the fully resolved
-configuration to stderr; the others refuse those options. A warning goes
+Subcommands: ingest, candidates, train, rank, evaluate, significance.
+Exit codes: 0 success, 1 runtime failure, 2 usage error. The commands that
+read the run configuration (train, rank and significance) take --config,
+--set and --seed and log the fully resolved configuration to stderr; the
+others refuse those options. A warning goes
 to stderr as one {"warning": ...} JSON line. Re-running a command with the
 same inputs, config and seed reproduces its outputs byte for byte.
 """
@@ -26,7 +26,6 @@ import numpy as np
 from . import baselines, evaluation, evpi, ingest, retrieval, training
 from .config import ConfigError, load_config, resolved_json
 from .embeddings import EmbeddingTable, load_embeddings_file
-from .gradsuite import GRAD_TOLERANCE, run_gradient_suite
 from .neural import assign_tensors, load_checkpoint, save_checkpoint
 from .training import TrainConfig, TrainingDivergedError
 
@@ -305,23 +304,6 @@ def cmd_significance(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    if args.draws < 1:
-        raise UsageError(f"--draws must be >= 1, got {args.draws}")
-    config = _load_config(args)
-    results = run_gradient_suite(seed=config.seed, draws=args.draws)
-    failed = 0
-    for result in results:
-        status = "PASS" if result.passed() else "FAIL"
-        if status == "FAIL":
-            failed += 1
-        print(f"{status} {result.name} max_rel_error={result.max_rel_error:.3e}")
-    if failed:
-        _log(f"{failed} gradient checks exceeded {GRAD_TOLERANCE}")
-        return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evpirank",
@@ -390,11 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10000)
     _add_common(p)
     p.set_defaults(func=cmd_significance)
-
-    p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    p.add_argument("--draws", type=int, default=10)
-    _add_common(p)
-    p.set_defaults(func=cmd_gradcheck)
 
     return parser
 

@@ -1,7 +1,8 @@
 """Plain `key = value` run configuration, read into a TrainConfig.
 
-Unknown keys are rejected so typos fail fast. Every command that reads the
-configuration logs it, fully resolved, before running.
+Unknown keys are rejected so typos fail fast. The commands that read the
+configuration (train, rank and significance) log it, fully resolved, before
+running.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from .embeddings import EmbeddingTable, avg_vector, cos_sim
-from .retrieval import field_kinds, read_jsonl, tokenize, typed_fields
+from .retrieval import jsonl_record, read_jsonl, tokenize
 
 ANSWER_SOURCE_EDIT = "edit"
 ANSWER_SOURCE_COMMENT = "comment"
@@ -98,23 +98,18 @@ class IngestDiagnostics:
 
 
 def _load_records(path, record_type):
-    """Read a JSONL file of record_type's typed fields; malformed lines are skipped and counted.
-
-    A line is malformed when it is not UTF-8, not JSON, not an object, or
-    lacks a field or holds one of the wrong type.
-    """
-    fields = field_kinds(record_type)
+    """The jsonl_record of each line of a JSONL file; malformed lines are skipped and counted."""
     records = []
     malformed = 0
     with open(path, "rb") as handle:
         for line in handle:
             try:
-                text = line.decode("utf-8")
-                if not text.strip():
-                    continue
-                records.append(record_type(**typed_fields(json.loads(text), fields)))
-            except (ValueError, KeyError, TypeError):  # a bad decode or JSON is a ValueError
+                record = jsonl_record(line, record_type)
+            except (ValueError, KeyError, TypeError):
                 malformed += 1
+                continue
+            if record is not None:
+                records.append(record)
     return records, malformed
 
 
@@ -309,6 +304,12 @@ def write_triples(path, triples: Iterable[Triple]) -> None:
             handle.write(json.dumps(vars(triple), ensure_ascii=False) + "\n")
 
 
+def _check_triple(triple: Triple) -> None:
+    """A post id names a document of the index file, one tab-separated line."""
+    if "\t" in triple.post_id or "\n" in triple.post_id:
+        raise ValueError(f"post {triple.post_id!r}: post_id may not contain tabs or newlines")
+
+
 def read_triples(path) -> list[Triple]:
-    """Load triples.jsonl: one line per post."""
-    return read_jsonl(path, Triple)
+    """Load triples.jsonl: one line per post, no post id holding a tab or newline."""
+    return read_jsonl(path, Triple, _check_triple)

@@ -2,8 +2,8 @@
 
 Everything runs in double precision on numpy arrays: an LSTM sequence
 encoder whose output is the mean of its hidden states, multi-layer tanh
-feedforward networks with a linear final layer, the Adam optimizer, a
-central-difference gradient checker, and a bit-exact checkpoint format.
+feedforward networks with a linear final layer, the Adam optimizer, and a
+bit-exact checkpoint format.
 
 The LSTM keeps its four gates stacked in one W, U and b; the per-gate
 names of checkpoints (W_i ... b_g) exist only in LstmParams.tensors(),
@@ -14,7 +14,9 @@ over the sequences still running (Appleyard, Kocisky & Blunsom 2016,
 arXiv:1604.01946).
 
 Gradients are implemented per architecture rather than through a general
-autodiff graph; the gradient checker is the safety net for all of them.
+autodiff graph; the central-difference gradient suite that acceptance
+criterion 1 runs over every trainable component is the safety net for all
+of them.
 """
 
 from __future__ import annotations
@@ -418,70 +420,21 @@ def adam_step(
 
 
 # ---------------------------------------------------------------------------
-# Gradient checking
-
-
-def grad_check(
-    loss_fn: Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]],
-    params: dict[str, np.ndarray],
-    n_probes: int = 10,
-    eps: float = 1e-5,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    loss_fn(params) must return (scalar loss, gradient dict). n_probes
-    randomly chosen coordinates are perturbed by +/- eps; the relative error
-    is |g_a - g_n| / max(1e-8, |g_a| + |g_n|).
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    loss, grads = loss_fn(params)
-    if not math.isfinite(loss):
-        raise ValueError(f"loss is not finite: {loss}")
-    names = sorted(params)
-    sizes = np.array([params[name].size for name in names])
-    total = int(sizes.sum())
-    if total == 0:
-        raise ValueError("no parameters to probe")
-    worst = 0.0
-    for _ in range(n_probes):
-        flat = int(rng.integers(0, total))
-        cum = 0
-        for name, size in zip(names, sizes):
-            if flat < cum + size:
-                idx = flat - cum
-                break
-            cum += size
-        tensor = params[name]
-        original = tensor.flat[idx]
-        tensor.flat[idx] = original + eps
-        loss_plus = loss_fn(params)[0]
-        tensor.flat[idx] = original - eps
-        loss_minus = loss_fn(params)[0]
-        tensor.flat[idx] = original
-        if not (math.isfinite(loss_plus) and math.isfinite(loss_minus)):
-            raise ValueError("perturbed loss is not finite")
-        g_numeric = (loss_plus - loss_minus) / (2.0 * eps)
-        g_analytic = grads[name].flat[idx]
-        rel = abs(g_analytic - g_numeric) / max(1e-8, abs(g_analytic) + abs(g_numeric))
-        worst = max(worst, rel)
-    return worst
-
-
-# ---------------------------------------------------------------------------
 # Checkpoints
 
 
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
     """Write tensors as a text manifest followed by raw little-endian doubles.
 
-    Round-trips bit-exactly through load_checkpoint.
+    Round-trips bit-exactly through load_checkpoint. A tensor holding nan or
+    inf is refused before the file is opened.
     """
     names = list(tensors)
     for name in names:
         if any(ws in name for ws in (" ", "\t", "\n")):
             raise ValueError(f"tensor name may not contain whitespace: {name!r}")
+        if not np.isfinite(tensors[name]).all():
+            raise ValueError(f"tensor {name!r} holds nan or inf")
     with open(path, "wb") as handle:
         lines = [CHECKPOINT_HEADER, str(len(names))]
         for name in names:

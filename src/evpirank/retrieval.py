@@ -160,8 +160,9 @@ def generate_candidates(
     """Assemble the candidate set for one post.
 
     The index must have been built over the doc_text of exactly the posts in
-    triples_by_post. Raises RetrievalError for posts without a triple or when
-    the post does not appear among its own top-k matches.
+    triples_by_post. Raises RetrievalError for posts without a triple. A post
+    that is not among its own top-k matches (it ties with k or more other
+    posts, or has no token to match) takes the place of the k-th match.
     """
     triple = triples_by_post.get(post_id)
     if triple is None:
@@ -170,7 +171,7 @@ def generate_candidates(
     ranked = top_k(index, tokenize(text), k)
     ids = [doc_id for doc_id, _ in ranked]
     if post_id not in ids:
-        raise RetrievalError(f"post {post_id!r} is not among its own top-{k} matches")
+        ids[-1] = post_id
     questions = [triples_by_post[d].question for d in ids]
     answers = [triples_by_post[d].answer for d in ids]
     return CandidateSet(
@@ -211,8 +212,21 @@ def post_key(record) -> str:
     return f"post {record.post_id!r}:"
 
 
+def jsonl_record(line: bytes, record_type: type):
+    """record_type(**typed_fields(...)) of one JSONL line, or None for a blank line.
+
+    A line that is not UTF-8 or not JSON raises ValueError; one that lacks a
+    field raises KeyError, and one that is no object or holds a value of the
+    wrong type raises TypeError.
+    """
+    text = line.decode("utf-8")
+    if not text.strip():
+        return None
+    return record_type(**typed_fields(json.loads(text), field_kinds(record_type)))
+
+
 def read_jsonl(path, record_type: type, check=None, key=post_key, error=ValueError) -> list:
-    """record_type(**typed_fields(...)) of each JSON object line of path; blank lines are skipped.
+    """The jsonl_record of each line of path; blank lines are skipped.
 
     No two records may share a key(record); check(record) raises ValueError
     for fields that disagree. A line that is not UTF-8 or not JSON, lacks a
@@ -220,16 +234,14 @@ def read_jsonl(path, record_type: type, check=None, key=post_key, error=ValueErr
     raises error naming the line. Lines end at LF; a CR before it is
     whitespace.
     """
-    fields = field_kinds(record_type)
     out = []
     keys: set[str] = set()
     with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             try:
-                text = line.decode("utf-8")
-                if not text.strip():
+                record = jsonl_record(line, record_type)
+                if record is None:
                     continue
-                record = record_type(**typed_fields(json.loads(text), fields))
                 if (name := key(record)) in keys:
                     raise ValueError(f"{name} already appears on an earlier line")
                 keys.add(name)

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .baselines import NeuralBaselineModel
 from .embeddings import EmbeddingTable
 from .evaluation import evaluate
@@ -24,11 +26,10 @@ from .rng import substream
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, epoch: int, batch: int, loss: float):
-        super().__init__(f"non-finite loss {loss} at epoch {epoch}, batch {batch}")
-        self.epoch = epoch
-        self.batch = batch
-        self.loss = loss
+    """A batch's loss, or a tensor after its Adam step, holds nan or inf."""
+
+    def __init__(self, epoch: int, batch: int, what: str):
+        super().__init__(f"non-finite {what} at epoch {epoch}, batch {batch}")
 
 
 @dataclass
@@ -110,8 +111,11 @@ def fit(
             batch = [train_prepared[i] for i in order[start : start + config.batch_size]]
             loss, grads = model.loss_and_grads(batch)
             if not math.isfinite(loss):
-                raise TrainingDivergedError(epoch, n_batches, loss)
+                raise TrainingDivergedError(epoch, n_batches, f"loss {loss}")
             adam_step(tensors, grads, state, config.lr)
+            for name, tensor in tensors.items():
+                if not np.isfinite(tensor).all():
+                    raise TrainingDivergedError(epoch, n_batches, f"tensor {name!r}")
             epoch_loss += loss
             n_batches += 1
         tune_map = original_mode_map(model, tune_prepared, config.batch_size)

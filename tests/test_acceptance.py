@@ -20,10 +20,10 @@ from evpirank.evaluation import (
     precision_at_k,
 )
 from evpirank.evpi import NeuralParams, expected_value
-from evpirank.gradsuite import run_gradient_suite
 from evpirank.retrieval import build_index, tokenize, top_k
 from evpirank.training import TrainConfig, train
 
+from tests.gradsuite import run_gradient_suite
 from tests.oracles import (
     BruteCorpus,
     answer_prob,

@@ -18,11 +18,11 @@ from evpirank.baselines import (
 )
 from evpirank.evpi import NeuralParams
 from evpirank.evaluation import LabelSet, per_post_metrics
-from evpirank.neural import grad_check
 from evpirank.retrieval import CandidateSet
 from evpirank.rng import substream
 from evpirank.training import TrainConfig, train
 
+from tests.gradsuite import grad_check
 from tests.synthetic import make_random_rankings_fixture, table_of
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evpirank.baselines import NGRAM_FEATURE_SPACE, CqaModel, NgramModel
@@ -222,12 +222,16 @@ class TestRoundTrips:
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(MODELS), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
     def test_checkpoint_is_bit_exact(self, model, embed_dim, hidden_dim, seed):
-        # Every tensor holds arbitrary bit patterns: NaN payloads, infinities,
-        # subnormals and signed zeros must all come back unchanged.
+        # Every tensor holds arbitrary finite bit patterns: subnormals, signed
+        # zeros and the largest exponents must all come back unchanged.
+        # save_checkpoint refuses nan and inf, so an all-ones exponent (nan or
+        # inf) loses its top bit.
         rng = np.random.default_rng(seed)
         tensors = NeuralParams.init(model, embed_dim, hidden_dim, rng).tensors()
         for tensor in tensors.values():
             bits = rng.integers(0, 2**64, size=tensor.shape, dtype=np.uint64)
+            exponent = (bits >> np.uint64(52)) & np.uint64(0x7FF)
+            bits[exponent == 0x7FF] ^= np.uint64(1 << 62)
             tensor[...] = bits.view(np.float64)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.ckpt"
@@ -249,11 +253,21 @@ class TestRoundTrips:
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(triples(), max_size=4, unique_by=lambda t: t.post_id))
+    @example([Triple("p1", "", "b", "q?", 1, "a", "edit"), Triple("p\t2", "", "b", "q?", 1, "a", "edit")])
     def test_triples_file(self, written):
+        # A post id holding a tab or newline is written but refused on reading.
+        refused = [n for n, t in enumerate(written, 1) if "\t" in t.post_id or "\n" in t.post_id]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "triples.jsonl"
             write_triples(path, written)
-            assert read_triples(path) == written
+            if not refused:
+                assert read_triples(path) == written
+                return
+            with pytest.raises(ValueError) as info:
+                read_triples(path)
+        message = str(info.value)
+        assert message.startswith(f"line {refused[0]}: post ")
+        assert message.endswith(": post_id may not contain tabs or newlines")
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -1,9 +1,10 @@
 """Mutated input lines never end in a traceback, a partial file or a non-finite number.
 
-Each example edits one line of the golden candidates file, or of a rankings
-file written from it: it drops a field, swaps a value's JSON type, writes a
-non-finite or overflowing number, empties a list, or inserts odd Unicode.
-`rank` (evpi and random) and `evaluate` then read the result. Every run
+Each example edits one line of the golden triples or candidates file, or of
+a rankings file written from the candidates: it drops a field, swaps a
+value's JSON type, writes a non-finite or overflowing number, empties a
+list, or inserts odd Unicode. `candidates` reads the triples; `rank` (evpi
+and random) and `evaluate` read the rest. Every run
 must exit 0 or 2 with no traceback; after exit 2 no output file exists, and
 every number any run writes is finite. A line given bytes that are not
 UTF-8 must exit 2 naming that line.
@@ -24,6 +25,7 @@ from evpirank.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CANDIDATES = FIXTURES / "golden" / "candidates.jsonl"
+TRIPLES = FIXTURES / "golden" / "triples.jsonl"
 EMBEDDINGS = FIXTURES / "embeddings_toy.txt"
 
 # Raw JSON number text json.dumps cannot write: json.loads reads the first
@@ -171,6 +173,24 @@ def test_mutated_candidates_line(inputs, mutation):
                      "--mode", "original"],
                     tmp / f"{model}.eval.json",
                 )
+
+
+TRIPLE_LINES = TRIPLES.read_text(encoding="utf-8").splitlines()
+
+
+@_settings
+@given(mutation=mutated_line(TRIPLE_LINES))
+# A post id holding a tab made `candidates` exit 1 when it built the index.
+@example(mutation=(1, with_field(TRIPLE_LINES[1], post_id="p\t02")))
+def test_mutated_triples_line(mutation):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        triples = tmp / "triples.jsonl"
+        write_mutated(triples, TRIPLE_LINES, *mutation)
+        check(
+            ["candidates", "--triples", triples, "--index-out", tmp / "posts.idx"],
+            tmp / "candidates.jsonl",
+        )
 
 
 @_settings

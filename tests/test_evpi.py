@@ -21,13 +21,13 @@ from evpirank.neural import (
     FeedForwardParams,
     adam_step,
     assign_tensors,
-    grad_check,
     load_checkpoint,
     save_checkpoint,
 )
 from evpirank.retrieval import CandidateSet
 from evpirank.rng import substream
 
+from tests.gradsuite import grad_check
 from tests.oracles import (
     answer_prob,
     dist,

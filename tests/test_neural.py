@@ -13,7 +13,6 @@ from evpirank.neural import (
     adam_step,
     feedforward_backward,
     feedforward_forward,
-    grad_check,
     load_checkpoint,
     lstm_backward,
     save_checkpoint,
@@ -21,6 +20,7 @@ from evpirank.neural import (
     zeros_like_tensors,
 )
 
+from tests.gradsuite import grad_check
 from tests.oracles import per_gate_lstm_mean
 from tests.synthetic import forward_rows
 
@@ -332,6 +332,13 @@ class TestCheckpoints:
     def test_whitespace_in_name_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_checkpoint(tmp_path / "x.ckpt", {"bad name": np.ones(1)})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_refused_before_the_file_opens(self, tmp_path, value):
+        path = tmp_path / "x.ckpt"
+        with pytest.raises(ValueError, match="tensor 'w' holds nan or inf"):
+            save_checkpoint(path, {"v": np.ones(2), "w": np.array([1.0, value])})
+        assert not path.exists()
 
 
 class TestInit:
