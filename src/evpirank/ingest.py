@@ -114,11 +114,12 @@ def _load_records(path, record_type):
 
 
 def read_posts(path) -> tuple[list[PostRecord], int]:
-    """Posts with an id and a positive created_at, the first of each id; the rest are malformed."""
+    """Posts with a positive created_at and an id free of tabs and newlines, the
+    first of each id; the rest are malformed."""
     records, malformed = _load_records(path, PostRecord)
     valid: dict[str, PostRecord] = {}
     for r in records:
-        if r.post_id and r.created_at > 0:
+        if r.post_id and _fits_index_line(r.post_id) and r.created_at > 0:
             valid.setdefault(r.post_id, r)
     malformed += len(records) - len(valid)
     return list(valid.values()), malformed
@@ -304,9 +305,13 @@ def write_triples(path, triples: Iterable[Triple]) -> None:
             handle.write(json.dumps(vars(triple), ensure_ascii=False) + "\n")
 
 
-def _check_triple(triple: Triple) -> None:
+def _fits_index_line(post_id: str) -> bool:
     """A post id names a document of the index file, one tab-separated line."""
-    if "\t" in triple.post_id or "\n" in triple.post_id:
+    return "\t" not in post_id and "\n" not in post_id
+
+
+def _check_triple(triple: Triple) -> None:
+    if not _fits_index_line(triple.post_id):
         raise ValueError(f"post {triple.post_id!r}: post_id may not contain tabs or newlines")
 
 

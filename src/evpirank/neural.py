@@ -11,7 +11,10 @@ whose views of the stacked rows assign_tensors writes a checkpoint into.
 lstm_forward and lstm_backward run a batch of ragged
 sequences as one packed pass, longest first, so each step is one product
 over the sequences still running (Appleyard, Kocisky & Blunsom 2016,
-arXiv:1604.01946).
+arXiv:1604.01946). A forward-only pass of 2 x GROUP_SEQUENCES sequences
+or more runs as token-balanced groups, one thread per usable CPU, with the
+same bits at every CPU count; BLAS's own threads (OPENBLAS_NUM_THREADS)
+multiply with these.
 
 Gradients are implemented per architecture rather than through a general
 autodiff graph; the central-difference gradient suite that acceptance
@@ -22,6 +25,8 @@ of them.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -216,6 +221,59 @@ def _rows_times(x: np.ndarray, w: np.ndarray, cols: int) -> np.ndarray:
     return (x @ w)[:, :cols]
 
 
+# A forward-only pass of n sequences runs as min(usable CPUs, n // GROUP_SEQUENCES)
+# groups, each on its own thread. Two groups break even near 24 to 32
+# sequences each at H = 100, d = 200 (2-core x86-64, OpenBLAS on 1 thread),
+# but only somewhere from 64 to 280 each at H = 24 to 50, whose short
+# products leave the threads contending for the GIL. rank's post pass (28
+# texts) and perfbench train's tune evaluation (at most 50 a pass) stay on
+# one thread.
+GROUP_SEQUENCES = 64
+
+
+def _token_groups(sorted_lens: np.ndarray) -> list[int]:
+    """Bounds of contiguous groups of the longest-first lengths that hold about equal tokens.
+
+    The first group holds at least the longest sequence, so the long
+    sequences share one group and the many short ones the others.
+    """
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    count = min(usable, len(sorted_lens) // GROUP_SEQUENCES)
+    if count < 2:
+        return [0, len(sorted_lens)]
+    cumulative = np.cumsum(sorted_lens)
+    cuts = np.searchsorted(cumulative, cumulative[-1] * np.arange(1, count) / count, side="right")
+    # np.unique would import numpy.ma (1 MB) on its first call
+    return sorted({0, *np.maximum(cuts, 1).tolist(), len(sorted_lens)})
+
+
+def _on_threads(fn: Callable, calls: list[tuple]) -> list:
+    """[fn(*args) for args in calls]: the first on this thread, each other on a thread of its own.
+
+    Every thread has ended when this returns or raises; the exception of
+    the first call that raised is raised here.
+    """
+    results: list = [None] * len(calls)
+    errors: list = [None] * len(calls)
+
+    def work(k: int) -> None:
+        try:
+            results[k] = fn(*calls[k])
+        except BaseException as exc:
+            errors[k] = exc
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, len(calls))]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def lstm_forward(
     params: LstmParams,
     tokens: np.ndarray,
@@ -238,6 +296,14 @@ def lstm_forward(
     lstm_backward. Without it the cache is None: each step gathers and
     projects the rows of its running sequences only, so no array has a row
     per token. Both give the same bits.
+
+    A forward-only pass steps contiguous groups of the sorted batch holding
+    about equal tokens (_token_groups), one per usable CPU and at most one
+    per GROUP_SEQUENCES sequences, above the measured break-even: the first
+    on the caller's thread, each other on a thread of its own. A row's products do not
+    depend on the other rows (PRODUCT_COLUMNS), so the means have the same
+    bits at every CPU count. Each thread's BLAS calls run on
+    OPENBLAS_NUM_THREADS threads of their own, so the two counts multiply.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     hidden = params.hidden_dim
@@ -263,29 +329,39 @@ def lstm_forward(
         h_s = np.empty((len(xs), hidden))
     i_, f_, o_, g_ = (slice(k * hidden, (k + 1) * hidden) for k in range(len(GATES)))
     ifo = slice(0, 3 * hidden)
-    h_prev = c_prev = np.zeros((len(lens), hidden))
-    total = np.zeros((len(lens), hidden))
-    lo = 0
-    for t, live in enumerate(batch_sizes):
-        hi = lo + live
-        if for_backward:
-            z = gates[lo:hi]
-        else:
-            z = _rows_times(gather(tokens[sorted_starts[:live] + t]), w_t, width)
-            z += params.b
-        z += _rows_times(h_prev[:live], u_t, width)
-        # sigma(x) = (1 + tanh(x / 2)) / 2, so one tanh serves all four gates
-        z[:, ifo] *= 0.5
-        np.tanh(z, out=z)
-        z[:, ifo] += 1.0
-        z[:, ifo] *= 0.5
-        c_prev = z[:, f_] * c_prev[:live] + z[:, i_] * z[:, g_]
-        h_prev = z[:, o_] * np.tanh(c_prev)
-        if for_backward:
-            c_s[lo:hi] = c_prev
-            h_s[lo:hi] = h_prev
-        total[:live] += h_prev
-        lo = hi
+
+    def run(first: int, last: int) -> np.ndarray:
+        """Summed hidden states of sorted sequences first..last-1, stepped on their own."""
+        starts = sorted_starts[first:last]
+        h_prev = c_prev = np.zeros((last - first, hidden))
+        total = np.zeros((last - first, hidden))
+        lo = 0  # packed rows lo:hi of gates, c_s and h_s: a for_backward pass is one group
+        for t, live in enumerate(np.minimum(batch_sizes, last) - first):
+            if live <= 0:
+                break
+            hi = lo + live
+            if for_backward:
+                z = gates[lo:hi]
+            else:
+                z = _rows_times(gather(tokens[starts[:live] + t]), w_t, width)
+                z += params.b
+            z += _rows_times(h_prev[:live], u_t, width)
+            # sigma(x) = (1 + tanh(x / 2)) / 2, so one tanh serves all four gates
+            z[:, ifo] *= 0.5
+            np.tanh(z, out=z)
+            z[:, ifo] += 1.0
+            z[:, ifo] *= 0.5
+            c_prev = z[:, f_] * c_prev[:live] + z[:, i_] * z[:, g_]
+            h_prev = z[:, o_] * np.tanh(c_prev)
+            if for_backward:
+                c_s[lo:hi] = c_prev
+                h_s[lo:hi] = h_prev
+            total[:live] += h_prev
+            lo = hi
+        return total
+
+    bounds = [0, len(lens)] if for_backward else _token_groups(sorted_lens)
+    total = np.concatenate(_on_threads(run, list(zip(bounds[:-1], bounds[1:]))))
     means = np.zeros((len(lens), hidden))
     means[order] = total / np.maximum(sorted_lens, 1)[:, None]
     cache = LstmCache(xs, gates, c_s, h_s, lens, order, batch_sizes) if for_backward else None

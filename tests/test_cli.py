@@ -85,6 +85,29 @@ class TestIngestCommand:
             '"comments": 1, "history": 0}, "orphan_records": 0}'
         )
 
+    @pytest.mark.parametrize("escape", ["\\t", "\\n"])
+    def test_a_post_id_candidates_would_refuse_is_malformed(self, tmp_path, capsys, escape):
+        # Such a post used to become a triple that the next stage, candidates, refused (exit 2).
+        paths = {}
+        for name in ("posts", "comments", "history"):
+            text = (DUMP / f"{name}.jsonl").read_text(encoding="utf-8")
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text(text.replace('"p01"', f'"p{escape}01"'), encoding="utf-8")
+        triples, candidates = tmp_path / "triples.jsonl", tmp_path / "candidates.jsonl"
+        argv = ingest_args(triples)
+        for name, path in paths.items():
+            argv[argv.index(f"--{name}") + 1] = str(path)
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        diagnostics = json.loads(err.splitlines()[-1])
+        assert diagnostics["malformed_lines"]["posts"] == 1
+        assert diagnostics["orphan_records"] == 2  # its comment and its edit
+        post_ids = [json.loads(line)["post_id"] for line in triples.read_text("utf-8").splitlines()]
+        assert post_ids and not any("01" in post_id for post_id in post_ids)
+        code, _, err = run(capsys, "candidates", "--triples", str(triples), "--out", str(candidates))
+        assert code == 0, err
+        assert candidates.exists()
+
     def test_missing_input_file_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
