@@ -194,22 +194,31 @@ def _distinct(texts: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[bytes
     return [texts[i] for i in np.unique(inverse, return_index=True)[1]], list(index), inverse
 
 
-def _encoded(lstm, table, memo: dict, prefix: str, texts, keys) -> np.ndarray:
-    """Forward-only encodings of the distinct texts, whose token-id bytes are keys.
+def _encoded(passes, table, memo: dict) -> list[np.ndarray]:
+    """Forward-only encodings of each (prefix, lstm, distinct texts, their token-id bytes) pass.
 
-    Only the texts memo holds no encoding of go through lstm_forward, in one
-    packed pass; their encodings are remembered under (prefix, bytes).
+    Only the texts memo holds no encoding of go through lstm_forward, those
+    of every encoder in one call; their encodings are remembered under
+    (prefix, bytes).
     """
-    rows = [memo.get((prefix, key)) for key in keys]
-    missing = [i for i, row in enumerate(rows) if row is None]
-    if missing:
+    rows = [[memo.get((prefix, key)) for key in keys] for prefix, _, _, keys in passes]
+    missing = [[i for i, row in enumerate(encoder) if row is None] for encoder in rows]
+    todo = [
+        (lstm, [texts[i] for i in wanted])
+        for (_, lstm, texts, _), wanted in zip(passes, missing)
+        if wanted
+    ]
+    if todo:
+        texts = [ids for _, encoder_texts in todo for ids in encoder_texts]
         means, _ = lstm_forward(
-            lstm, np.concatenate([texts[i] for i in missing]), [len(texts[i]) for i in missing],
-            table.gather, False,
+            todo[0][0], np.concatenate(texts), [len(ids) for ids in texts], table.gather, False,
+            others=[(lstm, len(encoder_texts)) for lstm, encoder_texts in todo[1:]],
         )
-        for i, row in zip(missing, means):
-            rows[i] = _remember(memo, (prefix, keys[i]), row)
-    return np.stack(rows)
+        fresh = iter(means)
+        for (prefix, _, _, keys), encoder, wanted in zip(passes, rows, missing):
+            for i in wanted:
+                encoder[i] = _remember(memo, (prefix, keys[i]), next(fresh))
+    return [np.stack(encoder) for encoder in rows]
 
 
 class SetEncoding:
@@ -225,17 +234,19 @@ class SetEncoding:
     the question encodings, then the answer encodings, one row per
     candidate.
 
-    Each encoder makes one packed lstm_forward over its distinct texts that
-    gathers their vectors with table.gather. A text's encoding has the
-    same bits whatever batch it is in (see neural.PRODUCT_COLUMNS), so a set
-    ranks bit-equal alone or in any chunk. With for_backward each block keeps
-    its LSTM cache and an (n, H) accumulator of d(loss)/d(block) that
-    backprop_head adds into, and backward() runs one lstm_backward per
-    encoder. Without it the pass is forward-only: each step gathers the
-    vectors of its running texts only, so no buffer has a float row per
-    token. A forward-only encoding also reuses the encodings in memo, an
-    encoding memo of one model whose weights do not change while it is used
-    (one ranking pass), and remembers the ones it computes (MEMO_TEXTS).
+    The texts' vectors are gathered with table.gather. A text's encoding
+    has the same bits whatever batch it is in (see neural.PRODUCT_COLUMNS),
+    so a set ranks bit-equal alone or in any chunk. With for_backward each
+    encoder makes one packed lstm_forward over its distinct texts, each
+    block keeps its LSTM cache and an (n, H) accumulator of d(loss)/d(block)
+    that backprop_head adds into, and backward() runs one lstm_backward per
+    encoder. Without it the pass is forward-only: one lstm_forward call runs
+    every encoder's texts, its groups stepped side by side on the usable
+    CPUs, and each step gathers the vectors of its running texts only, so
+    no buffer has a float row per token. A forward-only encoding also reuses
+    the encodings in memo, an encoding memo of one model whose weights do
+    not change while it is used (one ranking pass), and remembers the ones
+    it computes (MEMO_TEXTS).
     """
 
     def __init__(
@@ -251,7 +262,7 @@ class SetEncoding:
         self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         self.originals = self.offsets[:-1] + [prep.cs.original_index for prep in preps]
         self.n = int(self.offsets[-1])
-        self.lstms, self.blocks, self.text_ids, self.caches = [], [], [], []
+        self.lstms, self.text_ids, passes = [], [], []
         for prefix, lstm, texts, rows_per_text in (
             ("lstm_post/", params.lstm_post, [prep.post_tokens for prep in preps], sizes),
             ("lstm_question/", params.lstm_question,
@@ -262,17 +273,18 @@ class SetEncoding:
             if lstm is None:
                 continue
             distinct, keys, inverse = _distinct(texts)
-            if for_backward:
-                means, cache = lstm_forward(
-                    lstm, np.concatenate(distinct), [len(ids) for ids in distinct], table.gather,
-                )
-            else:
-                means, cache = _encoded(lstm, table, memo, prefix, distinct, keys), None
-            text_ids = np.repeat(inverse, rows_per_text)  # a set's post serves each of its rows
+            passes.append((prefix, lstm, distinct, keys))
             self.lstms.append((prefix, lstm))
-            self.blocks.append(means[text_ids])
-            self.text_ids.append(text_ids)
-            self.caches.append(cache)
+            # a set's post serves each of its rows
+            self.text_ids.append(np.repeat(inverse, rows_per_text))
+        if for_backward:
+            means, self.caches = zip(*(
+                lstm_forward(lstm, np.concatenate(texts), [len(ids) for ids in texts], table.gather)
+                for _, lstm, texts, _ in passes
+            ))
+        else:
+            means, self.caches = _encoded(passes, table, memo), [None] * len(passes)
+        self.blocks = [rows[text_ids] for rows, text_ids in zip(means, self.text_ids)]
         if for_backward:
             self.d_blocks = [np.zeros(block.shape) for block in self.blocks]
 
@@ -485,8 +497,9 @@ class EvpiModel(NeuralModel):
 
         F_ans and the utilities run once over the rows of all sets; the n x n
         answer probabilities are per set. Every product whose rows become
-        per-candidate scores is an einsum, so identical candidates get
-        bit-identical scores.
+        per-candidate scores is batch-invariant, the heads' on the padded
+        BLAS product (neural.PRODUCT_COLUMNS) and the others an einsum, so
+        identical candidates get bit-identical scores.
         """
         params = self.params
         enc = SetEncoding(params, self.table, preps, memo=memo)

@@ -8,13 +8,17 @@ bit-exact checkpoint format.
 The LSTM keeps its four gates stacked in one W, U and b; the per-gate
 names of checkpoints (W_i ... b_g) exist only in LstmParams.tensors(),
 whose views of the stacked rows assign_tensors writes a checkpoint into.
-lstm_forward and lstm_backward run a batch of ragged
+W and U are transposed views of column-padded arrays that the products
+read in place. lstm_forward and lstm_backward run a batch of ragged
 sequences as one packed pass, longest first, so each step is one product
 over the sequences still running (Appleyard, Kocisky & Blunsom 2016,
-arXiv:1604.01946). A forward-only pass of 2 x GROUP_SEQUENCES sequences
-or more runs as token-balanced groups, one thread per usable CPU, with the
-same bits at every CPU count; BLAS's own threads (OPENBLAS_NUM_THREADS)
-multiply with these.
+arXiv:1604.01946). One forward-only call may run several
+encoders of one shape: it cuts each encoder's sequences into token-balanced
+groups and hands them out longest first to one thread per usable CPU,
+above floors of sequences and FLOPs per group (GROUP_SEQUENCES,
+GROUP_FLOPS), with the same bits at every CPU count; BLAS's own threads
+(OPENBLAS_NUM_THREADS) multiply with these. The LSTM's and the feedforward
+stacks' products are batch-invariant (PRODUCT_COLUMNS).
 
 Gradients are implemented per architecture rather than through a general
 autodiff graph; the central-difference gradient suite that acceptance
@@ -24,10 +28,11 @@ of them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -68,11 +73,24 @@ class LstmParams:
     GATES[k]. Checkpoints, gradients and Adam state use per-gate names, and
     only tensors() spells them: it returns views of these rows, so writes
     through it (adam_step, assign_tensors) reach the model.
+
+    W and U are copied in at construction and kept as transposed views of
+    w_t (D x 4H') and u_t (H x 4H'), contiguous arrays whose columns past
+    4H are zero up to a multiple of PRODUCT_COLUMNS. lstm_forward's products
+    read w_t and u_t in place, so no pass copies a weight.
     """
 
     W: np.ndarray
     U: np.ndarray
     b: np.ndarray
+    w_t: np.ndarray = field(init=False, repr=False, compare=False)
+    u_t: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.w_t = _padded_columns(self.W.T)
+        self.u_t = _padded_columns(self.U.T)
+        self.W = self.w_t[:, : len(self.W)].T
+        self.U = self.u_t[:, : len(self.U)].T
 
     @property
     def input_dim(self) -> int:
@@ -194,15 +212,15 @@ class LstmCache:
     batch_sizes: np.ndarray # (T,) sequences still running at each step
 
 
-# Batch invariance of the LSTM's products. On OpenBLAS a row of a product
-# of two or more rows gets the same bits in every such product, whatever its
-# other rows, when the column count is a multiple of 8; a one-row product (a
-# GEMV) and other column counts can round it differently (probed on OpenBLAS
-# 0.3.31, Haswell kernels, 1 and 2 threads: 2 to 4,000 rows, inner
-# dimensions 3 to 300). So the LSTM pads its weight columns to a multiple of
-# PRODUCT_COLUMNS and runs a one-row product as two rows, and a text encodes
-# to the same bits alone and in any batch ("Defeating
-# Nondeterminism in LLM Inference",
+# Batch invariance of the LSTM's and the feedforward stacks' products. On
+# OpenBLAS a row of a product of two or more rows gets the same bits in every
+# such product, whatever its other rows, when the column count is a multiple
+# of 8; a one-row product (a GEMV) and other column counts can round it
+# differently (probed on OpenBLAS 0.3.31, Haswell kernels, 1 and 2 threads:
+# 2 to 4,000 rows, inner dimensions 3 to 300). So both pad their weight
+# columns to a multiple of PRODUCT_COLUMNS and run a one-row product as two
+# rows: a text encodes, and a candidate scores, to the same bits alone and
+# in any batch ("Defeating Nondeterminism in LLM Inference",
 # https://thinkingmachines.ai/blog/defeating-nondeterminism-in-llm-inference/).
 PRODUCT_COLUMNS = 8
 
@@ -221,57 +239,72 @@ def _rows_times(x: np.ndarray, w: np.ndarray, cols: int) -> np.ndarray:
     return (x @ w)[:, :cols]
 
 
-# A forward-only pass of n sequences runs as min(usable CPUs, n // GROUP_SEQUENCES)
-# groups, each on its own thread. Two groups break even near 24 to 32
-# sequences each at H = 100, d = 200 (2-core x86-64, OpenBLAS on 1 thread),
-# but only somewhere from 64 to 280 each at H = 24 to 50, whose short
-# products leave the threads contending for the GIL. rank's post pass (28
-# texts) and perfbench train's tune evaluation (at most 50 a pass) stay on
-# one thread.
+# A forward-only call cuts each encoder's longest-first sequences into at
+# most one group per usable CPU, and a group holds at least GROUP_SEQUENCES
+# sequences and GROUP_FLOPS of work, counted as the gate products' FLOPs:
+# tokens x 8H(D + H). The call steps its groups on one thread per usable
+# CPU, and on one thread per GROUP_FLOPS of its whole work at most, so a
+# small call, such as train's tune evaluation at H = 24 (under 5 MFLOP),
+# stays on the caller's thread: below the floor the threads' short products
+# spend more time waiting for the GIL than they save. Two groups of one
+# pass broke even near 75 to 80 MFLOP each at d = 200 (H = 24 and 100) and
+# near 25 MFLOP at d = 24, H = 24 (2-core x86-64, OpenBLAS on 1 thread;
+# CHANGES.md holds the table); at H = 100, d = 200, 100 MFLOP is about 32
+# sequences of 13 tokens.
 GROUP_SEQUENCES = 64
+GROUP_FLOPS = 100e6
 
 
-def _token_groups(sorted_lens: np.ndarray) -> list[int]:
+def _token_groups(sorted_lens: np.ndarray, token_flops: int, cpus: int) -> list[int]:
     """Bounds of contiguous groups of the longest-first lengths that hold about equal tokens.
 
-    The first group holds at least the longest sequence, so the long
-    sequences share one group and the many short ones the others.
+    There are at most cpus groups, each of at least GROUP_SEQUENCES
+    sequences and GROUP_FLOPS at token_flops a token. The first group holds
+    at least the longest sequence, so the long sequences share one group and
+    the many short ones the others.
     """
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    count = min(usable, len(sorted_lens) // GROUP_SEQUENCES)
+    cumulative = np.cumsum(sorted_lens)
+    total = int(cumulative[-1]) if len(cumulative) else 0
+    count = min(cpus, len(sorted_lens) // GROUP_SEQUENCES, int(total * token_flops // GROUP_FLOPS))
     if count < 2:
         return [0, len(sorted_lens)]
-    cumulative = np.cumsum(sorted_lens)
-    cuts = np.searchsorted(cumulative, cumulative[-1] * np.arange(1, count) / count, side="right")
+    cuts = np.searchsorted(cumulative, total * np.arange(1, count) / count, side="right")
     # np.unique would import numpy.ma (1 MB) on its first call
     return sorted({0, *np.maximum(cuts, 1).tolist(), len(sorted_lens)})
 
 
-def _on_threads(fn: Callable, calls: list[tuple]) -> list:
-    """[fn(*args) for args in calls]: the first on this thread, each other on a thread of its own.
+def _running(sorted_lens: np.ndarray) -> np.ndarray:
+    """The number of the longest-first sequences still running at each step."""
+    steps = np.arange(sorted_lens[0] if len(sorted_lens) else 0)
+    return len(sorted_lens) - np.searchsorted(sorted_lens[::-1], steps, side="right")
 
-    Every thread has ended when this returns or raises; the exception of
-    the first call that raised is raised here.
+
+def _on_threads(fn: Callable, calls: list[tuple], threads: int) -> None:
+    """fn(*args) for each args of calls, on this thread and threads - 1 threads of their own.
+
+    Each thread takes the first call no thread has taken, until none is
+    left. Every thread has ended when this returns or raises; the exception
+    of the first call that raised is raised here.
     """
-    results: list = [None] * len(calls)
     errors: list = [None] * len(calls)
+    taken = itertools.count()  # next() on it is one atomic step under the GIL
 
-    def work(k: int) -> None:
-        try:
-            results[k] = fn(*calls[k])
-        except BaseException as exc:
-            errors[k] = exc
+    def work() -> None:
+        while (k := next(taken)) < len(calls):
+            try:
+                fn(*calls[k])
+            except BaseException as exc:
+                errors[k] = exc
 
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, len(calls))]
-    for thread in threads:
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for thread in helpers:
         thread.start()
-    work(0)
-    for thread in threads:
+    work()
+    for thread in helpers:
         thread.join()
     for exc in errors:
         if exc is not None:
             raise exc
-    return results
 
 
 def lstm_forward(
@@ -280,6 +313,7 @@ def lstm_forward(
     lengths: Sequence[int],
     gather: Callable[[np.ndarray], np.ndarray],
     for_backward: bool = True,
+    others: Sequence[tuple[LstmParams, int]] = (),
 ) -> tuple[np.ndarray, LstmCache | None]:
     """Run the LSTM over a batch of sequences; returns (mean hidden states, cache).
 
@@ -297,13 +331,17 @@ def lstm_forward(
     projects the rows of its running sequences only, so no array has a row
     per token. Both give the same bits.
 
-    A forward-only pass steps contiguous groups of the sorted batch holding
-    about equal tokens (_token_groups), one per usable CPU and at most one
-    per GROUP_SEQUENCES sequences, above the measured break-even: the first
-    on the caller's thread, each other on a thread of its own. A row's products do not
-    depend on the other rows (PRODUCT_COLUMNS), so the means have the same
-    bits at every CPU count. Each thread's BLAS calls run on
-    OPENBLAS_NUM_THREADS threads of their own, so the two counts multiply.
+    A forward-only call may run several encoders of params's shape: others
+    holds (encoder, count) pairs, and each runs the next count sequences
+    after those of params and of the pairs before it. Each encoder's
+    sequences are sorted longest first on their own and cut into contiguous
+    groups of about equal tokens (_token_groups). The groups are handed out
+    longest first to one thread per usable CPU, the caller's thread
+    included, within the floors of GROUP_SEQUENCES and GROUP_FLOPS. A row's
+    products do not depend on the other rows (PRODUCT_COLUMNS), so the
+    means have the same bits at every CPU count and in any call. Each
+    thread's BLAS calls run on OPENBLAS_NUM_THREADS threads of their own, so
+    the two counts multiply.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     hidden = params.hidden_dim
@@ -312,40 +350,48 @@ def lstm_forward(
     lens = np.array(lengths, dtype=np.int64).reshape(-1)
     if (lens < 0).any() or lens.sum() != len(tokens):
         raise ValueError(f"lengths {list(lens)} do not split {len(tokens)} tokens")
-    order = np.argsort(-lens, kind="stable")
+    counts = [len(lens) - sum(count for _, count in others), *(count for _, count in others)]
+    if for_backward and others:
+        raise ValueError("a pass for backward runs one encoder")
+    if min(counts) < 0:
+        raise ValueError(f"the other encoders' {counts[1:]} sequences exceed {len(lens)}")
+    if any((lstm.input_dim, lstm.hidden_dim) != (params.input_dim, hidden) for lstm, _ in others):
+        raise ValueError("every encoder of one pass must have params's shape")
+    # encoder k runs sequences edges[k]:edges[k + 1], sorted longest first on their own
+    edges = np.cumsum([0, *counts])
+    order = np.concatenate([
+        lo + np.argsort(-lens[lo:hi], kind="stable") for lo, hi in zip(edges[:-1], edges[1:])
+    ])
     sorted_lens = lens[order]
-    steps = np.arange(sorted_lens.max(initial=0))
-    batch_sizes = np.count_nonzero(sorted_lens[:, None] > steps, axis=0)
     sorted_starts = (np.cumsum(lens) - lens)[order]
     width = len(GATES) * hidden
-    w_t = _padded_columns(params.W.T)
-    u_t = _padded_columns(params.U.T)
     if for_backward:
+        batch_sizes = _running(sorted_lens)
+        steps = np.arange(len(batch_sizes))
         # Packed row r at step t, slot k, is token t of sequence order[k].
         slot = np.arange(len(tokens)) - np.repeat(np.cumsum(batch_sizes) - batch_sizes, batch_sizes)
         xs = gather(tokens[sorted_starts[slot] + np.repeat(steps, batch_sizes)])
-        gates = _rows_times(xs, w_t, width) + params.b
+        gates = _rows_times(xs, params.w_t, width) + params.b
         c_s = np.empty((len(xs), hidden))
         h_s = np.empty((len(xs), hidden))
     i_, f_, o_, g_ = (slice(k * hidden, (k + 1) * hidden) for k in range(len(GATES)))
     ifo = slice(0, 3 * hidden)
+    sums = np.zeros((len(lens), hidden))
 
-    def run(first: int, last: int) -> np.ndarray:
-        """Summed hidden states of sorted sequences first..last-1, stepped on their own."""
+    def run(lstm: LstmParams, first: int, last: int) -> None:
+        """Add into sums the hidden states of sorted sequences first..last-1, stepped alone."""
         starts = sorted_starts[first:last]
         h_prev = c_prev = np.zeros((last - first, hidden))
-        total = np.zeros((last - first, hidden))
+        total = sums[first:last]
         lo = 0  # packed rows lo:hi of gates, c_s and h_s: a for_backward pass is one group
-        for t, live in enumerate(np.minimum(batch_sizes, last) - first):
-            if live <= 0:
-                break
+        for t, live in enumerate(_running(sorted_lens[first:last])):
             hi = lo + live
             if for_backward:
                 z = gates[lo:hi]
             else:
-                z = _rows_times(gather(tokens[starts[:live] + t]), w_t, width)
-                z += params.b
-            z += _rows_times(h_prev[:live], u_t, width)
+                z = _rows_times(gather(tokens[starts[:live] + t]), lstm.w_t, width)
+                z += lstm.b
+            z += _rows_times(h_prev[:live], lstm.u_t, width)
             # sigma(x) = (1 + tanh(x / 2)) / 2, so one tanh serves all four gates
             z[:, ifo] *= 0.5
             np.tanh(z, out=z)
@@ -358,12 +404,20 @@ def lstm_forward(
                 h_s[lo:hi] = h_prev
             total[:live] += h_prev
             lo = hi
-        return total
 
-    bounds = [0, len(lens)] if for_backward else _token_groups(sorted_lens)
-    total = np.concatenate(_on_threads(run, list(zip(bounds[:-1], bounds[1:]))))
+    # a pass for backward fills one packed cache: one group, on this thread
+    usable = hasattr(os, "sched_getaffinity") and not for_backward
+    cpus = len(os.sched_getaffinity(0)) if usable else 1
+    token_flops = 8 * hidden * (params.input_dim + hidden)
+    groups = []
+    for lstm, lo, hi in zip([params, *(lstm for lstm, _ in others)], edges[:-1], edges[1:]):
+        bounds = _token_groups(sorted_lens[lo:hi], token_flops, cpus)
+        groups += [(lstm, lo + a, lo + b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    groups.sort(key=lambda group: -sorted_lens[group[1]])  # stable: longest first
+    threads = min(cpus, len(groups), max(1, int(len(tokens) * token_flops // GROUP_FLOPS)))
+    _on_threads(run, groups, threads)
     means = np.zeros((len(lens), hidden))
-    means[order] = total / np.maximum(sorted_lens, 1)[:, None]
+    means[order] = sums / np.maximum(sorted_lens, 1)[:, None]
     cache = LstmCache(xs, gates, c_s, h_s, lens, order, batch_sizes) if for_backward else None
     return means, cache
 
@@ -401,6 +455,7 @@ def lstm_backward(
     dh_shared = d_mean[cache.order] / np.maximum(cache.lengths[cache.order], 1)[:, None]
     dh_next = np.zeros_like(dh_shared)
     dc_next = np.zeros_like(dh_shared)
+    u = np.ascontiguousarray(params.U)  # a product with the transposed view can round differently
     hi = len(dpre)
     for live in sizes[::-1]:
         lo = hi - live
@@ -409,7 +464,7 @@ def lstm_backward(
         # the i, f and g blocks scale dc, the o block dh
         np.multiply(local_gates[lo:hi], dc[:, None, :], out=dpre_gates[lo:hi])
         np.multiply(local_gates[lo:hi, o_gate], dh, out=dpre_gates[lo:hi, o_gate])
-        dh_next[:live] = dpre[lo:hi] @ params.U
+        dh_next[:live] = dpre[lo:hi] @ u
         dc_next[:live] = dc * f[lo:hi]
         hi = lo
     grads = LstmParams(W=dpre.T @ cache.xs, U=dpre[first:].T @ cache.h[prev], b=dpre.sum(axis=0))
@@ -426,19 +481,21 @@ def feedforward_forward(
     """Affine + tanh on hidden layers, linear final layer; (output, activations).
 
     x holds rows (..., input_dim); a 1-D x is one row. Each layer is one
-    einsum, which gives a row the same bits whatever rows share its call, so
-    identical candidates score identically (a BLAS product does not).
+    product with w.T padded to PRODUCT_COLUMNS columns (_rows_times), which
+    gives a row the same bits whatever rows share its call, so identical
+    candidates score identically.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1:] != (params.input_dim,):
         raise ValueError(f"expected rows of length {params.input_dim}, got shape {x.shape}")
     activations = [x]
+    rows = x.reshape(-1, params.input_dim)
     n_layers = len(params.weights)
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = np.einsum("...i,oi->...o", activations[-1], w) + b
+        rows = _rows_times(rows, _padded_columns(w.T), len(w)) + b
         if layer < n_layers - 1:
-            z = np.tanh(z)
-        activations.append(z)
+            np.tanh(rows, out=rows)
+        activations.append(rows.reshape(*x.shape[:-1], len(w)))
     return activations[-1], activations
 
 

@@ -120,6 +120,9 @@ def top_k(index: Index, query_tokens: Sequence[str], k: int = 10) -> list[tuple[
     touched = np.zeros(n, dtype=bool)
     touched[docs] = True
     hit = np.flatnonzero(touched)
+    if len(hit) > k:  # only the documents scoring at least the k-th best can rank
+        hit_scores = scores[hit]
+        hit = hit[hit_scores >= np.partition(hit_scores, len(hit) - k)[len(hit) - k]]
     ranked = hit[np.lexsort((hit, -scores[hit]))][:k]
     pads = np.flatnonzero(~touched)[: k - len(ranked)]
     return [(index.doc_ids[p], float(scores[p])) for p in ranked.tolist()] + [

@@ -16,7 +16,7 @@ from evpirank.embeddings import EmbeddingTable
 from evpirank.evaluation import evaluate
 from evpirank.evpi import EvpiModel, NeuralParams, read_rankings
 from evpirank.ingest import split_name
-from evpirank.neural import feedforward_forward, save_checkpoint, sigmoid
+from evpirank.neural import FeedForwardParams, feedforward_forward, save_checkpoint, sigmoid
 from evpirank.retrieval import CandidateSet, write_candidates
 from evpirank.rng import substream
 from evpirank.training import original_mode_map, ranked_in_chunks
@@ -26,11 +26,12 @@ from tests.synthetic import table_of
 
 N_WORDS = 10
 
-# Shapes (n, embed_dim, hidden_dim) at which a BLAS product in place of one
-# of the einsums gives two rows of equal inputs different bits, so a tie
-# test below fails: X @ W.T in feedforward_forward and P @ u in
-# expected_value at the first, the answer cosines in rank_prepared at the
-# second, the question cosines in prepare at the third.
+# Shapes (n, embed_dim, hidden_dim) at which a plain BLAS product gives two
+# rows of equal inputs different bits, so a tie test below fails: X @ W.T in
+# feedforward_forward without its column padding (neural.PRODUCT_COLUMNS) and
+# P @ u in expected_value in place of its einsum at the first, the answer
+# cosines in rank_prepared at the second, the question cosines in prepare at
+# the third.
 TIE_SHAPES = [(9, 8, 27), (9, 32, 4), (12, 32, 27)]
 
 def toy_table(rng, dim) -> EmbeddingTable:
@@ -124,6 +125,37 @@ class TestTiesSurviveBatching:
         scores = dict(zip(ranked.order, ranked.scores))
         assert scores[1] == scores[n - 1]
         assert ranked.order.index(1) + 1 == ranked.order.index(n - 1)
+
+
+class TestHeadsAreBatchInvariant:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 400),
+        st.sampled_from([24, 100, 300]),
+        st.lists(st.sampled_from([24, 100, 200]), max_size=2),
+        st.sampled_from([1, 24, 100, 200]),
+    )
+    def test_a_row_gets_the_same_bits_alone_duplicated_and_in_any_batch(
+        self, seed, rows, input_dim, hidden_dims, output_dim
+    ):
+        rng = np.random.default_rng(seed)
+        params = FeedForwardParams.init([input_dim, *hidden_dims, output_dim], rng)
+        for bias in params.biases:
+            bias += rng.normal(size=bias.shape)
+        wide = rng.normal(size=(rows, input_dim + 5))
+        batch = wide[:, :input_dim]  # a strided view, as the heads' column blocks are
+        pick = int(rng.integers(rows))
+        alone = feedforward_forward(params, batch[pick])[0]
+        assert alone.shape == (output_dim,)
+        duplicated = feedforward_forward(params, np.stack([batch[pick]] * 2))[0]
+        for got in (
+            duplicated[0],
+            duplicated[1],
+            feedforward_forward(params, batch)[0][pick],
+            feedforward_forward(params, np.ascontiguousarray(batch))[0][pick],
+        ):
+            assert got.tobytes() == alone.tobytes()
 
 
 # ---------------------------------------------------------------------------

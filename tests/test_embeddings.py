@@ -1,6 +1,7 @@
 """Embedding loading, average vectors, and cosine similarity."""
 
 import errno
+import hashlib
 import io
 import math
 import os
@@ -210,6 +211,30 @@ class TestEmbeddingCache:
         np.testing.assert_array_equal(table.gather(table.token_ids(["cat"])), [[2.5, 2.0]])
         assert load_embeddings_file(vectors).matrix.tobytes() == table.matrix.tobytes()
 
+    @pytest.mark.parametrize(
+        "old, new", [("1.5", "2.5"), ("0.2", "0.3")], ids=["first-half", "second-half"]
+    )
+    def test_a_one_byte_edit_in_either_half_is_a_miss(self, vectors, monkeypatch, old, new):
+        load_embeddings_file(vectors)
+        edited = self.TEXT.replace(old, new)
+        assert sum(a != b for a, b in zip(edited, self.TEXT)) == 1
+        vectors.write_text(edited, encoding="utf-8")
+        assert loaded(lambda: load_embeddings_file(vectors)) == loaded(lambda: table_from(edited))
+
+    def test_a_version_1_cache_is_a_miss_and_is_rewritten(self, vectors, monkeypatch):
+        # version 1 keyed the cache with the SHA-256 of the whole file
+        load_embeddings_file(vectors)
+        good = cache_of(vectors).read_bytes()
+        key = b"evpirank-cache 1\n" + hashlib.sha256(vectors.read_bytes()).digest()
+        embeddings._write_cache(cache_of(vectors), key, *embeddings._parse_file(vectors))
+        assert cache_of(vectors).read_bytes() != good
+        parses = []
+        parse = embeddings._parse_file
+        monkeypatch.setattr(embeddings, "_parse_file", lambda path: parses.append(path) or parse(path))
+        assert loaded(lambda: load_embeddings_file(vectors)) == self.parsed()
+        assert parses == [vectors]
+        assert cache_of(vectors).read_bytes() == good
+
     def test_a_file_rewritten_during_its_parse_is_not_cached(self, vectors, monkeypatch):
         parse = embeddings._parse_file
 
@@ -241,7 +266,7 @@ class TestEmbeddingCache:
             pytest.param(lambda data: b"garbage" * 40, id="garbage"),
             pytest.param(lambda data: b"PK\x03\x04" + data[4:], id="bad-zip"),
             pytest.param(
-                lambda data: data.replace(b"evpirank-cache 1", b"evpirank-cache 0"),
+                lambda data: data.replace(embeddings.CACHE_VERSION, b"evpirank-cache 0\n"),
                 id="wrong-version",
             ),
             pytest.param(lambda data: data.replace(b"fox", b"f\nx"), id="a-word-too-many"),

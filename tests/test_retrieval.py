@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evpirank.ingest import Triple
@@ -26,6 +26,7 @@ from evpirank.retrieval import (
 from tests.oracles import DictIndex, brute_tfidf_scores, brute_top_k, dict_top_k
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+WORDS = ["a", "b", "c", "d", "e"]
 
 
 def make_triple(post_id: str, title: str, body: str) -> Triple:
@@ -177,17 +178,24 @@ class TestTopK:
             scores = [s for _, s in got]
             assert scores == sorted(scores, reverse=True)
 
+    # Few words and short texts: empty docs, equal scores and identical docs
+    # come up often. "oov" is in no document.
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_identical_to_dict_accumulator(self, data):
-        # Few words and short texts: empty docs, equal scores and identical
-        # docs come up often. "oov" is in no document.
-        words = ["a", "b", "c", "d", "e"]
-        texts = st.lists(st.sampled_from(words), max_size=6).map(" ".join)
-        ids = data.draw(st.lists(st.text("xyz", max_size=3), max_size=12, unique=True))
-        docs = [(doc_id, data.draw(texts)) for doc_id in ids]
-        query = data.draw(st.lists(st.sampled_from(words + ["oov"]), max_size=8))
-        k = data.draw(st.integers(1, len(docs) + 3))
+    @given(
+        st.lists(
+            st.tuples(
+                st.text("xyz", max_size=3), st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join)
+            ),
+            max_size=12,
+            unique_by=lambda doc: doc[0],
+        ),
+        st.lists(st.sampled_from(WORDS + ["oov"]), max_size=8),
+        st.integers(1, 15),
+    )
+    # Ties across the k-th place: "a b" and "b a" score sqrt(1/2) x idf^2, below "a" and "a a b".
+    @example([("z", "a b"), ("y", "a"), ("x", "b a"), ("xx", "a a b"), ("yy", "a b")], ["a"], 3)
+    @example([("z", "a b"), ("y", "c"), ("x", "b a"), ("xx", "a b")], ["a", "oov"], 2)
+    def test_identical_to_dict_accumulator(self, docs, query, k):
         index, oracle = build_index(docs), DictIndex(docs)
         got = top_k(index, query, k)
         want = dict_top_k(oracle, query, k)

@@ -8,12 +8,14 @@ breaks `perfbench/run.py --trace 1` fails here too.
 """
 
 import importlib
+import os
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-from evpirank import baselines, cli, embeddings, evaluation, ingest, neural, retrieval, training
+from evpirank import baselines, cli, embeddings, evaluation, evpi, ingest, neural, retrieval, training
 from evpirank.rng import substream
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -135,3 +137,60 @@ def test_counter_values(fixture_run):
 def test_traced_methods_run_in_train_and_rank(fixture_run):
     # Every traced method ran through its wrapper in fit and in `rank`.
     assert {name for name, *_ in TRACER.METHODS} <= fixture_run["spans"]
+
+
+def test_a_traced_rank_records_one_lstm_span_per_model_and_chunk(tmp_path, monkeypatch):
+    # Two usable CPUs and no floors: helper threads step groups of every call,
+    # and must not open spans on the tracer's one stack.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(neural, "GROUP_SEQUENCES", 1)
+    monkeypatch.setattr(neural, "GROUP_FLOPS", 1)
+    sets = sorted(retrieval.read_candidates(CANDIDATES), key=lambda cs: cs.post_id)  # rank's order
+    # vectors for every word of the file, so each post is a text of its own
+    words = sorted({w for cs in sets for t in [cs.post_body, *cs.questions, *cs.answers]
+                    for w in retrieval.tokenize(t)})
+    rng = substream(0, "test/traced-rank")
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("".join(f"{w} {rng.normal():.3f} {rng.normal():.3f}\n" for w in words),
+                       encoding="utf-8")
+    table = embeddings.load_embeddings_file(vectors)
+    tracer = TRACER.Tracer()
+    name, _, _, count = next(e for e in TRACER.FUNCTIONS if e[0] == "neural.lstm_forward")
+    original = neural.lstm_forward
+    wrapper = tracer.wrap(name, original, count)
+    for key, module in list(sys.modules.items()):
+        if key.startswith("evpirank."):
+            for attr in [attr for attr, value in vars(module).items() if value is original]:
+                monkeypatch.setattr(module, attr, wrapper)
+    batch_size = 3
+    chunks = [sets[i : i + batch_size] for i in range(0, len(sets), batch_size)]
+    for model_name in ("evpi", "neural-pqa"):
+        params = evpi.NeuralParams.init(model_name, table.dim, 3, rng)
+        neural.save_checkpoint(tmp_path / "model.ckpt", params.tensors())
+        tracer.spans.clear()
+        assert cli.main([
+            "rank", "--model", model_name, "--candidates", str(CANDIDATES),
+            "--embeddings", str(vectors), "--checkpoint", str(tmp_path / "model.ckpt"),
+            "--out", str(tmp_path / "out.rank"), "--set", f"batch_size={batch_size}",
+        ]) == 0
+        # each chunk encodes, per encoder, the distinct texts no earlier chunk held
+        model = cli._zero_model(model_name, params.tensors(), table)[0]
+        encoded: set = set()
+        tokens = []
+        for chunk in chunks:
+            preps = [model.prepare(cs) for cs in chunk]
+            texts = {
+                (part, ids.tobytes())
+                for prep in preps
+                for part, texts_of in (("post", [prep.post_tokens]),
+                                       ("question", prep.question_tokens),
+                                       ("answer", prep.answer_tokens))
+                if getattr(params, f"lstm_{part}") is not None
+                for ids in texts_of
+            }
+            tokens.append(sum(len(ids) // 8 for _, ids in texts - encoded))
+            encoded |= texts
+        spans = [span for span in tracer.spans if span[0] == name]
+        assert spans == tracer.spans, model_name
+        assert [span[5]["tokens"] for span in spans] == tokens, model_name
+        assert len(spans) == len(chunks) and all(tokens), model_name

@@ -128,10 +128,15 @@ class TestOriginalModeMap:
         encoded = {"lstm_post": [], "lstm_question": [], "lstm_answer": []}
         lstm_forward = evpi_module.lstm_forward
 
-        def recording(lstm, tokens, lengths, *rest):
-            part = next(name for name in encoded if getattr(params, name) is lstm)
-            encoded[part] += [ids.tobytes() for ids in np.split(tokens, np.cumsum(lengths)[:-1])]
-            return lstm_forward(lstm, tokens, lengths, *rest)
+        def recording(lstm, tokens, lengths, *rest, others=()):
+            # one call runs every encoder: lstm its first texts, each of others its next count
+            texts = np.split(tokens, np.cumsum(lengths)[:-1])
+            counts = [len(lengths) - sum(count for _, count in others)]
+            for encoder, count in zip([lstm, *(p for p, _ in others)], counts + [c for _, c in others]):
+                part = next(name for name in encoded if getattr(params, name) is encoder)
+                encoded[part] += [ids.tobytes() for ids in texts[:count]]
+                texts = texts[count:]
+            return lstm_forward(lstm, tokens, lengths, *rest, others=others)
 
         monkeypatch.setattr(evpi_module, "lstm_forward", recording)
         original_mode_map(model, preps, batch_size)
