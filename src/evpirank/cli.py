@@ -94,27 +94,15 @@ def cmd_candidates(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     triples = _read(ingest.read_triples, args.triples, "triples")
-    if not triples:
-        Path(args.out).write_text("", encoding="utf-8")
-        _log(json.dumps({"candidate_sets": 0, "warning": "no triples in input"}))
-        return 0
-    by_post = {t.post_id: t for t in triples}
-    docs = [
-        (post_id, retrieval.doc_text(t.post_title, t.post_body))
-        for post_id, t in sorted(by_post.items())
-    ]
-    index = retrieval.build_index(docs)
+    index, sets = retrieval.candidate_sets({t.post_id: t for t in triples}, k=args.k)
     if args.index_out:
         retrieval.save_index(index, args.index_out)
-    sets = [
-        retrieval.generate_candidates(index, by_post, post_id, k=args.k)
-        for post_id in sorted(by_post)
-    ]
     retrieval.write_candidates(args.out, sets)
-    if len(by_post) < args.k:
-        warnings.warn(
-            f"corpus has {len(by_post)} posts; candidate sets are smaller than k={args.k}"
-        )
+    if not sets:
+        _log(json.dumps({"candidate_sets": 0, "warning": "no triples in input"}))
+        return 0
+    if len(sets) < args.k:
+        warnings.warn(f"corpus has {len(sets)} posts; candidate sets are smaller than k={args.k}")
     _log(json.dumps({"candidate_sets": len(sets), "k": args.k}))
     return 0
 

@@ -8,6 +8,7 @@ so its own question/answer pair is always among the candidates.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import re
@@ -40,58 +41,69 @@ class Index:
     """Immutable inverted index over post documents.
 
     Documents are numbered by their position in ascending doc_id order:
-    doc_ids[pos] is the id and doc_lengths[pos] the token count. For each
-    term id, postings[term_id] holds the positions of the documents that
-    contain the term (ascending), tfs[term_id] the term's count in each, and
-    contributions[term_id] the term's share of each document's score,
-    sqrt(tf) * idf(t)^2 / sqrt(len(d)).
+    doc_ids[pos] is the id and doc_lengths[pos] the token count. vocabulary
+    maps each term to its id, in id order. The postings are one term-major
+    layout: for term id t, the entries offsets[t] up to offsets[t + 1] of
+    positions, tfs and contributions hold the positions of the documents
+    that contain t (ascending), t's count in each, and t's share of each
+    document's score, sqrt(tf) * idf(t)^2 / sqrt(len(d)).
     """
 
     vocabulary: dict[str, int]
     doc_ids: list[str]
     doc_lengths: np.ndarray
-    postings: list[np.ndarray]
-    tfs: list[np.ndarray]
-    contributions: list[np.ndarray]
+    offsets: np.ndarray
+    positions: np.ndarray
+    tfs: np.ndarray
+    contributions: np.ndarray
 
     @property
     def doc_count(self) -> int:
         return len(self.doc_ids)
 
+    @functools.cached_property
+    def postings(self) -> list[np.ndarray]:
+        """postings[term_id]: a view of the term's document positions."""
+        bounds = self.offsets.tolist()
+        return [self.positions[a:b] for a, b in zip(bounds, bounds[1:])]
 
-def build_index(docs: Iterable[tuple[str, str]]) -> Index:
-    """Index (doc_id, text) pairs. Duplicate doc ids are an error.
 
-    Term ids number the terms in order of first appearance in the input.
+def build_index(docs: Iterable[tuple[str, str | list[str]]]) -> Index:
+    """Index (doc_id, text) pairs, each text a string or its tokenize() list.
+
+    Duplicate doc ids are an error. Term ids number the terms in order of
+    first appearance in the input.
     """
-    vocabulary: dict[str, int] = {}
-    term_ids: dict[str, list[int]] = {}
+    tokens_of: dict[str, list[str]] = {}
     for doc_id, text in docs:
-        if doc_id in term_ids:
+        if doc_id in tokens_of:
             raise RetrievalError(f"duplicate doc_id: {doc_id!r}")
         if "\n" in doc_id or "\t" in doc_id:
             raise RetrievalError(f"doc_id may not contain tabs or newlines: {doc_id!r}")
-        term_ids[doc_id] = [vocabulary.setdefault(tok, len(vocabulary)) for tok in tokenize(text)]
-    doc_ids = sorted(term_ids)
+        tokens_of[doc_id] = tokenize(text) if isinstance(text, str) else text
+    firsts = dict.fromkeys(itertools.chain.from_iterable(tokens_of.values()))
+    vocabulary = dict(zip(firsts, range(len(firsts))))
+    doc_ids = sorted(tokens_of)
     n = len(doc_ids)
-    doc_lengths = np.array([len(term_ids[d]) for d in doc_ids], dtype=np.int64)
-    terms = np.array([t for d in doc_ids for t in term_ids[d]], dtype=np.int64)
+    doc_lengths = np.array([len(tokens_of[d]) for d in doc_ids], dtype=np.int64)
+    in_order = itertools.chain.from_iterable(map(tokens_of.get, doc_ids))
+    terms = np.fromiter(map(vocabulary.get, in_order), dtype=np.int64, count=doc_lengths.sum())
     # One key per token, term-major: the sorted distinct keys are the postings
     # in term order, then doc order, and each key's count is its tf.
-    keys, tf_of = np.unique(terms * n + np.repeat(np.arange(n), doc_lengths), return_counts=True)
-    term_of, pos_of = np.divmod(keys, max(n, 1))
+    keys, tfs = np.unique(terms * n + np.repeat(np.arange(n), doc_lengths), return_counts=True)
+    term_of, positions = np.divmod(keys, max(n, 1))
     dfs = np.bincount(term_of, minlength=len(vocabulary))
-    idf_squared = np.array([(1.0 + math.log(n / (df + 1))) ** 2 for df in dfs.tolist()])
-    contrib_of = np.sqrt(tf_of) * idf_squared[term_of] / np.sqrt(doc_lengths[pos_of])
-    ends = np.cumsum(dfs).tolist()
-    spans = list(zip([0] + ends[:-1], ends))
+    # idf(t)^2 once per document frequency 1..n, not once per term
+    idf_squared_of_df = [(1.0 + math.log(n / (df + 1))) ** 2 for df in range(1, n + 1)]
+    idf_squared = np.array(idf_squared_of_df)[dfs - 1]
     return Index(
         vocabulary=vocabulary,
         doc_ids=doc_ids,
         doc_lengths=doc_lengths,
-        postings=[pos_of[a:b] for a, b in spans],
-        tfs=[tf_of[a:b] for a, b in spans],
-        contributions=[contrib_of[a:b] for a, b in spans],
+        offsets=np.concatenate(([0], np.cumsum(dfs))),
+        positions=positions,
+        tfs=tfs,
+        contributions=np.sqrt(tfs) * idf_squared[term_of] / np.sqrt(doc_lengths[positions]),
     )
 
 
@@ -100,34 +112,34 @@ def top_k(index: Index, query_tokens: Sequence[str], k: int = 10) -> list[tuple[
 
     score(d) = sum over distinct query terms t of
         sqrt(tf(t, d)) * idf(t)^2 / sqrt(len(d))
-    with idf(t) = 1 + ln(N / (df(t) + 1)). Term-at-a-time: the terms'
-    precomputed contributions are added into one accumulator per document in
-    sorted-term order. Ties break by ascending doc_id. If fewer than k
+    with idf(t) = 1 + ln(N / (df(t) + 1)). Term-at-a-time: one index
+    gathers the query terms' ranges of the flat layout in sorted-term order,
+    and their precomputed contributions are added into one accumulator per
+    document in that order. Ties break by ascending doc_id. If fewer than k
     documents contain a query term, the remainder is padded with the other
     documents in ascending doc_id order at score 0.0; zero scores therefore
     mark padding.
     """
     if k < 1:
         raise RetrievalError("k must be >= 1")
-    term_ids = [index.vocabulary[t] for t in sorted(set(query_tokens)) if t in index.vocabulary]
+    get = index.vocabulary.get
+    term_ids = np.array([get(t, -1) for t in sorted(set(query_tokens))], dtype=np.int64)
+    term_ids = term_ids[term_ids >= 0]
+    starts = index.offsets[term_ids]
+    lengths = index.offsets[term_ids + 1] - starts
+    # the i-th gathered entry lies in term j's range: start_j + i - (entries before j)
+    at = np.repeat(starts - lengths.cumsum() + lengths, lengths)
+    at += np.arange(len(at))
     n = index.doc_count
-    if term_ids:
-        docs = np.concatenate([index.postings[t] for t in term_ids])
-        contributions = np.concatenate([index.contributions[t] for t in term_ids])
-    else:
-        docs, contributions = np.zeros(0, dtype=np.int64), np.zeros(0)
-    scores = np.bincount(docs, weights=contributions, minlength=n)
-    touched = np.zeros(n, dtype=bool)
-    touched[docs] = True
-    hit = np.flatnonzero(touched)
-    if len(hit) > k:  # only the documents scoring at least the k-th best can rank
-        hit_scores = scores[hit]
-        hit = hit[hit_scores >= np.partition(hit_scores, len(hit) - k)[len(hit) - k]]
-    ranked = hit[np.lexsort((hit, -scores[hit]))][:k]
-    pads = np.flatnonzero(~touched)[: k - len(ranked)]
-    return [(index.doc_ids[p], float(scores[p])) for p in ranked.tolist()] + [
-        (index.doc_ids[p], 0.0) for p in pads.tolist()
-    ]
+    scores = np.bincount(index.positions[at], weights=index.contributions[at], minlength=n)
+    # Every contribution is positive (idf(t) > 0 for N >= 1), so a zero score
+    # is a document without a query term, and sorts after every scored one.
+    # Only the documents scoring at least the k-th best can rank.
+    kth = np.partition(scores, n - k)[n - k] if n > k else 0.0
+    best = np.flatnonzero(scores >= kth)
+    ranked = best[np.lexsort((best, -scores[best]))][:k]
+    doc_ids = index.doc_ids  # float(): with no postings, bincount counts in integers
+    return [(doc_ids[p], float(s)) for p, s in zip(ranked.tolist(), scores[ranked].tolist())]
 
 
 @dataclass
@@ -154,51 +166,50 @@ def doc_text(title: str, body: str) -> str:
     return f"{title} {body}" if title else body
 
 
-def generate_candidates(
-    index: Index,
-    triples_by_post: Mapping[str, Any],
-    post_id: str,
-    k: int = 10,
-) -> CandidateSet:
-    """Assemble the candidate set for one post.
+def candidate_sets(
+    triples_by_post: Mapping[str, Any], k: int = 10
+) -> tuple[Index, list[CandidateSet]]:
+    """The index over every post's doc_text, and each post's candidate set in post_id order.
 
-    The index must have been built over the doc_text of exactly the posts in
-    triples_by_post. Raises RetrievalError for posts without a triple. A post
-    that is not among its own top-k matches (it ties with k or more other
-    posts, or has no token to match) takes the place of the k-th match.
+    Each text is tokenized once, for the index and for its post's query. A
+    post that is not among its own top-k matches (it ties with k or more
+    other posts, or has no token to match) takes the place of the k-th match.
     """
-    triple = triples_by_post.get(post_id)
-    if triple is None:
-        raise RetrievalError(f"post has no triple: {post_id!r}")
-    text = doc_text(triple.post_title, triple.post_body)
-    ranked = top_k(index, tokenize(text), k)
-    ids = [doc_id for doc_id, _ in ranked]
-    if post_id not in ids:
-        ids[-1] = post_id
-    questions = [triples_by_post[d].question for d in ids]
-    answers = [triples_by_post[d].answer for d in ids]
-    return CandidateSet(
-        post_id=post_id,
-        post_body=text,
-        questions=questions,
-        answers=answers,
-        source_post_ids=ids,
-        original_index=ids.index(post_id),
-    )
+    post_ids = sorted(triples_by_post)
+    texts = [doc_text(t.post_title, t.post_body) for t in map(triples_by_post.get, post_ids)]
+    queries = [tokenize(text) for text in texts]
+    index = build_index(zip(post_ids, queries))
+    sets = []
+    for post_id, text, query in zip(post_ids, texts, queries):
+        ids = [doc_id for doc_id, _ in top_k(index, query, k)]
+        if post_id not in ids:
+            ids[-1] = post_id
+        sets.append(CandidateSet(
+            post_id=post_id,
+            post_body=text,
+            questions=[triples_by_post[d].question for d in ids],
+            answers=[triples_by_post[d].answer for d in ids],
+            source_post_ids=ids,
+            original_index=ids.index(post_id),
+        ))
+    return index, sets
 
 
 def save_index(index: Index, path: str | Path) -> None:
-    """Write the index as EVPIRANK-IDX v1 text: doc lengths, terms, postings."""
+    """Write the index as EVPIRANK-IDX v1 text: doc lengths, terms, postings.
+
+    Each term's postings line lists its doc:tf pairs, formatted in one pass
+    over the flat layout.
+    """
     lines = [INDEX_HEADER, f"doc_count\t{index.doc_count}", f"docs\t{index.doc_count}"]
-    for length, d in zip(index.doc_lengths.tolist(), index.doc_ids):
-        lines.append(f"{length}\t{d}")
+    lines += [f"{length}\t{d}" for length, d in zip(index.doc_lengths.tolist(), index.doc_ids)]
     lines.append(f"terms\t{len(index.vocabulary)}")
-    for term, term_id in sorted(index.vocabulary.items(), key=lambda item: item[1]):
-        lines.append(f"{term_id}\t{term}")
-    lines.append(f"postings\t{len(index.postings)}")
-    for term_id, (docs, tfs) in enumerate(zip(index.postings, index.tfs)):
-        pairs = ",".join(f"{d}:{tf}" for d, tf in zip(docs.tolist(), tfs.tolist()))
-        lines.append(f"{term_id}\t{pairs}")
+    lines += [f"{term_id}\t{term}" for term_id, term in enumerate(index.vocabulary)]
+    lines.append(f"postings\t{len(index.vocabulary)}")
+    keys = [f"{pos}:" for pos in range(index.doc_count)]
+    pairs = [keys[d] + str(tf) for d, tf in zip(index.positions.tolist(), index.tfs.tolist())]
+    bounds = index.offsets.tolist()
+    lines += [f"{t}\t{','.join(pairs[a:b])}" for t, (a, b) in enumerate(zip(bounds, bounds[1:]))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

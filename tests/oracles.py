@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -123,6 +123,105 @@ def dict_top_k(index: DictIndex, query_tokens: list[str], k: int = 10) -> list[t
         pads = sorted(d for d in index.doc_lengths if d not in accum)
         ranked.extend((d, 0.0) for d in pads)
     return ranked[:k]
+
+
+# ---------------------------------------------------------------------------
+# Per-term TF-IDF reference: the layout build_index kept before its flat
+# arrays (one postings, tfs and contributions array per term id), top_k's
+# concatenation of a query's per-term arrays, save_index's per-term lines,
+# and one candidate set per post with the post's text tokenized for its
+# query. `candidates` must write exactly its sets and index file.
+
+
+class PerTermIndex:
+    """Per term id, one array each: the positions of the documents holding
+    the term, its tf in each, and its contribution to each one's score."""
+
+    def __init__(self, docs: Iterable[tuple[str, str]]):
+        self.vocabulary: dict[str, int] = {}
+        term_ids: dict[str, list[int]] = {}
+        for doc_id, text in docs:
+            term_ids[doc_id] = [
+                self.vocabulary.setdefault(tok, len(self.vocabulary))
+                for tok in brute_tokenize(text)
+            ]
+        self.doc_ids = sorted(term_ids)
+        n = len(self.doc_ids)
+        self.doc_lengths = np.array([len(term_ids[d]) for d in self.doc_ids], dtype=np.int64)
+        terms = np.array([t for d in self.doc_ids for t in term_ids[d]], dtype=np.int64)
+        doc_of = np.repeat(np.arange(n), self.doc_lengths)
+        keys, tf_of = np.unique(terms * n + doc_of, return_counts=True)
+        term_of, pos_of = np.divmod(keys, max(n, 1))
+        dfs = np.bincount(term_of, minlength=len(self.vocabulary))
+        idf_squared = np.array([(1.0 + math.log(n / (df + 1))) ** 2 for df in dfs.tolist()])
+        contrib_of = np.sqrt(tf_of) * idf_squared[term_of] / np.sqrt(self.doc_lengths[pos_of])
+        ends = np.cumsum(dfs).tolist()
+        spans = list(zip([0] + ends[:-1], ends))
+        self.postings = [pos_of[a:b] for a, b in spans]
+        self.tfs = [tf_of[a:b] for a, b in spans]
+        self.contributions = [contrib_of[a:b] for a, b in spans]
+
+
+def per_term_top_k(
+    index: PerTermIndex, query_tokens: list[str], k: int = 10
+) -> list[tuple[str, float]]:
+    """One bincount over the query terms' arrays, concatenated in sorted-term order."""
+    term_ids = [index.vocabulary[t] for t in sorted(set(query_tokens)) if t in index.vocabulary]
+    n = len(index.doc_ids)
+    if term_ids:
+        docs = np.concatenate([index.postings[t] for t in term_ids])
+        contributions = np.concatenate([index.contributions[t] for t in term_ids])
+    else:
+        docs, contributions = np.zeros(0, dtype=np.int64), np.zeros(0)
+    scores = np.bincount(docs, weights=contributions, minlength=n)
+    touched = np.zeros(n, dtype=bool)
+    touched[docs] = True
+    hit = np.flatnonzero(touched)
+    ranked = hit[np.lexsort((hit, -scores[hit]))][:k]
+    pads = np.flatnonzero(~touched)[: k - len(ranked)]
+    return [(index.doc_ids[p], float(scores[p])) for p in ranked.tolist()] + [
+        (index.doc_ids[p], 0.0) for p in pads.tolist()
+    ]
+
+
+def per_term_index_text(index: PerTermIndex) -> str:
+    """index as an EVPIRANK-IDX v1 file: header, doc lengths, terms, one postings line per term."""
+    lines = ["EVPIRANK-IDX v1", f"doc_count\t{len(index.doc_ids)}", f"docs\t{len(index.doc_ids)}"]
+    lines += [f"{length}\t{d}" for length, d in zip(index.doc_lengths.tolist(), index.doc_ids)]
+    lines.append(f"terms\t{len(index.vocabulary)}")
+    lines += [f"{term_id}\t{term}" for term, term_id in index.vocabulary.items()]
+    lines.append(f"postings\t{len(index.postings)}")
+    for term_id, (docs, tfs) in enumerate(zip(index.postings, index.tfs)):
+        pairs = ",".join(f"{d}:{tf}" for d, tf in zip(docs.tolist(), tfs.tolist()))
+        lines.append(f"{term_id}\t{pairs}")
+    return "\n".join(lines) + "\n"
+
+
+def per_term_candidate_sets(triples: dict[str, Any], k: int) -> tuple[PerTermIndex, list[dict]]:
+    """The index over each post's title and body, and each post's candidate set as a JSON object.
+
+    Each post's text is tokenized again for its query. A post outside its
+    own top k takes the k-th place.
+    """
+    texts = {
+        post_id: f"{t.post_title} {t.post_body}" if t.post_title else t.post_body
+        for post_id, t in triples.items()
+    }
+    index = PerTermIndex(sorted(texts.items()))
+    sets = []
+    for post_id in sorted(triples):
+        ids = [doc_id for doc_id, _ in per_term_top_k(index, brute_tokenize(texts[post_id]), k)]
+        if post_id not in ids:
+            ids[-1] = post_id
+        sets.append({
+            "post_id": post_id,
+            "post_body": texts[post_id],
+            "questions": [triples[d].question for d in ids],
+            "answers": [triples[d].answer for d in ids],
+            "source_post_ids": ids,
+            "original_index": ids.index(post_id),
+        })
+    return index, sets
 
 
 def brute_precision_at_k(order: list[int], relevant: set[int], k: int) -> float:

@@ -10,7 +10,7 @@ from evpirank.embeddings import EmbeddingTable
 from evpirank.evpi import NeuralParams
 from evpirank.ingest import Triple
 from evpirank.neural import LstmParams, lstm_forward
-from evpirank.retrieval import CandidateSet, build_index, doc_text, generate_candidates
+from evpirank.retrieval import CandidateSet, candidate_sets
 
 
 def forward_rows(params: LstmParams, xs, lengths, for_backward: bool = True):
@@ -95,10 +95,7 @@ def make_clustered_corpus(
             post_id=post_id, post_title=f"topic{family}x0 issue", post_body=body,
             question=question, question_time=1010, answer=answer, answer_source="comment",
         )
-    index = build_index(
-        (post_id, doc_text(t.post_title, t.post_body)) for post_id, t in sorted(triples.items())
-    )
-    sets = [generate_candidates(index, triples, post_id, k=10) for post_id in sorted(triples)]
+    _, sets = candidate_sets(triples, k=10)
     return table, sets
 
 

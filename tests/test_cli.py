@@ -162,6 +162,24 @@ class TestCandidatesCommand:
             {"candidate_sets": 0, "warning": "no triples in input"}
         ]
 
+    def test_empty_triples_overwrite_a_stale_index_file(self, tmp_path, capsys):
+        triples, out = tmp_path / "triples.jsonl", tmp_path / "candidates.jsonl"
+        index_path = tmp_path / "posts.idx"
+        triples.write_text("", encoding="utf-8")
+        index_path.write_text("stale", encoding="utf-8")
+        code, _, err = run(
+            capsys, "candidates", "--triples", str(triples), "--out", str(out),
+            "--index-out", str(index_path),
+        )
+        assert code == 0
+        assert out.read_bytes() == b""
+        assert index_path.read_text(encoding="utf-8").splitlines() == [
+            "EVPIRANK-IDX v1", "doc_count\t0", "docs\t0", "terms\t0", "postings\t0",
+        ]
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"candidate_sets": 0, "warning": "no triples in input"}
+        ]
+
     def test_index_out_golden_bytes(self, tmp_path, capsys):
         out = tmp_path / "candidates.jsonl"
         index_path = tmp_path / "posts.idx"

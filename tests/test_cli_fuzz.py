@@ -1,13 +1,15 @@
 """Mutated input lines never end in a traceback, a partial file or a non-finite number.
 
-Each example edits one line of the golden triples or candidates file, or of
-a rankings file written from the candidates: it drops a field, swaps a
-value's JSON type, writes a non-finite or overflowing number, empties a
-list, or inserts odd Unicode. `candidates` reads the triples; `rank` (evpi
-and random) and `evaluate` read the rest. Every run
-must exit 0 or 2 with no traceback; after exit 2 no output file exists, and
-every number any run writes is finite. A line given bytes that are not
-UTF-8 must exit 2 naming that line.
+Each example edits one line of a dump file, of the golden triples or
+candidates file, or of a rankings file written from the candidates: it
+drops a field, swaps a value's JSON type, writes a non-finite or
+overflowing number, empties a list, or inserts odd Unicode. `ingest` reads
+the dump files; `candidates` reads the triples; `rank` (evpi and random) and
+`evaluate` read the rest. Every run must exit 0 or 2 with no traceback;
+every stderr line is a JSON object or the one `error: ...` line; after exit
+2 no output file exists, and every number any run writes is finite. A line
+given bytes that are not UTF-8 must exit 2 naming that line, except in a
+dump file, where `ingest` counts it as malformed.
 """
 
 import contextlib
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from evpirank.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+DUMP = FIXTURES / "dump"
 CANDIDATES = FIXTURES / "golden" / "candidates.jsonl"
 TRIPLES = FIXTURES / "golden" / "triples.jsonl"
 EMBEDDINGS = FIXTURES / "embeddings_toy.txt"
@@ -118,10 +121,11 @@ def mutated_line(draw, lines: list[str]) -> tuple[int, str]:
     return index, text
 
 
-def write_mutated(path: Path, lines: list[str], index: int, text: str) -> None:
-    edited = lines[:index] + [text] + lines[index + 1 :]
-    with open(path, "w", encoding="utf-8", errors="surrogatepass", newline="\n") as handle:
-        handle.write("".join(line + "\n" for line in edited))
+def write_mutated(path: Path, lines: list[str], index: int, text: str | bytes) -> None:
+    """lines with line index replaced by text, or by raw bytes."""
+    edited = [line.encode("utf-8") for line in lines]
+    edited[index] = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
+    path.write_bytes(b"".join(line + b"\n" for line in edited))
 
 
 def check(argv: list, out_path: Path) -> None:
@@ -129,6 +133,10 @@ def check(argv: list, out_path: Path) -> None:
     code, out, err = run(*argv, "--out", out_path)
     assert code in (0, 2), (code, err)
     assert "Traceback" not in err
+    lines = err.splitlines()
+    assert sum(line.startswith("error: ") for line in lines) == (code == 2), err
+    for line in lines:
+        assert line.startswith("error: ") or type(json.loads(line)) is dict, err
     if code == 2:
         assert not out_path.exists(), err
     else:
@@ -241,6 +249,29 @@ def test_a_line_that_is_not_utf8_is_named(inputs, reader, data):
         code, stdout, err = run(*argv, "--out", out)
         assert code == 2 and stdout == "" and not out.exists()
         assert f"malformed {reader} file {bad}: line {index + 1}: not UTF-8" in err
+
+
+DUMP_LINES = {
+    name: (DUMP / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
+    for name in ("posts", "comments", "history")
+}
+
+
+@_settings
+@given(data=st.data(), name=st.sampled_from(sorted(DUMP_LINES)))
+def test_mutated_dump_line(data, name):
+    lines = DUMP_LINES[name]
+    mutation = data.draw(st.one_of(mutated_line(lines), non_utf8_line(lines)))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        dump = {other: DUMP / f"{other}.jsonl" for other in DUMP_LINES}
+        dump[name] = tmp / f"{name}.jsonl"
+        write_mutated(dump[name], lines, *mutation)
+        check(
+            ["ingest", "--posts", dump["posts"], "--comments", dump["comments"],
+             "--history", dump["history"], "--embeddings", EMBEDDINGS],
+            tmp / "triples.jsonl",
+        )
 
 
 def test_surrogate_post_id_in_rankings(inputs, tmp_path):

@@ -1,7 +1,10 @@
 """Tokenizer, inverted index, TF-IDF scoring, top-k, and candidate sets."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,20 +13,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evpirank.ingest import Triple
+from evpirank import retrieval
+from evpirank.cli import main
+from evpirank.ingest import Triple, write_triples
 from evpirank.retrieval import (
     RetrievalError,
     build_index,
+    candidate_sets,
     doc_text,
     field_kinds,
-    generate_candidates,
     read_jsonl,
     save_index,
     tokenize,
     top_k,
     typed_fields,
 )
-from tests.oracles import DictIndex, brute_tfidf_scores, brute_top_k, dict_top_k
+from tests.oracles import (
+    DictIndex,
+    brute_tfidf_scores,
+    brute_top_k,
+    dict_top_k,
+    per_term_candidate_sets,
+    per_term_index_text,
+)
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 WORDS = ["a", "b", "c", "d", "e"]
@@ -94,15 +106,20 @@ class TestBuildIndex:
         assert index.doc_ids == ["d1", "d2"]
         assert index.doc_lengths.tolist() == [0, 3]
         assert [p.tolist() for p in index.postings] == [[1], [1]]
-        assert [tf.tolist() for tf in index.tfs] == [[2], [1]]
+        assert index.offsets.tolist() == [0, 1, 2]
+        assert index.positions.tolist() == [1, 1]
+        assert index.tfs.tolist() == [2, 1]  # "a" twice, "b" once, both in d2
         assert top_k(index, ["b"], k=2)[1] == ("d1", 0.0)  # never scored, only padding
 
     def test_postings_sorted_by_doc_id(self):
         index = build_index([("z", "apple pie"), ("a", "apple tart"), ("m", "apple")])
         assert index.doc_ids == ["a", "m", "z"]
-        for docs in index.postings:
-            ids = [index.doc_ids[p] for p in docs.tolist()]
-            assert ids == sorted(ids) and len(set(ids)) == len(ids)
+        bounds = index.offsets.tolist()
+        assert bounds[0] == 0 and bounds[-1] == len(index.positions) == len(index.tfs)
+        for term_id, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            assert index.postings[term_id].tolist() == index.positions[a:b].tolist()
+            ids = [index.doc_ids[p] for p in index.positions[a:b].tolist()]
+            assert ids == sorted(ids) and len(set(ids)) == len(ids) > 0
         assert [index.doc_ids[p] for p in index.postings[index.vocabulary["apple"]]] == ["a", "m", "z"]
 
     def test_deterministic_rebuild(self):
@@ -111,9 +128,10 @@ class TestBuildIndex:
         assert a.vocabulary == b.vocabulary
         assert a.doc_ids == b.doc_ids
         assert a.doc_lengths.tobytes() == b.doc_lengths.tobytes()
-        for field in ("postings", "tfs", "contributions"):
-            arrays_a, arrays_b = getattr(a, field), getattr(b, field)
-            assert [x.tobytes() for x in arrays_a] == [x.tobytes() for x in arrays_b], field
+        for field in ("offsets", "positions", "tfs", "contributions"):
+            array_a, array_b = getattr(a, field), getattr(b, field)
+            assert array_a.dtype == array_b.dtype and array_a.tobytes() == array_b.tobytes(), field
+        assert [x.tobytes() for x in a.postings] == [x.tobytes() for x in b.postings]
 
 
 class TestScore:
@@ -203,9 +221,14 @@ class TestTopK:
         # The index itself: vocabulary order, lengths, and each term's postings and tfs.
         assert list(index.vocabulary.items()) == list(oracle.vocabulary.items())
         assert dict(zip(index.doc_ids, index.doc_lengths.tolist())) == oracle.doc_lengths
+        bounds = index.offsets.tolist()
+        assert len(bounds) == len(index.vocabulary) + 1
         assert {
-            term_id: [(index.doc_ids[p], tf) for p, tf in zip(docs_of.tolist(), tfs.tolist())]
-            for term_id, (docs_of, tfs) in enumerate(zip(index.postings, index.tfs))
+            term_id: [
+                (index.doc_ids[p], tf)
+                for p, tf in zip(index.positions[a:b].tolist(), index.tfs[a:b].tolist())
+            ]
+            for term_id, (a, b) in enumerate(zip(bounds, bounds[1:]))
         } == oracle.postings
 
     def test_agreement_with_brute_force_oracle(self):
@@ -224,28 +247,26 @@ class TestTopK:
                 assert mine.get(doc_id, 0.0) == pytest.approx(brute_score, abs=1e-9)
 
 
-class TestGenerateCandidates:
-    def build(self, triples):
+class TestCandidateSets:
+    def sets(self, triples, k):
         by_post = {t.post_id: t for t in triples}
-        index = build_index(
-            (pid, doc_text(t.post_title, t.post_body)) for pid, t in sorted(by_post.items())
-        )
-        return index, by_post
+        index, sets = candidate_sets(by_post, k)
+        assert [cs.post_id for cs in sets] == sorted(by_post)
+        return index, {cs.post_id: cs for cs in sets}
 
     def test_original_index_zero_for_self_top_hit(self):
         triples = [make_triple(f"p{i}", f"title{i}", f"unique{i} words here") for i in range(12)]
-        index, by_post = self.build(triples)
-        cs = generate_candidates(index, by_post, "p3", k=10)
+        cs = self.sets(triples, k=10)[1]["p3"]
         assert cs.original_index == 0
         assert cs.questions[0] == "q about p3?"
         assert cs.answers[0] == "answer for p3"
 
     def test_ten_post_corpus_covers_all(self):
         triples = [make_triple(f"p{i}", f"title{i}", f"unique{i} thing") for i in range(10)]
-        index, by_post = self.build(triples)
-        for pid in by_post:
-            cs = generate_candidates(index, by_post, pid, k=10)
-            assert sorted(cs.source_post_ids) == sorted(by_post)
+        index, sets = self.sets(triples, k=10)
+        assert index.doc_ids == sorted(sets)
+        for cs in sets.values():
+            assert sorted(cs.source_post_ids) == sorted(sets)
 
     def test_identical_posts_appear_in_each_other(self):
         triples = [
@@ -253,24 +274,62 @@ class TestGenerateCandidates:
             make_triple("pb", "same title", "same body words"),
             make_triple("pc", "different topic entirely", "nothing shared at all"),
         ]
-        index, by_post = self.build(triples)
-        cs_a = generate_candidates(index, by_post, "pa", k=2)
-        cs_b = generate_candidates(index, by_post, "pb", k=2)
+        _, sets = self.sets(triples, k=2)
+        cs_a, cs_b = sets["pa"], sets["pb"]
         assert set(cs_a.source_post_ids[:2]) == {"pa", "pb"}
         assert set(cs_b.source_post_ids[:2]) == {"pa", "pb"}
         # byte-identical duplicates: ties resolve by doc id, self still present
-        docs = {
-            pid: doc_text(t.post_title, t.post_body) for pid, t in by_post.items()
-        }
+        docs = {t.post_id: doc_text(t.post_title, t.post_body) for t in triples}
         brute = brute_top_k(docs, tokenize(docs["pb"]), 2)
         assert [d for d, _ in brute] == cs_b.source_post_ids[:2]
         assert cs_b.original_index == 1  # "pa" sorts before "pb" at equal score
 
-    def test_missing_triple_is_error(self):
-        triples = [make_triple("p1", "t", "b")]
-        index, by_post = self.build(triples)
-        with pytest.raises(RetrievalError, match="no triple"):
-            generate_candidates(index, by_post, "p9")
+    def test_each_text_is_tokenized_once(self, monkeypatch):
+        texts = []
+        counted = lambda text: texts.append(text) or tokenize(text)
+        monkeypatch.setattr(retrieval, "tokenize", counted)
+        triples = [make_triple(f"p{i}", f"title{i}", f"shared unique{i}") for i in range(5)]
+        _, sets = self.sets(triples, k=3)
+        assert texts == [cs.post_body for cs in sets.values()]
+
+
+# Texts over a few words: shared and repeated terms, posts without a token
+# ("?!" and the empty body), and identical posts that tie across the k-th place.
+POST_WORDS = ["a", "b", "c", "A", "b,c", "?!", "é", "x_y"]
+POSTS = st.lists(
+    st.tuples(
+        st.text("pq1 é", min_size=1, max_size=3),
+        st.sampled_from(["", "a", "c b"]),
+        st.lists(st.sampled_from(POST_WORDS), max_size=6).map(" ".join),
+    ),
+    max_size=14,
+    unique_by=lambda post: post[0],
+)
+
+
+class TestCandidatesCommandMatchesPerTermOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(POSTS, st.integers(1, 16))
+    @example([("p1", "", "a b"), ("p2", "", "b a"), ("p3", "", "a"), ("p4", "", "a b")], 2)
+    @example([("p1", "", "?!"), ("p2", "a", ""), ("p3", "", "c c c")], 5)
+    @example([], 3)
+    def test_sets_and_index_file(self, posts, k):
+        triples = {
+            post_id: Triple(post_id, title, body, f"q {post_id}?", 1, f"a {post_id}", "edit")
+            for post_id, title, body in posts
+        }
+        oracle, want = per_term_candidate_sets(triples, k)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_triples(tmp / "triples.jsonl", triples.values())
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main([
+                    "candidates", "--triples", str(tmp / "triples.jsonl"), "--k", str(k),
+                    "--out", str(tmp / "candidates.jsonl"), "--index-out", str(tmp / "posts.idx"),
+                ]) == 0
+            lines = (tmp / "candidates.jsonl").read_text(encoding="utf-8").splitlines()
+            assert [json.loads(line) for line in lines] == want
+            assert (tmp / "posts.idx").read_bytes() == per_term_index_text(oracle).encode("utf-8")
 
 
 class TestIndexPersistence:
