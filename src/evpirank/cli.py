@@ -1,12 +1,12 @@
 """Command-line entry point wiring the pipeline stages together.
 
 Subcommands: ingest, candidates, train, rank, evaluate, significance.
-Exit codes: 0 success, 1 runtime failure, 2 usage error. The commands that
-read the run configuration (train, rank and significance) take --config,
---set and --seed and log the fully resolved configuration to stderr; the
-others refuse those options. A warning goes
-to stderr as one {"warning": ...} JSON line. Re-running a command with the
-same inputs, config and seed reproduces its outputs byte for byte.
+Exit codes: 0 success, 1 runtime failure, 2 usage error. Only train takes
+settings: --set key=value and --seed, for the keys its model reads (see
+config). rank --model random and significance take --seed alone. A command
+logs each setting it reads to stderr as one {"config": ...} JSON line, and a
+warning as one {"warning": ...} line. Re-running a command with the same
+inputs, settings and seed reproduces its outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -24,13 +24,16 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, evaluation, evpi, ingest, retrieval, training
-from .config import ConfigError, load_config, resolved_json
+from .config import ConfigError, load_config
 from .embeddings import EmbeddingTable, load_embeddings_file
 from .neural import assign_tensors, load_checkpoint, save_checkpoint
 from .training import TrainConfig, TrainingDivergedError
 
 MODEL_NAMES = ("random", "ngrams", "cqa", "neural-pq", "neural-pa", "neural-pqa", "evpi")
 SPLIT_NAMES = ("train", "tune", "test", "all")
+# Candidate sets per rank_prepared call in `rank`: a set's ranking does not
+# depend on its chunk, so this bounds memory only.
+RANK_CHUNK = 32
 
 
 class UsageError(Exception):
@@ -57,23 +60,10 @@ def _read(reader, path: str, what: str):
         raise UsageError(f"malformed {what} file {path}: {exc}") from None
 
 
-def _load_config(args) -> TrainConfig:
-    path = _require_file(args.config, "config") if args.config else None
-    config = load_config(path, args.set or (), args.seed)
-    _log(resolved_json(config))
-    return config
-
-
 def _load_table(path: str | None) -> EmbeddingTable:
     if path is None:
         return EmbeddingTable.empty()
     return _read(load_embeddings_file, path, "embeddings")
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
-    parser.add_argument("--seed", type=int, default=None, help="root random seed")
 
 
 def cmd_ingest(args) -> int:
@@ -118,7 +108,9 @@ def cmd_train(args) -> int:
         raise UsageError("model 'random' has no parameters to train")
     if args.log and args.model not in evpi.MODEL_PARTS:
         raise UsageError(f"--log: model {args.model!r} logs no epochs")
-    config = _load_config(args)
+    settings = load_config(args.model, args.set or (), args.seed)
+    _log(json.dumps({"config": settings}))
+    config = TrainConfig(**settings)
     candidate_sets = _read(retrieval.read_candidates, args.candidates, "candidates")
     table = _load_table(args.embeddings)
     if args.no_split:
@@ -169,17 +161,17 @@ def _zero_model(model_name: str, tensors: dict, table: EmbeddingTable):
     )
 
 
-def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, config: TrainConfig):
+def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, seed: int):
     """Build a callable that ranks a list of candidate sets, one RankedList per set in order.
 
     The checkpoint must hold exactly the tensor names and shapes of the
     model over table; it is written into a zero model's own tensors. A
-    neural model prepares the sets lazily and ranks config.batch_size sets
-    per rank_prepared call; each distinct text is prepared and encoded once
-    (up to evpi.MEMO_TEXTS texts).
+    neural model prepares the sets lazily and ranks RANK_CHUNK sets per
+    rank_prepared call; each distinct text is prepared and encoded once (up
+    to evpi.MEMO_TEXTS texts).
     """
     if model_name == "random":
-        return lambda sets: baselines.random_rankings(sets, seed=config.seed)
+        return functools.partial(baselines.random_rankings, seed=seed)
     if checkpoint is None:
         raise UsageError(f"model {model_name!r} requires --checkpoint")
     tensors = _read(load_checkpoint, checkpoint, "checkpoint")
@@ -198,17 +190,22 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, conf
     if model_name == "cqa":
         return lambda sets: (model.rank(cs, table) for cs in sets)
     prepare = functools.partial(model.prepare, memo={})  # one prepare memo for the file
-    return lambda sets: training.ranked_in_chunks(model, map(prepare, sets), config.batch_size)
+    return lambda sets: training.ranked_in_chunks(model, map(prepare, sets), RANK_CHUNK)
 
 
 def cmd_rank(args) -> int:
-    config = _load_config(args)
+    if args.model == "random":
+        if args.checkpoint is not None:
+            raise UsageError("model 'random' takes no --checkpoint")
+        _log(json.dumps({"config": {"seed": args.seed or 0}}))
+    elif args.seed is not None:
+        raise UsageError(f"--seed: model {args.model!r} draws no random numbers")
     candidate_sets = _read(retrieval.read_candidates, args.candidates, "candidates")
     selected = _split_sets(candidate_sets, args.split)
     if not selected:
         raise UsageError(f"no posts in split {args.split!r}")
     table = _load_table(args.embeddings)
-    rank = _ranker(args.model, args.checkpoint, table, config)
+    rank = _ranker(args.model, args.checkpoint, table, args.seed or 0)
     ranked = list(rank(sorted(selected, key=lambda cs: cs.post_id)))
     evpi.write_rankings(args.out, args.model, ranked)
     _log(json.dumps({"model": args.model, "ranked_posts": len(ranked), "split": args.split}))
@@ -266,7 +263,7 @@ def cmd_significance(args) -> int:
     _check_exclude_base(args)
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-    config = _load_config(args)
+    _log(json.dumps({"config": {"seed": args.seed}}))
     rankings_a = _read(evpi.read_rankings, args.rankings_a, "rankings-a")
     rankings_b = _read(evpi.read_rankings, args.rankings_b, "rankings-b")
     candidate_sets, annotations = _labeled_posts(args, rankings_a, rankings_b)
@@ -279,7 +276,7 @@ def cmd_significance(args) -> int:
     post_ids = sorted(per_a)
     scores_a = [per_a[p][metric_key] for p in post_ids]
     scores_b = [per_b[p][metric_key] for p in post_ids]
-    p_value = evaluation.bootstrap_test(scores_a, scores_b, n=args.n, seed=config.seed)
+    p_value = evaluation.bootstrap_test(scores_a, scores_b, n=args.n, seed=args.seed)
     result = {
         "metric": args.metric,
         "mode": args.mode,
@@ -325,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="train and tune on every post instead of the hash-based splits",
     )
-    _add_common(p)
+    p.add_argument("--set", action="append", metavar="KEY=VALUE", help="training setting")
+    p.add_argument("--seed", type=int, help="root random seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("rank", help="rank candidate questions with a trained model")
@@ -335,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--out", required=True)
     p.add_argument("--split", choices=SPLIT_NAMES, default="all")
-    _add_common(p)
+    p.add_argument("--seed", type=int, help="random model's seed (default 0)")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("evaluate", help="score rankings against a label regime")
@@ -358,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude-base", choices=evaluation.EXCLUDE_BASES)
     p.add_argument("--metric", choices=("p_at_1", "p_at_3", "p_at_5", "map"), default="map")
     p.add_argument("--n", type=int, default=10000)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="bootstrap seed")
     p.set_defaults(func=cmd_significance)
 
     return parser

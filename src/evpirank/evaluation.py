@@ -39,7 +39,7 @@ class Annotation:
     def __post_init__(self):
         if self.best not in self.valid:
             raise EvaluationError(
-                f"post {self.post_id}: best candidate {self.best} must be marked valid"
+                f"post {self.post_id!r}: best candidate {self.best} must be marked valid"
             )
 
 
@@ -101,7 +101,7 @@ def _annotation_pairs(
     for post_id, anns in grouped.items():
         if len(anns) != 2:
             raise EvaluationError(
-                f"post {post_id}: expected exactly two annotators, got {len(anns)}"
+                f"post {post_id!r}: expected exactly two annotators, got {len(anns)}"
             )
         pairs[post_id] = (anns[0], anns[1])
     return pairs
@@ -148,7 +148,7 @@ def build_labelsets(
         for idx in sorted(first.valid | second.valid):
             if not 0 <= idx < n_candidates:
                 raise EvaluationError(
-                    f"post {post_id}: candidate index {idx} out of range for "
+                    f"post {post_id!r}: candidate index {idx} out of range for "
                     f"{n_candidates} candidates"
                 )
         if base == "best_union":

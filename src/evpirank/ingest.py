@@ -313,8 +313,13 @@ def _fits_index_line(post_id: str) -> bool:
 def _check_triple(triple: Triple) -> None:
     if not _fits_index_line(triple.post_id):
         raise ValueError(f"post {triple.post_id!r}: post_id may not contain tabs or newlines")
+    if triple.answer_source not in ("edit", "comment"):
+        raise ValueError(f"answer_source must be edit or comment, got {triple.answer_source!r}")
+    if triple.question_time < 1:
+        raise ValueError(f"question_time must be >= 1, got {triple.question_time}")
 
 
 def read_triples(path) -> list[Triple]:
-    """Load triples.jsonl: one line per post, no post id holding a tab or newline."""
+    """Load triples.jsonl: one line per post, no post id holding a tab or newline, each
+    answer_source edit or comment and each question_time at least 1."""
     return read_jsonl(path, Triple, _check_triple)

@@ -366,12 +366,14 @@ class TestBatchInvariance:
             alone = {rl.post_id: rl for rl in ranked_alone(model, sets)}
             for split in ("all", "train", "tune", "test"):
                 out = rank_inputs / "out.rank"
-                code = cli.main([
-                    "rank", "--model", model.name, "--candidates", str(candidates),
-                    "--embeddings", str(rank_inputs / "embeddings.txt"),
-                    "--checkpoint", str(rank_inputs / f"{model.name}.ckpt"),
-                    "--out", str(out), "--split", split, "--set", "batch_size=2",
-                ])
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(cli, "RANK_CHUNK", 2)
+                    code = cli.main([
+                        "rank", "--model", model.name, "--candidates", str(candidates),
+                        "--embeddings", str(rank_inputs / "embeddings.txt"),
+                        "--checkpoint", str(rank_inputs / f"{model.name}.ckpt"),
+                        "--out", str(out), "--split", split,
+                    ])
                 wanted = [alone[p] for p in sorted(alone) if split in ("all", split_name(p))]
                 if not wanted:
                     assert code == 2

@@ -82,7 +82,7 @@ def triples(draw) -> Triple:
         post_title=draw(TEXT),
         post_body=draw(TEXT),
         question=draw(TEXT),
-        question_time=draw(st.integers(-(2**63), 2**63)),
+        question_time=draw(st.integers(1, 2**63)),
         answer=draw(TEXT),
         answer_source=draw(st.sampled_from(["comment", "edit"])),
     )

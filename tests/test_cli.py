@@ -10,7 +10,7 @@ import pytest
 
 from evpirank import baselines, cli, embeddings, evaluation, evpi, training
 from evpirank.cli import main
-from evpirank.config import ConfigError, load_config, resolved_json
+from evpirank.config import ConfigError, load_config
 from evpirank.embeddings import load_embeddings_file
 from evpirank.evpi import write_rankings
 from evpirank.ingest import Triple, split_name, write_triples
@@ -28,6 +28,11 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def hidden_dim(model: str, size: int) -> list[str]:
+    """The --set of a hidden size, for a model whose training reads one."""
+    return [] if model in ("ngrams", "cqa") else ["--set", f"hidden_dim={size}"]
 
 
 def ingest_args(out_path, embeddings=True):
@@ -449,7 +454,7 @@ class TestTrainRankEvaluate:
             "--embeddings", str(FIXTURES / "embeddings_toy.txt"),
             "--model", model,
             "--no-split",
-            "--set", "hidden_dim=3",
+            *hidden_dim(model, 3),
             "--set", "epochs=1",
             "--out", str(ckpt),
         ]) == 0
@@ -568,17 +573,10 @@ class TestTrainRankEvaluate:
             ("patience=-3", "config key 'patience': must be >= 0, got -3"),
         ],
     )
-    @pytest.mark.parametrize("source", ["--set", "--config"])
     def test_unusable_config_value_is_usage_error(
-        self, pipeline, capsys, tmp_path, assignment, message, source
+        self, pipeline, capsys, tmp_path, assignment, message
     ):
         ckpt = tmp_path / "unusable.ckpt"
-        if source == "--config":
-            config = tmp_path / "run.conf"
-            config.write_text(assignment.replace("=", " = ") + "\n", encoding="utf-8")
-            option = ["--config", str(config)]
-        else:
-            option = ["--set", assignment]
         code, out, err = run(
             capsys,
             "train",
@@ -586,7 +584,7 @@ class TestTrainRankEvaluate:
             "--embeddings", str(FIXTURES / "embeddings_toy.txt"),
             "--model", "evpi",
             "--no-split",
-            *option,
+            "--set", assignment,
             "--out", str(ckpt),
         )
         assert code == 2
@@ -596,10 +594,10 @@ class TestTrainRankEvaluate:
 
     @pytest.mark.parametrize("model", ["evpi", "neural-pqa"])
     def test_rank_output_does_not_depend_on_chunk_or_split(
-        self, pipeline, capsys, tmp_path, model
+        self, pipeline, capsys, tmp_path, monkeypatch, model
     ):
         # One or three sets per rank_prepared call write the bytes of the
-        # default chunk (the whole fixture), and --split tune writes exactly the
+        # RANK_CHUNK chunk (the whole fixture), and --split tune writes exactly the
         # tune lines of --split all. The fixture is real `candidates` output:
         # every set holds the questions of all 7 posts, so chunks share texts.
         # The toy table holds 4 words, so most fixture texts would encode no
@@ -625,10 +623,11 @@ class TestTrainRankEvaluate:
             "--out", str(ckpt),
         ]) == 0
         written = {}
-        for name, extra in (
-            ("all", []), ("one_per_call", ["--set", "batch_size=1"]),
-            ("three_per_call", ["--set", "batch_size=3"]), ("tune", ["--split", "tune"]),
+        for name, chunk, extra in (
+            ("all", cli.RANK_CHUNK, []), ("one_per_call", 1, []), ("three_per_call", 3, []),
+            ("tune", cli.RANK_CHUNK, ["--split", "tune"]),
         ):
+            monkeypatch.setattr(cli, "RANK_CHUNK", chunk)
             path = tmp_path / f"{name}.rank"
             assert main(self.rank_args(pipeline, model, ckpt, path, embeddings) + extra) == 0
             written[name] = path.read_text(encoding="utf-8")
@@ -671,7 +670,7 @@ class TestCachedEmbeddings:
         cands = str(pipeline["candidates"])
         ckpt = str(tmp_path / "model.ckpt")
         assert main(["train", "--candidates", cands, "--embeddings", str(vectors), "--model",
-                     model, "--no-split", "--set", "hidden_dim=4", "--set", "epochs=1",
+                     model, "--no-split", *hidden_dim(model, 4), "--set", "epochs=1",
                      "--out", ckpt]) == 0
         cache = vectors.with_name(vectors.name + embeddings.CACHE_SUFFIX)
         cache.unlink()
@@ -985,6 +984,22 @@ class TestMalformedInputFiles:
         lines[1] = json.dumps({**json.loads(lines[1]), **fields})
         bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"answer_source": "bogus"}, "answer_source must be edit or comment, got 'bogus'"),
+            ({"answer_source": "Edit"}, "answer_source must be edit or comment, got 'Edit'"),
+            ({"question_time": -5}, "question_time must be >= 1, got -5"),
+            ({"question_time": 0}, "question_time must be >= 1, got 0"),
+        ],
+    )
+    def test_a_triple_ingest_cannot_write_is_usage_error(
+        self, pipeline, capsys, tmp_path, fields, message
+    ):
+        bad = tmp_path / "triples.jsonl"
+        self.edited_copy(FIXTURES / "golden" / "triples.jsonl", bad, **fields)
+        self.assert_usage_error(pipeline, capsys, tmp_path, "triples", bad, f"line 2: {message}")
+
     @pytest.mark.parametrize("post_id", ["p\t02", "p\n02"])
     def test_tab_or_newline_in_a_triples_post_id_is_usage_error(
         self, pipeline, capsys, tmp_path, post_id
@@ -1127,7 +1142,7 @@ class TestNonFiniteNumbers:
         cands = str(pipeline["candidates"])
         assert main([
             "train", "--candidates", cands, "--embeddings", embeddings, "--model", model,
-            "--no-split", "--set", "hidden_dim=3", "--set", "epochs=1", "--out", str(ckpt),
+            "--no-split", *hidden_dim(model, 3), "--set", "epochs=1", "--out", str(ckpt),
         ]) == 0
         # save_checkpoint refuses inf, so write it over the tensor's first double.
         blob = bytearray(ckpt.read_bytes())
@@ -1327,64 +1342,52 @@ class TestEvaluateWithAnnotations:
 
 
 class TestConfig:
-    def test_unknown_key_rejected_with_valid_list(self, tmp_path):
-        path = tmp_path / "run.conf"
-        path.write_text("hiden_dim = 12\n", encoding="utf-8")
+    def test_unknown_key_rejected_with_valid_list(self):
         with pytest.raises(ConfigError, match="valid keys"):
-            load_config(path)
+            load_config("evpi", ["hiden_dim=12"])
 
-    def test_file_and_override_precedence(self, tmp_path):
-        path = tmp_path / "run.conf"
-        path.write_text("# comment\nhidden_dim = 12\nlr = 0.5\n", encoding="utf-8")
-        config = load_config(path, ["lr=0.25"])
-        assert config.hidden_dim == 12
-        assert config.lr == 0.25
-        assert config.batch_size == 32  # documented default
+    def test_later_override_and_seed_win(self):
+        values = load_config("evpi", ["lr=0.5", "seed=2", "lr=0.25"], seed=9)
+        assert values["lr"] == 0.25 and values["seed"] == 9
+        assert values["batch_size"] == 32  # documented default
 
     def test_malformed_override(self):
         with pytest.raises(ConfigError):
-            load_config(overrides=["hidden_dim"])
+            load_config("evpi", ["hidden_dim"])
 
-    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
-        path = tmp_path / "run.conf"
-        path.write_bytes(b"lr = \xff\n")
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: not UTF-8")):
-            load_config(path)
-        out_path = tmp_path / "rankings.jsonl"
-        code, out, err = run(
-            capsys, "rank", "--candidates", GOLDEN_CANDIDATES, "--model", "random",
-            "--config", str(path), "--out", str(out_path),
-        )
-        assert code == 2
-        assert out == "" and not out_path.exists()
-        assert f"error: {path}: not UTF-8" in err
+    def test_each_model_reads_its_keys(self):
+        every = {"hidden_dim", "lr", "batch_size", "epochs", "patience", "seed"}
+        for model in cli.MODEL_NAMES:
+            if model != "random":  # random trains nothing
+                reads = {"epochs", "lr"} if model in ("ngrams", "cqa") else every
+                assert set(load_config(model)) == reads, model
 
-    def test_resolved_lists_every_key(self):
-        resolved = json.loads(resolved_json(load_config()))["config"]
-        assert set(resolved) == {
-            "hidden_dim", "lr", "batch_size", "epochs", "patience", "seed",
-        }
-
-    def test_resolved_line_is_pinned(self, tmp_path, capsys):
-        # The file sets seed and lr; --set overrides lr, --seed overrides seed.
-        path = tmp_path / "run.conf"
-        path.write_text("hidden_dim = 12\nlr = 0.5\nseed = 9\n", encoding="utf-8")
-        code, _, err = run(
-            capsys,
-            "rank",
-            "--candidates", str(FIXTURES / "golden" / "candidates.jsonl"),
-            "--model", "random",
-            "--config", str(path),
-            "--set", "lr=1e-5",
-            "--set", "epochs=7",
-            "--seed", "4",
-            "--out", str(tmp_path / "rankings.jsonl"),
-        )
-        assert code == 0
-        assert err.splitlines()[0] == (
-            '{"config": {"batch_size": 32, "epochs": 7, "hidden_dim": 12, "lr": 1e-05, '
-            '"patience": 5, "seed": 4}}'
-        )
+    def test_each_command_logs_the_settings_it_read(self, capsys, tmp_path):
+        cands = ["--candidates", GOLDEN_CANDIDATES]
+        ngrams, rankings = str(tmp_path / "ngrams.ckpt"), str(tmp_path / "random.jsonl")
+        runs = [
+            (["train", *cands, "--model", "ngrams", "--no-split", "--set", "lr=1e-5",
+              "--set", "epochs=7", "--out", ngrams],
+             '{"config": {"epochs": 7, "lr": 1e-05}}'),
+            (["train", *cands, "--model", "evpi", "--no-split", "--set", "hidden_dim=2",
+              "--set", "epochs=1", "--seed", "4", "--out", str(tmp_path / "evpi.ckpt")],
+             '{"config": {"batch_size": 32, "epochs": 1, "hidden_dim": 2, "lr": 0.001, '
+             '"patience": 5, "seed": 4}}'),
+            (["rank", *cands, "--model", "random", "--out", rankings], '{"config": {"seed": 0}}'),
+            (["rank", *cands, "--model", "random", "--seed", "4", "--out", rankings],
+             '{"config": {"seed": 4}}'),
+            (["significance", *cands, "--rankings-a", rankings, "--rankings-b", rankings,
+              "--mode", "original", "--n", "10", "--seed", "3"],
+             '{"config": {"seed": 3}}'),
+            # A trained model's rank reads no setting, so it logs none.
+            (["rank", *cands, "--model", "ngrams", "--checkpoint", ngrams, "--out", rankings],
+             None),
+        ]
+        for argv, line in runs:
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+            logged = [entry for entry in err.splitlines() if entry.startswith('{"config": ')]
+            assert logged == ([line] if line else []), argv
 
 
 class TestOptionsEachCommandReads:
@@ -1412,6 +1415,76 @@ class TestOptionsEachCommandReads:
         assert code == 2
         assert f"unrecognized arguments: {option}" in err
         assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [("train", "--config"), ("rank", "--config"), ("significance", "--config"),
+         ("rank", "--set"), ("significance", "--set")],
+    )
+    def test_only_train_takes_settings(self, pipeline, capsys, tmp_path, command, option):
+        config = tmp_path / "run.conf"
+        config.write_text("seed = 5\n", encoding="utf-8")
+        value = {"--set": "seed=5", "--config": str(config)}[option]
+        cands, out = str(pipeline["candidates"]), tmp_path / "out"
+        rankings = self.random_rankings(pipeline, tmp_path)
+        argv = {
+            "train": ["train", "--candidates", cands, "--model", "ngrams", "--no-split",
+                      "--set", "epochs=1", "--out", str(out)],
+            "rank": ["rank", "--candidates", cands, "--model", "random", "--out", str(out)],
+            "significance": [
+                "significance", "--rankings-a", rankings, "--rankings-b", rankings,
+                "--candidates", cands, "--mode", "original", "--n", "10",
+            ],
+        }[command]
+        code, stdout, err = run(capsys, *argv, option, value)
+        assert code == 2
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"evpirank: error: unrecognized arguments: {option} {value}"]
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("model", [m for m in cli.MODEL_NAMES if m != "random"])
+    def test_rank_refuses_a_seed_its_model_does_not_draw(self, capsys, tmp_path, model):
+        out = tmp_path / "out.rank"
+        code, stdout, err = run(
+            capsys, "rank", "--candidates", GOLDEN_CANDIDATES, "--model", model, "--seed", "5",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert err.splitlines() == [f"error: --seed: model {model!r} draws no random numbers"]
+        assert stdout == "" and not out.exists()
+
+    def test_random_rank_refuses_a_checkpoint(self, capsys, tmp_path):
+        # A user who names their trained model must not silently get random rankings.
+        ckpt, out = tmp_path / "junk.ckpt", tmp_path / "out.rank"
+        ckpt.write_bytes(b"junk")
+        code, stdout, err = run(
+            capsys, "rank", "--candidates", GOLDEN_CANDIDATES, "--model", "random",
+            "--checkpoint", str(ckpt), "--out", str(out),
+        )
+        assert code == 2
+        assert err.splitlines() == ["error: model 'random' takes no --checkpoint"]
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("model", ["ngrams", "cqa"])
+    @pytest.mark.parametrize(
+        "option, value, key",
+        [("--seed", "4", "seed"), ("--set", "seed=4", "seed"),
+         ("--set", "hidden_dim=3", "hidden_dim"), ("--set", "batch_size=2", "batch_size"),
+         ("--set", "patience=9", "patience"), ("--set", "hiden_dim=3", "hiden_dim")],
+    )
+    def test_ngrams_and_cqa_train_refuse_keys_they_do_not_read(
+        self, capsys, tmp_path, model, option, value, key
+    ):
+        ckpt = tmp_path / "model.ckpt"
+        code, stdout, err = run(
+            capsys, "train", "--candidates", GOLDEN_CANDIDATES, "--model", model, "--no-split",
+            "--set", "epochs=1", option, value, "--out", str(ckpt),
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: model {model!r} reads no config key {key!r}; valid keys: epochs, lr"
+        ]
+        assert stdout == "" and not ckpt.exists()
 
     def test_gradcheck_is_not_a_command(self, capsys):
         # The gradient suite is acceptance criterion 1 (tests/gradsuite.py).
@@ -1588,24 +1661,14 @@ class TestSplitsAndRefusals:
         assert re.fullmatch(r"training diverged: non-finite tensor '\S+' at epoch 0, batch 0", last)
         assert not ckpt.exists()
 
-    @pytest.mark.parametrize(
-        "source, message",
-        [
-            ("--config", "line 2: expected `key = value`"),
-            ("--set", "config key 'epochs': invalid literal for int()"),
-        ],
-    )
-    def test_an_unreadable_config_is_usage_error(self, capsys, tmp_path, source, message):
-        config = tmp_path / "run.conf"
-        config.write_text("seed = 1\nepochs 3\n", encoding="utf-8")
-        value = {"--config": str(config), "--set": "epochs=x"}[source]
-        out = tmp_path / "rankings.jsonl"
+    def test_an_unreadable_config_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "model.ckpt"
         code, stdout, err = run(
-            capsys, "rank", "--candidates", GOLDEN_CANDIDATES, "--model", "random",
-            source, value, "--out", str(out),
+            capsys, "train", "--candidates", GOLDEN_CANDIDATES, "--model", "ngrams", "--no-split",
+            "--set", "epochs=x", "--out", str(out),
         )
         assert code == 2
-        assert message in err
+        assert "config key 'epochs': invalid literal for int()" in err
         assert stdout == "" and not out.exists()
 
 

@@ -1,15 +1,17 @@
 """Mutated input lines never end in a traceback, a partial file or a non-finite number.
 
 Each example edits one line of a dump file, of the golden triples or
-candidates file, or of a rankings file written from the candidates: it
-drops a field, swaps a value's JSON type, writes a non-finite or
-overflowing number, empties a list, or inserts odd Unicode. `ingest` reads
-the dump files; `candidates` reads the triples; `rank` (evpi and random) and
-`evaluate` read the rest. Every run must exit 0 or 2 with no traceback;
-every stderr line is a JSON object or the one `error: ...` line; after exit
-2 no output file exists, and every number any run writes is finite. A line
-given bytes that are not UTF-8 must exit 2 naming that line, except in a
-dump file, where `ingest` counts it as malformed.
+candidates file, of a rankings file written from the candidates, or of an
+annotations file of them: it drops a field, swaps a value's JSON type,
+writes a non-finite or overflowing number, empties a list, or inserts odd
+Unicode. `ingest` reads the dump files; `candidates` reads the triples;
+`rank` (evpi and random) reads the candidates; `evaluate` and
+`significance` read the rest. Other examples give `train` odd `--set`
+settings. Every run must exit 0 or 2 with no traceback; every stderr line
+is a JSON object or the one `error: ...` line; after exit 2 no output file
+exists and stdout is empty, and every number any run writes is finite. A
+line given bytes that are not UTF-8 must exit 2 naming that line, except
+in a dump file, where `ingest` counts it as malformed.
 """
 
 import contextlib
@@ -19,11 +21,13 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from evpirank.cli import main
+from evpirank.cli import MODEL_NAMES, main
+from evpirank.neural import load_checkpoint
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DUMP = FIXTURES / "dump"
@@ -68,10 +72,11 @@ def assert_finite_json(text: str) -> None:
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """An evpi checkpoint trained on the golden candidates, and a rankings file of them."""
+    """An evpi checkpoint trained on the golden candidates, and evpi and random rankings of them."""
     root = tmp_path_factory.mktemp("fuzz")
     checkpoint = root / "evpi.ckpt"
     rankings = root / "evpi.rank"
+    random_rankings = root / "random.rank"
     assert run(
         "train", "--candidates", CANDIDATES, "--embeddings", EMBEDDINGS, "--model", "evpi",
         "--no-split", "--set", "hidden_dim=3", "--set", "epochs=1", "--out", checkpoint,
@@ -80,7 +85,10 @@ def inputs(tmp_path_factory):
         "rank", "--candidates", CANDIDATES, "--embeddings", EMBEDDINGS, "--model", "evpi",
         "--checkpoint", checkpoint, "--out", rankings,
     )[0] == 0
-    return {"checkpoint": checkpoint, "rankings": rankings}
+    assert run(
+        "rank", "--candidates", CANDIDATES, "--model", "random", "--out", random_rankings
+    )[0] == 0
+    return {"checkpoint": checkpoint, "rankings": rankings, "random_rankings": random_rankings}
 
 
 @st.composite
@@ -128,9 +136,9 @@ def write_mutated(path: Path, lines: list[str], index: int, text: str | bytes) -
     path.write_bytes(b"".join(line + b"\n" for line in edited))
 
 
-def check(argv: list, out_path: Path) -> None:
-    """Run argv, which writes out_path, under the fuzz test's assertions."""
-    code, out, err = run(*argv, "--out", out_path)
+def check(argv: list, out_path: Path | None) -> None:
+    """Run argv, which writes out_path (only stdout if None), under the fuzz test's assertions."""
+    code, out, err = run(*argv, *(["--out", out_path] if out_path else []))
     assert code in (0, 2), (code, err)
     assert "Traceback" not in err
     lines = err.splitlines()
@@ -138,9 +146,14 @@ def check(argv: list, out_path: Path) -> None:
     for line in lines:
         assert line.startswith("error: ") or type(json.loads(line)) is dict, err
     if code == 2:
-        assert not out_path.exists(), err
+        assert out == "" and not (out_path and out_path.exists()), err
+        return
+    assert_finite_json(out)
+    if out_path is None:
+        return
+    if out_path.suffix == ".ckpt":
+        assert all(np.isfinite(tensor).all() for tensor in load_checkpoint(out_path).values())
     else:
-        assert_finite_json(out)
         assert_finite_json(out_path.read_text(encoding="utf-8"))
 
 
@@ -168,11 +181,11 @@ def test_mutated_candidates_line(inputs, mutation):
         tmp = Path(tmp)
         candidates = tmp / "candidates.jsonl"
         write_mutated(candidates, CANDIDATE_LINES, *mutation)
-        for model in ("evpi", "random"):
+        for model, checkpoint in (("evpi", ["--checkpoint", inputs["checkpoint"]]), ("random", [])):
             rankings = tmp / f"{model}.rank"
             check(
                 ["rank", "--candidates", candidates, "--embeddings", EMBEDDINGS,
-                 "--model", model, "--checkpoint", inputs["checkpoint"]],
+                 "--model", model, *checkpoint],
                 rankings,
             )
             if rankings.exists():
@@ -229,23 +242,118 @@ def non_utf8_line(draw, lines: list[str]) -> tuple[int, bytes]:
     return index, line[:at] + draw(st.sampled_from(NOT_UTF8)) + line[at:]
 
 
+# Two annotators for each post of the golden candidates.
+ANNOTATION_LINES = [
+    json.dumps({"post_id": json.loads(line)["post_id"], "annotator_id": annotator,
+                "best": best, "valid": valid})
+    for line in CANDIDATE_LINES
+    for annotator, best, valid in (("a1", 0, [0, 1, 2]), ("a2", 1, [0, 1]))
+]
+ANNOTATED_MODES = ["best_union", "valid_intersection", "exclude_original"]
+
+
+@_settings
+@given(mutation=mutated_line(ANNOTATION_LINES), mode=st.sampled_from(ANNOTATED_MODES))
+# An error naming a post id that holds U+2028 printed the id raw, splitting its line in two.
+@example(mutation=(0, with_field(ANNOTATION_LINES[0], post_id="p\u202801")), mode="best_union")
+def test_mutated_annotations_line(inputs, mutation, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        annotations = tmp / "annotations.jsonl"
+        write_mutated(annotations, ANNOTATION_LINES, *mutation)
+        labels = ["--candidates", CANDIDATES, "--annotations", annotations, "--mode", mode]
+        check(["evaluate", "--rankings", inputs["rankings"], *labels], tmp / "eval.json")
+        check(
+            ["significance", "--rankings-a", inputs["rankings"],
+             "--rankings-b", inputs["random_rankings"], "--n", "20", *labels],
+            None,
+        )
+
+
+# Values of the settings each model reads that train stays small under.
+SMALL_VALUES = {
+    "hidden_dim": st.integers(-1, 4),
+    "epochs": st.integers(-1, 2),
+    "batch_size": st.integers(-1, 8),
+    "patience": st.integers(-1, 3),
+    "seed": st.integers(-(2**70), 2**70),
+    "lr": st.floats(-1.0, 0.1),
+}
+ODD_KEYS = ["hiden_dim", "", "Epochs", " lr ", "seed\u200b", "config", "hidden_dim=2"]
+# Values no setting takes: not numbers, not finite, over Python's 4,300-digit
+# int() limit, or not decimal digits.
+ODD_VALUES = [
+    "", " ", "x", "1.5", "0x10", "1e3", "true", "None", "nan", "-nan", "inf", "-inf",
+    "Infinity", "1e999", "9" * 5000, "-" + "9" * 5000, "\u00b2", "\u2161", "1\u200b",
+]
+# Unicode decimal digits 0-2 other than ASCII: Arabic-Indic, Devanagari,
+# fullwidth and mathematical bold. int() and float() read them.
+UNICODE_DIGITS = [
+    "\u0660\u0661\u0662", "\u0966\u0967\u0968", "\uff10\uff11\uff12", "\U0001d7ce\U0001d7cf\U0001d7d0"
+]
+
+
+@st.composite
+def setting(draw) -> list[str]:
+    """One train option: --set with a known, odd or missing key and value, or --seed."""
+    key = draw(st.sampled_from(sorted(SMALL_VALUES) + ODD_KEYS))
+    kind = draw(st.sampled_from(["small", "odd", "unicode", "no_equals", "seed"]))
+    if kind == "seed":
+        return ["--seed", str(draw(st.integers(-3, 3)))]
+    if kind == "no_equals":
+        return ["--set", key]
+    if kind == "small" and key in SMALL_VALUES:
+        value = str(draw(SMALL_VALUES[key]))
+    elif kind == "unicode":
+        value = draw(st.sampled_from(UNICODE_DIGITS))[draw(st.integers(0, 2))]
+    else:
+        value = draw(st.sampled_from(ODD_VALUES))
+    return ["--set", f"{key}={value}"]
+
+
+@_settings
+@given(
+    model=st.sampled_from([name for name in MODEL_NAMES if name != "random"]),
+    options=st.lists(setting(), min_size=1, max_size=3),
+)
+def test_odd_train_settings(model, options):
+    # Small defaults first: a setting drawn later overrides them.
+    small = ["--set", "epochs=1"] if model in ("ngrams", "cqa") else [
+        "--set", "epochs=1", "--set", "hidden_dim=2"
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        check(
+            ["train", "--candidates", CANDIDATES, "--embeddings", EMBEDDINGS, "--model", model,
+             "--no-split", *small, *[arg for option in options for arg in option]],
+            Path(tmp) / "model.ckpt",
+        )
+
+
 @_settings
 @given(data=st.data())
-@pytest.mark.parametrize("reader", ["candidates", "rankings"])
+@pytest.mark.parametrize("reader", ["candidates", "rankings", "annotations"])
 def test_a_line_that_is_not_utf8_is_named(inputs, reader, data):
-    lines = (CANDIDATES if reader == "candidates" else inputs["rankings"]).read_text(
-        encoding="utf-8"
-    ).splitlines()
+    lines = {
+        "candidates": CANDIDATE_LINES,
+        "rankings": inputs["rankings"].read_text(encoding="utf-8").splitlines(),
+        "annotations": ANNOTATION_LINES,
+    }[reader]
     index, mutated = data.draw(non_utf8_line(lines))
     with tempfile.TemporaryDirectory() as tmp:
         bad, out = Path(tmp) / f"bad.{reader}", Path(tmp) / "out"
         edited = [line.encode("utf-8") for line in lines]
         edited[index] = mutated
         bad.write_bytes(b"".join(line + b"\n" for line in edited))
-        if reader == "candidates":
-            argv = ["rank", "--candidates", bad, "--model", "random"]
-        else:
-            argv = ["evaluate", "--rankings", bad, "--candidates", CANDIDATES, "--mode", "original"]
+        argv = {
+            "candidates": ["rank", "--candidates", bad, "--model", "random"],
+            "rankings": [
+                "evaluate", "--rankings", bad, "--candidates", CANDIDATES, "--mode", "original"
+            ],
+            "annotations": [
+                "evaluate", "--rankings", inputs["rankings"], "--candidates", CANDIDATES,
+                "--annotations", bad, "--mode", "best_union",
+            ],
+        }[reader]
         code, stdout, err = run(*argv, "--out", out)
         assert code == 2 and stdout == "" and not out.exists()
         assert f"malformed {reader} file {bad}: line {index + 1}: not UTF-8" in err

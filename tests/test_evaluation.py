@@ -174,7 +174,7 @@ class TestBuildLabelsets:
             annotation("p1", "a1", best=7, valid=[1, 7]),
             annotation("p1", "a2", best=1, valid=[1]),
         ]
-        with pytest.raises(EvaluationError, match="post p1: candidate index 7 out of range"):
+        with pytest.raises(EvaluationError, match="post .p1.: candidate index 7 out of range"):
             build_labelsets(annotations, [candidate_set("p1", n=3)], "best_union")
 
     def test_index_past_nine_is_valid_in_a_larger_set(self):

@@ -70,6 +70,7 @@ def fixture_run(tmp_path_factory):
         for name, module, cls_name, method, count in TRACER.METHODS:
             cls = getattr(importlib.import_module(f"evpirank.{module}"), cls_name)
             mp.setattr(cls, method, tracer.wrap(name, getattr(cls, method), count))
+        mp.setattr(cli, "RANK_CHUNK", 3)
         for model_name in ("neural-pqa", "evpi"):
             model, fit_result = training.train(model_name, sets, sets, table, config)
             neural.save_checkpoint(root / "model.ckpt", model.tensors())
@@ -77,7 +78,6 @@ def fixture_run(tmp_path_factory):
                 "rank", "--model", model_name, "--candidates", str(CANDIDATES),
                 "--embeddings", str(FIXTURES / "embeddings_toy.txt"),
                 "--checkpoint", str(root / "model.ckpt"), "--out", str(root / "out.rank"),
-                "--set", "batch_size=3",
             ]) == 0
         memo = {}
         prepared = model.prepare(sets[0], memo)
@@ -163,6 +163,7 @@ def test_a_traced_rank_records_one_lstm_span_per_model_and_chunk(tmp_path, monke
             for attr in [attr for attr, value in vars(module).items() if value is original]:
                 monkeypatch.setattr(module, attr, wrapper)
     batch_size = 3
+    monkeypatch.setattr(cli, "RANK_CHUNK", batch_size)
     chunks = [sets[i : i + batch_size] for i in range(0, len(sets), batch_size)]
     for model_name in ("evpi", "neural-pqa"):
         params = evpi.NeuralParams.init(model_name, table.dim, 3, rng)
@@ -171,7 +172,7 @@ def test_a_traced_rank_records_one_lstm_span_per_model_and_chunk(tmp_path, monke
         assert cli.main([
             "rank", "--model", model_name, "--candidates", str(CANDIDATES),
             "--embeddings", str(vectors), "--checkpoint", str(tmp_path / "model.ckpt"),
-            "--out", str(tmp_path / "out.rank"), "--set", f"batch_size={batch_size}",
+            "--out", str(tmp_path / "out.rank"),
         ]) == 0
         # each chunk encodes, per encoder, the distinct texts no earlier chunk held
         model = cli._zero_model(model_name, params.tensors(), table)[0]
