@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -63,14 +63,24 @@ def random_rankings(
 # Labeled examples: the training input of the ngrams and cqa baselines
 
 
-def labeled_examples(sets: Iterable[CandidateSet]) -> Iterator[tuple[str, str, str, int]]:
+class OneClassError(ValueError):
+    """Training examples without a positive or without a negative."""
+
+
+def labeled_examples(sets: Iterable[CandidateSet]) -> list[tuple[str, str, str, int]]:
     """(post, question, answer, label) of every candidate, set by set in index order.
 
     Each set gives one positive, its original question, and n-1 negatives.
+    Examples of one label only, or none, raise OneClassError.
     """
-    for cs in sets:
-        for j in range(len(cs)):
-            yield cs.post_body, cs.questions[j], cs.answers[j], int(j == cs.original_index)
+    examples = [
+        (cs.post_body, cs.questions[j], cs.answers[j], int(j == cs.original_index))
+        for cs in sets
+        for j in range(len(cs))
+    ]
+    if {label for *_, label in examples} != {0, 1}:
+        raise OneClassError("training needs both positive and negative examples")
+    return examples
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +126,9 @@ def ngram_train(sets: Sequence[CandidateSet], epochs: int, lr: float) -> np.ndar
     """Sub-gradient descent on the hinge loss max(0, 1 - y w.x), y = +/-1, over n-gram features.
 
     The labeled_examples of sets are visited in their given order each
-    epoch, which keeps the result deterministic. Both classes must be present.
+    epoch, which keeps the result deterministic.
     """
-    examples = list(labeled_examples(sets))
-    if {label for *_, label in examples} != {0, 1}:
-        raise ValueError("training needs both positive and negative examples")
+    examples = labeled_examples(sets)
     features = [ngram_features(post, question, answer) for post, question, answer, _ in examples]
     signs = [1.0 if label == 1 else -1.0 for *_, label in examples]
     weights = np.zeros(NGRAM_FEATURE_SPACE)
@@ -196,9 +204,7 @@ def cqa_train(
     lr: float,
 ) -> CqaModel:
     """Batch gradient descent for logistic regression on CQA features of labeled_examples(sets)."""
-    examples = list(labeled_examples(sets))
-    if {label for *_, label in examples} != {0, 1}:
-        raise ValueError("training needs both positive and negative examples")
+    examples = labeled_examples(sets)
     X = np.stack([cqa_features(post, question, table) for post, question, _, _ in examples])
     y = np.array([float(label) for *_, label in examples])
     constant = np.all(X == X[0:1, :], axis=0)

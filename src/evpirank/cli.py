@@ -3,9 +3,10 @@
 Subcommands: ingest, candidates, train, rank, evaluate, significance.
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Only train takes
 settings: --set key=value and --seed, for the keys its model reads (see
-config). rank --model random and significance take --seed alone. A command
-logs each setting it reads to stderr as one {"config": ...} JSON line, and a
-warning as one {"warning": ...} line. Re-running a command with the same
+config). rank --model random and significance take --seed alone. --embeddings
+goes to ingest and to train and rank of VECTOR_MODELS, and to no other. A
+command logs each setting it reads to stderr as one {"config": ...} JSON line,
+and a warning as one {"warning": ...} line. Re-running a command with the same
 inputs, settings and seed reproduces its outputs byte for byte.
 """
 
@@ -30,6 +31,8 @@ from .neural import assign_tensors, load_checkpoint, save_checkpoint
 from .training import TrainConfig, TrainingDivergedError
 
 MODEL_NAMES = ("random", "ngrams", "cqa", "neural-pq", "neural-pa", "neural-pqa", "evpi")
+# The models that read word vectors; train and rank refuse --embeddings for any other.
+VECTOR_MODELS = frozenset(MODEL_NAMES) - {"random", "ngrams"}
 SPLIT_NAMES = ("train", "tune", "test", "all")
 # Candidate sets per rank_prepared call in `rank`: a set's ranking does not
 # depend on its chunk, so this bounds memory only.
@@ -60,18 +63,23 @@ def _read(reader, path: str, what: str):
         raise UsageError(f"malformed {what} file {path}: {exc}") from None
 
 
-def _load_table(path: str | None) -> EmbeddingTable:
-    if path is None:
-        return EmbeddingTable.empty()
-    return _read(load_embeddings_file, path, "embeddings")
+def _load_table(args) -> EmbeddingTable | None:
+    """The --embeddings table of a model in VECTOR_MODELS; any other refuses the option."""
+    if args.model not in VECTOR_MODELS:
+        if args.embeddings is not None:
+            raise UsageError(f"--embeddings: model {args.model!r} reads no word vectors")
+        return None
+    if args.embeddings is None:
+        raise UsageError(f"model {args.model!r} requires --embeddings")
+    return _read(load_embeddings_file, args.embeddings, "embeddings")
 
 
 def cmd_ingest(args) -> int:
     posts, bad_posts = ingest.read_posts(_require_file(args.posts, "posts"))
     comments, bad_comments = ingest.read_comments(_require_file(args.comments, "comments"))
     edits, bad_edits = ingest.read_edits(_require_file(args.history, "history"))
-    table = _load_table(args.embeddings)
-    triples, diagnostics = ingest.build_triples(posts, comments, edits, table=table)
+    table = _read(load_embeddings_file, args.embeddings, "embeddings")
+    triples, diagnostics = ingest.build_triples(posts, comments, edits, table)
     diagnostics.malformed_lines = {
         "posts": bad_posts, "comments": bad_comments, "history": bad_edits
     }
@@ -112,7 +120,7 @@ def cmd_train(args) -> int:
     _log(json.dumps({"config": settings}))
     config = TrainConfig(**settings)
     candidate_sets = _read(retrieval.read_candidates, args.candidates, "candidates")
-    table = _load_table(args.embeddings)
+    table = _load_table(args)
     if args.no_split:
         train_sets = tune_sets = candidate_sets
     else:
@@ -142,7 +150,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _zero_model(model_name: str, tensors: dict, table: EmbeddingTable):
+def _zero_model(model_name: str, tensors: dict, table: EmbeddingTable | None):
     """A model_name model over table with zero weights, and how to describe that model."""
     if model_name == "ngrams":
         return baselines.NgramModel(np.zeros(baselines.NGRAM_FEATURE_SPACE)), ""
@@ -154,14 +162,13 @@ def _zero_model(model_name: str, tensors: dict, table: EmbeddingTable):
     # zeros for init's random draws: the checkpoint overwrites every weight
     zeros = types.SimpleNamespace(uniform=lambda low, high, size: np.zeros(size))
     params = evpi.NeuralParams.init(model_name, table.dim, hidden, zeros)
-    source = "" if len(table) else " (no --embeddings given)"
     return (
         training.neural_model(params, table),
-        f" of hidden size {hidden} over {table.dim}-d embeddings{source}",
+        f" of hidden size {hidden} over {table.dim}-d embeddings",
     )
 
 
-def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, seed: int):
+def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable | None, seed: int):
     """Build a callable that ranks a list of candidate sets, one RankedList per set in order.
 
     The checkpoint must hold exactly the tensor names and shapes of the
@@ -175,9 +182,6 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable, seed
     if checkpoint is None:
         raise UsageError(f"model {model_name!r} requires --checkpoint")
     tensors = _read(load_checkpoint, checkpoint, "checkpoint")
-    for name, tensor in tensors.items():
-        if not np.isfinite(tensor).all():
-            raise UsageError(f"malformed checkpoint file {checkpoint}: {name!r} holds nan or inf")
     model, described = _zero_model(model_name, tensors, table)
     try:
         assign_tensors(model.tensors(), tensors)
@@ -204,7 +208,7 @@ def cmd_rank(args) -> int:
     selected = _split_sets(candidate_sets, args.split)
     if not selected:
         raise UsageError(f"no posts in split {args.split!r}")
-    table = _load_table(args.embeddings)
+    table = _load_table(args)
     rank = _ranker(args.model, args.checkpoint, table, args.seed or 0)
     ranked = list(rank(sorted(selected, key=lambda cs: cs.post_id)))
     evpi.write_rankings(args.out, args.model, ranked)
@@ -301,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--comments", required=True)
     p.add_argument("--history", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--embeddings", help="word vectors for the edit-vs-comment similarity choice")
+    p.add_argument("--embeddings", required=True, help="word vectors for the answer choice")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("candidates", help="build the TF-IDF index and candidate sets")
@@ -313,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a ranking model")
     p.add_argument("--candidates", required=True)
-    p.add_argument("--embeddings")
+    p.add_argument("--embeddings", help="word vectors (cqa and the neural models)")
     p.add_argument("--model", required=True, choices=MODEL_NAMES)
     p.add_argument("--out", required=True)
     p.add_argument("--log", help="write per-epoch loss and tune MAP to this file")
@@ -328,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank candidate questions with a trained model")
     p.add_argument("--candidates", required=True)
-    p.add_argument("--embeddings")
+    p.add_argument("--embeddings", help="word vectors (cqa and the neural models)")
     p.add_argument("--model", required=True, choices=MODEL_NAMES)
     p.add_argument("--checkpoint")
     p.add_argument("--out", required=True)
@@ -374,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
             warnings.simplefilter("always", UserWarning)
             warnings.showwarning = lambda message, *_: _log(json.dumps({"warning": str(message)}))
             return args.func(args)
-    except (UsageError, ConfigError, evaluation.EvaluationError) as exc:
+    except (UsageError, ConfigError, evaluation.EvaluationError, baselines.OneClassError) as exc:
         _log(f"error: {exc}")
         return 2
     except TrainingDivergedError as exc:

@@ -5,16 +5,23 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .neural import _on_threads
+
 
 class EmbeddingFormatError(ValueError):
     """A line of an embedding file could not be parsed."""
+
+
+# The largest magnitude of a vector value. Word vectors hold values near 1; at
+# 1e308 cos_sim's dot product overflowed. Squares of values up to this, summed
+# a million times (norms, dot products), stay finite.
+MAX_ABS_VALUE = 1e100
 
 
 @dataclass
@@ -46,11 +53,6 @@ class EmbeddingTable:
             rows.setdefault(word, i)
         return cls(rows=rows, matrix=matrix)
 
-    @classmethod
-    def empty(cls) -> "EmbeddingTable":
-        """No words, dimension 1."""
-        return cls.of([], np.zeros((0, 1)))
-
     def token_ids(self, tokens: Iterable[str]) -> np.ndarray:
         """The rows of the in-vocabulary tokens, in order: an int64 array of shape (found,)."""
         return np.array([self.rows[tok] for tok in tokens if tok in self.rows], dtype=np.int64)
@@ -73,10 +75,10 @@ def parse_embeddings(reader: Iterable[str]) -> tuple[list[str], np.ndarray]:
 
     EmbeddingTable.of turns the two into a table, where a repeated word keeps
     its first row. The dimension is inferred from the first line; later lines
-    must match it. A malformed line, one with nan, inf or an overflowing value
-    (1e999), or one that is not UTF-8 (it holds a lone surrogate, as a bad
-    byte decodes under surrogateescape) raises EmbeddingFormatError naming
-    its 1-based line number.
+    must match it. A malformed line, one with nan, inf, an overflowing value
+    (1e999) or one above MAX_ABS_VALUE in magnitude, or one that is not UTF-8
+    (it holds a lone surrogate, as a bad byte decodes under surrogateescape)
+    raises EmbeddingFormatError naming its 1-based line number.
     """
     words: list[str] = []
     rows: list[np.ndarray] = []
@@ -100,6 +102,8 @@ def parse_embeddings(reader: Iterable[str]) -> tuple[list[str], np.ndarray]:
             )
         if not np.isfinite(values).all():
             raise EmbeddingFormatError(f"line {lineno}: non-finite value")
+        if np.abs(values).max() > MAX_ABS_VALUE:
+            raise EmbeddingFormatError(f"line {lineno}: value above {MAX_ABS_VALUE:g} in magnitude")
         words.append(parts[0])
         rows.append(values)
     if not rows:
@@ -113,9 +117,9 @@ def _parse_file(path: str | Path) -> tuple[list[str], np.ndarray]:
     A generator strips each line's word before loadtxt reads the rest, so
     loadtxt's column-count check is the dimension check. Any line loadtxt
     rejects, any line without a value (loadtxt skips blank lines) and any
-    non-finite value send the whole file through parse_embeddings, which
-    alone words the error or accepts what float() accepts and loadtxt does
-    not (such as "1_0").
+    value that is not finite or is too large send the whole file through
+    parse_embeddings, which alone words the error or accepts what float()
+    accepts and loadtxt does not (such as "1_0").
     """
     words: list[str] = []
 
@@ -132,8 +136,8 @@ def _parse_file(path: str | Path) -> tuple[list[str], np.ndarray]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             matrix = np.loadtxt(values(handle), dtype=np.float64, comments=None, ndmin=2)
-        if not np.isfinite(matrix).all():
-            raise ValueError("a non-finite value")
+        if not np.abs(matrix).max() <= MAX_ABS_VALUE:  # false for nan too
+            raise ValueError("a non-finite or too large value")
     except ValueError:  # a bad byte too: a UnicodeDecodeError is a ValueError
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             return parse_embeddings(handle)
@@ -187,33 +191,17 @@ def _sha256(path: Path) -> bytes:
     on one thread, 2-core x86-64).
     """
     half = path.stat().st_size // 2
-    rest: list = []
-
-    def hash_rest() -> None:
-        try:
-            rest.append(_digest(path, half, None))
-        except BaseException as exc:  # raised on the caller's thread below
-            rest.append(exc)
-
-    thread = threading.Thread(target=hash_rest)
-    thread.start()
-    try:
-        first = _digest(path, 0, half)
-    finally:
-        thread.join()
-    if isinstance(rest[0], BaseException):
-        raise rest[0]
-    return first + rest[0]
+    first, rest = hashlib.sha256(), hashlib.sha256()
+    _on_threads(_hash_into, [(first, path, 0, half), (rest, path, half, None)], 2)
+    return first.digest() + rest.digest()
 
 
-def _digest(path: Path, start: int, stop: int | None) -> bytes:
-    """The SHA-256 digest of bytes start:stop of path; a stop of None reads to its end."""
-    digest = hashlib.sha256()
+def _hash_into(digest, path: Path, start: int, stop: int | None) -> None:
+    """Update digest with bytes start:stop of path; a stop of None reads to its end."""
     with open(path, "rb") as handle:
         handle.seek(start)
         while chunk := handle.read(1 << 20 if stop is None else min(1 << 20, stop - handle.tell())):
             digest.update(chunk)
-    return digest.digest()
 
 
 def _read_cache(cache: Path, key: bytes) -> tuple[list[str], np.ndarray] | None:
@@ -225,7 +213,7 @@ def _read_cache(cache: Path, key: bytes) -> tuple[list[str], np.ndarray] | None:
             words = _read_array(handle).tobytes().decode("utf-8").split("\n")
             matrix = _read_array(handle)
             trailing = handle.read(1)
-    except (OSError, ValueError, MemoryError):  # missing, truncated or not a cache at all
+    except Exception:  # missing, truncated, not a cache, or a .npy header numpy cannot parse
         return None
     if (
         trailing

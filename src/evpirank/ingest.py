@@ -220,7 +220,7 @@ def build_triples(
     posts: Iterable[PostRecord],
     comments: Iterable[CommentRecord],
     edits: Iterable[EditRecord],
-    table: EmbeddingTable | None = None,
+    table: EmbeddingTable,
 ) -> tuple[list[Triple], IngestDiagnostics]:
     """Run the full extraction pipeline; output is ordered by post_id.
 
@@ -228,8 +228,6 @@ def build_triples(
     and counted in the diagnostics.
     """
     diag = IngestDiagnostics()
-    if table is None:
-        table = EmbeddingTable.empty()
     posts = sorted(posts, key=lambda p: p.post_id)
     records = {p.post_id: ([], []) for p in posts}  # post_id -> (comments, edits)
     for kind, group in enumerate((comments, edits)):

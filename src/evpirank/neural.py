@@ -582,7 +582,7 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a save_checkpoint file; each tensor is one owned copy of its bytes in the file."""
+    """Read a save_checkpoint file, refusing nan or inf; each tensor owns a copy of its bytes."""
     with open(path, "rb") as handle:
         blob = handle.read()
     marker = b"\ndata\n"
@@ -610,6 +610,8 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         if offset + count * 8 > len(blob):
             raise ValueError(f"checkpoint truncated while reading tensor {name!r}")
         data = np.frombuffer(blob, "<f8", count, offset)
+        if not np.isfinite(data).all():
+            raise ValueError(f"{name!r} holds nan or inf")
         tensors[name] = data.reshape(shape).astype(np.float64)
         offset += count * 8
     if offset != len(blob):

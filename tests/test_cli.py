@@ -22,6 +22,7 @@ from tests.synthetic import make_clustered_corpus, make_random_rankings_fixture
 FIXTURES = Path(__file__).parent / "fixtures"
 DUMP = FIXTURES / "dump"
 GOLDEN_CANDIDATES = str(FIXTURES / "golden" / "candidates.jsonl")
+TOY_VECTORS = str(FIXTURES / "embeddings_toy.txt")
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -35,17 +36,20 @@ def hidden_dim(model: str, size: int) -> list[str]:
     return [] if model in ("ngrams", "cqa") else ["--set", f"hidden_dim={size}"]
 
 
-def ingest_args(out_path, embeddings=True):
-    argv = [
+def vectors(model: str) -> list[str]:
+    """The toy --embeddings, for a model that reads word vectors."""
+    return ["--embeddings", TOY_VECTORS] if model in cli.VECTOR_MODELS else []
+
+
+def ingest_args(out_path, embeddings=TOY_VECTORS):
+    return [
         "ingest",
         "--posts", str(DUMP / "posts.jsonl"),
         "--comments", str(DUMP / "comments.jsonl"),
         "--history", str(DUMP / "history.jsonl"),
         "--out", str(out_path),
+        "--embeddings", str(embeddings),
     ]
-    if embeddings:
-        argv += ["--embeddings", str(FIXTURES / "embeddings_toy.txt")]
-    return argv
 
 
 class TestIngestCommand:
@@ -121,6 +125,7 @@ class TestIngestCommand:
             "--comments", str(DUMP / "comments.jsonl"),
             "--history", str(DUMP / "history.jsonl"),
             "--out", str(tmp_path / "out.jsonl"),
+            "--embeddings", TOY_VECTORS,
         )
         assert code == 2
         assert "not found" in err
@@ -136,6 +141,7 @@ class TestIngestCommand:
             "--comments", str(tmp_path / "comments.jsonl"),
             "--history", str(tmp_path / "history.jsonl"),
             "--out", str(out),
+            "--embeddings", TOY_VECTORS,
         )
         assert code == 0
         assert out.read_text(encoding="utf-8") == ""
@@ -371,7 +377,7 @@ class TestTrainRankEvaluate:
                 capsys,
                 "train",
                 "--candidates", str(pipeline["candidates"]),
-                "--embeddings", str(FIXTURES / "embeddings_toy.txt"),
+                *vectors(model),
                 "--model", model,
                 "--no-split",
                 "--set", "epochs=2",
@@ -383,7 +389,7 @@ class TestTrainRankEvaluate:
                 capsys,
                 "rank",
                 "--candidates", str(pipeline["candidates"]),
-                "--embeddings", str(FIXTURES / "embeddings_toy.txt"),
+                *vectors(model),
                 "--model", model,
                 "--checkpoint", str(ckpt),
                 "--out", str(rankings),
@@ -418,7 +424,7 @@ class TestTrainRankEvaluate:
             capsys,
             "rank",
             "--candidates", str(pipeline["candidates"]),
-            "--embeddings", str(FIXTURES / "embeddings_toy.txt"),
+            *vectors(model),
             "--model", model,
             "--checkpoint", str(ckpt),
             "--out", str(rankings),
@@ -429,8 +435,9 @@ class TestTrainRankEvaluate:
     @pytest.mark.parametrize("model", ["ngrams", "cqa"])
     def test_ngrams_and_cqa_report_the_epochs_run(self, pipeline, capsys, tmp_path, model):
         code, _, err = run(
-            capsys, "train", "--candidates", str(pipeline["candidates"]), "--model", model,
-            "--no-split", "--set", "epochs=3", "--out", str(tmp_path / "model.ckpt"),
+            capsys, "train", "--candidates", str(pipeline["candidates"]), *vectors(model),
+            "--model", model, "--no-split", "--set", "epochs=3",
+            "--out", str(tmp_path / "model.ckpt"),
         )
         assert code == 0
         assert json.loads(err.strip().splitlines()[-1])["epochs_run"] == 3
@@ -451,7 +458,7 @@ class TestTrainRankEvaluate:
         assert main([
             "train",
             "--candidates", str(pipeline["candidates"]),
-            "--embeddings", str(FIXTURES / "embeddings_toy.txt"),
+            *vectors(model),
             "--model", model,
             "--no-split",
             *hidden_dim(model, 3),
@@ -464,7 +471,7 @@ class TestTrainRankEvaluate:
         return [
             "rank",
             "--candidates", str(pipeline["candidates"]),
-            "--embeddings", str(embeddings or FIXTURES / "embeddings_toy.txt"),
+            *(["--embeddings", str(embeddings)] if embeddings else vectors(model)),
             "--model", model,
             "--checkpoint", str(ckpt),
             "--out", str(rankings),
@@ -525,25 +532,15 @@ class TestTrainRankEvaluate:
         assert not rankings.exists()
 
     def test_checkpoint_ranked_without_its_embeddings_is_usage_error(self, pipeline, capsys):
-        ckpt = self.train_small(pipeline, "evpi")  # 4-d toy embeddings
+        ckpt = self.train_small(pipeline, "evpi")
+        capsys.readouterr()  # train's lines
         rankings = pipeline["root"] / "no_embeddings_rankings.jsonl"
         argv = self.rank_args(pipeline, "evpi", ckpt, rankings)
         del argv[argv.index("--embeddings") : argv.index("--embeddings") + 2]
-        code, _, err = run(capsys, *argv)
+        code, stdout, err = run(capsys, *argv)
         assert code == 2
-        assert "over 1-d embeddings (no --embeddings given):" in err
-        assert "'lstm_post/W_i' is (3, 4) in the checkpoint but (3, 1) in the model" in err
-        assert not rankings.exists()
-
-    def test_checkpoint_trained_without_embeddings_ranks_without_them(self, pipeline, capsys):
-        ckpt = pipeline["root"] / "no_embeddings.ckpt"
-        common = ["--candidates", str(pipeline["candidates"]), "--model", "evpi"]
-        assert main(["train", *common, "--no-split", "--set", "hidden_dim=3", "--set", "epochs=1",
-                     "--out", str(ckpt)]) == 0
-        rankings = pipeline["root"] / "no_embeddings_rankings_ok.jsonl"
-        code, _, _ = run(capsys, "rank", *common, "--checkpoint", str(ckpt), "--out", str(rankings))
-        assert code == 0
-        assert len(rankings.read_text(encoding="utf-8").splitlines()) == 7
+        assert err.splitlines() == ["error: model 'evpi' requires --embeddings"]
+        assert stdout == "" and not rankings.exists()
 
     @pytest.mark.parametrize(
         "assignment", ["batch_size=0", "hidden_dim=0", "lr=-1", "epochs=0", "epochs=-2"]
@@ -691,8 +688,8 @@ class TestCachedEmbeddings:
         self, pipeline, capsys, tmp_path, monkeypatch, vectors
     ):
         vectors.write_text("cat 1 2\ndog 3\n", encoding="utf-8")
-        argv = ["rank", "--candidates", str(pipeline["candidates"]), "--embeddings",
-                str(vectors), "--model", "random", "--out", str(tmp_path / "out.jsonl")]
+        argv = ["train", "--candidates", str(pipeline["candidates"]), "--embeddings",
+                str(vectors), "--model", "cqa", "--no-split", "--out", str(tmp_path / "out.ckpt")]
         cached_code, _, cached_err = run(capsys, *argv)
         monkeypatch.setattr(embeddings, "CACHE_MIN_BYTES", 1 << 20)
         code, _, err = run(capsys, *argv)
@@ -817,8 +814,10 @@ class TestMalformedInputFiles:
             "triples": ["candidates", "--triples", path],
             "candidates": ["rank", "--candidates", path, "--model", "random"],
             "rankings": ["evaluate", "--rankings", path, "--candidates", cands, "--mode", "original"],
-            "embeddings": ["rank", "--candidates", cands, "--embeddings", path, "--model", "random"],
-            "checkpoint": ["rank", "--candidates", cands, "--model", "evpi", "--checkpoint", path],
+            "embeddings": ["train", "--candidates", cands, "--embeddings", path, "--model", "cqa",
+                           "--no-split"],
+            "checkpoint": ["rank", "--candidates", cands, *vectors("evpi"), "--model", "evpi",
+                           "--checkpoint", path],
             "annotations": [
                 "evaluate", "--rankings", rankings, "--candidates", cands,
                 "--annotations", path, "--mode", "best_union",
@@ -1104,28 +1103,32 @@ class TestMalformedInputFiles:
 class TestNonFiniteNumbers:
     """nan, inf and overflowing numbers are refused where they enter and where they leave."""
 
-    @staticmethod
-    def non_finite_embeddings(tmp_path) -> Path:
-        path = tmp_path / "nan.embeddings"
-        lines = (FIXTURES / "embeddings_toy.txt").read_text(encoding="utf-8").splitlines()
-        lines[1] = "ram nan 1 0 0"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return path
-
+    # A finite value whose square overflows used to end ingest and cqa's
+    # cos_sim in numpy overflow warnings and a nan similarity.
+    @pytest.mark.parametrize(
+        "value, message", [("nan", "non-finite value"), ("1e308", "value above 1e+100 in magnitude")]
+    )
     @pytest.mark.parametrize("command", ["ingest", "train", "rank"])
-    def test_non_finite_embedding_is_usage_error(self, pipeline, capsys, tmp_path, command):
-        bad = self.non_finite_embeddings(tmp_path)
+    def test_non_finite_embedding_is_usage_error(
+        self, pipeline, capsys, tmp_path, command, value, message
+    ):
+        bad = tmp_path / "bad.embeddings"
+        lines = (FIXTURES / "embeddings_toy.txt").read_text(encoding="utf-8").splitlines()
+        lines[1] = f"ram {value} 1 0 0"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
         cands = str(pipeline["candidates"])
-        out = tmp_path / "out"
+        ckpt, out = tmp_path / "cqa.ckpt", tmp_path / "out"
+        train = ["train", "--candidates", cands, "--model", "cqa", "--no-split"]
+        assert main([*train, *vectors("cqa"), "--set", "epochs=1", "--out", str(ckpt)]) == 0
         argv = {
-            "ingest": ingest_args(out, embeddings=False),
-            "train": ["train", "--candidates", cands, "--model", "cqa", "--no-split",
-                      "--out", str(out)],
-            "rank": ["rank", "--candidates", cands, "--model", "random", "--out", str(out)],
+            "ingest": ingest_args(out, embeddings=bad),
+            "train": [*train, "--embeddings", str(bad), "--out", str(out)],
+            "rank": ["rank", "--candidates", cands, "--embeddings", str(bad), "--model", "cqa",
+                     "--checkpoint", str(ckpt), "--out", str(out)],
         }[command]
-        code, stdout, err = run(capsys, *argv, "--embeddings", str(bad))
+        code, stdout, err = run(capsys, *argv)
         assert code == 2
-        assert f"malformed embeddings file {bad}: line 2: non-finite value" in err
+        assert f"malformed embeddings file {bad}: line 2: {message}" in err
         assert "Traceback" not in err and stdout == ""
         assert not out.exists()
 
@@ -1369,8 +1372,9 @@ class TestConfig:
             (["train", *cands, "--model", "ngrams", "--no-split", "--set", "lr=1e-5",
               "--set", "epochs=7", "--out", ngrams],
              '{"config": {"epochs": 7, "lr": 1e-05}}'),
-            (["train", *cands, "--model", "evpi", "--no-split", "--set", "hidden_dim=2",
-              "--set", "epochs=1", "--seed", "4", "--out", str(tmp_path / "evpi.ckpt")],
+            (["train", *cands, *vectors("evpi"), "--model", "evpi", "--no-split",
+              "--set", "hidden_dim=2", "--set", "epochs=1", "--seed", "4",
+              "--out", str(tmp_path / "evpi.ckpt")],
              '{"config": {"batch_size": 32, "epochs": 1, "hidden_dim": 2, "lr": 0.001, '
              '"patience": 5, "seed": 4}}'),
             (["rank", *cands, "--model", "random", "--out", rankings], '{"config": {"seed": 0}}'),
@@ -1463,6 +1467,60 @@ class TestOptionsEachCommandReads:
         )
         assert code == 2
         assert err.splitlines() == ["error: model 'random' takes no --checkpoint"]
+        assert stdout == "" and not out.exists()
+
+    def test_ingest_requires_embeddings(self, capsys, tmp_path):
+        out = tmp_path / "triples.jsonl"
+        argv = ingest_args(out)
+        code, stdout, err = run(capsys, *argv[: argv.index("--embeddings")])
+        assert code == 2
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "evpirank ingest: error: the following arguments are required: --embeddings"
+        ]
+        assert stdout == "" and not out.exists()
+
+    @staticmethod
+    def model_argv(command, model, tmp_path) -> list[str]:
+        """A train or rank of model on the golden candidates, short of --embeddings and --out."""
+        ckpt = tmp_path / "junk.ckpt"
+        ckpt.write_bytes(b"junk")
+        extra = {"train": ["--no-split"], "rank": ["--checkpoint", str(ckpt)]}[command]
+        if model == "random":
+            extra = []
+        return [command, "--candidates", GOLDEN_CANDIDATES, "--model", model, *extra]
+
+    @pytest.mark.parametrize("model", sorted(cli.VECTOR_MODELS))
+    @pytest.mark.parametrize("command", ["train", "rank"])
+    def test_a_model_that_reads_vectors_requires_embeddings(
+        self, capsys, tmp_path, command, model
+    ):
+        # Without vectors, evpi used to train on an empty 1-d table and score every candidate 0.
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            capsys, *self.model_argv(command, model, tmp_path), "--out", str(out)
+        )
+        assert code == 2
+        assert [line for line in err.splitlines() if not line.startswith("{")] == [
+            f"error: model {model!r} requires --embeddings"
+        ]
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, model", [("train", "ngrams"), ("rank", "random"), ("rank", "ngrams")]
+    )
+    def test_a_model_that_reads_no_vectors_refuses_embeddings(
+        self, capsys, tmp_path, command, model
+    ):
+        # The file does not exist: the refusal comes before it would be opened.
+        out, missing = tmp_path / "out", tmp_path / "nonexistent.txt"
+        code, stdout, err = run(
+            capsys, *self.model_argv(command, model, tmp_path), "--embeddings", str(missing),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert [line for line in err.splitlines() if not line.startswith("{")] == [
+            f"error: --embeddings: model {model!r} reads no word vectors"
+        ]
         assert stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("model", ["ngrams", "cqa"])
@@ -1624,11 +1682,31 @@ class TestSplitsAndRefusals:
         assert "empty train or tune split" in err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("model", ["ngrams", "cqa"])
+    def test_sets_without_a_negative_candidate_are_usage_error(self, capsys, tmp_path, model):
+        cands, ckpt = tmp_path / "candidates.jsonl", tmp_path / "model.ckpt"
+        write_candidates(cands, [
+            CandidateSet(
+                post_id=cs.post_id, post_body=cs.post_body,
+                questions=[cs.questions[cs.original_index]],
+                answers=[cs.answers[cs.original_index]], source_post_ids=[cs.post_id],
+                original_index=0,
+            )
+            for cs in read_candidates(GOLDEN_CANDIDATES)
+        ])
+        code, stdout, err = run(
+            capsys, "train", "--candidates", str(cands), *vectors(model), "--model", model,
+            "--no-split", "--out", str(ckpt),
+        )
+        assert code == 2
+        assert err.splitlines()[-1] == "error: training needs both positive and negative examples"
+        assert stdout == "" and not ckpt.exists()
+
     def test_neural_rank_without_a_checkpoint_is_usage_error(self, capsys, tmp_path):
         out = tmp_path / "rankings.jsonl"
         code, _, err = run(
-            capsys, "rank", "--candidates", GOLDEN_CANDIDATES, "--model", "neural-pqa",
-            "--out", str(out),
+            capsys, "rank", "--candidates", GOLDEN_CANDIDATES, *vectors("neural-pqa"),
+            "--model", "neural-pqa", "--out", str(out),
         )
         assert code == 2
         assert "model 'neural-pqa' requires --checkpoint" in err
@@ -1638,8 +1716,8 @@ class TestSplitsAndRefusals:
         monkeypatch.setattr(evpi.EvpiModel, "loss_and_grads", lambda self, batch: (float("nan"), {}))
         ckpt = tmp_path / "m.ckpt"
         code, _, err = run(
-            capsys, "train", "--candidates", GOLDEN_CANDIDATES, "--model", "evpi", "--no-split",
-            "--set", "hidden_dim=2", "--out", str(ckpt),
+            capsys, "train", "--candidates", GOLDEN_CANDIDATES, *vectors("evpi"), "--model", "evpi",
+            "--no-split", "--set", "hidden_dim=2", "--out", str(ckpt),
         )
         assert code == 1
         assert "training diverged: non-finite loss nan at epoch 0, batch 0" in err
@@ -1710,8 +1788,8 @@ class TestWarnings:
             for post_id in ("p1", "p2")
         ])
         code, _, err = run(
-            capsys, "train", "--candidates", str(cands), "--model", "cqa", "--no-split",
-            "--set", "epochs=1", "--out", str(ckpt),
+            capsys, "train", "--candidates", str(cands), *vectors("cqa"), "--model", "cqa",
+            "--no-split", "--set", "epochs=1", "--out", str(ckpt),
         )
         assert code == 0, err
         assert ckpt.exists()

@@ -7,11 +7,14 @@ writes a non-finite or overflowing number, empties a list, or inserts odd
 Unicode. `ingest` reads the dump files; `candidates` reads the triples;
 `rank` (evpi and random) reads the candidates; `evaluate` and
 `significance` read the rest. Other examples give `train` odd `--set`
-settings. Every run must exit 0 or 2 with no traceback; every stderr line
-is a JSON object or the one `error: ...` line; after exit 2 no output file
-exists and stdout is empty, and every number any run writes is finite. A
-line given bytes that are not UTF-8 must exit 2 naming that line, except
-in a dump file, where `ingest` counts it as malformed.
+settings, edit a line of the vectors file that `ingest`, `train --model
+cqa` and `rank --model evpi` read, or damage the checkpoint `rank` reads.
+Every run must exit 0 or 2 with no traceback; every stderr line is a JSON
+object or the one `error: ...` line; after exit 2 no output file exists and
+stdout is empty, and every number any run writes is finite. A line given
+bytes that are not UTF-8 must exit 2 naming that line, except in a dump
+file, where `ingest` counts it as malformed. A damaged vectors cache must
+change nothing a run writes.
 """
 
 import contextlib
@@ -26,7 +29,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from evpirank.cli import MODEL_NAMES, main
+from evpirank import embeddings
+from evpirank.cli import MODEL_NAMES, VECTOR_MODELS, main
 from evpirank.neural import load_checkpoint
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -181,13 +185,12 @@ def test_mutated_candidates_line(inputs, mutation):
         tmp = Path(tmp)
         candidates = tmp / "candidates.jsonl"
         write_mutated(candidates, CANDIDATE_LINES, *mutation)
-        for model, checkpoint in (("evpi", ["--checkpoint", inputs["checkpoint"]]), ("random", [])):
+        for model, extra in (
+            ("evpi", ["--embeddings", EMBEDDINGS, "--checkpoint", inputs["checkpoint"]]),
+            ("random", []),
+        ):
             rankings = tmp / f"{model}.rank"
-            check(
-                ["rank", "--candidates", candidates, "--embeddings", EMBEDDINGS,
-                 "--model", model, *checkpoint],
-                rankings,
-            )
+            check(["rank", "--candidates", candidates, "--model", model, *extra], rankings)
             if rankings.exists():
                 check(
                     ["evaluate", "--rankings", rankings, "--candidates", candidates,
@@ -321,9 +324,10 @@ def test_odd_train_settings(model, options):
     small = ["--set", "epochs=1"] if model in ("ngrams", "cqa") else [
         "--set", "epochs=1", "--set", "hidden_dim=2"
     ]
+    vectors = ["--embeddings", EMBEDDINGS] if model in VECTOR_MODELS else []
     with tempfile.TemporaryDirectory() as tmp:
         check(
-            ["train", "--candidates", CANDIDATES, "--embeddings", EMBEDDINGS, "--model", model,
+            ["train", "--candidates", CANDIDATES, *vectors, "--model", model,
              "--no-split", *small, *[arg for option in options for arg in option]],
             Path(tmp) / "model.ckpt",
         )
@@ -390,3 +394,197 @@ def test_surrogate_post_id_in_rankings(inputs, tmp_path):
         "evaluate", "--rankings", rankings, "--candidates", CANDIDATES, "--mode", "original"
     )
     assert code == 2 and "line 1: post_id must be a string" in err
+
+
+VECTOR_LINES = EMBEDDINGS.read_text(encoding="utf-8").splitlines()
+# Value text float() reads and np.loadtxt does not, or the reverse, or neither.
+ODD_NUMBERS = NON_FINITE + [
+    "nan", "-inf", "1_0", "0x10", "1e-400", "1e308", "-0.0", ".5", "5.", "+1", "--1", "1e",
+    "1,5", "", "true", "１", "١", "²",
+]
+SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\xa0", " ", "　", "\x85", "\r"]
+
+
+@st.composite
+def mutated_vectors_line(draw, lines: list[str]) -> tuple[int, str]:
+    """(index, new text) of one `word v1 ... vd` line of lines."""
+    index = draw(st.integers(0, len(lines) - 1))
+    word, *values = lines[index].split(" ")
+    kind = draw(st.sampled_from(["value", "drop", "add", "word", "separator", "empty", "raw"]))
+    if kind == "value":
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(ODD_NUMBERS))
+    elif kind == "drop":
+        del values[draw(st.integers(0, len(values) - 1))]
+    elif kind == "add":
+        values.append(draw(st.sampled_from(["0", "1"])))
+    elif kind == "word":
+        # another line's word repeats it; an odd character may make it no word at all
+        word = draw(st.sampled_from([line.split(" ")[0] for line in lines] + ODD_UNICODE + [""]))
+    elif kind == "empty":
+        return index, draw(st.sampled_from(["", " ", word]))
+    fields = [word, *values]
+    at = draw(st.integers(1, len(fields) - 1))
+    separator = draw(st.sampled_from(SEPARATORS)) if kind == "separator" else " "
+    text = " ".join(fields[:at]) + separator + " ".join(fields[at:])
+    if kind == "raw":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(ODD_UNICODE)) + text[at:]
+    return index, text
+
+
+@_settings
+@given(
+    mutation=st.one_of(mutated_vectors_line(VECTOR_LINES), non_utf8_line(VECTOR_LINES)),
+    cached=st.booleans(),
+)
+# A finite value whose square overflows made cos_sim warn of overflow, which
+# pytest's filters turn into exit 1.
+@example(mutation=(0, "cpu 1e308 0 0 0"), cached=False)
+def test_mutated_vectors_line(inputs, mutation, cached):
+    # Cached, the first command parses the file and writes its cache, and the others read it.
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        tmp = Path(tmp)
+        vectors = tmp / "vectors.txt"
+        write_mutated(vectors, VECTOR_LINES, *mutation)
+        if cached:
+            mp.setattr(embeddings, "CACHE_MIN_BYTES", 1)
+        check(
+            ["ingest", "--posts", DUMP / "posts.jsonl", "--comments", DUMP / "comments.jsonl",
+             "--history", DUMP / "history.jsonl", "--embeddings", vectors],
+            tmp / "triples.jsonl",
+        )
+        check(
+            ["train", "--candidates", CANDIDATES, "--embeddings", vectors, "--model", "cqa",
+             "--no-split", "--set", "epochs=1"],
+            tmp / "cqa.ckpt",
+        )
+        check(
+            ["rank", "--candidates", CANDIDATES, "--embeddings", vectors, "--model", "evpi",
+             "--checkpoint", inputs["checkpoint"]],
+            tmp / "evpi.rank",
+        )
+
+
+def cache_of(vectors: Path) -> bytes:
+    """The cache load_embeddings_file writes beside a vectors file."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embeddings, "CACHE_MIN_BYTES", 1)
+        copy = Path(tmp) / "vectors.txt"
+        copy.write_bytes(vectors.read_bytes())
+        embeddings.load_embeddings_file(copy)
+        return copy.with_name(copy.name + embeddings.CACHE_SUFFIX).read_bytes()
+
+
+def cache_structure(blob: bytes) -> list[int]:
+    """The offsets of the cache bytes a reader can check: each .npy header, and the key.
+
+    The stored words and values are not among them: the cache holds no
+    digest of its own, so a reader cannot tell them from another parse's.
+    """
+    handle, offsets = io.BytesIO(blob), []
+    for k in range(3):  # the key, the words and the matrix
+        start = handle.tell()
+        np.lib.format.read_magic(handle)
+        shape, _, dtype = np.lib.format.read_array_header_1_0(handle)
+        end = handle.tell() + math.prod(shape) * dtype.itemsize
+        offsets += range(start, end if k == 0 else handle.tell())
+        handle.seek(end)
+    return offsets
+
+
+CACHE = cache_of(EMBEDDINGS)
+CACHE_STRUCTURE = cache_structure(CACHE)
+
+
+@st.composite
+def damaged_cache(draw) -> bytes:
+    """The toy vectors' cache cut short, extended, with one structural byte replaced, or garbage."""
+    kind = draw(st.sampled_from(["truncate", "append", "byte", "garbage"]))
+    if kind == "truncate":
+        return CACHE[: draw(st.integers(0, len(CACHE) - 1))]
+    if kind == "append":
+        return CACHE + draw(st.binary(min_size=1, max_size=16))
+    if kind == "garbage":
+        return draw(st.binary(max_size=64))
+    at = draw(st.sampled_from(CACHE_STRUCTURE))
+    byte = draw(st.integers(0, 255).filter(lambda b: b != CACHE[at]))
+    return CACHE[:at] + bytes([byte]) + CACHE[at + 1 :]
+
+
+@_settings
+@given(cache=damaged_cache())
+# A .npy header that does not parse raised tokenize.TokenError, and `rank` exited 1.
+@example(cache=CACHE.replace(b"'shape':", b"'shape(:", 1))
+def test_a_damaged_cache_changes_no_output(inputs, cache):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        tmp = Path(tmp)
+        vectors = tmp / "vectors.txt"
+        vectors.write_bytes(EMBEDDINGS.read_bytes())
+        rank = ["rank", "--candidates", CANDIDATES, "--embeddings", vectors, "--model", "evpi",
+                "--checkpoint", inputs["checkpoint"], "--out"]
+        uncached = run(*rank, tmp / "uncached.rank")
+        mp.setattr(embeddings, "CACHE_MIN_BYTES", 1)
+        vectors.with_name(vectors.name + embeddings.CACHE_SUFFIX).write_bytes(cache)
+        assert run(*rank, tmp / "cached.rank") == uncached
+        assert (tmp / "cached.rank").read_bytes() == (tmp / "uncached.rank").read_bytes()
+
+
+# Manifest field text: no dimension or count at all, a negative or huge one,
+# non-ASCII digits, and odd Unicode.
+ODD_FIELDS = [
+    "", "x", "-1", "0", "1.0", "1e3", "9" * 30, str(2**63), "٣", "３", "ff/W0",
+    "data", *ODD_UNICODE,
+]
+ODD_DOUBLES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 0.0, -0.0, 1e154]
+
+
+@st.composite
+def damaged_checkpoint(draw, blob: bytes) -> bytes:
+    """blob with one manifest line edited, data bytes or a double overwritten, cut or extended."""
+    data = blob.index(b"\ndata\n") + len(b"\ndata\n")
+    kind = draw(st.sampled_from(["field", "line", "raw", "double", "byte", "truncate", "append"]))
+    if kind in ("field", "line", "raw"):
+        lines = blob[:data].decode("utf-8").split("\n")[:-1]  # the manifest, header to "data"
+        index = draw(st.integers(0, len(lines) - 1))
+        if kind == "field":
+            fields = lines[index].split(" ")
+            at = draw(st.integers(0, len(fields)))
+            what = draw(st.sampled_from(["replace", "insert", "drop"]))
+            if what != "insert" and at < len(fields):
+                del fields[at]
+            if what != "drop":
+                fields.insert(at, draw(st.sampled_from(ODD_FIELDS)))
+            lines[index] = " ".join(fields)
+        elif kind == "line":
+            what = draw(st.sampled_from(["drop", "repeat"]))
+            lines[index : index + 1] = [] if what == "drop" else [lines[index]] * 2
+        else:
+            at = draw(st.integers(0, len(lines[index])))
+            lines[index] = lines[index][:at] + draw(st.sampled_from(ODD_UNICODE)) + lines[index][at:]
+        head = "".join(line + "\n" for line in lines).encode("utf-8", "surrogatepass")
+        return head + blob[data:]
+    if kind == "double":
+        at = data + 8 * draw(st.integers(0, (len(blob) - data) // 8 - 1))
+        value = np.array(draw(st.sampled_from(ODD_DOUBLES)), "<f8").tobytes()
+        return blob[:at] + value + blob[at + 8 :]
+    if kind == "byte":
+        at = draw(st.integers(0, len(blob) - 1))
+        return blob[:at] + bytes([draw(st.integers(0, 255))]) + blob[at + 1 :]
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    return blob + draw(st.binary(min_size=1, max_size=16))
+
+
+@_settings
+@given(data=st.data())
+def test_damaged_checkpoint(inputs, data):
+    blob = data.draw(damaged_checkpoint(inputs["checkpoint"].read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        checkpoint = tmp / "evpi.ckpt"
+        checkpoint.write_bytes(blob)
+        check(
+            ["rank", "--candidates", CANDIDATES, "--embeddings", EMBEDDINGS, "--model", "evpi",
+             "--checkpoint", checkpoint],
+            tmp / "evpi.rank",
+        )

@@ -30,6 +30,9 @@ from evpirank.ingest import (
 from tests.synthetic import table_of
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# No word of the toy vectors occurs in the hand-made dumps below, so each of
+# their edit-vs-comment choices is a tie, which the edit wins.
+TOY_TABLE = load_embeddings_file(FIXTURES / "embeddings_toy.txt")
 
 
 def post(post_id="p1", author="u1", created=1000, title="t", body="b"):
@@ -167,8 +170,7 @@ class TestBuildTriplesFixture:
         comments, bad_c = read_comments(FIXTURES / "dump" / "comments.jsonl")
         edits, bad_e = read_edits(FIXTURES / "dump" / "history.jsonl")
         assert (bad_p, bad_c, bad_e) == (0, 1, 0)
-        table = load_embeddings_file(FIXTURES / "embeddings_toy.txt")
-        triples, diag = build_triples(posts, comments, edits, table=table)
+        triples, diag = build_triples(posts, comments, edits, TOY_TABLE)
         out = tmp_path / "triples.jsonl"
         write_triples(out, triples)
         assert out.read_bytes() == (FIXTURES / "golden" / "triples.jsonl").read_bytes()
@@ -184,14 +186,14 @@ class TestBuildTriplesFixture:
             comment("c1", "p1", "u9", "have you tried turning it off?", 5),
             comment("c2", "p2", "u9", "why not use a vm?", 5),
         ]
-        triples, diag = build_triples(posts, comments, [])
+        triples, diag = build_triples(posts, comments, [], TOY_TABLE)
         assert triples == []
         assert diag.skipped.rhetorical == 2
 
     def test_post_without_answer_skipped(self):
         posts = [post("p1")]
         comments = [comment("c1", "p1", "u9", "what happened?", 5)]
-        triples, diag = build_triples(posts, comments, [])
+        triples, diag = build_triples(posts, comments, [], TOY_TABLE)
         assert triples == []
         assert diag.skipped.no_answer == 1
 
@@ -211,7 +213,7 @@ class TestBuildTriplesFixture:
             edit("e1", "gone", "u1", "b and five more added words", 1008),
             edit("e2", "p3", "u1", "b running kernel 4.4 since monday", 1009),
         ]
-        triples, diag = build_triples(posts, comments, edits)
+        triples, diag = build_triples(posts, comments, edits, TOY_TABLE)
         assert [(t.post_id, t.answer, t.answer_source) for t in triples] == [
             ("p3", "running kernel 4.4 since monday", "edit")
         ]
@@ -223,8 +225,7 @@ class TestBuildTriplesFixture:
         posts, _ = read_posts(FIXTURES / "dump" / "posts.jsonl")
         comments, _ = read_comments(FIXTURES / "dump" / "comments.jsonl")
         edits, _ = read_edits(FIXTURES / "dump" / "history.jsonl")
-        table = load_embeddings_file(FIXTURES / "embeddings_toy.txt")
-        triples, _ = build_triples(posts, comments, edits, table=table)
+        triples, _ = build_triples(posts, comments, edits, TOY_TABLE)
         out = tmp_path / "triples.jsonl"
         write_triples(out, triples)
         loaded = read_triples(out)
@@ -266,7 +267,7 @@ class TestBuildTriplesProperties:
         rng = np.random.default_rng(2024)
         for _ in range(20):
             posts, comments, edits = random_dump(rng)
-            triples, _ = build_triples(posts, comments, edits)
+            triples, _ = build_triples(posts, comments, edits, TOY_TABLE)
             created = {p.post_id: p.created_at for p in posts}
             seen = set()
             for t in triples:
@@ -282,8 +283,8 @@ class TestBuildTriplesProperties:
     def test_determinism(self):
         rng = np.random.default_rng(99)
         posts, comments, edits = random_dump(rng)
-        first, _ = build_triples(posts, comments, edits)
-        second, _ = build_triples(posts, comments, edits)
+        first, _ = build_triples(posts, comments, edits, TOY_TABLE)
+        second, _ = build_triples(posts, comments, edits, TOY_TABLE)
         assert [(t.post_id, t.question, t.answer) for t in first] == [
             (t.post_id, t.question, t.answer) for t in second
         ]
