@@ -5,6 +5,8 @@ over LSTM encodings, trained with binary cross-entropy on the same
 one-positive/nine-negative labeling the utility model uses. Their parameters
 are evpi's NeuralParams with the parts MODEL_PARTS gives neural-pq, neural-pa
 and neural-pqa, and they run on the utility model's scorer code in evpi.
+ngrams and cqa train on that labeling too (labeled_examples). No trainer here
+checks that its sets hold a negative: cli's train does, for every model.
 """
 
 from __future__ import annotations
@@ -63,24 +65,18 @@ def random_rankings(
 # Labeled examples: the training input of the ngrams and cqa baselines
 
 
-class OneClassError(ValueError):
-    """Training examples without a positive or without a negative."""
-
-
 def labeled_examples(sets: Iterable[CandidateSet]) -> list[tuple[str, str, str, int]]:
     """(post, question, answer, label) of every candidate, set by set in index order.
 
     Each set gives one positive, its original question, and n-1 negatives.
-    Examples of one label only, or none, raise OneClassError.
+    The caller sees to it that some set has a negative: `train` refuses sets
+    that hold their original question alone, for every model.
     """
-    examples = [
+    return [
         (cs.post_body, cs.questions[j], cs.answers[j], int(j == cs.original_index))
         for cs in sets
         for j in range(len(cs))
     ]
-    if {label for *_, label in examples} != {0, 1}:
-        raise OneClassError("training needs both positive and negative examples")
-    return examples
 
 
 # ---------------------------------------------------------------------------

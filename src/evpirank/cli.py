@@ -1,13 +1,17 @@
 """Command-line entry point wiring the pipeline stages together.
 
 Subcommands: ingest, candidates, train, rank, evaluate, significance.
-Exit codes: 0 success, 1 runtime failure, 2 usage error. Only train takes
-settings: --set key=value and --seed, for the keys its model reads (see
-config). rank --model random and significance take --seed alone. --embeddings
-goes to ingest and to train and rank of VECTOR_MODELS, and to no other. A
-command logs each setting it reads to stderr as one {"config": ...} JSON line,
-and a warning as one {"warning": ...} line. Re-running a command with the same
-inputs, settings and seed reproduces its outputs byte for byte.
+Exit codes: 0 success, 1 runtime failure, 2 usage error. This module alone
+decides what a command accepts. Only train takes settings: --set key=value and
+--seed, for the KEYS_READ of its model, each checked against its type and
+minimum. Every trainable model refuses train sets that hold no negative
+candidate. rank --model random and significance take --seed alone.
+--embeddings goes to ingest and to train and rank of VECTOR_MODELS, and to no
+other; --mode original takes --annotations only for evaluate's
+--valid-histogram. A command logs each setting it reads to stderr as one
+{"config": ...} JSON line, and a warning as one {"warning": ...} line.
+Re-running a command with the same inputs, settings and seed reproduces its
+outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ import sys
 import types
 import warnings
 from pathlib import Path
+from typing import Iterable, get_type_hints
 
 import numpy as np
 
 from . import baselines, evaluation, evpi, ingest, retrieval, training
-from .config import ConfigError, load_config
 from .embeddings import EmbeddingTable, load_embeddings_file
 from .neural import assign_tensors, load_checkpoint, save_checkpoint
 from .training import TrainConfig, TrainingDivergedError
@@ -33,6 +37,11 @@ from .training import TrainConfig, TrainingDivergedError
 MODEL_NAMES = ("random", "ngrams", "cqa", "neural-pq", "neural-pa", "neural-pqa", "evpi")
 # The models that read word vectors; train and rank refuse --embeddings for any other.
 VECTOR_MODELS = frozenset(MODEL_NAMES) - {"random", "ngrams"}
+# train's settings are TrainConfig's fields, types and defaults. ngrams and cqa
+# read only these keys; any other trainable model reads every key.
+KEYS_READ: dict[str, tuple[str, ...]] = {"ngrams": ("epochs", "lr"), "cqa": ("epochs", "lr")}
+_TYPES: dict[str, type] = get_type_hints(TrainConfig)
+_MINIMUMS = {"hidden_dim": 1, "batch_size": 1, "epochs": 1, "patience": 0, "lr": 0.0}
 SPLIT_NAMES = ("train", "tune", "test", "all")
 # Candidate sets per rank_prepared call in `rank`: a set's ranking does not
 # depend on its chunk, so this bounds memory only.
@@ -61,6 +70,31 @@ def _read(reader, path: str, what: str):
         return reader(p)
     except ValueError as exc:
         raise UsageError(f"malformed {what} file {path}: {exc}") from None
+
+
+def _load_settings(model: str, overrides: Iterable[str] = (), seed: int | None = None) -> dict:
+    """The keys model reads, sorted: TrainConfig's defaults, then each `key=value`, then seed."""
+    values = {key: getattr(TrainConfig, key) for key in sorted(KEYS_READ.get(model, _TYPES))}
+    assignments = [assignment.partition("=") for assignment in overrides]
+    if seed is not None:
+        assignments.append(("seed", "=", str(seed)))
+    for key, sep, raw in assignments:
+        if not sep:
+            raise UsageError(f"override must look like key=value, got {key!r}")
+        key, raw = key.strip(), raw.strip()
+        if key not in values:
+            valid = ", ".join(values)
+            raise UsageError(f"model {model!r} reads no config key {key!r}; valid keys: {valid}")
+        try:
+            value = _TYPES[key](raw)
+        except ValueError as exc:
+            raise UsageError(f"config key {key!r}: {exc}") from None
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"config key {key!r}: must be finite, got {raw}")
+        if key in _MINIMUMS and not value >= _MINIMUMS[key]:
+            raise UsageError(f"config key {key!r}: must be >= {_MINIMUMS[key]}, got {raw}")
+        values[key] = value
+    return values
 
 
 def _load_table(args) -> EmbeddingTable | None:
@@ -116,7 +150,7 @@ def cmd_train(args) -> int:
         raise UsageError("model 'random' has no parameters to train")
     if args.log and args.model not in evpi.MODEL_PARTS:
         raise UsageError(f"--log: model {args.model!r} logs no epochs")
-    settings = load_config(args.model, args.set or (), args.seed)
+    settings = _load_settings(args.model, args.set or (), args.seed)
     _log(json.dumps({"config": settings}))
     config = TrainConfig(**settings)
     candidate_sets = _read(retrieval.read_candidates, args.candidates, "candidates")
@@ -130,6 +164,8 @@ def cmd_train(args) -> int:
         raise UsageError(
             "empty train or tune split; use --no-split for corpora too small to split"
         )
+    if all(len(cs) == 1 for cs in train_sets):  # each set's one positive is its original
+        raise UsageError("training needs both positive and negative examples")
 
     epochs_run = config.epochs  # ngrams and cqa log no epochs but run every configured one
     if args.model in evpi.MODEL_PARTS:
@@ -216,9 +252,14 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def _check_exclude_base(args) -> None:
+def _check_label_options(args, histogram: bool = False) -> None:
+    """Refuse the label options args.mode does not read; a histogram reads the annotations."""
     if args.exclude_base and args.mode != "exclude_original":
         raise UsageError("--exclude-base applies only to --mode exclude_original")
+    if histogram and not args.annotations:
+        raise UsageError("--valid-histogram requires --annotations")
+    if args.annotations and args.mode == "original" and not histogram:
+        raise UsageError("--annotations: mode 'original' reads no annotations")
 
 
 def _labeled_posts(args, *rankings: list):
@@ -242,9 +283,7 @@ def _labeled_posts(args, *rankings: list):
 
 
 def cmd_evaluate(args) -> int:
-    _check_exclude_base(args)
-    if args.valid_histogram and not args.annotations:
-        raise UsageError("--valid-histogram requires --annotations")
+    _check_label_options(args, histogram=args.valid_histogram)
     rankings = _read(evpi.read_rankings, args.rankings, "rankings")
     candidate_sets, annotations = _labeled_posts(args, rankings)
     report = evaluation.evaluate(
@@ -264,7 +303,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_significance(args) -> int:
-    _check_exclude_base(args)
+    _check_label_options(args)
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     _log(json.dumps({"config": {"seed": args.seed}}))
@@ -378,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
             warnings.simplefilter("always", UserWarning)
             warnings.showwarning = lambda message, *_: _log(json.dumps({"warning": str(message)}))
             return args.func(args)
-    except (UsageError, ConfigError, evaluation.EvaluationError, baselines.OneClassError) as exc:
+    except (UsageError, evaluation.EvaluationError) as exc:
         _log(f"error: {exc}")
         return 2
     except TrainingDivergedError as exc:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from .embeddings import EmbeddingTable, avg_vector, cos_sim
-from .retrieval import jsonl_record, read_jsonl, tokenize
+from .retrieval import fits_index_line, jsonl_record, read_jsonl, tokenize
 
 ANSWER_SOURCE_EDIT = "edit"
 ANSWER_SOURCE_COMMENT = "comment"
@@ -119,7 +119,7 @@ def read_posts(path) -> tuple[list[PostRecord], int]:
     records, malformed = _load_records(path, PostRecord)
     valid: dict[str, PostRecord] = {}
     for r in records:
-        if r.post_id and _fits_index_line(r.post_id) and r.created_at > 0:
+        if r.post_id and fits_index_line(r.post_id) and r.created_at > 0:
             valid.setdefault(r.post_id, r)
     malformed += len(records) - len(valid)
     return list(valid.values()), malformed
@@ -303,13 +303,8 @@ def write_triples(path, triples: Iterable[Triple]) -> None:
             handle.write(json.dumps(vars(triple), ensure_ascii=False) + "\n")
 
 
-def _fits_index_line(post_id: str) -> bool:
-    """A post id names a document of the index file, one tab-separated line."""
-    return "\t" not in post_id and "\n" not in post_id
-
-
 def _check_triple(triple: Triple) -> None:
-    if not _fits_index_line(triple.post_id):
+    if not fits_index_line(triple.post_id):
         raise ValueError(f"post {triple.post_id!r}: post_id may not contain tabs or newlines")
     if triple.answer_source not in ("edit", "comment"):
         raise ValueError(f"answer_source must be edit or comment, got {triple.answer_source!r}")

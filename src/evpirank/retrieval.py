@@ -68,6 +68,11 @@ class Index:
         return [self.positions[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def fits_index_line(doc_id: str) -> bool:
+    """A document id names its document on one tab-separated line of the index file."""
+    return "\t" not in doc_id and "\n" not in doc_id
+
+
 def build_index(docs: Iterable[tuple[str, str | list[str]]]) -> Index:
     """Index (doc_id, text) pairs, each text a string or its tokenize() list.
 
@@ -78,7 +83,7 @@ def build_index(docs: Iterable[tuple[str, str | list[str]]]) -> Index:
     for doc_id, text in docs:
         if doc_id in tokens_of:
             raise RetrievalError(f"duplicate doc_id: {doc_id!r}")
-        if "\n" in doc_id or "\t" in doc_id:
+        if not fits_index_line(doc_id):
             raise RetrievalError(f"doc_id may not contain tabs or newlines: {doc_id!r}")
         tokens_of[doc_id] = tokenize(text) if isinstance(text, str) else text
     firsts = dict.fromkeys(itertools.chain.from_iterable(tokens_of.values()))

@@ -87,10 +87,6 @@ class TestNgramTraining:
         cs = toy_candidate_set(rng)
         assert model.rank(cs).order == list(range(4))
 
-    def test_single_class_is_error(self):
-        with pytest.raises(ValueError):
-            ngram_train([labeled_set("p", ["q?"], ["a"])], epochs=1, lr=0.1)
-
 
 class TestCqa:
     def test_zero_weights_score_half(self):

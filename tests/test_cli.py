@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from evpirank import baselines, cli, embeddings, evaluation, evpi, training
-from evpirank.cli import main
-from evpirank.config import ConfigError, load_config
+from evpirank.cli import UsageError, _load_settings, main
 from evpirank.embeddings import load_embeddings_file
 from evpirank.evpi import write_rankings
 from evpirank.ingest import Triple, split_name, write_triples
@@ -1346,24 +1345,24 @@ class TestEvaluateWithAnnotations:
 
 class TestConfig:
     def test_unknown_key_rejected_with_valid_list(self):
-        with pytest.raises(ConfigError, match="valid keys"):
-            load_config("evpi", ["hiden_dim=12"])
+        with pytest.raises(UsageError, match="valid keys"):
+            _load_settings("evpi", ["hiden_dim=12"])
 
     def test_later_override_and_seed_win(self):
-        values = load_config("evpi", ["lr=0.5", "seed=2", "lr=0.25"], seed=9)
+        values = _load_settings("evpi", ["lr=0.5", "seed=2", "lr=0.25"], seed=9)
         assert values["lr"] == 0.25 and values["seed"] == 9
         assert values["batch_size"] == 32  # documented default
 
     def test_malformed_override(self):
-        with pytest.raises(ConfigError):
-            load_config("evpi", ["hidden_dim"])
+        with pytest.raises(UsageError):
+            _load_settings("evpi", ["hidden_dim"])
 
     def test_each_model_reads_its_keys(self):
         every = {"hidden_dim", "lr", "batch_size", "epochs", "patience", "seed"}
         for model in cli.MODEL_NAMES:
             if model != "random":  # random trains nothing
                 reads = {"epochs", "lr"} if model in ("ngrams", "cqa") else every
-                assert set(load_config(model)) == reads, model
+                assert set(_load_settings(model)) == reads, model
 
     def test_each_command_logs_the_settings_it_read(self, capsys, tmp_path):
         cands = ["--candidates", GOLDEN_CANDIDATES]
@@ -1567,6 +1566,42 @@ class TestOptionsEachCommandReads:
         assert "--exclude-base applies only to --mode exclude_original" in err
         assert stdout == ""
 
+    @pytest.mark.parametrize("command", ["evaluate", "significance"])
+    def test_original_mode_refuses_annotations(self, pipeline, capsys, tmp_path, command):
+        # Post 'zzz' is in no candidates file: a mode that read the file would refuse it.
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text(
+            json.dumps({"post_id": "zzz", "annotator_id": "a1", "best": 0, "valid": [0]}) + "\n",
+            encoding="utf-8",
+        )
+        rankings, report = self.random_rankings(pipeline, tmp_path), tmp_path / "report.json"
+        capsys.readouterr()
+        argv = {
+            "evaluate": ["evaluate", "--rankings", rankings, "--out", str(report)],
+            "significance": [
+                "significance", "--rankings-a", rankings, "--rankings-b", rankings, "--n", "10",
+            ],
+        }[command]
+        code, stdout, err = run(
+            capsys, *argv, "--candidates", str(pipeline["candidates"]),
+            "--annotations", str(annotations), "--mode", "original",
+        )
+        assert code == 2
+        assert err.splitlines() == ["error: --annotations: mode 'original' reads no annotations"]
+        assert stdout == "" and not report.exists()
+
+    def test_original_mode_reads_annotations_for_the_valid_histogram(
+        self, pipeline, capsys, tmp_path
+    ):
+        code, stdout, err = run(
+            capsys, "evaluate", "--rankings", self.random_rankings(pipeline, tmp_path),
+            "--candidates", str(pipeline["candidates"]),
+            "--annotations", str(write_annotations(tmp_path)), "--mode", "original",
+            "--valid-histogram",
+        )
+        assert code == 0, err
+        assert "valid_intersection_histogram" in json.loads(stdout.splitlines()[-1])
+
     @staticmethod
     def random_rankings(pipeline, tmp_path) -> str:
         rankings = str(tmp_path / "random.jsonl")
@@ -1682,9 +1717,9 @@ class TestSplitsAndRefusals:
         assert "empty train or tune split" in err
         assert not ckpt.exists()
 
-    @pytest.mark.parametrize("model", ["ngrams", "cqa"])
+    @pytest.mark.parametrize("model", [m for m in cli.MODEL_NAMES if m != "random"])
     def test_sets_without_a_negative_candidate_are_usage_error(self, capsys, tmp_path, model):
-        cands, ckpt = tmp_path / "candidates.jsonl", tmp_path / "model.ckpt"
+        cands, ckpt, log = (tmp_path / name for name in ("candidates.jsonl", "m.ckpt", "log.jsonl"))
         write_candidates(cands, [
             CandidateSet(
                 post_id=cs.post_id, post_body=cs.post_body,
@@ -1694,13 +1729,14 @@ class TestSplitsAndRefusals:
             )
             for cs in read_candidates(GOLDEN_CANDIDATES)
         ])
+        logs = ["--log", str(log)] if model in evpi.MODEL_PARTS else []
         code, stdout, err = run(
             capsys, "train", "--candidates", str(cands), *vectors(model), "--model", model,
-            "--no-split", "--out", str(ckpt),
+            "--no-split", *hidden_dim(model, 2), "--out", str(ckpt), *logs,
         )
         assert code == 2
         assert err.splitlines()[-1] == "error: training needs both positive and negative examples"
-        assert stdout == "" and not ckpt.exists()
+        assert stdout == "" and not ckpt.exists() and not log.exists()
 
     def test_neural_rank_without_a_checkpoint_is_usage_error(self, capsys, tmp_path):
         out = tmp_path / "rankings.jsonl"
