@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -149,9 +150,10 @@ def _parse_file(path: str | Path) -> tuple[list[str], np.ndarray]:
 CACHE_MIN_BYTES = 1 << 20
 CACHE_SUFFIX = ".evpirank-cache"
 # The cache's first array: this format's version, then the SHA-256 digests of
-# the two halves of the vectors file it was parsed from (_sha256). Change the
-# version with the layout or the key.
-CACHE_VERSION = b"evpirank-cache 2\n"
+# the two halves of the vectors file it was parsed from (_sha256), then the
+# CRC-32 of the stored words and matrix (_payload_crc). Change the version
+# with the layout or the key.
+CACHE_VERSION = b"evpirank-cache 3\n"
 
 
 def load_embeddings_file(path: str | Path) -> EmbeddingTable:
@@ -161,7 +163,8 @@ def load_embeddings_file(path: str | Path) -> EmbeddingTable:
     that holds the same hash gives the parse back without parsing the text.
     Otherwise the text is parsed and the cache (re)written. Every line is
     validated on that parse, so a file that fails to parse leaves no cache.
-    A cache that cannot be read or written is only a miss.
+    A cache that cannot be read or written, or whose words and matrix do not
+    match the CRC-32 stored with them, is only a miss.
     """
     path = Path(path)
     if not path.is_file() or path.stat().st_size < CACHE_MIN_BYTES:
@@ -204,15 +207,20 @@ def _hash_into(digest, path: Path, start: int, stop: int | None) -> None:
             digest.update(chunk)
 
 
+def _payload_crc(text: np.ndarray, matrix: np.ndarray) -> bytes:
+    """The CRC-32 of the words' bytes, then the matrix's, read in place; any flipped bit shows."""
+    return zlib.crc32(matrix, zlib.crc32(text)).to_bytes(4, "big")
+
+
 def _read_cache(cache: Path, key: bytes) -> tuple[list[str], np.ndarray] | None:
     """The words and matrix _write_cache stored under key, or None for any other file."""
     try:
         with open(cache, "rb") as handle:
-            if _read_array(handle).tobytes() != key:
-                return None
-            words = _read_array(handle).tobytes().decode("utf-8").split("\n")
-            matrix = _read_array(handle)
+            stored, text, matrix = (_read_array(handle) for _ in range(3))
             trailing = handle.read(1)
+        if stored.tobytes() != key + _payload_crc(text, matrix):
+            return None
+        words = text.tobytes().decode("utf-8").split("\n")
     except Exception:  # missing, truncated, not a cache, or a .npy header numpy cannot parse
         return None
     if (
@@ -232,7 +240,7 @@ def _read_array(handle) -> np.ndarray:
 
 
 def _write_cache(cache: Path, key: bytes, words: list[str], matrix: np.ndarray) -> None:
-    """Store key, the words joined by newlines and the matrix; a failure leaves no file.
+    """Store key and _payload_crc, the words joined by newlines, the matrix; a failure leaves none.
 
     The file is written under a temporary name and renamed into place, so a
     reader sees a whole cache or none. np.save writes the matrix straight
@@ -240,12 +248,10 @@ def _write_cache(cache: Path, key: bytes, words: list[str], matrix: np.ndarray) 
     """
     tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
     try:
+        text = np.frombuffer("\n".join(words).encode("utf-8"), dtype=np.uint8)
+        stored = key + _payload_crc(text, matrix)
         with open(tmp, "wb") as handle:
-            for array in (
-                np.frombuffer(key, dtype=np.uint8),
-                np.frombuffer("\n".join(words).encode("utf-8"), dtype=np.uint8),
-                matrix,
-            ):
+            for array in (np.frombuffer(stored, dtype=np.uint8), text, matrix):
                 np.save(handle, array, allow_pickle=False)
         os.replace(tmp, cache)
     except OSError:  # a read-only directory, a full disk

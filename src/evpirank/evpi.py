@@ -528,7 +528,7 @@ def write_rankings(path: str | Path, model_name: str, ranked: Iterable[RankedLis
 
 
 def _check_ranking(rl: RankedList) -> None:
-    """An order must be a permutation with one finite score per entry."""
+    """An order must be a permutation with one finite score per entry, non-increasing along it."""
     where, n = f"post {rl.post_id!r}", len(rl.order)
     if sorted(rl.order) != list(range(n)):
         raise ValueError(f"{where}: order {rl.order} is not a permutation of range({n})")
@@ -536,6 +536,8 @@ def _check_ranking(rl: RankedList) -> None:
         raise ValueError(f"{where}: {len(rl.scores)} scores for {n} entries")
     if not np.isfinite(rl.scores).all():
         raise ValueError(f"{where}: scores hold a non-finite value")
+    if any(a < b for a, b in zip(rl.scores, rl.scores[1:])):
+        raise ValueError(f"{where}: scores rise along order")
 
 
 def read_rankings(path: str | Path) -> list[RankedList]:

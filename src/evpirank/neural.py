@@ -5,20 +5,20 @@ encoder whose output is the mean of its hidden states, multi-layer tanh
 feedforward networks with a linear final layer, the Adam optimizer, and a
 bit-exact checkpoint format.
 
-The LSTM keeps its four gates stacked in one W, U and b; the per-gate
-names of checkpoints (W_i ... b_g) exist only in LstmParams.tensors(),
-whose views of the stacked rows assign_tensors writes a checkpoint into.
-W and U are transposed views of column-padded arrays that the products
-read in place. lstm_forward and lstm_backward run a batch of ragged
-sequences as one packed pass, longest first, so each step is one product
-over the sequences still running (Appleyard, Kocisky & Blunsom 2016,
-arXiv:1604.01946). One forward-only call may run several
-encoders of one shape: it cuts each encoder's sequences into token-balanced
-groups and hands them out longest first to one thread per usable CPU,
-above floors of sequences and FLOPs per group (GROUP_SEQUENCES,
-GROUP_FLOPS), with the same bits at every CPU count; BLAS's own threads
-(OPENBLAS_NUM_THREADS) multiply with these. The LSTM's and the feedforward
-stacks' products are batch-invariant (PRODUCT_COLUMNS).
+The LSTM keeps its four gates stacked in one W, U and b; the per-gate names
+of checkpoints (W_i ... b_g) exist only in LstmParams.tensors(), whose views
+of the stacked rows assign_tensors writes a checkpoint into. W and U are
+transposed views of column-padded arrays that the products read in place.
+lstm_forward and lstm_backward run a batch of ragged sequences as one packed
+pass, longest first, so each step is one product over the sequences still
+running (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946). Every step
+gathers and projects the rows of its running sequences only. A call cuts
+each encoder's sequences into token-balanced groups and hands them out
+longest first to one thread per usable CPU, above floors of sequences and
+FLOPs per group (GROUP_SEQUENCES, GROUP_FLOPS), with the same bits at every
+CPU count; BLAS's own threads (OPENBLAS_NUM_THREADS) multiply with these. A
+forward-only call may run several encoders of one shape. The LSTM's and the
+feedforward stacks' products are batch-invariant (PRODUCT_COLUMNS).
 
 Gradients are implemented per architecture rather than through a general
 autodiff graph; the central-difference gradient suite that acceptance
@@ -239,13 +239,13 @@ def _rows_times(x: np.ndarray, w: np.ndarray, cols: int) -> np.ndarray:
     return (x @ w)[:, :cols]
 
 
-# A forward-only call cuts each encoder's longest-first sequences into at
-# most one group per usable CPU, and a group holds at least GROUP_SEQUENCES
-# sequences and GROUP_FLOPS of work, counted as the gate products' FLOPs:
-# tokens x 8H(D + H). The call steps its groups on one thread per usable
-# CPU, and on one thread per GROUP_FLOPS of its whole work at most, so a
-# small call, such as train's tune evaluation at H = 24 (under 5 MFLOP),
-# stays on the caller's thread: below the floor the threads' short products
+# A call cuts each encoder's longest-first sequences into at most one group
+# per usable CPU, and a group holds at least GROUP_SEQUENCES sequences and
+# GROUP_FLOPS of work, counted as the gate products' FLOPs: tokens x
+# 8H(D + H). The call steps its groups on one thread per usable CPU, and on
+# one thread per GROUP_FLOPS of its whole work at most, so a small call,
+# such as train's passes at H = 24 over a few hundred short texts, stays on
+# the caller's thread: below the floor the threads' short products
 # spend more time waiting for the GIL than they save. Two groups of one
 # pass broke even near 75 to 80 MFLOP each at d = 200 (H = 24 and 100) and
 # near 25 MFLOP at d = 24, H = 24 (2-core x86-64, OpenBLAS on 1 thread;
@@ -324,24 +324,23 @@ def lstm_forward(
     step is one U product over them with no padding or mask. An empty
     sequence encodes to the zero vector.
 
-    With for_backward every token's row is gathered once, in packed order,
-    its input projection is one product outside the recurrence, and the
-    cache keeps both with every token's cell and hidden state for
-    lstm_backward. Without it the cache is None: each step gathers and
-    projects the rows of its running sequences only, so no array has a row
+    Each step gathers and projects the input rows of its running sequences
+    only. With for_backward it also writes them, the gate activations and
+    the cell and hidden states into the packed cache for lstm_backward, at
+    its block of rows; without it the cache is None, and no array has a row
     per token. Both give the same bits.
 
     A forward-only call may run several encoders of params's shape: others
     holds (encoder, count) pairs, and each runs the next count sequences
-    after those of params and of the pairs before it. Each encoder's
-    sequences are sorted longest first on their own and cut into contiguous
-    groups of about equal tokens (_token_groups). The groups are handed out
-    longest first to one thread per usable CPU, the caller's thread
-    included, within the floors of GROUP_SEQUENCES and GROUP_FLOPS. A row's
-    products do not depend on the other rows (PRODUCT_COLUMNS), so the
-    means have the same bits at every CPU count and in any call. Each
-    thread's BLAS calls run on OPENBLAS_NUM_THREADS threads of their own, so
-    the two counts multiply.
+    after those of params and of the pairs before it; a pass for backward
+    runs params alone. Each encoder's sequences are sorted longest first on
+    their own and cut into contiguous groups of about equal tokens
+    (_token_groups). The groups are handed out longest first to one thread
+    per usable CPU, the caller's thread included, within the floors of
+    GROUP_SEQUENCES and GROUP_FLOPS. A row's products do not depend on the
+    other rows (PRODUCT_COLUMNS), so the means and the cache have the same
+    bits at every CPU count and in any call. Each thread's BLAS calls run on
+    OPENBLAS_NUM_THREADS threads of their own, so the two counts multiply.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     hidden = params.hidden_dim
@@ -367,13 +366,9 @@ def lstm_forward(
     width = len(GATES) * hidden
     if for_backward:
         batch_sizes = _running(sorted_lens)
-        steps = np.arange(len(batch_sizes))
-        # Packed row r at step t, slot k, is token t of sequence order[k].
-        slot = np.arange(len(tokens)) - np.repeat(np.cumsum(batch_sizes) - batch_sizes, batch_sizes)
-        xs = gather(tokens[sorted_starts[slot] + np.repeat(steps, batch_sizes)])
-        gates = _rows_times(xs, params.w_t, width) + params.b
-        c_s = np.empty((len(xs), hidden))
-        h_s = np.empty((len(xs), hidden))
+        blocks = np.cumsum(batch_sizes) - batch_sizes  # the packed row of step t, slot 0
+        cols = (params.input_dim, width, hidden, hidden)
+        xs, gates, c_s, h_s = (np.empty((len(tokens), n)) for n in cols)
     i_, f_, o_, g_ = (slice(k * hidden, (k + 1) * hidden) for k in range(len(GATES)))
     ifo = slice(0, 3 * hidden)
     sums = np.zeros((len(lens), hidden))
@@ -383,14 +378,10 @@ def lstm_forward(
         starts = sorted_starts[first:last]
         h_prev = c_prev = np.zeros((last - first, hidden))
         total = sums[first:last]
-        lo = 0  # packed rows lo:hi of gates, c_s and h_s: a for_backward pass is one group
         for t, live in enumerate(_running(sorted_lens[first:last])):
-            hi = lo + live
-            if for_backward:
-                z = gates[lo:hi]
-            else:
-                z = _rows_times(gather(tokens[starts[:live] + t]), lstm.w_t, width)
-                z += lstm.b
+            x = gather(tokens[starts[:live] + t])
+            z = _rows_times(x, lstm.w_t, width)
+            z += lstm.b
             z += _rows_times(h_prev[:live], lstm.u_t, width)
             # sigma(x) = (1 + tanh(x / 2)) / 2, so one tanh serves all four gates
             z[:, ifo] *= 0.5
@@ -400,14 +391,12 @@ def lstm_forward(
             c_prev = z[:, f_] * c_prev[:live] + z[:, i_] * z[:, g_]
             h_prev = z[:, o_] * np.tanh(c_prev)
             if for_backward:
-                c_s[lo:hi] = c_prev
-                h_s[lo:hi] = h_prev
+                at = blocks[t] + first
+                xs[at : at + live], gates[at : at + live] = x, z
+                c_s[at : at + live], h_s[at : at + live] = c_prev, h_prev
             total[:live] += h_prev
-            lo = hi
 
-    # a pass for backward fills one packed cache: one group, on this thread
-    usable = hasattr(os, "sched_getaffinity") and not for_backward
-    cpus = len(os.sched_getaffinity(0)) if usable else 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     token_flops = 8 * hidden * (params.input_dim + hidden)
     groups = []
     for lstm, lo, hi in zip([params, *(lstm for lstm, _ in others)], edges[:-1], edges[1:]):

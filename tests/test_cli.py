@@ -775,6 +775,32 @@ class TestRankingsValidation:
         assert out == ""
         assert "not a permutation" in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "significance"])
+    @pytest.mark.parametrize("rising", [True, False])
+    def test_scores_must_not_rise_along_order(self, tmp_path, capsys, command, rising):
+        # Rising scores put the golden originals first: that file read P@1
+        # 1.0 with exit 0. Equal scores stay legal.
+        cands = FIXTURES / "golden" / "candidates.jsonl"
+        rankings = tmp_path / "rankings.jsonl"
+        with open(rankings, "w", encoding="utf-8") as handle:
+            for line in cands.read_text(encoding="utf-8").splitlines():
+                cs = json.loads(line)
+                n = len(cs["questions"])
+                scores = [float(r) if rising else 0.0 for r in range(n)]
+                record = {"post_id": cs["post_id"], "order": list(range(n)), "scores": scores}
+                handle.write(json.dumps(record) + "\n")
+        argv = {
+            "evaluate": ["evaluate", "--rankings", str(rankings)],
+            "significance": ["significance", "--rankings-a", str(rankings),
+                             "--rankings-b", str(rankings), "--n", "10"],
+        }[command]
+        code, out, err = run(capsys, *argv, "--candidates", str(cands), "--mode", "original")
+        if rising:
+            assert code == 2 and out == ""
+            assert f"{rankings}: line 1: post " in err and "scores rise along order" in err
+        else:
+            assert code == 0, err
+
 
 class TestMalformedInputFiles:
     """A file a reader cannot parse ends in exit 2 naming it, never in a traceback."""
@@ -1087,6 +1113,7 @@ class TestMalformedInputFiles:
             ({"order": [0, 0, 2], "scores": [1.0, 1.0, 1.0]}, "not a permutation of range(3)"),
             ({"order": [1, 2], "scores": [1.0, 0.5]}, "not a permutation of range(2)"),
             ({"order": [1, 0], "scores": [1.0]}, "1 scores for 2 entries"),
+            ({"order": [1, 0, 2], "scores": [1.0, 1.0, 2.0]}, "scores rise along order"),
         ],
     )
     def test_rankings_reader_checks_each_line(self, tmp_path, record, message):

@@ -475,46 +475,54 @@ def cache_of(vectors: Path) -> bytes:
         return copy.with_name(copy.name + embeddings.CACHE_SUFFIX).read_bytes()
 
 
-def cache_structure(blob: bytes) -> list[int]:
-    """The offsets of the cache bytes a reader can check: each .npy header, and the key.
-
-    The stored words and values are not among them: the cache holds no
-    digest of its own, so a reader cannot tell them from another parse's.
-    """
-    handle, offsets = io.BytesIO(blob), []
+def cache_parts(blob: bytes) -> tuple[list[int], list[int]]:
+    """Offsets of the cache's .npy headers and key, and of the words and values it stores."""
+    handle, structure, payload = io.BytesIO(blob), [], []
     for k in range(3):  # the key, the words and the matrix
         start = handle.tell()
         np.lib.format.read_magic(handle)
         shape, _, dtype = np.lib.format.read_array_header_1_0(handle)
-        end = handle.tell() + math.prod(shape) * dtype.itemsize
-        offsets += range(start, end if k == 0 else handle.tell())
+        data = handle.tell()
+        end = data + math.prod(shape) * dtype.itemsize
+        structure += range(start, end if k == 0 else data)
+        payload += range(end if k == 0 else data, end)
         handle.seek(end)
-    return offsets
+    return structure, payload
 
 
 CACHE = cache_of(EMBEDDINGS)
-CACHE_STRUCTURE = cache_structure(CACHE)
+CACHE_STRUCTURE, CACHE_PAYLOAD = cache_parts(CACHE)
 
 
 @st.composite
 def damaged_cache(draw) -> bytes:
-    """The toy vectors' cache cut short, extended, with one structural byte replaced, or garbage."""
-    kind = draw(st.sampled_from(["truncate", "append", "byte", "garbage"]))
+    """The toy vectors' cache cut short, extended, with a structural byte replaced or a bit
+    of its words or values flipped, or garbage."""
+    kind = draw(st.sampled_from(["truncate", "append", "byte", "bit", "garbage"]))
     if kind == "truncate":
         return CACHE[: draw(st.integers(0, len(CACHE) - 1))]
     if kind == "append":
         return CACHE + draw(st.binary(min_size=1, max_size=16))
     if kind == "garbage":
         return draw(st.binary(max_size=64))
+    if kind == "bit":
+        return flipped(draw(st.sampled_from(CACHE_PAYLOAD)), draw(st.integers(0, 7)))
     at = draw(st.sampled_from(CACHE_STRUCTURE))
     byte = draw(st.integers(0, 255).filter(lambda b: b != CACHE[at]))
     return CACHE[:at] + bytes([byte]) + CACHE[at + 1 :]
+
+
+def flipped(at: int, bit: int) -> bytes:
+    """The toy vectors' cache with one bit of byte at flipped."""
+    return CACHE[:at] + bytes([CACHE[at] ^ 1 << bit]) + CACHE[at + 1 :]
 
 
 @_settings
 @given(cache=damaged_cache())
 # A .npy header that does not parse raised tokenize.TokenError, and `rank` exited 1.
 @example(cache=CACHE.replace(b"'shape':", b"'shape(:", 1))
+# Before the cache held a CRC of its payload, net's row read [0, 0, 0, 1.0625].
+@example(cache=flipped(len(CACHE) - 2, 0))
 def test_a_damaged_cache_changes_no_output(inputs, cache):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         tmp = Path(tmp)

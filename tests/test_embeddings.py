@@ -219,19 +219,35 @@ class TestEmbeddingCache:
         vectors.write_text(edited, encoding="utf-8")
         assert loaded(lambda: load_embeddings_file(vectors)) == loaded(lambda: table_from(edited))
 
-    def test_a_version_1_cache_is_a_miss_and_is_rewritten(self, vectors, monkeypatch):
-        # version 1 keyed the cache with the SHA-256 of the whole file
+    def assert_rewritten(self, vectors, monkeypatch, key) -> None:
+        """A cache written as versions 1 and 2 wrote it under key is a miss, parsed and rewritten.
+
+        Those versions stored the key, the words and the matrix, with no CRC
+        of the last two.
+        """
         load_embeddings_file(vectors)
         good = cache_of(vectors).read_bytes()
-        key = b"evpirank-cache 1\n" + hashlib.sha256(vectors.read_bytes()).digest()
-        embeddings._write_cache(cache_of(vectors), key, *embeddings._parse_file(vectors))
-        assert cache_of(vectors).read_bytes() != good
+        words, matrix = embeddings._parse_file(vectors)
+        text = "\n".join(words).encode("utf-8")
+        with open(cache_of(vectors), "wb") as handle:
+            for array in (np.frombuffer(key, np.uint8), np.frombuffer(text, np.uint8), matrix):
+                np.save(handle, array, allow_pickle=False)
         parses = []
         parse = embeddings._parse_file
         monkeypatch.setattr(embeddings, "_parse_file", lambda path: parses.append(path) or parse(path))
         assert loaded(lambda: load_embeddings_file(vectors)) == self.parsed()
         assert parses == [vectors]
         assert cache_of(vectors).read_bytes() == good
+
+    def test_a_version_1_cache_is_a_miss_and_is_rewritten(self, vectors, monkeypatch):
+        # version 1 keyed the cache with the SHA-256 of the whole file
+        key = b"evpirank-cache 1\n" + hashlib.sha256(vectors.read_bytes()).digest()
+        self.assert_rewritten(vectors, monkeypatch, key)
+
+    def test_a_version_2_cache_is_a_miss_and_is_rewritten(self, vectors, monkeypatch):
+        # version 2 had version 3's key without the CRC
+        key = b"evpirank-cache 2\n" + embeddings._sha256(vectors)
+        self.assert_rewritten(vectors, monkeypatch, key)
 
     def test_a_file_rewritten_during_its_parse_is_not_cached(self, vectors, monkeypatch):
         parse = embeddings._parse_file
@@ -269,6 +285,11 @@ class TestEmbeddingCache:
             ),
             pytest.param(lambda data: data.replace(b"fox", b"f\nx"), id="a-word-too-many"),
             pytest.param(lambda data: data[:-8] + NAN_BYTES, id="last-value-nan"),
+            # one flipped bit of a value or of a word: another table, before the cache held a CRC
+            pytest.param(
+                lambda data: data[:-2] + bytes([data[-2] ^ 1]) + data[-1:], id="value-bit"
+            ),
+            pytest.param(lambda data: data.replace(b"fox", b"foy"), id="word-bit"),
         ],
     )
     def test_a_bad_cache_is_ignored_and_rewritten(self, vectors, damage):

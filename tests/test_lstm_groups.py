@@ -1,13 +1,15 @@
-"""A forward-only LSTM call cut into token-balanced groups, stepped on one thread per CPU.
+"""An LSTM call cut into token-balanced groups, stepped on one thread per CPU.
 
-One call may run several encoders of one shape. Every group and thread
-count must give the bits of one encoder at a time on one thread, for
-lstm_forward's means and for every neural model's rankings. The counts are
+A forward-only call may run several encoders of one shape. Every group and
+thread count must give the bits of one encoder at a time on one thread, for
+lstm_forward's means, a pass for backward's cache and gradients, and every
+neural model's rankings. The counts are
 forced by patching the usable CPUs (os.sched_getaffinity) and the floors
 neural.GROUP_SEQUENCES and neural.GROUP_FLOPS.
 """
 
 import contextlib
+import dataclasses
 import os
 import sys
 import threading
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from evpirank import neural
 from evpirank.baselines import NeuralBaselineModel
 from evpirank.evpi import EvpiModel, NeuralParams
-from evpirank.neural import LstmParams, lstm_forward
+from evpirank.neural import LstmCache, LstmParams, lstm_backward, lstm_forward
 from evpirank.retrieval import CandidateSet
 
 from tests.synthetic import make_embedding_table
@@ -49,6 +51,24 @@ def random_lstm(rng) -> LstmParams:
 
 def forward_means(params, tokens, lens, gather) -> np.ndarray:
     return lstm_forward(params, tokens, lens, gather, for_backward=False)[0]
+
+
+def gather_on_every_thread(table, cpus, seen: set):
+    """table's gather, but each thread waits on its first rows until cpus threads hold a group.
+
+    So no thread can take a second group before every thread has one, and
+    seen ends up holding cpus threads.
+    """
+    everyone = threading.Barrier(cpus, timeout=30)
+
+    def gather(ids):
+        thread = threading.current_thread()  # idents may be reused, threads are kept
+        if len(ids) and thread not in seen:
+            seen.add(thread)
+            everyone.wait()
+        return table[ids]
+
+    return gather
 
 
 def encoders_of(rng, count) -> list[LstmParams]:
@@ -93,22 +113,11 @@ class TestTokenGroups:
         rng = np.random.default_rng(3)
         table = rng.normal(size=(N_WORDS, EMBED_DIM))
         seen = set()
-        # Each thread waits on its first rows until cpus threads hold a group,
-        # so no thread can take a second group before every thread has one.
-        everyone = threading.Barrier(cpus, timeout=30)
-
-        def gather(ids):
-            thread = threading.current_thread()  # idents may be reused, threads are kept
-            if len(ids) and thread not in seen:
-                seen.add(thread)
-                everyone.wait()
-            return table[ids]
-
         lens = [6, 5, 4, 3, 2, 2, 1, 1]
         tokens = rng.integers(0, N_WORDS, size=sum(lens))
         before = threading.active_count()
         with groups_of(cpus):
-            forward_means(random_lstm(rng), tokens, lens, gather)
+            forward_means(random_lstm(rng), tokens, lens, gather_on_every_thread(table, cpus, seen))
         assert len(seen) == cpus
         assert threading.active_count() == before
 
@@ -121,7 +130,7 @@ class TestSmallPassesStayOnOneThread:
     """
 
     @staticmethod
-    def threads_of(encoders, lens_of, embed_dim, rng) -> set:
+    def threads_of(encoders, lens_of, embed_dim, rng, for_backward=False) -> set:
         table = rng.normal(size=(N_WORDS, embed_dim))
         seen = set()
 
@@ -132,17 +141,19 @@ class TestSmallPassesStayOnOneThread:
         tokens = rng.integers(0, N_WORDS, size=sum(map(sum, lens_of)))
         with groups_of(cpus=2, floors=True):
             if len(encoders) == 1:
-                forward_means(encoders[0], tokens, lens_of[0], gather)
+                lstm_forward(encoders[0], tokens, lens_of[0], gather, for_backward)
             else:
                 plan_means(encoders, tokens, lens_of, gather)
         return seen
 
+    @pytest.mark.parametrize("for_backward", [False, True])
     @pytest.mark.parametrize("texts", [128, 500])
-    def test_an_h24_pass_of_hundreds_of_short_texts(self, texts):
+    def test_an_h24_pass_of_hundreds_of_short_texts(self, texts, for_backward):
         rng = np.random.default_rng(texts)
         lstm = LstmParams.init(24, 24, rng)
         lens = rng.integers(1, 26, size=texts).tolist()  # about 60 MFLOP at 500 texts
-        assert self.threads_of([lstm], [lens], 24, rng) == {threading.current_thread()}
+        threads = self.threads_of([lstm], [lens], 24, rng, for_backward)
+        assert threads == {threading.current_thread()}
 
     def test_train_tune_passes_of_three_encoders(self):
         # perfbench train's tune evaluation: at most 50 texts of 4 to 10 tokens, d = 16
@@ -263,6 +274,85 @@ class TestSameBitsAtEveryGroupCount:
                 for _ in range(5):
                     means = plan_means(encoders, tokens, lens_of, table.__getitem__)
                     assert means.tobytes() == expected.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def backward_pass(params, tokens, lens, gather, d_means):
+    """(means, cache, gradients) of one pass for backward and lstm_backward over it."""
+    means, cache = lstm_forward(params, tokens, lens, gather)
+    return means, cache, lstm_backward(params, cache, d_means)
+
+
+def assert_same_bits(got, want) -> None:
+    (means, cache, grads), (want_means, want_cache, want_grads) = got, want
+    assert means.tobytes() == want_means.tobytes()
+    for name in (f.name for f in dataclasses.fields(LstmCache)):
+        have, expected = getattr(cache, name), getattr(want_cache, name)
+        assert (have.shape, have.tobytes()) == (expected.shape, expected.tobytes()), name
+    assert grads.keys() == want_grads.keys()
+    for name, grad in grads.items():
+        assert grad.tobytes() == want_grads[name].tobytes(), name
+
+
+class TestGroupedPassForBackward:
+    """A pass for backward cut into groups fills the one packed cache of one group."""
+
+    @staticmethod
+    def inputs(seed, lens):
+        rng = np.random.default_rng(seed)
+        params = random_lstm(rng)
+        table = rng.normal(size=(N_WORDS, EMBED_DIM))
+        tokens = rng.integers(0, N_WORDS, size=sum(lens))
+        return params, table, tokens, rng.normal(size=(len(lens), HIDDEN_DIM))
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_each_usable_cpu_steps_a_group_at_once(self, cpus):
+        lens = [6, 5, 4, 3, 2, 2, 1, 1]
+        params, table, tokens, d_means = self.inputs(cpus, lens)
+        with groups_of(cpus=1):
+            expected = backward_pass(params, tokens, lens, table.__getitem__, d_means)
+        seen = set()
+        before = threading.active_count()
+        with groups_of(cpus):
+            assert len(neural._token_groups(np.array(lens), 1, cpus)) == cpus + 1
+            gather = gather_on_every_thread(table, cpus, seen)
+            got = backward_pass(params, tokens, lens, gather, d_means)
+        assert len(seen) == cpus
+        assert threading.active_count() == before
+        assert_same_bits(got, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ragged_batches())
+    @example((0, [0]))
+    @example((1, [9, 0, 1]))
+    @example((2, [1, 12, 1, 1, 1]))
+    @example((3, [2, 2, 2, 2, 0, 0]))
+    def test_means_cache_and_gradients(self, batch):
+        seed, lens = batch
+        params, table, tokens, d_means = self.inputs(seed, lens)
+        with groups_of(cpus=1):
+            expected = backward_pass(params, tokens, lens, table.__getitem__, d_means)
+        for cpus in (2, 3, 4):
+            with groups_of(cpus):
+                got = backward_pass(params, tokens, lens, table.__getitem__, d_means)
+            assert_same_bits(got, expected)
+
+    def test_more_groups_than_cores_under_fast_thread_switches(self):
+        # Each group writes its own rows of the shared cache arrays; a lost or
+        # misplaced row would change the cache or the gradients.
+        lens = np.random.default_rng(12).integers(0, 20, size=64).tolist()
+        params, table, tokens, d_means = self.inputs(12, lens)
+        with groups_of(cpus=1):
+            expected = backward_pass(params, tokens, lens, table.__getitem__, d_means)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with groups_of(cpus=16):
+                assert len(neural._token_groups(np.sort(lens)[::-1], 1, 16)) == 17
+                for _ in range(5):
+                    got = backward_pass(params, tokens, lens, table.__getitem__, d_means)
+                    assert_same_bits(got, expected)
         finally:
             sys.setswitchinterval(interval)
 

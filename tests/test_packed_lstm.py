@@ -172,14 +172,14 @@ class TestForwardOnlyPass:
         st.lists(st.integers(0, 40), min_size=1, max_size=40),
         st.sampled_from([(4, 3), (32, 27)]),
     )
-    # About 1,200 tokens at (32, 27): the one-pass input projection is large
-    # enough for OpenBLAS to take another kernel than the per-step products,
-    # which agree only because neural.py pads 4 * 27 = 108 columns to 112.
+    # About 1,200 tokens at (32, 27), where 4 * 27 = 108 gate columns are
+    # padded to 112 (neural.PRODUCT_COLUMNS).
     @example(seed=0, lengths=[30] * 40, dims=(32, 27))
     def test_forward_only_encodings_equal_the_cached_pass(self, seed, lengths, dims):
-        # Forward-only SetEncoding gathers and projects each step's rows in
-        # the recurrence; with for_backward lstm_forward projects every token
-        # in one product and keeps the cache. Every encoding has the same bits.
+        # Forward-only SetEncoding runs the three encoders in one
+        # lstm_forward call; with for_backward each encoder makes its own
+        # pass and keeps its cache. Both step the same loop, whatever the
+        # usable CPUs, and every encoding has the same bits.
         embed_dim, hidden_dim = dims
         rng = np.random.default_rng(seed)
         vocab = 50
