@@ -5,8 +5,10 @@ over LSTM encodings, trained with binary cross-entropy on the same
 one-positive/nine-negative labeling the utility model uses. Their parameters
 are evpi's NeuralParams with the parts MODEL_PARTS gives neural-pq, neural-pa
 and neural-pqa, and they run on the utility model's scorer code in evpi.
-ngrams and cqa train on that labeling too (labeled_examples). No trainer here
-checks that its sets hold a negative: cli's train does, for every model.
+ngrams and cqa train on that labeling too (labeled_examples): ngram_train
+returns an NgramModel and cqa_train a CqaModel, which holds its table, so
+each ranks a set with rank(cs). No trainer here checks that its sets hold a
+negative: cli's train does, for every model.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def _sparse_dot(weights: np.ndarray, features: dict[int, float]) -> float:
     return float(sum(weights[fid] * value for fid, value in features.items()))
 
 
-def ngram_train(sets: Sequence[CandidateSet], epochs: int, lr: float) -> np.ndarray:
+def ngram_train(sets: Sequence[CandidateSet], epochs: int, lr: float) -> "NgramModel":
     """Sub-gradient descent on the hinge loss max(0, 1 - y w.x), y = +/-1, over n-gram features.
 
     The labeled_examples of sets are visited in their given order each
@@ -133,7 +135,7 @@ def ngram_train(sets: Sequence[CandidateSet], epochs: int, lr: float) -> np.ndar
             if y * _sparse_dot(weights, feats) < 1.0:
                 for fid, value in feats.items():
                     weights[fid] += lr * y * value
-    return weights
+    return NgramModel(weights)
 
 
 @dataclass
@@ -181,12 +183,14 @@ class CqaModel:
     name = "cqa"
     weights: np.ndarray
     bias: np.ndarray  # (1,), so tensors() hands out the model's own array
+    table: EmbeddingTable
 
-    def score(self, post: str, question: str, table: EmbeddingTable) -> float:
-        return float(sigmoid(self.weights @ cqa_features(post, question, table) + self.bias[0]))
+    def score(self, post: str, question: str) -> float:
+        logit = self.weights @ cqa_features(post, question, self.table) + self.bias[0]
+        return float(sigmoid(logit))
 
-    def rank(self, cs: CandidateSet, table: EmbeddingTable) -> RankedList:
-        scores = [self.score(cs.post_body, cs.questions[j], table) for j in range(len(cs))]
+    def rank(self, cs: CandidateSet) -> RankedList:
+        scores = [self.score(cs.post_body, cs.questions[j]) for j in range(len(cs))]
         return rank_from_scores(cs.post_id, scores)
 
     def tensors(self) -> dict[str, np.ndarray]:
@@ -214,7 +218,7 @@ def cqa_train(
         error = probs - y
         weights -= lr * (X.T @ error) / n
         bias -= lr * float(error.mean())
-    return CqaModel(weights=weights, bias=np.array([bias]))
+    return CqaModel(weights=weights, bias=np.array([bias]), table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +233,10 @@ def _scorer_losses(params: NeuralParams, enc: SetEncoding, preps, grads) -> floa
 class NeuralBaselineModel(NeuralModel):
     """neural-pq, neural-pa or neural-pqa: sigma(ff(encodings)) scores, BCE training loss."""
 
-    def prepare(self, cs: CandidateSet, memo: dict | None = None) -> PreparedCandidates:
+    def prepare(self, cs: CandidateSet) -> PreparedCandidates:
         # Texts of an unused encoder are tokenized but never encoded.
-        memo = {} if memo is None else memo
-        questions = [self._text(q, memo) for q in cs.questions]
-        return self._prepared(cs, memo, questions, [self._text(a, memo) for a in cs.answers])
+        questions = [self._text(q) for q in cs.questions]
+        return self._prepared(cs, questions, [self._text(a) for a in cs.answers])
 
     def loss_and_grads(
         self, batch: Sequence[PreparedCandidates]

@@ -43,9 +43,6 @@ KEYS_READ: dict[str, tuple[str, ...]] = {"ngrams": ("epochs", "lr"), "cqa": ("ep
 _TYPES: dict[str, type] = get_type_hints(TrainConfig)
 _MINIMUMS = {"hidden_dim": 1, "batch_size": 1, "epochs": 1, "patience": 0, "lr": 0.0}
 SPLIT_NAMES = ("train", "tune", "test", "all")
-# Candidate sets per rank_prepared call in `rank`: a set's ranking does not
-# depend on its chunk, so this bounds memory only.
-RANK_CHUNK = 32
 
 
 class UsageError(Exception):
@@ -172,9 +169,7 @@ def cmd_train(args) -> int:
         model, result = training.train(args.model, train_sets, tune_sets, table, config)
         epochs_run = len(result.log)
     elif args.model == "ngrams":
-        model = baselines.NgramModel(
-            baselines.ngram_train(train_sets, epochs=config.epochs, lr=config.lr)
-        )
+        model = baselines.ngram_train(train_sets, epochs=config.epochs, lr=config.lr)
     else:  # cqa
         model = baselines.cqa_train(train_sets, table, epochs=config.epochs, lr=config.lr)
     save_checkpoint(args.out, model.tensors())
@@ -187,50 +182,50 @@ def cmd_train(args) -> int:
 
 
 def _zero_model(model_name: str, tensors: dict, table: EmbeddingTable | None):
-    """A model_name model over table with zero weights, and how to describe that model."""
+    """A model_name model over table with zero weights, and its sizes if it is neural."""
     if model_name == "ngrams":
-        return baselines.NgramModel(np.zeros(baselines.NGRAM_FEATURE_SPACE)), ""
+        return baselines.NgramModel(np.zeros(baselines.NGRAM_FEATURE_SPACE)), {}
     if model_name == "cqa":
         features = len(baselines.cqa_features("", "", table))
-        return baselines.CqaModel(np.zeros(features), np.zeros(1)), ""
+        return baselines.CqaModel(np.zeros(features), np.zeros(1), table), {}
     # lstm_post/U_i is (hidden, hidden); any other U_i, or none, still gives a hidden size
     hidden = max(1, math.isqrt(np.size(tensors.get("lstm_post/U_i", 1))))
     # zeros for init's random draws: the checkpoint overwrites every weight
     zeros = types.SimpleNamespace(uniform=lambda low, high, size: np.zeros(size))
     params = evpi.NeuralParams.init(model_name, table.dim, hidden, zeros)
-    return (
-        training.neural_model(params, table),
-        f" of hidden size {hidden} over {table.dim}-d embeddings",
-    )
+    return training.neural_model(params, table), {"hidden_dim": hidden, "embed_dim": table.dim}
 
 
 def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable | None, seed: int):
-    """Build a callable that ranks a list of candidate sets, one RankedList per set in order.
+    """A callable that ranks a list of candidate sets, one RankedList per set in order.
 
-    The checkpoint must hold exactly the tensor names and shapes of the
-    model over table; it is written into a zero model's own tensors. A
-    neural model prepares the sets lazily and ranks RANK_CHUNK sets per
-    rank_prepared call; each distinct text is prepared and encoded once (up
-    to evpi.MEMO_TEXTS texts).
+    Returned with the model's sizes: hidden_dim and embed_dim for a neural
+    model, none for any other. The checkpoint must hold exactly the tensor
+    names and shapes of the model over table; it is written into a zero
+    model's own tensors. A neural model prepares the sets lazily and ranks
+    them as fit's tune pass does (training.ranked_in_chunks); each distinct
+    text is prepared and encoded once (up to evpi.MEMO_TEXTS texts). ngrams
+    and cqa rank set by set.
     """
     if model_name == "random":
-        return functools.partial(baselines.random_rankings, seed=seed)
+        return functools.partial(baselines.random_rankings, seed=seed), {}
     if checkpoint is None:
         raise UsageError(f"model {model_name!r} requires --checkpoint")
     tensors = _read(load_checkpoint, checkpoint, "checkpoint")
-    model, described = _zero_model(model_name, tensors, table)
+    model, sizes = _zero_model(model_name, tensors, table)
     try:
         assign_tensors(model.tensors(), tensors)
     except ValueError as exc:
+        described = (
+            f" of hidden size {sizes['hidden_dim']} over {sizes['embed_dim']}-d embeddings"
+            if sizes else ""
+        )
         raise UsageError(
             f"checkpoint {checkpoint} is not a {model_name} model{described}: {exc}"
         ) from None
-    if model_name == "ngrams":
-        return lambda sets: map(model.rank, sets)
-    if model_name == "cqa":
-        return lambda sets: (model.rank(cs, table) for cs in sets)
-    prepare = functools.partial(model.prepare, memo={})  # one prepare memo for the file
-    return lambda sets: training.ranked_in_chunks(model, map(prepare, sets), RANK_CHUNK)
+    if model_name in evpi.MODEL_PARTS:
+        return (lambda sets: training.ranked_in_chunks(model, map(model.prepare, sets))), sizes
+    return (lambda sets: map(model.rank, sets)), sizes
 
 
 def cmd_rank(args) -> int:
@@ -245,10 +240,14 @@ def cmd_rank(args) -> int:
     if not selected:
         raise UsageError(f"no posts in split {args.split!r}")
     table = _load_table(args)
-    rank = _ranker(args.model, args.checkpoint, table, args.seed or 0)
+    rank, sizes = _ranker(args.model, args.checkpoint, table, args.seed or 0)
     ranked = list(rank(sorted(selected, key=lambda cs: cs.post_id)))
     evpi.write_rankings(args.out, args.model, ranked)
-    _log(json.dumps({"model": args.model, "ranked_posts": len(ranked), "split": args.split}))
+    tied = sum(len(rl.scores) > 1 and rl.scores[0] == rl.scores[1] for rl in ranked)
+    if tied:
+        warnings.warn(f"{tied} of {len(ranked)} ranked sets tie at their top score")
+    built = {"model": args.model, **sizes, "ranked_posts": len(ranked), "split": args.split}
+    _log(json.dumps(built))
     return 0
 
 

@@ -3,7 +3,9 @@
 Rankings are scored with precision at k and mean average precision against
 one of four label regimes: the union of the two annotators' best picks, the
 intersection of their valid sets, the original question alone, or the
-annotation labels restricted to the nine non-original candidates.
+annotation labels restricted to the nine non-original candidates. A run of
+equal scores along a ranking is one tie group, scored by the metric's
+expected value over the group's orderings (McSherry and Najork, ECIR 2008).
 """
 
 from __future__ import annotations
@@ -71,23 +73,50 @@ class MetricReport:
         return header + "\n" + row
 
 
-def precision_at_k(order: Sequence[int], relevant: set[int], k: int) -> float:
-    """Fraction of the top-k ranked candidates that are relevant."""
+def _tie_groups(order: Sequence[int], relevant: set[int], scores: Sequence[float] | None):
+    """(first position, size, relevant count) of each run of equal scores along order.
+
+    Without scores each candidate is a group of its own.
+    """
+    start = 0
+    for end in range(1, len(order) + 1):
+        if scores is None or end == len(order) or scores[end] != scores[start]:
+            yield start, end - start, len(relevant.intersection(order[start:end]))
+            start = end
+
+
+def precision_at_k(
+    order: Sequence[int], relevant: set[int], k: int, scores: Sequence[float] | None = None
+) -> float:
+    """Expected fraction of the top-k ranked candidates that are relevant.
+
+    A tie group with m of its g positions in the top k puts each of its
+    relevant candidates there with probability m/g.
+    """
     if k < 1:
         raise EvaluationError("k must be >= 1")
-    return len(set(order[:k]) & relevant) / k
+    groups = _tie_groups(order, relevant, scores)
+    return sum(max(0, min(k - start, size)) * found / size for start, size, found in groups) / k
 
 
-def average_precision(order: Sequence[int], relevant: set[int]) -> float:
-    """Average of precision at each rank holding a relevant candidate."""
+def average_precision(
+    order: Sequence[int], relevant: set[int], scores: Sequence[float] | None = None
+) -> float:
+    """Expected average of precision at each rank holding a relevant candidate.
+
+    Position j of a tie group of size g with r relevant candidates, after
+    h relevant ones, holds one with probability r/g, and then is preceded
+    by h + 1 + j(r - 1)/(g - 1) of them in expectation, itself included.
+    """
     if not relevant:
         raise EvaluationError("relevant set is empty")
     hits = 0
     total = 0.0
-    for rank, candidate in enumerate(order, start=1):
-        if candidate in relevant:
-            hits += 1
-            total += hits / rank
+    for start, size, found in _tie_groups(order, relevant, scores):
+        for j in range(size if found else 0):
+            preceding = hits + 1 + j * (found - 1) / max(1, size - 1)
+            total += found / size * preceding / (start + j + 1)
+        hits += found
     return total / len(relevant)
 
 
@@ -202,10 +231,11 @@ def bootstrap_test(
     return min(1.0, 2.0 * contradictions / n)
 
 
-def _mode_order(ranked: RankedList, cs: CandidateSet, mode: str) -> list[int]:
-    if mode == "exclude_original":
-        return [idx for idx in ranked.order if idx != cs.original_index]
-    return list(ranked.order)
+def _mode_ranking(ranked: RankedList, cs: CandidateSet, mode: str) -> tuple[list, list]:
+    """ranked's order and scores; exclude_original drops the original from both."""
+    dropped = cs.original_index if mode == "exclude_original" else None
+    kept = [(idx, score) for idx, score in zip(ranked.order, ranked.scores) if idx != dropped]
+    return [idx for idx, _ in kept], [score for _, score in kept]
 
 
 def per_post_metrics(
@@ -230,12 +260,12 @@ def per_post_metrics(
                 f"post {labelset.post_id!r}: ranking order {ranked.order} is not a "
                 f"permutation of its {len(cs)} candidates"
             )
-        order = _mode_order(ranked, cs, mode)
+        order, scores = _mode_ranking(ranked, cs, mode)
         out[labelset.post_id] = {
-            "p_at_1": precision_at_k(order, labelset.relevant, 1),
-            "p_at_3": precision_at_k(order, labelset.relevant, 3),
-            "p_at_5": precision_at_k(order, labelset.relevant, 5),
-            "ap": average_precision(order, labelset.relevant),
+            "p_at_1": precision_at_k(order, labelset.relevant, 1, scores),
+            "p_at_3": precision_at_k(order, labelset.relevant, 3, scores),
+            "p_at_5": precision_at_k(order, labelset.relevant, 5, scores),
+            "ap": average_precision(order, labelset.relevant, scores),
         }
     return out
 

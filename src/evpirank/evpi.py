@@ -168,14 +168,14 @@ class PreparedCandidates:
     sim_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-# The most entries a memo keeps. A memo holds one pass's shared work: a prepare
-# memo a text's token ids and, for evpi, its average vector; an encoding memo
-# a text's encoding, for each encoder. Past this count a memo adds nothing and
-# the texts it lacks are prepared and encoded per call, as without one. At
-# H = 100 and d = 200 an entry takes 1,600 bytes (an average vector) or 800 (an
-# encoding) plus 8 bytes per token id, so a pass's two memos hold at most
-# 4,096 x (2,400 + 16 x tokens) bytes: under 32 MiB for texts of up to 300
-# tokens on average.
+# The most entries a memo keeps. A model's prepare memo holds a text's token
+# ids and, for evpi, its average vector, for as long as the model lives; an
+# encoding memo holds a text's encoding, for each encoder, for one ranking
+# pass. Past this count a memo adds nothing and the texts it lacks are
+# prepared and encoded per call, as without one. At H = 100 and d = 200 an
+# entry takes 1,600 bytes (an average vector) or 800 (an encoding) plus 8
+# bytes per token id, so a pass's two memos hold at most 4,096 x (2,400 + 16 x
+# tokens) bytes: under 32 MiB for texts of up to 300 tokens on average.
 MEMO_TEXTS = 4096
 
 
@@ -424,13 +424,13 @@ class NeuralModel:
     Subclasses supply prepare, loss_and_grads and rank_prepared, which encodes
     a list of prepared sets as one forward-only batch and returns one
     RankedList per set. A set's RankedList is bit-equal whatever batch it is
-    ranked in (SetEncoding), so callers rank in chunks of batch_size sets
-    (training.ranked_in_chunks) only to bound memory: one chunk holds its sets'
-    token ids and rows per text and per candidate, never a row per token.
+    ranked in (SetEncoding), so training.ranked_in_chunks ranks RANK_CHUNK
+    sets per call only to bound memory: one chunk holds its sets' token ids
+    and rows per text and per candidate, never a row per token.
     rank_prepared(preps, memo) reuses and fills the encoding memo of a pass.
 
-    prepare(cs, memo) prepares one set; calls that share a prepare memo
-    tokenize, look up and average each distinct text once, and their sets
+    prepare(cs) prepares one set. Through the model's prepare_memo every call
+    tokenizes, looks up and averages each distinct text once, and the sets
     share the resulting arrays, which nothing writes to.
     """
 
@@ -438,26 +438,25 @@ class NeuralModel:
         self.params = params
         self.table = table
         self.name = params.model
+        self.prepare_memo: dict = {}
 
     def tensors(self) -> dict[str, np.ndarray]:
         return self.params.tensors()
 
-    def _text(self, text: str, memo: dict, averaged: bool = False):
-        """(token ids, avg_vector values) of text, made once per memo; values only if averaged."""
+    def _text(self, text: str, averaged: bool = False):
+        """(token ids, avg_vector values) of text, made once per model; values only if averaged."""
         key = (text, averaged)
-        if key in memo:
-            return memo[key]
+        if key in self.prepare_memo:
+            return self.prepare_memo[key]
         tokens = tokenize(text)
         avg = avg_vector(self.table, tokens).values if averaged else None
-        return _remember(memo, key, (self.table.token_ids(tokens), avg))
+        return _remember(self.prepare_memo, key, (self.table.token_ids(tokens), avg))
 
-    def _prepared(
-        self, cs: CandidateSet, memo: dict, questions, answers, **head_inputs
-    ) -> PreparedCandidates:
+    def _prepared(self, cs: CandidateSet, questions, answers, **head_inputs) -> PreparedCandidates:
         """cs with the token ids of its post and of the _text results questions and answers."""
         return PreparedCandidates(
             cs=cs,
-            post_tokens=self._text(cs.post_body, memo)[0],
+            post_tokens=self._text(cs.post_body)[0],
             question_tokens=[ids for ids, _ in questions],
             answer_tokens=[ids for ids, _ in answers],
             **head_inputs,
@@ -467,10 +466,9 @@ class NeuralModel:
 class EvpiModel(NeuralModel):
     """The joint answer and utility model: its loss with gradients, and prepared ranking."""
 
-    def prepare(self, cs: CandidateSet, memo: dict | None = None) -> PreparedCandidates:
-        memo = {} if memo is None else memo
-        questions = [self._text(q, memo, averaged=True) for q in cs.questions]
-        answers = [self._text(a, memo, averaged=True) for a in cs.answers]
+    def prepare(self, cs: CandidateSet) -> PreparedCandidates:
+        questions = [self._text(q, averaged=True) for q in cs.questions]
+        answers = [self._text(a, averaged=True) for a in cs.answers]
 
         def units(texts):  # average vectors scaled to unit norm, one row per text
             return unit_rows(np.stack([avg for _, avg in texts]))
@@ -478,7 +476,7 @@ class EvpiModel(NeuralModel):
         q_units = units(questions)
         q_sims = np.maximum(np.einsum("ik,jk->ij", q_units, q_units), 0.0)
         return self._prepared(
-            cs, memo, questions, answers,
+            cs, questions, answers,
             a_units=units(answers), q_sims=q_sims, sim_weights=q_sims[cs.original_index],
         )
 

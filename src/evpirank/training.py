@@ -1,10 +1,11 @@
 """Shared mini-batch training loop with early stopping on tune-set MAP.
 
 fit works for any model object exposing tensors(), its own arrays (not
-copies; there is no load method), prepare(cs, memo), loss_and_grads(batch),
-and rank_prepared(batch, memo). It keeps a copy of the tensors with the best
-tune MAP (evaluated against the original question) and assigns it back into
-them at the end. train draws a neural model's initial parameters and fits them.
+copies; there is no load method), prepare(cs), loss_and_grads(batch) and
+rank_prepared(batch, memo). It keeps a copy of the tensors with the best
+tune MAP (original mode, over ranked_in_chunks, the ranking path of `rank`)
+and assigns it back into them at the end. train draws a neural model's
+initial parameters and fits them.
 """
 
 from __future__ import annotations
@@ -57,27 +58,26 @@ class FitResult:
     best_tune_map: float = 0.0
 
 
-def ranked_in_chunks(model, prepared: Iterable, batch_size: int) -> Iterator[RankedList]:
-    """model.rank_prepared over prepared, batch_size sets per call: one RankedList per set.
+# Sets per rank_prepared call: a set ranks alike in any chunk, so this bounds memory only.
+RANK_CHUNK = 32
 
-    prepared may be lazy; only one chunk of it is held at a time. A set's
-    RankedList does not depend on its chunk, so batch_size bounds memory only.
-    The calls share one encoding memo, so a text that several chunks hold is
-    encoded once per pass; memory is then the memo (evpi.MEMO_TEXTS) plus one
-    chunk.
+
+def ranked_in_chunks(model, prepared: Iterable) -> Iterator[RankedList]:
+    """model.rank_prepared over prepared, RANK_CHUNK sets per call: one RankedList per set.
+
+    prepared may be lazy; only one chunk of it is held at a time. The calls
+    share one encoding memo, so a text that several chunks hold is encoded
+    once per pass; memory is then the memo (evpi.MEMO_TEXTS) plus one chunk.
     """
     sets = iter(prepared)
     memo: dict = {}
-    while chunk := list(itertools.islice(sets, batch_size)):
+    while chunk := list(itertools.islice(sets, RANK_CHUNK)):
         yield from model.rank_prepared(chunk, memo)
 
 
-def original_mode_map(model, prepared: Sequence, batch_size: int) -> float:
-    """The MAP `evaluate --mode original` reports for model's rankings of prepared.
-
-    The sets are ranked batch_size at a time (ranked_in_chunks).
-    """
-    ranked = list(ranked_in_chunks(model, prepared, batch_size))
+def original_mode_map(model, prepared: Sequence) -> float:
+    """The MAP `evaluate --mode original` reports for ranked_in_chunks(model, prepared)."""
+    ranked = list(ranked_in_chunks(model, prepared))
     return evaluate(ranked, None, [prep.cs for prep in prepared], "original").map
 
 
@@ -93,10 +93,9 @@ def fit(
     if not tune_sets:
         raise ValueError("tune set is empty")
     rng = substream(config.seed, f"train/{model.name}")
-    memo: dict = {}  # both lists prepare a text they share once
-    train_prepared = [model.prepare(cs, memo) for cs in train_sets]
+    train_prepared = [model.prepare(cs) for cs in train_sets]
     tune_prepared = (
-        train_prepared if tune_sets is train_sets else [model.prepare(cs, memo) for cs in tune_sets]
+        train_prepared if tune_sets is train_sets else [model.prepare(cs) for cs in tune_sets]
     )
 
     tensors = model.tensors()
@@ -118,7 +117,7 @@ def fit(
                     raise TrainingDivergedError(epoch, n_batches, f"tensor {name!r}")
             epoch_loss += loss
             n_batches += 1
-        tune_map = original_mode_map(model, tune_prepared, config.batch_size)
+        tune_map = original_mode_map(model, tune_prepared)
         result.log.append(EpochLog(epoch=epoch, train_loss=epoch_loss / n_batches, tune_map=tune_map))
         if tune_map > result.best_tune_map or result.best_epoch < 0:
             result.best_tune_map = tune_map

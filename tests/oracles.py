@@ -9,6 +9,7 @@ shared encoding pass, its heads or its batched cosines.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -240,6 +241,24 @@ def brute_average_precision(order: list[int], relevant: set[int]) -> float:
             seen += 1
             running.append(seen / (position + 1))
     return sum(running) / len(relevant)
+
+
+def brute_tied_metrics(
+    order: list[int], scores: list[float], relevant: set[int], k: int
+) -> tuple[float, float]:
+    """Mean P@k and AP over every ordering of each run of equal scores along order."""
+    groups = [
+        [candidate for _, candidate in run]
+        for _, run in itertools.groupby(zip(scores, order), key=lambda pair: pair[0])
+    ]
+    orderings = [
+        [candidate for group in arrangement for candidate in group]
+        for arrangement in itertools.product(*map(itertools.permutations, groups))
+    ]
+    return (
+        sum(brute_precision_at_k(o, relevant, k) for o in orderings) / len(orderings),
+        sum(brute_average_precision(o, relevant) for o in orderings) / len(orderings),
+    )
 
 
 def cohen_kappa(labels_a: Sequence, labels_b: Sequence) -> float:

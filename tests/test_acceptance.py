@@ -5,6 +5,9 @@ lines. The overfit-separation criterion trains two models and takes a few
 minutes; everything else finishes in seconds.
 """
 
+import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -39,6 +42,7 @@ from tests.synthetic import (
     table_of,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).parent / "fixtures"
 DUMP = FIXTURES / "dump"
 
@@ -174,17 +178,18 @@ class TestCriterion5OverfitSeparation:
         )
         random_p1 = random_p_at_1(sets, n_seeds=200)
 
+        def p_at_1(model) -> float:
+            # through evaluation, which gives a tie its expected credit: every
+            # original sits at index 0, where ties break, so a model that ties
+            # all candidates would read 1.0 from order[0] alone
+            ranked = [model.rank_prepared([model.prepare(cs)])[0] for cs in sets]
+            return evaluate(ranked, None, sets, "original").p_at_1
+
         evpi_model, evpi_log = train("evpi", sets, sets, table, config)
-        evpi_p1 = sum(
-            1 for cs in sets
-            if evpi_model.rank_prepared([evpi_model.prepare(cs)])[0].order[0] == cs.original_index
-        ) / len(sets)
+        evpi_p1 = p_at_1(evpi_model)
 
         pqa_model, pqa_log = train("neural-pqa", sets, sets, table, config)
-        pqa_p1 = sum(
-            1 for cs in sets
-            if pqa_model.rank_prepared([pqa_model.prepare(cs)])[0].order[0] == cs.original_index
-        ) / len(sets)
+        pqa_p1 = p_at_1(pqa_model)
 
         elapsed = time.monotonic() - started
         ok = (
@@ -245,58 +250,85 @@ class TestCriterion7StatisticalMachinery:
         report(7, "statistical-machinery", ok, detail)
 
 
+# The files criterion 8's command chain writes under its root.
+CRITERION_8_OUTPUTS = (
+    "triples.jsonl", "candidates.jsonl", "evpi.ckpt", "rankings.jsonl", "random.jsonl",
+    "report.json",
+)
+
+
+def criterion_8_commands(root: Path) -> list[list[str]]:
+    """ingest, candidates, train and rank evpi, rank random, evaluate: writing under root."""
+    embeddings = str(FIXTURES / "embeddings_toy.txt")
+    triples, candidates, ckpt, rankings, random, report = (
+        str(root / name) for name in CRITERION_8_OUTPUTS
+    )
+    return [
+        [
+            "ingest", "--posts", str(DUMP / "posts.jsonl"),
+            "--comments", str(DUMP / "comments.jsonl"),
+            "--history", str(DUMP / "history.jsonl"),
+            "--embeddings", embeddings, "--out", triples,
+        ],
+        ["candidates", "--triples", triples, "--out", candidates],
+        [
+            "train", "--candidates", candidates, "--embeddings", embeddings,
+            "--model", "evpi", "--no-split", "--seed", "9",
+            "--set", "hidden_dim=4", "--set", "epochs=2", "--set", "batch_size=4",
+            "--out", ckpt,
+        ],
+        [
+            "rank", "--candidates", candidates, "--embeddings", embeddings,
+            "--model", "evpi", "--checkpoint", ckpt, "--out", rankings,
+        ],
+        ["rank", "--candidates", candidates, "--model", "random", "--seed", "9", "--out", random],
+        ["evaluate", "--rankings", rankings, "--candidates", candidates, "--mode", "original",
+         "--out", report],
+    ]
+
+
 class TestCriterion8Determinism:
     def test_commands_reproduce_byte_identical_outputs(self, tmp_path, report):
-        embeddings = str(FIXTURES / "embeddings_toy.txt")
-
         def run_all(tag: str) -> dict[str, bytes]:
             root = tmp_path / tag
             root.mkdir()
-            triples = root / "triples.jsonl"
-            candidates = root / "candidates.jsonl"
-            ckpt = root / "evpi.ckpt"
-            rankings = root / "rankings.jsonl"
-            rkrankings = root / "random.jsonl"
-            report_path = root / "report.json"
-            assert main([
-                "ingest", "--posts", str(DUMP / "posts.jsonl"),
-                "--comments", str(DUMP / "comments.jsonl"),
-                "--history", str(DUMP / "history.jsonl"),
-                "--embeddings", embeddings, "--out", str(triples),
-            ]) == 0
-            assert main(["candidates", "--triples", str(triples), "--out", str(candidates)]) == 0
-            assert main([
-                "train", "--candidates", str(candidates), "--embeddings", embeddings,
-                "--model", "evpi", "--no-split", "--seed", "9",
-                "--set", "hidden_dim=4", "--set", "epochs=2", "--set", "batch_size=4",
-                "--out", str(ckpt),
-            ]) == 0
-            assert main([
-                "rank", "--candidates", str(candidates), "--embeddings", embeddings,
-                "--model", "evpi", "--checkpoint", str(ckpt), "--out", str(rankings),
-            ]) == 0
-            assert main([
-                "rank", "--candidates", str(candidates), "--model", "random",
-                "--seed", "9", "--out", str(rkrankings),
-            ]) == 0
-            assert main([
-                "evaluate", "--rankings", str(rankings), "--candidates", str(candidates),
-                "--mode", "original", "--out", str(report_path),
-            ]) == 0
-            return {
-                "triples": triples.read_bytes(),
-                "candidates": candidates.read_bytes(),
-                "checkpoint": ckpt.read_bytes(),
-                "rankings": rankings.read_bytes(),
-                "random": rkrankings.read_bytes(),
-                "report": report_path.read_bytes(),
-            }
+            for argv in criterion_8_commands(root):
+                assert main(argv) == 0
+            return {name: (root / name).read_bytes() for name in CRITERION_8_OUTPUTS}
 
         first = run_all("first")
         second = run_all("second")
         mismatched = [name for name in first if first[name] != second[name]]
         ok = not mismatched
         report(8, "determinism", ok, f"byte-identical outputs: {sorted(first)}; mismatches: {mismatched}")
+
+    def test_processes_of_two_hash_seeds_write_identical_bytes(self, tmp_path, report):
+        # A run in another process must not depend on the order of str hashes,
+        # which PYTHONHASHSEED sets.
+        script = (
+            "import json, sys\n"
+            "from evpirank.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+        )
+        runs = []
+        for seed in ("0", "1"):
+            root = tmp_path / f"hashseed{seed}"
+            root.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+            done = subprocess.run(
+                [sys.executable, "-B", "-c", script, json.dumps(criterion_8_commands(root))],
+                cwd=root, env=env, capture_output=True, timeout=600,
+            )
+            assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+            assert b'"map"' in done.stdout  # evaluate's report
+            outputs = {name: (root / name).read_bytes() for name in CRITERION_8_OUTPUTS}
+            runs.append({**outputs, "stdout": done.stdout})
+        mismatched = [name for name in runs[0] if runs[0][name] != runs[1][name]]
+        report(
+            8, "determinism-across-processes", not mismatched,
+            f"PYTHONHASHSEED 0 and 1: {sorted(runs[0])}; mismatches: {mismatched}",
+        )
 
 
 class TestCriterion9EvpiFormulaInvariants:

@@ -76,7 +76,7 @@ class TestNgramTraining:
     def test_linearly_separable_toy_reaches_zero_loss(self):
         sets = [labeled_set("alpha post", ["good question?", "bad question?"],
                             ["useful answer", "useless reply"])]
-        model = NgramModel(ngram_train(sets, epochs=10, lr=0.1))
+        model = ngram_train(sets, epochs=10, lr=0.1)
         for post, question, answer, label in labeled_examples(sets):
             y = 1.0 if label == 1 else -1.0
             assert y * model.score(post, question, answer) >= 1.0  # zero hinge loss
@@ -92,8 +92,8 @@ class TestCqa:
     def test_zero_weights_score_half(self):
         rng = np.random.default_rng(52)
         table = toy_table(rng)
-        model = CqaModel(weights=np.zeros(6), bias=np.zeros(1))
-        assert model.score("post w0", "w1 question?", table) == 0.5
+        model = CqaModel(weights=np.zeros(6), bias=np.zeros(1), table=table)
+        assert model.score("post w0", "w1 question?") == 0.5
 
     def test_separable_on_overlap_feature(self):
         rng = np.random.default_rng(53)
@@ -106,7 +106,7 @@ class TestCqa:
         model = cqa_train(sets, table, epochs=400, lr=0.5)
         correct = 0
         for post, question, _, label in labeled_examples(sets):
-            p = model.score(post, question, table)
+            p = model.score(post, question)
             correct += int((p > 0.5) == bool(label))
         assert correct == 12
 
@@ -114,9 +114,9 @@ class TestCqa:
         rng = np.random.default_rng(54)
         table = toy_table(rng)
         feats = cqa_features("w0 w1 post", "w0 what?", table)
-        low = CqaModel(weights=np.zeros(6), bias=np.array([-1.0]))
-        high = CqaModel(weights=np.zeros(6), bias=np.array([2.0]))
-        assert low.score("w0 w1 post", "w0 what?", table) < high.score("w0 w1 post", "w0 what?", table)
+        low = CqaModel(weights=np.zeros(6), bias=np.array([-1.0]), table=table)
+        high = CqaModel(weights=np.zeros(6), bias=np.array([2.0]), table=table)
+        assert low.score("w0 w1 post", "w0 what?") < high.score("w0 w1 post", "w0 what?")
         assert len(feats) == 6
 
     def test_constant_features_warn(self):

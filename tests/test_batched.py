@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import evpirank.evpi as evpi_module
-from evpirank import cli
+from evpirank import cli, training
 from evpirank.baselines import NeuralBaselineModel
 from evpirank.embeddings import EmbeddingTable
 from evpirank.evaluation import evaluate
@@ -298,9 +298,18 @@ class TestPackedBatchAgainstPerSet:
                 assert together.scores == alone.scores, model.name
 
 
+def fresh(model):
+    """A model of model's parameters and table whose prepare memo is empty."""
+    return type(model)(model.params, model.table)
+
+
 def ranked_alone(model, sets) -> list:
-    """Each set prepared and ranked on its own: no text is shared with another set."""
-    return [model.rank_prepared([model.prepare(cs)])[0] for cs in sets]
+    """Each set prepared by a fresh model and ranked alone: no text is shared with another set."""
+    ranked = []
+    for cs in sets:
+        alone = fresh(model)
+        ranked.append(alone.rank_prepared([alone.prepare(cs)])[0])
+    return ranked
 
 
 def split_ids() -> list[str]:
@@ -318,16 +327,17 @@ class TestBatchInvariance:
     @_settings
     @given(sets=batches())
     def test_a_set_ranks_bit_equal_alone_and_in_chunks_of_any_size(self, every_neural_model, sets):
-        # One prepare memo for the list and one encoding memo per pass, as
-        # training and `rank` run them, against each set prepared alone.
-        for model in every_neural_model:
+        # The model's one prepare memo for the list and one encoding memo per
+        # pass, as training and `rank` run them, against each set prepared alone.
+        for model in map(fresh, every_neural_model):
             alone = ranked_alone(model, sets)
-            memo = {}
-            preps = [model.prepare(cs, memo) for cs in sets]
+            preps = [model.prepare(cs) for cs in sets]
             expected_map = evaluate(alone, None, sets, "original").map
             for size in range(1, len(preps) + 1):
-                assert list(ranked_in_chunks(model, preps, size)) == alone, (model.name, size)
-                assert original_mode_map(model, preps, size) == expected_map, (model.name, size)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(training, "RANK_CHUNK", size)
+                    assert list(ranked_in_chunks(model, preps)) == alone, (model.name, size)
+                    assert original_mode_map(model, preps) == expected_map, (model.name, size)
 
     @_settings
     @given(sets=batches(), size=st.integers(1, 5))
@@ -343,15 +353,16 @@ class TestBatchInvariance:
                 return ranked
 
             recorder = types.SimpleNamespace(rank_prepared=recording)
-            unbounded = list(ranked_in_chunks(recorder, [model.prepare(cs) for cs in sets], size))
-            encodings = held[-1]  # every distinct text of each encoder
-            held.clear()
             with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(training, "RANK_CHUNK", size)
+                unbounded = list(ranked_in_chunks(recorder, map(fresh(model).prepare, sets)))
+                encodings = held[-1]  # every distinct text of each encoder
+                held.clear()
                 mp.setattr(evpi_module, "MEMO_TEXTS", bound)
-                memo = {}
-                preps = [model.prepare(cs, memo) for cs in sets]
-                assert len(memo) <= bound
-                assert list(ranked_in_chunks(recorder, preps, size)) == alone == unbounded
+                bounded = fresh(model)
+                preps = [bounded.prepare(cs) for cs in sets]
+                assert len(bounded.prepare_memo) <= bound
+                assert list(ranked_in_chunks(recorder, preps)) == alone == unbounded
             assert max(held) == min(bound, encodings), model.name
 
     @settings(max_examples=15, deadline=None)
@@ -367,7 +378,7 @@ class TestBatchInvariance:
             for split in ("all", "train", "tune", "test"):
                 out = rank_inputs / "out.rank"
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(cli, "RANK_CHUNK", 2)
+                    mp.setattr(training, "RANK_CHUNK", 2)
                     code = cli.main([
                         "rank", "--model", model.name, "--candidates", str(candidates),
                         "--embeddings", str(rank_inputs / "embeddings.txt"),

@@ -177,7 +177,7 @@ def zero_model(kind: str):
     if kind == "ngrams":
         return NgramModel(np.zeros(NGRAM_FEATURE_SPACE))
     if kind == "cqa":
-        return CqaModel(np.zeros(6), np.zeros(1))
+        return CqaModel(np.zeros(6), np.zeros(1), table=None)  # its tensors read no table
     return zero_params(kind, D, H)
 
 

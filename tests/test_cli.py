@@ -16,7 +16,7 @@ from evpirank.ingest import Triple, split_name, write_triples
 from evpirank.neural import save_checkpoint
 from evpirank.retrieval import CandidateSet, read_candidates, tokenize, write_candidates
 
-from tests.synthetic import make_clustered_corpus, make_random_rankings_fixture
+from tests.synthetic import make_clustered_corpus, make_random_rankings_fixture, zero_params
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DUMP = FIXTURES / "dump"
@@ -408,11 +408,11 @@ class TestTrainRankEvaluate:
         table = load_embeddings_file(FIXTURES / "embeddings_toy.txt")
         config = training.TrainConfig(hidden_dim=4, epochs=2, seed=3)
         if model == "ngrams":
-            trained = baselines.NgramModel(baselines.ngram_train(sets, config.epochs, config.lr))
+            trained = baselines.ngram_train(sets, config.epochs, config.lr)
             ranked = [trained.rank(cs) for cs in sets]
         elif model == "cqa":
             trained = baselines.cqa_train(sets, table, config.epochs, config.lr)
-            ranked = [trained.rank(cs, table) for cs in sets]
+            ranked = [trained.rank(cs) for cs in sets]
         else:
             trained = training.train(model, sets, sets, table, config)[0]
             ranked = trained.rank_prepared([trained.prepare(cs) for cs in sets])
@@ -620,10 +620,10 @@ class TestTrainRankEvaluate:
         ]) == 0
         written = {}
         for name, chunk, extra in (
-            ("all", cli.RANK_CHUNK, []), ("one_per_call", 1, []), ("three_per_call", 3, []),
-            ("tune", cli.RANK_CHUNK, ["--split", "tune"]),
+            ("all", training.RANK_CHUNK, []), ("one_per_call", 1, []), ("three_per_call", 3, []),
+            ("tune", training.RANK_CHUNK, ["--split", "tune"]),
         ):
-            monkeypatch.setattr(cli, "RANK_CHUNK", chunk)
+            monkeypatch.setattr(training, "RANK_CHUNK", chunk)
             path = tmp_path / f"{name}.rank"
             assert main(self.rank_args(pipeline, model, ckpt, path, embeddings) + extra) == 0
             written[name] = path.read_text(encoding="utf-8")
@@ -633,6 +633,33 @@ class TestTrainRankEvaluate:
             if split_name(json.loads(line)["post_id"]) == "tune"
         ]
         assert tune_lines and written["tune"] == "".join(tune_lines)
+
+    @pytest.mark.parametrize("model", ["evpi", "neural-pqa"])
+    def test_one_chunk_size_sets_rank_and_tune_evaluation(
+        self, pipeline, capsys, tmp_path, monkeypatch, model
+    ):
+        # training.RANK_CHUNK alone sets the sets per rank_prepared call, in
+        # `rank` and in each epoch's tune evaluation; batch_size is the
+        # optimizer's batch only.
+        cls = evpi.EvpiModel if model == "evpi" else baselines.NeuralBaselineModel
+        rank_prepared, chunks = cls.rank_prepared, []
+
+        def recording(self, preps, memo=None):
+            chunks.append(len(preps))
+            return rank_prepared(self, preps, memo)
+
+        monkeypatch.setattr(cls, "rank_prepared", recording)
+        monkeypatch.setattr(training, "RANK_CHUNK", 3)
+        ckpt = tmp_path / "model.ckpt"
+        code, _, _ = run(
+            capsys, "train", "--candidates", str(pipeline["candidates"]), *vectors(model),
+            "--model", model, "--no-split", "--set", "hidden_dim=2", "--set", "epochs=2",
+            "--set", "batch_size=5", "--out", str(ckpt),
+        )
+        assert code == 0 and chunks == [3, 3, 1] * 2  # the fixture's 7 sets, each epoch
+        chunks.clear()
+        code, _, _ = run(capsys, *self.rank_args(pipeline, model, ckpt, tmp_path / "out.rank"))
+        assert code == 0 and chunks == [3, 3, 1]
 
     def test_random_rank_is_seeded_and_deterministic(self, pipeline, capsys):
         root = pipeline["root"]
@@ -647,6 +674,132 @@ class TestTrainRankEvaluate:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# The AP of one relevant candidate in a tie of 7 is H_7 / 7, H_7 the 7th harmonic number.
+H_7 = sum(1 / r for r in range(1, 8))
+
+
+def rank_argv(model: str, candidates, ckpt, out, *extra: str) -> list[str]:
+    """`rank` of model's checkpoint over candidates, with the toy vectors if model reads any."""
+    return [
+        "rank", "--model", model, "--candidates", str(candidates), *vectors(model),
+        "--checkpoint", str(ckpt), "--out", str(out), *extra,
+    ]
+
+
+class TestTiedScores:
+    """evaluate, significance and tune MAP give each tie group its expected credit.
+
+    The golden sets hold 7 candidates each. Ties break by index in a
+    rankings file, and a post's original sits at index 0, so scoring ties in
+    file order had given a model that scores every candidate alike P@1 1.0.
+    """
+
+    def test_an_all_tied_file_earns_the_expected_credit(self, pipeline, capsys, tmp_path):
+        sets = read_candidates(pipeline["candidates"])
+        assert all(len(cs) == 7 for cs in sets)
+        tied, random = tmp_path / "tied.jsonl", tmp_path / "random.jsonl"
+        write_rankings(tied, "tied", [
+            evpi.RankedList(cs.post_id, list(range(7)), [0.0] * 7) for cs in sets
+        ])
+        write_rankings(random, "random", baselines.random_rankings(sets))
+        candidates = ["--candidates", str(pipeline["candidates"]), "--mode", "original"]
+        code, out, _ = run(capsys, "evaluate", "--rankings", str(tied), *candidates)
+        report = json.loads(out.splitlines()[0])
+        assert code == 0
+        for metric in ("p_at_1", "p_at_3", "p_at_5"):
+            assert report[metric] == pytest.approx(1 / 7, abs=1e-12), metric
+        assert report["map"] == pytest.approx(H_7 / 7, abs=1e-12)
+        code, out, _ = run(
+            capsys, "significance", "--rankings-a", str(tied), "--rankings-b", str(random),
+            *candidates,
+        )
+        assert code == 0 and json.loads(out)["mean_a"] == report["map"]
+
+    def test_a_model_that_ties_every_candidate_logs_its_expected_tune_map(
+        self, pipeline, capsys, tmp_path
+    ):
+        # At lr 1000 evpi scores every candidate 0.0 from the first epoch on.
+        log, ckpt, rankings = (tmp_path / name for name in ("log.jsonl", "model.ckpt", "out.rank"))
+        code, _, _ = run(
+            capsys, "train", "--candidates", str(pipeline["candidates"]), *vectors("evpi"),
+            "--model", "evpi", "--no-split", "--set", "hidden_dim=8", "--set", "lr=1000",
+            "--set", "epochs=3", "--seed", "1", "--out", str(ckpt), "--log", str(log),
+        )
+        assert code == 0
+        lines = log.read_text(encoding="utf-8").splitlines()
+        tune_maps = [json.loads(line)["tune_map"] for line in lines]
+        assert tune_maps == pytest.approx([H_7 / 7] * 3, abs=1e-12)
+        code, _, _ = run(capsys, *rank_argv("evpi", pipeline["candidates"], ckpt, rankings))
+        assert code == 0
+        assert all(set(rl.scores) == {0.0} for rl in evpi.read_rankings(rankings))
+
+    @pytest.mark.parametrize("model", ["evpi", "neural-pqa"])
+    def test_a_duplicate_of_the_original_shares_its_credit(self, capsys, tmp_path, model):
+        # Identical candidates score bit-identically, so the original and its
+        # copy at index 1 tie: each is first in half the orderings.
+        rng = np.random.default_rng(5)
+        vectors_file = tmp_path / "vectors.txt"
+        vectors_file.write_text(
+            "".join(f"w{k} {rng.normal():.3f} {rng.normal():.3f}\n" for k in range(4)),
+            encoding="utf-8",
+        )
+        candidates, ckpt, rankings = (tmp_path / n for n in ("c.jsonl", "m.ckpt", "r.jsonl"))
+        write_candidates(candidates, [CandidateSet(
+            "p", "w0 w1 w2", ["w1 w2?", "w1 w2?", "w3?", "w0 w3?"],
+            ["w0", "w0", "w3 w1", "w2"], ["p", "s1", "s2", "s3"], 0,
+        )])
+        save_checkpoint(ckpt, evpi.NeuralParams.init(model, 2, 3, rng).tensors())
+        assert main([
+            "rank", "--model", model, "--candidates", str(candidates),
+            "--embeddings", str(vectors_file), "--checkpoint", str(ckpt), "--out", str(rankings),
+        ]) == 0
+        (ranked,) = evpi.read_rankings(rankings)
+        first = min(ranked.order.index(0), ranked.order.index(1))
+        assert sorted(ranked.order[first : first + 2]) == [0, 1]
+        assert ranked.scores[first] == ranked.scores[first + 1]
+        code, out, _ = run(
+            capsys, "evaluate", "--rankings", str(rankings), "--candidates", str(candidates),
+            "--mode", "original",
+        )
+        report = json.loads(out.splitlines()[0])
+        assert code == 0
+        assert report["p_at_1"] == (0.5 if first == 0 else 0.0)
+        assert report["map"] == pytest.approx((1 / (first + 1) + 1 / (first + 2)) / 2, abs=1e-12)
+
+
+class TestRankLogsWhatItBuilt:
+    def test_neural_sizes_and_a_warning_for_tied_tops(self, pipeline, capsys, tmp_path):
+        # A zeroed neural-pqa scores every candidate sigma(0) = 0.5.
+        ckpt, rankings = tmp_path / "model.ckpt", tmp_path / "out.rank"
+        save_checkpoint(ckpt, zero_params("neural-pqa", 4, 3).tensors())
+        code, _, err = run(capsys, *rank_argv("neural-pqa", pipeline["candidates"], ckpt, rankings))
+        assert code == 0
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"warning": "7 of 7 ranked sets tie at their top score"},
+            {"model": "neural-pqa", "hidden_dim": 3, "embed_dim": 4, "ranked_posts": 7,
+             "split": "all"},
+        ]
+
+    def test_other_models_log_no_sizes(self, pipeline, capsys, tmp_path):
+        # A zeroed ngrams model ties every set; random scores never tie.
+        ckpt, rankings = tmp_path / "model.ckpt", tmp_path / "out.rank"
+        save_checkpoint(ckpt, {"ngrams/w": np.zeros(baselines.NGRAM_FEATURE_SPACE)})
+        code, _, err = run(capsys, *rank_argv("ngrams", pipeline["candidates"], ckpt, rankings))
+        assert code == 0
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"warning": "7 of 7 ranked sets tie at their top score"},
+            {"model": "ngrams", "ranked_posts": 7, "split": "all"},
+        ]
+        code, _, err = run(
+            capsys, "rank", "--model", "random", "--candidates", str(pipeline["candidates"]),
+            "--out", str(rankings),
+        )
+        assert code == 0
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"config": {"seed": 0}}, {"model": "random", "ranked_posts": 7, "split": "all"},
+        ]
 
 
 class TestCachedEmbeddings:

@@ -21,7 +21,12 @@ from evpirank.evaluation import (
 from evpirank.evpi import RankedList
 from evpirank.retrieval import CandidateSet
 
-from tests.oracles import brute_average_precision, brute_precision_at_k, cohen_kappa
+from tests.oracles import (
+    brute_average_precision,
+    brute_precision_at_k,
+    brute_tied_metrics,
+    cohen_kappa,
+)
 
 
 def candidate_set(post_id: str, original: int = 0, n: int = 10) -> CandidateSet:
@@ -108,6 +113,48 @@ class TestMetricsAgainstBruteForce:
     def test_average_precision(self, ranked):
         order, relevant = ranked
         assert average_precision(order, relevant) == brute_average_precision(order, relevant)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_with_relevant(), st.integers(1, 14))
+    def test_distinct_scores_keep_every_bit(self, ranked, k):
+        # A tie-free ranking adds the same terms in the same order as one scored without scores.
+        order, relevant = ranked
+        scores = [float(len(order) - r) for r in range(len(order))]
+        p_at_k = brute_precision_at_k(order, relevant, k)
+        ap = brute_average_precision(order, relevant)
+        assert precision_at_k(order, relevant, k, scores) == p_at_k
+        assert average_precision(order, relevant, scores) == ap
+
+
+@st.composite
+def tied_ranking(draw):
+    """(order, scores, relevant): scores non-increasing along order, drawn from few values."""
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(n)))
+    scores = sorted(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n)))
+    relevant = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return order, scores[::-1], relevant
+
+
+class TestTiedScores:
+    """A run of equal scores is scored by the expected metric over its orderings."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_ranking(), st.integers(1, 8))
+    def test_metrics_are_the_mean_over_every_tie_ordering(self, ranked, k):
+        order, scores, relevant = ranked
+        p_at_k, ap = brute_tied_metrics(order, scores, relevant, k)
+        assert precision_at_k(order, relevant, k, scores) == pytest.approx(p_at_k, abs=1e-12)
+        assert average_precision(order, relevant, scores) == pytest.approx(ap, abs=1e-12)
+
+    def test_exclude_original_drops_the_original_from_order_and_scores(self):
+        # Without the original, 1 and 2 tie at the top: P@1 1/2 and AP (1 + 1/2) / 2.
+        cs = candidate_set("p1", original=0, n=4)
+        ranked = RankedList(post_id="p1", order=[0, 1, 2, 3], scores=[0.5, 0.5, 0.5, 0.1])
+        labelsets = [LabelSet(post_id="p1", relevant={2})]
+        got = per_post_metrics([ranked], labelsets, [cs], "exclude_original")["p1"]
+        assert got["p_at_1"] == 0.5
+        assert got["ap"] == 0.75
 
 
 class TestBuildLabelsets:

@@ -451,10 +451,11 @@ class TestGradientsAndDescent:
 class TestPrepare:
     def test_each_text_is_tokenized_once(self, monkeypatch):
         # One token list per question and answer feeds both its average vector
-        # and its LSTM input: 1 + 2n tokenize calls for n candidates. Sets
-        # prepared with one memo share a text they repeat: on the clustered
-        # corpus each set holds its family's ten questions and answers, and
-        # every distinct text is tokenized, and for evpi averaged, once.
+        # and its LSTM input: 1 + 2n tokenize calls for n candidates. The sets
+        # one model prepares share a text they repeat (its prepare_memo): on
+        # the clustered corpus each set holds its family's ten questions and
+        # answers, and every distinct text is tokenized, and for evpi
+        # averaged, once.
         import evpirank.evpi as evpi_module
 
         texts, averaged = [], []
@@ -477,8 +478,7 @@ class TestPrepare:
 
             texts.clear(), averaged.clear()
             model = model_class(NeuralParams.init(name, corpus_table.dim, 3, rng), corpus_table)
-            memo = {}
-            preps = [model.prepare(cs, memo) for cs in sets]
+            preps = [model.prepare(cs) for cs in sets]
             assert sorted(texts) == sorted(shared | {cs.post_body for cs in sets}), name
             assert len(averaged) == len(set(averaged)) == (len(shared) if name == "evpi" else 0)
             # a repeated text's sets share one token-id array

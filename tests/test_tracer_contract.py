@@ -70,7 +70,7 @@ def fixture_run(tmp_path_factory):
         for name, module, cls_name, method, count in TRACER.METHODS:
             cls = getattr(importlib.import_module(f"evpirank.{module}"), cls_name)
             mp.setattr(cls, method, tracer.wrap(name, getattr(cls, method), count))
-        mp.setattr(cli, "RANK_CHUNK", 3)
+        mp.setattr(training, "RANK_CHUNK", 3)
         for model_name in ("neural-pqa", "evpi"):
             model, fit_result = training.train(model_name, sets, sets, table, config)
             neural.save_checkpoint(root / "model.ckpt", model.tensors())
@@ -79,8 +79,7 @@ def fixture_run(tmp_path_factory):
                 "--embeddings", str(FIXTURES / "embeddings_toy.txt"),
                 "--checkpoint", str(root / "model.ckpt"), "--out", str(root / "out.rank"),
             ]) == 0
-        memo = {}
-        prepared = model.prepare(sets[0], memo)
+        prepared = model.prepare(sets[0])
     rankings = baselines.random_rankings(sets)
     return {
         "_read": ((DUMP / "posts.jsonl",), posts),
@@ -91,7 +90,7 @@ def fixture_run(tmp_path_factory):
         "_avg_vector": ((table, tokens), embeddings.avg_vector(table, tokens)),
         "_lstm_forward": ((lstm, ids, [3, 0, 2], table.gather), (means, cache)),
         "_lstm_backward": ((lstm, cache, d_means), neural.lstm_backward(lstm, cache, d_means)),
-        "_prepare": ((model, sets[0], memo), prepared),
+        "_prepare": ((model, sets[0]), prepared),
         "_fit": ((), fit_result),
         "_evaluate": ((), evaluation.evaluate(rankings, None, sets, "original")),
         "spans": {span[0] for span in tracer.spans},
@@ -163,7 +162,7 @@ def test_a_traced_rank_records_one_lstm_span_per_model_and_chunk(tmp_path, monke
             for attr in [attr for attr, value in vars(module).items() if value is original]:
                 monkeypatch.setattr(module, attr, wrapper)
     batch_size = 3
-    monkeypatch.setattr(cli, "RANK_CHUNK", batch_size)
+    monkeypatch.setattr(training, "RANK_CHUNK", batch_size)
     chunks = [sets[i : i + batch_size] for i in range(0, len(sets), batch_size)]
     for model_name in ("evpi", "neural-pqa"):
         params = evpi.NeuralParams.init(model_name, table.dim, 3, rng)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import evpirank.evpi as evpi_module
+from evpirank import training
 from evpirank.evpi import EvpiModel, NeuralParams
 from evpirank.neural import save_checkpoint
 from evpirank.retrieval import CandidateSet
@@ -72,28 +73,34 @@ class TestFit:
         model, sets = fresh_model()
         config = TrainConfig(hidden_dim=4, lr=1e-3, batch_size=3, epochs=4, patience=10, seed=0)
         result = fit(model, sets, sets, config)
-        restored_map = original_mode_map(model, [model.prepare(cs) for cs in sets], 3)
+        restored_map = original_mode_map(model, [model.prepare(cs) for cs in sets])
         assert restored_map == pytest.approx(result.best_tune_map, abs=1e-12)
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_prepares_each_set_once(self, monkeypatch, shared):
         model, sets = fresh_model()
-        train_sets, tune_sets = (sets, sets) if shared else (sets[:4], sets[4:])
-        calls, memos = [], set()
-        prepare = model.prepare
+        # the unshared lists overlap in two sets, whose texts both then hold
+        train_sets, tune_sets = (sets, sets) if shared else (sets[:4], sets[2:])
+        calls, tokenized = [], []
+        prepare, tokenize = model.prepare, evpi_module.tokenize
 
-        def counting_prepare(cs, memo):
+        def counting_prepare(cs):
             calls.append(cs.post_id)
-            memos.add(id(memo))
-            return prepare(cs, memo)
+            return prepare(cs)
 
         monkeypatch.setattr(model, "prepare", counting_prepare)
+        monkeypatch.setattr(evpi_module, "tokenize", lambda t: tokenized.append(t) or tokenize(t))
         config = TrainConfig(hidden_dim=4, lr=1e-3, batch_size=3, epochs=2, patience=10, seed=0)
         fit(model, train_sets, tune_sets, config)
-        # One call per set: a shared list is not prepared again for tuning.
-        assert calls == [cs.post_id for cs in sets]
-        # Train and tune sets share one prepare memo.
-        assert len(memos) == 1
+        # One call per set of each list: a shared list is not prepared again for tuning.
+        assert calls == [cs.post_id for cs in (sets if shared else train_sets + tune_sets)]
+        # Train and tune sets share the model's one prepare memo: each text
+        # is tokenized once, for the one entry it holds.
+        keys = {(cs.post_body, False) for cs in sets} | {
+            (text, True) for cs in sets for text in [*cs.questions, *cs.answers]
+        }
+        assert len(tokenized) == len(model.prepare_memo) == len(keys)
+        assert set(model.prepare_memo) == keys
 
     def test_empty_train_set_is_error(self):
         model, sets = fresh_model()
@@ -103,12 +110,13 @@ class TestFit:
 
 
 class TestOriginalModeMap:
-    @pytest.mark.parametrize("batch_size", [1, 4, 6, 32])
-    def test_reciprocal_rank_of_original(self, batch_size):
+    @pytest.mark.parametrize("chunk", [1, 4, 6, 32])
+    def test_reciprocal_rank_of_original(self, monkeypatch, chunk):
         # 6 sets: one per chunk, a ragged last chunk, one chunk, fewer sets than a chunk
+        monkeypatch.setattr(training, "RANK_CHUNK", chunk)
         model, sets = fresh_model()
         preps = [model.prepare(cs) for cs in sets]
-        value = original_mode_map(model, preps, batch_size)
+        value = original_mode_map(model, preps)
         manual = []
         for prep in preps:
             order = model.rank_prepared([prep])[0].order
@@ -116,15 +124,15 @@ class TestOriginalModeMap:
         assert value == pytest.approx(sum(manual) / len(manual), abs=1e-12)
 
     @pytest.mark.parametrize("model_name", ["evpi", "neural-pqa"])
-    @pytest.mark.parametrize("batch_size", [1, 7, 50])
-    def test_encodes_each_distinct_text_once_per_encoder(self, monkeypatch, model_name, batch_size):
+    @pytest.mark.parametrize("chunk", [1, 7, 50])
+    def test_encodes_each_distinct_text_once_per_encoder(self, monkeypatch, model_name, chunk):
         # The clustered corpus repeats each question and answer in the ten
         # sets of its family; one tune evaluation encodes it once.
+        monkeypatch.setattr(training, "RANK_CHUNK", chunk)
         table, sets = make_clustered_corpus()
         params = NeuralParams.init(model_name, table.dim, 3, np.random.default_rng(0))
         model = neural_model(params, table)
-        memo = {}
-        preps = [model.prepare(cs, memo) for cs in sets]
+        preps = [model.prepare(cs) for cs in sets]
         encoded = {"lstm_post": [], "lstm_question": [], "lstm_answer": []}
         lstm_forward = evpi_module.lstm_forward
 
@@ -139,7 +147,7 @@ class TestOriginalModeMap:
             return lstm_forward(lstm, tokens, lengths, *rest, others=others)
 
         monkeypatch.setattr(evpi_module, "lstm_forward", recording)
-        original_mode_map(model, preps, batch_size)
+        original_mode_map(model, preps)
         texts = {
             "lstm_post": [prep.post_tokens for prep in preps],
             "lstm_question": [ids for prep in preps for ids in prep.question_tokens],
