@@ -216,12 +216,9 @@ def _ranker(model_name: str, checkpoint: str | None, table: EmbeddingTable | Non
     try:
         assign_tensors(model.tensors(), tensors)
     except ValueError as exc:
-        described = (
-            f" of hidden size {sizes['hidden_dim']} over {sizes['embed_dim']}-d embeddings"
-            if sizes else ""
-        )
+        described = " of hidden size {hidden_dim} over {embed_dim}-d embeddings" if sizes else ""
         raise UsageError(
-            f"checkpoint {checkpoint} is not a {model_name} model{described}: {exc}"
+            f"checkpoint {checkpoint} is not a {model_name} model{described.format(**sizes)}: {exc}"
         ) from None
     if model_name in evpi.MODEL_PARTS:
         return (lambda sets: training.ranked_in_chunks(model, map(model.prepare, sets))), sizes

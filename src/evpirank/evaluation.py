@@ -73,20 +73,17 @@ class MetricReport:
         return header + "\n" + row
 
 
-def _tie_groups(order: Sequence[int], relevant: set[int], scores: Sequence[float] | None):
-    """(first position, size, relevant count) of each run of equal scores along order.
-
-    Without scores each candidate is a group of its own.
-    """
+def _tie_groups(order: Sequence[int], relevant: set[int], scores: Sequence[float]):
+    """(first position, size, relevant count) of each run of equal scores along order."""
     start = 0
     for end in range(1, len(order) + 1):
-        if scores is None or end == len(order) or scores[end] != scores[start]:
+        if end == len(order) or scores[end] != scores[start]:
             yield start, end - start, len(relevant.intersection(order[start:end]))
             start = end
 
 
 def precision_at_k(
-    order: Sequence[int], relevant: set[int], k: int, scores: Sequence[float] | None = None
+    order: Sequence[int], relevant: set[int], k: int, scores: Sequence[float]
 ) -> float:
     """Expected fraction of the top-k ranked candidates that are relevant.
 
@@ -99,9 +96,7 @@ def precision_at_k(
     return sum(max(0, min(k - start, size)) * found / size for start, size, found in groups) / k
 
 
-def average_precision(
-    order: Sequence[int], relevant: set[int], scores: Sequence[float] | None = None
-) -> float:
+def average_precision(order: Sequence[int], relevant: set[int], scores: Sequence[float]) -> float:
     """Expected average of precision at each rank holding a relevant candidate.
 
     Position j of a tie group of size g with r relevant candidates, after

@@ -40,6 +40,11 @@ def candidate_set(post_id: str, original: int = 0, n: int = 10) -> CandidateSet:
     )
 
 
+def falling(n: int) -> list[float]:
+    """Strictly falling scores of n ranked candidates, so no two tie."""
+    return [float(n - r) for r in range(n)]
+
+
 def ranking(post_id: str, order) -> RankedList:
     n = len(order)
     return RankedList(post_id=post_id, order=list(order), scores=[(n - r) / n for r in range(n)])
@@ -51,30 +56,30 @@ def annotation(post_id, annotator, best, valid):
 
 class TestPrecisionAtK:
     def test_single_relevant_at_top(self):
-        assert precision_at_k([3, 1, 2], {3}, 1) == 1.0
+        assert precision_at_k([3, 1, 2], {3}, 1, falling(3)) == 1.0
 
     def test_two_of_three(self):
         order = [5, 1, 2, 0]
-        assert precision_at_k(order, {1, 2}, 3) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert precision_at_k(order, {1, 2}, 3, falling(4)) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_disjoint_is_zero(self):
-        assert precision_at_k([0, 1, 2], {8, 9}, 3) == 0.0
+        assert precision_at_k([0, 1, 2], {8, 9}, 3, falling(3)) == 0.0
 
 
 class TestAveragePrecision:
     def test_relevant_at_rank_one(self):
-        assert average_precision([2, 0, 1], {2}) == 1.0
+        assert average_precision([2, 0, 1], {2}, falling(3)) == 1.0
 
     def test_relevant_at_rank_two(self):
-        assert average_precision([0, 2, 1], {2}) == 0.5
+        assert average_precision([0, 2, 1], {2}, falling(3)) == 0.5
 
     def test_two_relevant_at_ranks_one_and_three(self):
-        got = average_precision([4, 0, 7, 1], {4, 7})
+        got = average_precision([4, 0, 7, 1], {4, 7}, falling(4))
         assert got == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-9)
 
     def test_empty_relevant_set_is_error(self):
         with pytest.raises(EvaluationError, match="relevant set is empty"):
-            average_precision([0, 1], set())
+            average_precision([0, 1], set(), falling(2))
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(70)
@@ -84,10 +89,10 @@ class TestAveragePrecision:
             m = int(rng.integers(1, n + 1))
             relevant = set(int(v) for v in rng.choice(n, size=m, replace=False))
             for k in (1, 3, 5):
-                assert precision_at_k(order, relevant, k) == pytest.approx(
+                assert precision_at_k(order, relevant, k, falling(n)) == pytest.approx(
                     brute_precision_at_k(order, relevant, k), abs=1e-12
                 )
-            assert average_precision(order, relevant) == pytest.approx(
+            assert average_precision(order, relevant, falling(n)) == pytest.approx(
                 brute_average_precision(order, relevant), abs=1e-12
             )
 
@@ -102,28 +107,21 @@ def ranked_with_relevant(draw):
 
 
 class TestMetricsAgainstBruteForce:
+    """A tie-free ranking keeps every bit of the metric summed along its order."""
+
     @settings(max_examples=200, deadline=None)
     @given(ranked_with_relevant(), st.integers(1, 14))
     def test_precision_at_k(self, ranked, k):
         order, relevant = ranked
-        assert precision_at_k(order, relevant, k) == brute_precision_at_k(order, relevant, k)
+        got = precision_at_k(order, relevant, k, falling(len(order)))
+        assert got == brute_precision_at_k(order, relevant, k)
 
     @settings(max_examples=200, deadline=None)
     @given(ranked_with_relevant())
     def test_average_precision(self, ranked):
         order, relevant = ranked
-        assert average_precision(order, relevant) == brute_average_precision(order, relevant)
-
-    @settings(max_examples=200, deadline=None)
-    @given(ranked_with_relevant(), st.integers(1, 14))
-    def test_distinct_scores_keep_every_bit(self, ranked, k):
-        # A tie-free ranking adds the same terms in the same order as one scored without scores.
-        order, relevant = ranked
-        scores = [float(len(order) - r) for r in range(len(order))]
-        p_at_k = brute_precision_at_k(order, relevant, k)
-        ap = brute_average_precision(order, relevant)
-        assert precision_at_k(order, relevant, k, scores) == p_at_k
-        assert average_precision(order, relevant, scores) == ap
+        got = average_precision(order, relevant, falling(len(order)))
+        assert got == brute_average_precision(order, relevant)
 
 
 @st.composite
@@ -349,8 +347,8 @@ class TestBestUnionMonotonicity:
         for trial in range(50):
             order = [int(v) for v in rng.permutation(10)]
             best1, best2 = int(rng.integers(0, 10)), int(rng.integers(0, 10))
-            union_p1 = precision_at_k(order, {best1, best2}, 1)
-            single_p1 = precision_at_k(order, {best1}, 1)
+            union_p1 = precision_at_k(order, {best1, best2}, 1, falling(10))
+            single_p1 = precision_at_k(order, {best1}, 1, falling(10))
             assert union_p1 >= single_p1
 
 
